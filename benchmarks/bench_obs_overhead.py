@@ -78,7 +78,6 @@ def _run_workload(config, subjects, sessions):
                 )
             total += time.perf_counter() - started
             programs.append(per_call)
-            synthesizer.close()
     return total, programs
 
 

@@ -1,19 +1,19 @@
-"""Parallel-validation bench: the concurrent synthesis stack vs serial.
+"""Cross-session execution sharing: private caches vs. the shared cache.
 
 Runs the multi-session scaling workload — several demonstration
 sessions per benchmark, session after session, exactly what a server
-replaying many users over the same sites does — under the two
-architectures this repo supports:
+replaying many users over the same sites does — under two
+configurations of the same serial validation loop:
 
-* **serial**: the legacy stack, pinned explicitly — the
-  ``SerialScheduler`` validation loop over a private per-session
-  execution cache (``serial_validation_config``).  Byte-exact with the
-  pre-scheduler synthesizer.
-* **concurrent**: ``PoolScheduler`` validation workers over the
-  process-level ``SharedExecutionCache``
-  (``parallel_validation_config``) — sessions intern their snapshots
-  and reuse each other's executions, so every session after the first
-  runs mostly out of cache.
+* **private**: ``serial_validation_config()`` — a private per-session
+  execution cache with resumable loops off; nothing carries over from
+  one session to the next.
+* **shared**: the default loop on ``shared_cache=True`` with resumable
+  loops on (``replace(DEFAULT_CONFIG, shared_cache=True,
+  cache_backend="memory")``) — sessions join the process-level
+  ``SharedExecutionCache``, intern their snapshots and reuse each
+  other's executions, so every session after the first runs mostly out
+  of cache.  This is the configuration ``repro serve`` runs.
 
 Subjects are the news-family scaled instances plus two plain-list
 benchmarks: loop-heavy traces whose synthesis time is dominated by
@@ -24,11 +24,10 @@ share almost nothing and would only dilute the measurement.)
 Two assertions gate the result:
 
 * the synthesized programs of every call of every session are
-  byte-identical between the architectures (the scheduler's rank-order
-  merge and the shared cache are behaviour-preserving, not
-  approximate);
+  byte-identical between the variants (the shared cache and resumable
+  loops are behaviour-preserving, not approximate);
 * the wall-clock speedup clears the floor (default 1.4×), and the
-  concurrent variant actually shared (cross-session hits > 0).
+  shared variant actually shared (cross-session hits > 0).
 
 An untimed warm-up session runs first so both variants are measured in
 the same warm-snapshot-index regime (indexes attach to the recorded
@@ -36,7 +35,6 @@ snapshots, which all in-process sessions view).
 
 ``REPRO_PAR_BIDS`` picks the subjects (``+`` suffix = scaled instance);
 ``REPRO_PAR_SESSIONS`` the demonstration sessions per subject;
-``REPRO_PAR_WORKERS`` the pool width (default 4);
 ``REPRO_PAR_MIN_SPEEDUP`` adjusts the asserted floor (default 1.4).
 ``--quick`` halves the sessions and relaxes the floor to 1.25 for the
 CI smoke tier (shared runners are noisy; full runs keep 1.4).
@@ -44,18 +42,23 @@ CI smoke tier (shared runners are noisy; full runs keep 1.4).
 
 import os
 import time
+from dataclasses import replace
 
 from repro.benchmarks.suite import benchmark_by_id
 from repro.engine.cache import process_cache, reset_process_cache
 from repro.harness.report import fmt_ms, render_table
 from repro.lang.pretty import format_program
-from repro.synth.config import parallel_validation_config, serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
 from repro.synth.synthesizer import Synthesizer
 
 #: News-family scaled instances (execution-dominated, loop-heavy) plus
-#: two plain-list benchmarks whose pops are large enough to engage the
-#: pool's wave dispatch.
+#: two plain-list benchmarks with large pops.
 DEFAULT_BIDS = "b1+,b2+,b4+,b5+,b13+,b15,b73"
+
+#: The loop ``repro serve`` runs: shared cache, resumable loops on —
+#: pinned to the in-process backend so a store left on disk cannot turn
+#: the measured cross-session hits into warm-start hits.
+SHARED_CONFIG = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="memory")
 
 
 def _subjects(spec):
@@ -75,13 +78,11 @@ def _run_workload(config, subjects, sessions, collect_programs=True):
     """Drive ``sessions`` incremental sessions over every subject.
 
     Returns total synthesize wall-clock, per-session program renderings
-    (the byte-identity evidence), total cross-session cache hits, and
-    the worker count the schedulers reported.
+    (the byte-identity evidence), and total cross-session cache hits.
     """
     total = 0.0
     programs = []
     cross_hits = 0
-    workers = 0
     for _ in range(sessions):
         for _, benchmark, recording in subjects:
             length = recording.length - 1
@@ -94,77 +95,66 @@ def _run_workload(config, subjects, sessions, collect_programs=True):
                     actions[:cut], snapshots[: cut + 1], timeout=10.0
                 )
                 cross_hits += result.stats.cache_cross_session_hits
-                workers = max(workers, result.stats.validation_workers)
                 if collect_programs:
                     per_call.append(
                         tuple(format_program(program) for program in result.programs)
                     )
             total += time.perf_counter() - started
             programs.append(per_call)
-            synthesizer.close()
-    return total, programs, cross_hits, workers
+    return total, programs, cross_hits
 
 
 def test_parallel_validation_speedup(benchmark, quick):
     subjects = _subjects(os.environ.get("REPRO_PAR_BIDS", DEFAULT_BIDS))
     sessions = int(os.environ.get("REPRO_PAR_SESSIONS", "4" if quick else "8"))
-    pool_workers = int(os.environ.get("REPRO_PAR_WORKERS", "4"))
     min_speedup = float(
         os.environ.get("REPRO_PAR_MIN_SPEEDUP", "1.25" if quick else "1.4")
     )
 
     def run_pair():
         # untimed warm-up: build the snapshot indexes + enum memos both
-        # variants will see, so the timed runs differ only in scheduler
-        # and cache architecture
+        # variants will see, so the timed runs differ only in cache
+        # sharing and loop resumption
         _run_workload(
             serial_validation_config(), subjects, 1, collect_programs=False
         )
-        serial = _run_workload(serial_validation_config(), subjects, sessions)
+        private = _run_workload(serial_validation_config(), subjects, sessions)
         reset_process_cache()
-        concurrent = _run_workload(
-            parallel_validation_config(workers=pool_workers), subjects, sessions
-        )
-        shared = process_cache()
-        interned = shared.interned_snapshots
+        shared = _run_workload(SHARED_CONFIG, subjects, sessions)
+        interned = process_cache().interned_snapshots
         reset_process_cache()
-        return serial, concurrent, interned
+        return private, shared, interned
 
-    serial, concurrent, interned = benchmark.pedantic(
+    private, shared, interned = benchmark.pedantic(
         run_pair, rounds=1, iterations=1
     )
-    serial_time, serial_programs, serial_cross, serial_workers = serial
-    pool_time, pool_programs, pool_cross, reported_workers = concurrent
-    speedup = serial_time / pool_time if pool_time else 0.0
+    private_time, private_programs, private_cross = private
+    shared_time, shared_programs, shared_cross = shared
+    speedup = private_time / shared_time if shared_time else 0.0
     benchmark.extra_info["subjects"] = ",".join(label for label, _, _ in subjects)
     benchmark.extra_info["sessions"] = sessions
-    benchmark.extra_info["serial_seconds"] = round(serial_time, 4)
-    benchmark.extra_info["concurrent_seconds"] = round(pool_time, 4)
+    benchmark.extra_info["private_seconds"] = round(private_time, 4)
+    benchmark.extra_info["shared_seconds"] = round(shared_time, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["cross_session_hits"] = pool_cross
+    benchmark.extra_info["cross_session_hits"] = shared_cross
     benchmark.extra_info["interned_snapshots"] = interned
     print()
-    print(
-        f"Concurrent synthesis on {len(subjects)} subjects × {sessions} sessions "
-        f"({pool_workers} validation workers)"
-    )
+    print(f"Multi-session synthesis on {len(subjects)} subjects × {sessions} sessions")
     print(
         render_table(
             ["variant", "total", "cross-session hits"],
             [
-                ["serial, private caches", fmt_ms(serial_time), serial_cross],
-                ["pool, shared cache", fmt_ms(pool_time), pool_cross],
+                ["private caches, no resume", fmt_ms(private_time), private_cross],
+                ["shared cache + resume", fmt_ms(shared_time), shared_cross],
             ],
         )
     )
     print(f"speedup: {speedup:.2f}x; interned snapshots: {interned}")
     # behaviour preservation first: every call of every session must
-    # synthesize byte-identical program lists under both architectures
-    assert serial_programs == pool_programs, (
-        "concurrent validation changed the synthesized programs"
+    # synthesize byte-identical program lists under both variants
+    assert private_programs == shared_programs, (
+        "the shared cache changed the synthesized programs"
     )
-    assert serial_workers == 0, "the serial variant must not use a pool"
-    assert reported_workers == pool_workers, "the pool variant never pooled"
-    assert serial_cross == 0, "private caches cannot share across sessions"
-    assert pool_cross > 0, "the shared cache never served a cross-session hit"
+    assert private_cross == 0, "private caches cannot share across sessions"
+    assert shared_cross > 0, "the shared cache never served a cross-session hit"
     assert speedup >= min_speedup

@@ -81,7 +81,6 @@ def _drive_sessions(backend, subjects, sessions):
     config = replace(
         DEFAULT_CONFIG,
         shared_cache=True,
-        validation_workers=0,
         cache_backend=backend,
     )
     manager = SessionManager(config, timeout=10.0)

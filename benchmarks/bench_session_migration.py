@@ -60,9 +60,7 @@ def _subjects(spec):
 def _manager():
     from repro.service.sessions import SessionManager
 
-    config = replace(
-        DEFAULT_CONFIG, shared_cache=True, validation_workers=0, cache_backend="memory"
-    )
+    config = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="memory")
     return SessionManager(config, timeout=10.0)
 
 

@@ -13,7 +13,7 @@ Environment knobs honoured across benches:
 * ``REPRO_Q3_TRACE_CAP`` — task-length cap for interactive sessions
 * ``REPRO_Q4_TIMEOUT``   — per-run baseline budget (default 60 s)
 * ``REPRO_PAR_*``        — parallel-validation bench subjects/sessions/
-  workers/floor (see ``bench_parallel_validation.py``)
+  floor (see ``bench_parallel_validation.py``)
 
 ``--quick`` shrinks the perf benches (fewer sessions, shorter traces,
 slightly relaxed speedup floors) to a CI-smoke-tier footprint; see the

@@ -25,7 +25,7 @@ executing it.  Four abstract domains, one per module:
 statically sound refutation of speculated candidates (can this
 statement's emission language possibly reproduce the recorded slice it
 must cover?), used by :mod:`repro.synth.scheduler` to drop candidates
-before the validation waves ever execute them.
+before validation ever executes them.
 
 :mod:`repro.analysis.report` aggregates the domains into one
 :class:`~repro.analysis.report.ProgramAnalysis` with unified findings —

@@ -41,8 +41,8 @@ concrete and wildcard where it mentions a loop variable:
 Because the NFA overapproximates emissions and matching overapproximates
 consistency, a candidate whose simulation dies before consuming ``L``
 reference symbols **cannot** validate: pruning it is sound, and the
-synthesized programs stay byte-identical (the scheduler-parity tests
-and ``benchmarks/bench_static_prune.py`` pin this).
+synthesized programs stay byte-identical (the prune-parity tests and
+``benchmarks/bench_static_prune.py`` pin this).
 
 This is the hot-path half of the analysis layer: the canonical win is
 a speculated loop body that kept a raw first-iteration selector (the

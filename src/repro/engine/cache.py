@@ -106,9 +106,8 @@ class CacheCounters:
     a persistent backend — entries recorded by a prior process (they
     are included in the exact/prefix/consistency breakdown, never in
     ``cross_session_hits``).  Counter objects are merged, not shared:
-    each validation worker records into its own instance and the
-    scheduler folds them together at join (:meth:`merge`), so the totals
-    stay exact under concurrent validation.
+    each session of a shared cache records into its own instance, and
+    the shard-level aggregate is folded together on read (:meth:`merge`).
     """
 
     hits: int = 0
@@ -277,7 +276,7 @@ class ExecutionCache:
     written through on every insert.
 
     Lookups and inserts accept an optional per-caller ``counters`` —
-    validation workers and session views pass their own — and a
+    session views of a shared cache pass their own — and a
     ``session`` token identifying the caller of a shared cache.  The
     cache's own :attr:`counters` *always* record (they are the
     shard-level aggregate); a passed recorder records additionally, so
@@ -1088,8 +1087,7 @@ class SharedCacheSession:
     Implements the same lookup surface as :class:`ExecutionCache` (the
     engine cannot tell them apart) but routes every call through the
     owning shard's lock and records telemetry into this session's
-    :attr:`counters` — or into an explicitly passed per-worker counter
-    set, which the validation scheduler merges back at join.
+    :attr:`counters`.
     """
 
     __slots__ = ("_shared", "_token", "counters")
@@ -1128,13 +1126,11 @@ class SharedCacheSession:
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
-        counters: Optional[CacheCounters] = None,
     ) -> Optional[tuple[tuple, Env]]:
         shard = self._shared._shard_for(base)
-        recorder = self.counters if counters is None else counters
         with shard.lock:
             result, probe = shard.cache.lookup_memory(
-                base, window_keys, budget, counters=recorder, session=self._token
+                base, window_keys, budget, counters=self.counters, session=self._token
             )
         if result is not None or probe is None:
             return result
@@ -1150,7 +1146,7 @@ class SharedCacheSession:
                 probe,
                 exact_payload,
                 terminal_payload,
-                counters=recorder,
+                counters=self.counters,
                 session=self._token,
                 served_bytes=served_bytes,
             )
@@ -1163,7 +1159,6 @@ class SharedCacheSession:
         actions: tuple,
         env: Env,
         exact_budget_ok: bool = False,
-        counters: Optional[CacheCounters] = None,
         continuation: Optional[tuple] = None,
         cost: Optional[int] = None,
     ) -> None:
@@ -1176,7 +1171,7 @@ class SharedCacheSession:
                 actions,
                 env,
                 exact_budget_ok,
-                counters=self.counters if counters is None else counters,
+                counters=self.counters,
                 session=self._token,
                 continuation=continuation,
                 cost=cost,
@@ -1187,7 +1182,6 @@ class SharedCacheSession:
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
-        counters: Optional[CacheCounters] = None,
     ) -> Optional[tuple[tuple, Env, tuple]]:
         shard = self._shared._shard_for(base)
         with shard.lock:
@@ -1195,18 +1189,15 @@ class SharedCacheSession:
                 base,
                 window_keys,
                 budget,
-                counters=self.counters if counters is None else counters,
+                counters=self.counters,
                 session=self._token,
             )
 
-    def get_consistency(
-        self, key: tuple, counters: Optional[CacheCounters] = None
-    ) -> Optional[int]:
+    def get_consistency(self, key: tuple) -> Optional[int]:
         shard = self._shared._shard_for(key)
-        recorder = self.counters if counters is None else counters
         with shard.lock:
             value, digest = shard.cache.lookup_consistency_memory(
-                key, counters=recorder, session=self._token
+                key, counters=self.counters, session=self._token
             )
         if value is not None or digest is None:
             return value
@@ -1214,21 +1205,16 @@ class SharedCacheSession:
         loaded = shard.cache.backend.load_consistency(digest)
         with shard.lock:
             return shard.cache.promote_consistency(
-                key, loaded, counters=recorder, session=self._token
+                key, loaded, counters=self.counters, session=self._token
             )
 
-    def put_consistency(
-        self,
-        key: tuple,
-        value: int,
-        counters: Optional[CacheCounters] = None,
-    ) -> None:
+    def put_consistency(self, key: tuple, value: int) -> None:
         shard = self._shared._shard_for(key)
         with shard.lock:
             shard.cache.put_consistency(
                 key,
                 value,
-                counters=self.counters if counters is None else counters,
+                counters=self.counters,
                 session=self._token,
             )
 

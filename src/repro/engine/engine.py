@@ -13,13 +13,10 @@ directly, which buys three things:
   calls — are computed once (see :mod:`repro.engine.cache`).
 * **Indexing.**  Engine-resolved selectors ride the per-snapshot DOM
   indexes of :mod:`repro.engine.index`.
-* **Concurrency.**  The engine is where execution sharing happens:
-  backed by a :class:`~repro.engine.cache.SharedExecutionCache` it
-  joins the process-level cache as one session, and its per-thread
-  *worker counters* (:meth:`worker_counters` / :meth:`absorb_counters`)
-  let the validation scheduler run candidates on a thread pool while
-  keeping telemetry exact — workers record into private counter sets
-  that are merged at join, never incremented in place across threads.
+* **Sharing.**  The engine is where execution sharing happens: backed
+  by a :class:`~repro.engine.cache.SharedExecutionCache` it joins the
+  process-level cache as one session, so concurrent sessions over the
+  same site reuse each other's executions.
 
 A cached :meth:`execute` replays the actions and remaining-window shape
 of the first structurally equivalent execution.  Statement keys are
@@ -28,23 +25,20 @@ come from that first execution; the bindings' values, the action trace,
 and the consumed-snapshot count — everything the synthesizer consumes —
 are identical for alpha-equivalent programs.
 
-Thread-safety contract: ``execute`` and ``consistent_prefix_length`` are
-safe to call from validation workers *when the engine is backed by a
-shared (lock-striped) cache* — the remaining engine-level memos
-(canonical statements, lazily filled snapshot-index layers) are
-id-keyed, idempotent writes of deterministic values, so a lost race
-recomputes but never corrupts.  A plain private ``ExecutionCache`` is
-single-threaded; :meth:`for_config` picks the right backing
-automatically from the config's ``validation_workers`` /
-``shared_cache`` knobs.
+Thread-safety contract: one engine serves one session at a time, but
+engines backed by the shared (lock-striped) cache may run on different
+threads — the engine-level memos (canonical statements, lazily filled
+snapshot-index layers) are id-keyed, idempotent writes of deterministic
+values, so a lost race recomputes but never corrupts.  A plain private
+``ExecutionCache`` is single-threaded; :meth:`for_config` picks the
+backing from the config's ``shared_cache`` knob.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.dom.xpath import ConcreteSelector, resolve as _resolve
@@ -156,13 +150,11 @@ class ExecutionEngine:
             self._cache = shared_cache.session()
         else:
             self._cache = ExecutionCache(cache_size, backend=backend)
-        # per-thread counter override installed by validation workers
-        self._worker_tls = threading.local()
         # canonical-statement memo: statement objects are shared between
         # tuples and their rewrites, so id-keyed lookup hits constantly;
         # the pin list keeps referenced statements alive.  Writes (and
         # the occasional flush) are lock-guarded so the "memoized ⇒
-        # pinned" invariant holds under concurrent validation workers.
+        # pinned" invariant holds under concurrent callers.
         self._canon: dict[int, tuple] = {}
         self._canon_pins: list[Statement] = []
         self._canon_lock = threading.Lock()
@@ -181,28 +173,19 @@ class ExecutionEngine:
     def for_config(
         cls, data: Optional[DataSource], config: "SynthesisConfig"
     ) -> "ExecutionEngine":
-        """An engine honouring the config's cache and concurrency knobs.
+        """An engine honouring the config's cache knobs.
 
         With ``shared_cache`` resolved on, the engine joins the
-        process-level cache (:func:`repro.engine.cache.process_cache`).
-        Otherwise, with ``validation_workers`` resolved > 0, it gets a
-        *private* sharded cache — same tables, but lock-striped so the
-        pool scheduler's workers can share it safely.  The default is
-        the plain single-threaded :class:`ExecutionCache`, byte-exact
-        with the pre-concurrency engine.  The config's ``cache_backend``
-        (default: ``REPRO_CACHE_BACKEND``) attaches the resolved
-        persistent backend behind whichever cache is chosen — the
-        process-level cache resolves its backend from the environment at
-        first creation.
+        process-level cache (:func:`repro.engine.cache.process_cache`);
+        otherwise it gets a private :class:`ExecutionCache`.  The
+        config's ``cache_backend`` (default: ``REPRO_CACHE_BACKEND``)
+        attaches the resolved persistent backend behind whichever cache
+        is chosen — the process-level cache resolves its backend from
+        the environment at first creation.
         """
         from repro.engine.cache import process_cache
         from repro.service.backends import resolve_backend
-        from repro.synth.config import (
-            resolved_cache_backend,
-            resolved_pipeline,
-            resolved_shared_cache,
-            resolved_validation_workers,
-        )
+        from repro.synth.config import resolved_cache_backend, resolved_shared_cache
 
         shared: Optional[SharedExecutionCache] = None
         backend = None
@@ -216,13 +199,6 @@ class ExecutionEngine:
                     # interning shares the wrapper object (and its
                     # memoized digest) between equal-content sessions
                     data = shared.intern_data(data)
-            elif resolved_validation_workers(config) > 0 or resolved_pipeline(config):
-                # the pipeline's merge thread shares the cache with the
-                # main thread, so it needs the lock-striped tables even
-                # with zero validation workers
-                shared = SharedExecutionCache(
-                    max_entries=config.max_cache_entries, shards=4, backend=backend
-                )
         return cls(
             data,
             cache_size=config.max_cache_entries,
@@ -272,35 +248,6 @@ class ExecutionEngine:
         )
 
     # ------------------------------------------------------------------
-    # Worker-scoped counters (merge-based accumulation under pools)
-    # ------------------------------------------------------------------
-    @contextmanager
-    def worker_counters(self) -> Iterator[CacheCounters]:
-        """Record this thread's cache telemetry into a private counter set.
-
-        The validation scheduler wraps each worker task in this scope and
-        merges the yielded counters back on the coordinating thread
-        (:meth:`absorb_counters`) once the task is joined — in-place
-        increments on a shared counter object from several threads would
-        under-count (the read/add/write is not atomic), merging cannot.
-        """
-        counters = CacheCounters()
-        previous = getattr(self._worker_tls, "counters", None)
-        self._worker_tls.counters = counters
-        try:
-            yield counters
-        finally:
-            self._worker_tls.counters = previous
-
-    def absorb_counters(self, counters: CacheCounters) -> None:
-        """Fold one worker's counters into the session totals (at join)."""
-        if self._cache is not None:
-            self._cache.counters.merge(counters)
-
-    def _active_counters(self) -> Optional[CacheCounters]:
-        return getattr(self._worker_tls, "counters", None)
-
-    # ------------------------------------------------------------------
     # Simulated execution
     # ------------------------------------------------------------------
     def execute(
@@ -343,16 +290,13 @@ class ExecutionEngine:
         # addresses the same outcome in any process
         base = (self._statements_key(statements), _env_key(env), _data_key(source))
         window_keys = doms.value_key()
-        counters = self._active_counters()
-        hit = self._cache.get(base, window_keys, budget, counters=counters)
+        hit = self._cache.get(base, window_keys, budget)
         if hit is not None:
             actions, final_env = hit
             return EvalResult(list(actions), doms.window(len(actions)), final_env)
         resumable = resumable and len(statements) == 1
         if resumable:
-            cont = self._cache.get_continuation(
-                base, window_keys, budget, counters=counters
-            )
+            cont = self._cache.get_continuation(base, window_keys, budget)
             if cont is not None:
                 prefix_actions, cont_env, state = cont
                 consumed = len(prefix_actions)
@@ -375,15 +319,13 @@ class ExecutionEngine:
                     suffix.env_at_last_action if suffix.actions else None,
                     _shift_continuation(suffix.continuation, consumed),
                 )
-                self._record_result(
-                    base, window_keys, budget, result, counters, statements
-                )
+                self._record_result(base, window_keys, budget, result, statements)
                 return result
         result = evaluator.execute(
             statements, doms, source, env, max_actions,
             record_continuation=resumable,
         )
-        self._record_result(base, window_keys, budget, result, counters, statements)
+        self._record_result(base, window_keys, budget, result, statements)
         return result
 
     def _record_result(
@@ -392,7 +334,6 @@ class ExecutionEngine:
         window_keys: tuple[int, ...],
         budget: int,
         result: EvalResult,
-        counters: Optional[CacheCounters],
         statements: Optional[tuple] = None,
     ) -> None:
         cost = None
@@ -410,7 +351,6 @@ class ExecutionEngine:
             tuple(result.actions),
             result.env,
             exact_budget_ok=result.env_at_last_action is result.env,
-            counters=counters,
             continuation=result.continuation,
             cost=cost,
         )
@@ -476,16 +416,13 @@ class ExecutionEngine:
             tuple(self.action_key(action) for action in reference),
             doms.value_key(),
         )
-        counters = self._active_counters()
-        hit = self._cache.get_consistency(key, counters=counters)
+        hit = self._cache.get_consistency(key)
         if hit is not None:
             return hit
-        value = self._incremental_prefix_length(
-            key, produced, reference, doms, counters
-        )
+        value = self._incremental_prefix_length(key, produced, reference, doms)
         if value is None:
             value = _consistent_prefix_length(produced, reference, doms)
-        self._cache.put_consistency(key, value, counters=counters)
+        self._cache.put_consistency(key, value)
         return value
 
     #: How many trailing actions the incremental consistency path will
@@ -495,7 +432,7 @@ class ExecutionEngine:
     _CONSISTENCY_LOOKBACK = 4
 
     def _incremental_prefix_length(
-        self, key, produced, reference, doms, counters
+        self, key, produced, reference, doms
     ) -> Optional[int]:
         """Extend a settled shorter check instead of rescanning.
 
@@ -516,7 +453,7 @@ class ExecutionEngine:
                 reference_keys[:cut],
                 window_keys[:cut],
             )
-            prior = self._cache.get_consistency(prefix_key, counters=counters)
+            prior = self._cache.get_consistency(prefix_key)
             if prior is None:
                 continue
             if prior < cut:

@@ -89,10 +89,7 @@ def run_session(
         max_steps=4 * recording.length + 50,
         synth_timeout=q3_timeout(),
     )
-    try:
-        return session.run()
-    finally:
-        synthesizer.close()
+    return session.run()
 
 
 # ----------------------------------------------------------------------

@@ -124,8 +124,7 @@ def measure_webrobot(
     length = max(2, min(length, recording.length - 1))
     actions, snapshots = recording.prefix(length)
     started = time.perf_counter()
-    with Synthesizer(benchmark.data, config) as synthesizer:
-        result = synthesizer.synthesize(actions, snapshots)
+    result = Synthesizer(benchmark.data, config).synthesize(actions, snapshots)
     elapsed = time.perf_counter() - started
     if _intended(benchmark, result.best_program, recording):
         measurement.shortest_length = length
@@ -133,8 +132,7 @@ def measure_webrobot(
     # full trace, one shot
     actions, snapshots = recording.prefix(recording.length - 1)
     started = time.perf_counter()
-    with Synthesizer(benchmark.data, config) as synthesizer:
-        full_result = synthesizer.synthesize(actions, snapshots)
+    full_result = Synthesizer(benchmark.data, config).synthesize(actions, snapshots)
     measurement.full_time = time.perf_counter() - started
     measurement.full_timed_out = not _intended(
         benchmark, full_result.best_program, recording

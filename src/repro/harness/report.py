@@ -75,7 +75,6 @@ def render_synthesis_stats(stats) -> str:
         ["statically pruned", stats.pruned],
         ["validations run", stats.validations],
         ["validated", stats.validated],
-        ["validation workers", stats.validation_workers or "serial"],
         ["store tuples", stats.tuples],
         ["cache backend", stats.cache_backend],
         ["exec cache hits", stats.cache_hits],
@@ -97,9 +96,6 @@ def render_synthesis_stats(stats) -> str:
         ["DOM index builds", stats.index_builds],
         ["indexed enumerations", stats.enum_indexed],
         ["fallback enumerations", stats.enum_fallback],
-        # phase times are wall-clock per phase; under the pipelined
-        # scheduler speculation and validation overlap, so their sum
-        # may exceed ``elapsed`` — the surplus is the overlap won
         ["speculate time", fmt_ms(stats.speculate_s)],
         ["validate time", fmt_ms(stats.validate_s)],
         ["extend time", fmt_ms(stats.extend_s)],

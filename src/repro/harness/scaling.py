@@ -107,25 +107,25 @@ def run_scaling(
     series = []
     for name, config in variants:
         current = ScalingSeries(name)
-        with Synthesizer(benchmark.data, config) as synthesizer:
-            for cut in range(1, length + 1):
-                actions, snapshots = recording.prefix(cut)
-                started = time.perf_counter()
-                result = synthesizer.synthesize(actions, snapshots, timeout=timeout)
-                current.lengths.append(cut)
-                current.times.append(time.perf_counter() - started)
-                current.cache_hits += result.stats.cache_hits
-                current.cache_misses += result.stats.cache_misses
-                current.cross_session_hits += result.stats.cache_cross_session_hits
-                current.warm_hits += result.stats.cache_warm_hits
-                current.cache_bytes = result.stats.cache_bytes  # end-of-run gauge
-                current.index_builds += result.stats.index_builds
-                current.enum_indexed += result.stats.enum_indexed
-                current.enum_fallback += result.stats.enum_fallback
-                if collect_programs:
-                    current.programs.append(
-                        tuple(format_program(program) for program in result.programs)
-                    )
+        synthesizer = Synthesizer(benchmark.data, config)
+        for cut in range(1, length + 1):
+            actions, snapshots = recording.prefix(cut)
+            started = time.perf_counter()
+            result = synthesizer.synthesize(actions, snapshots, timeout=timeout)
+            current.lengths.append(cut)
+            current.times.append(time.perf_counter() - started)
+            current.cache_hits += result.stats.cache_hits
+            current.cache_misses += result.stats.cache_misses
+            current.cross_session_hits += result.stats.cache_cross_session_hits
+            current.warm_hits += result.stats.cache_warm_hits
+            current.cache_bytes = result.stats.cache_bytes  # end-of-run gauge
+            current.index_builds += result.stats.index_builds
+            current.enum_indexed += result.stats.enum_indexed
+            current.enum_fallback += result.stats.enum_fallback
+            if collect_programs:
+                current.programs.append(
+                    tuple(format_program(program) for program in result.programs)
+                )
         series.append(current)
     return series
 

@@ -15,10 +15,10 @@ string:
   canonical encodings are unchanged when observability is off.
 
 Scoping uses a :mod:`contextvars` variable, so concurrent server
-request threads each see their own context.  Pool/pipeline executor
-threads do **not** inherit contextvars from the submitting thread —
-schedulers capture :func:`current` and re-enter it with :func:`use`
-inside the worker closure.
+request threads each see their own context.  Threads do **not**
+inherit contextvars from the thread that starts them — code handing
+work to another thread captures :func:`current` and re-enters it with
+:func:`use` there.
 """
 
 from __future__ import annotations

@@ -209,9 +209,7 @@ class Session:
 
     def close(self) -> SessionClosed:
         """Close the session; returns its final telemetry."""
-        if not self.closed:
-            self.closed = True
-            self.synthesizer.close()
+        self.closed = True
         return SessionClosed(session=self.sid, stats=self.stats.totals())
 
     # ------------------------------------------------------------------

@@ -173,8 +173,7 @@ class StepInterner:
 
     Bounded as an LRU (hits migrate to the back once the table passes
     half capacity; the oldest entry drops when full), owned per backend
-    instance: concurrent validation workers each decode through their
-    own backend's interner, so one worker can no longer flush another's
+    instance, so one backend's traffic can no longer flush another's
     hot steps mid-decode the way the old module-global wholesale-clear
     dict could.  Losing an entry only costs reconstruction.
     """
@@ -457,8 +456,7 @@ class FileBackend(CacheBackend):
     """A byte-accounted persistent store over one SQLite file.
 
     One connection per process (see :func:`resolve_backend`), guarded by
-    a lock so concurrent sessions and validation workers share it
-    safely; WAL mode plus a busy timeout make one *file* safe to share
+    a lock so concurrent sessions share it safely; WAL mode plus a busy timeout make one *file* safe to share
     between worker processes.  Writes are buffered (deduplicated by key)
     and flushed every ``flush_every`` distinct keys (and at interpreter
     exit), so other processes see entries with bounded staleness at a

@@ -215,7 +215,7 @@ class SessionManager:
             if session is not None:
                 # register the departure at pop time: a concurrent
                 # request must see 409 "closed", never a 404 window
-                # while the synthesizer tears down below
+                # while the session closes below
                 self._departed[sid] = "closed"
         if session is None:
             raise self._departed_error(sid)

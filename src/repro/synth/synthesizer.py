@@ -12,18 +12,14 @@ store through speculate-and-validate.
 The per-call wall-clock budget mirrors the paper's 1-second timeout per
 prediction test.
 
-How each pop's candidate list is validated is delegated to a
-:mod:`repro.synth.scheduler` scheduler — serially by default, or on a
-worker pool with a deterministic rank-order merge when the config's
-``validation_workers`` resolves above 1.  Either way the algorithm (and
-its output, byte for byte) is the one above; only the schedule differs.
+Each pop's candidate list is validated by
+:class:`repro.synth.scheduler.SerialScheduler`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,16 +34,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.semantics.trace import DOMTrace
 from repro.synth.alternatives import SelectorSearch
-from repro.synth.config import (
-    DEFAULT_CONFIG,
-    SynthesisConfig,
-    resolved_pipeline,
-    resolved_shared_cache,
-    resolved_validation_workers,
-)
+from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig, resolved_shared_cache
 from repro.synth.ranking import Candidate, rank
 from repro.synth.rewrite import RewriteTuple, extend_with_singletons, initial_tuple
-from repro.synth.scheduler import PipelineScheduler, scheduler_for
+from repro.synth.scheduler import SerialScheduler
 from repro.synth.speculate import SpeculationContext, speculate
 from repro.util.errors import SynthesisError
 from repro.util.timer import Deadline
@@ -92,8 +82,7 @@ class _SynthMetrics:
         )
         self.phase_seconds = registry.histogram(
             "repro_synth_phase_seconds",
-            "Per-call wall clock by synthesis phase (phases overlap under "
-            "the pipelined schedule).",
+            "Per-call wall clock by synthesis phase.",
             ("phase",),
         )
         self.call_seconds = registry.histogram(
@@ -173,18 +162,15 @@ class SynthesisStats:
     are the selector-search enumeration queries answered by the
     bucket-driven path vs the legacy ancestor walk.
 
-    Concurrency telemetry: ``validation_workers`` is the pool width the
-    call's scheduler used (0 = serial); ``cache_cross_session_hits`` the
-    per-call delta of hits served from entries *other* sessions of a
-    shared cache recorded; ``cache_warm_hits`` the per-call delta of
-    hits served from a *persistent backend* — executions recorded by a
-    prior process (``cache_backend`` names the backend).
+    Sharing telemetry: ``cache_cross_session_hits`` is the per-call
+    delta of hits served from entries *other* sessions of a shared
+    cache recorded; ``cache_warm_hits`` the per-call delta of hits
+    served from a *persistent backend* — executions recorded by a prior
+    process (``cache_backend`` names the backend).
     ``cache_bytes``, ``interned_snapshots``, ``interned_bytes`` and
     ``persisted_bytes`` are end-of-call gauges (not deltas) of the
     backing cache's approximate footprint, its snapshot-interning
-    table, and the persistent store.  All counter deltas stay exact
-    under the pool scheduler: workers record into private counter sets
-    merged at join, never into shared fields.
+    table, and the persistent store.
     """
 
     trace_length: int = 0
@@ -200,14 +186,10 @@ class SynthesisStats:
     pruned: int = 0
     tuples: int = 0
     elapsed: float = 0.0
-    #: Phase timings (seconds).  ``speculate_s`` covers Algorithm 2 runs
-    #: (including next-pop speculation the pipeline overlaps);
-    #: ``validate_s`` covers each pop's drain — validation plus the
-    #: rank-order merge, cap accounting, and the pushes' generalization
-    #: checks; ``extend_s`` covers the cross-call store extension
-    #: (§5.4).  Under the pipelined schedule the phases overlap in wall
-    #: clock, so ``speculate_s + validate_s`` may exceed ``elapsed`` —
-    #: that surplus *is* the overlap, observable instead of inferred.
+    #: Phase timings (seconds).  ``speculate_s`` covers Algorithm 2
+    #: runs; ``validate_s`` covers each pop's validation — pruning,
+    #: ranking, cap accounting, and the pushes' generalization checks;
+    #: ``extend_s`` covers the cross-call store extension (§5.4).
     speculate_s: float = 0.0
     validate_s: float = 0.0
     extend_s: float = 0.0
@@ -235,7 +217,6 @@ class SynthesisStats:
     interned_bytes: int = 0
     persisted_bytes: int = 0
     cache_backend: str = "memory"
-    validation_workers: int = 0
     index_builds: int = 0
     enum_indexed: int = 0
     enum_fallback: int = 0
@@ -279,10 +260,7 @@ class Synthesizer:
     far.  With ``config.incremental`` (default) the rewrite store is
     shared across calls; otherwise every call starts from scratch.
 
-    Validation is driven through a :mod:`repro.synth.scheduler`
-    scheduler: serial by default, a thread pool when the config's
-    ``validation_workers`` resolves above 1.  With ``shared_cache``
-    resolved on, the engine joins the process-level
+    With ``shared_cache`` resolved on, the engine joins the process-level
     :class:`~repro.engine.cache.SharedExecutionCache` and every call's
     snapshots are interned there, so concurrent sessions over the same
     site reuse each other's executions and DOM indexes.
@@ -296,37 +274,18 @@ class Synthesizer:
         self._store: dict[tuple, RewriteTuple] = {}
         self._search = self._new_search()
         self._engine = ExecutionEngine.for_config(data, config)
-        workers = resolved_validation_workers(config)
-        if resolved_pipeline(config):
-            self._scheduler = PipelineScheduler(workers)
-        else:
-            self._scheduler = scheduler_for(workers)
+        self._scheduler = SerialScheduler()
         # resumable loops ride the execution cache's terminal table —
         # without the cache there is nowhere to keep continuations
         self._resumable = config.resumable_loops and config.use_execution_cache
         # interning only pays when the cache is actually shared between
-        # sessions; a private sharded cache skips the structural keys
+        # sessions
         self._use_shared_cache = resolved_shared_cache(config)
 
     @property
     def engine(self) -> ExecutionEngine:
         """The memoizing execution engine serving this session."""
         return self._engine
-
-    @property
-    def scheduler(self):
-        """The validation scheduler draining this session's candidates."""
-        return self._scheduler
-
-    def close(self) -> None:
-        """Release the scheduler's worker threads (pool configs only)."""
-        self._scheduler.close()
-
-    def __enter__(self) -> "Synthesizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _new_search(self) -> SelectorSearch:
         return SelectorSearch(
@@ -412,28 +371,13 @@ class Synthesizer:
             heap: list[tuple[int, int, RewriteTuple]] = []
             sequence = itertools.count()
             store: dict[tuple, RewriteTuple] = {}
-            pipelined = isinstance(self._scheduler, PipelineScheduler)
-            # The worklist coordinator: under the pipelined schedule the
-            # drain thread pushes while the coordinating thread peeks
-            # and pops, so the heap operations share one lock.  Store
-            # inserts and the generalizing list stay single-writer (only
-            # whichever thread is pushing touches them, and pushes are
-            # serialized: main thread before the loop, drain thread —
-            # one pop at a time — inside it), so the lock covers exactly
-            # the structure both threads touch.
-            heap_lock = threading.Lock() if pipelined else None
 
             def push(tuple_: RewriteTuple) -> None:
                 key = tuple_.key(self._engine.statement_key)
                 if key in store:
                     return
                 store[key] = tuple_
-                entry = (tuple_.length, next(sequence), tuple_)
-                if heap_lock is None:
-                    heapq.heappush(heap, entry)
-                else:
-                    with heap_lock:
-                        heapq.heappush(heap, entry)
+                heapq.heappush(heap, (tuple_.length, next(sequence), tuple_))
                 prediction = self._try_generalize(tuple_, context)
                 if prediction is not None and len(generalizing) < self.config.max_generalizing_programs:
                     generalizing.append(
@@ -455,39 +399,35 @@ class Synthesizer:
             # ----------------------------------------------------------
             # Algorithm 1 main loop.
             # ----------------------------------------------------------
-            if pipelined:
-                self._run_pipelined(heap, heap_lock, context, deadline, stats, push)
-            else:
-                while heap:
-                    if deadline.expired():
-                        stats.timed_out = True
-                        break
-                    if (
-                        self.config.max_worklist_pops is not None
-                        and stats.pops >= self.config.max_worklist_pops
-                    ):
-                        break
-                    _, _, current = heapq.heappop(heap)
-                    if current.processed:
-                        continue
-                    current.processed = True
-                    stats.pops += 1
-                    spec_started = time.perf_counter()
-                    with obs_tracing.span("speculate", pop=stats.pops):
-                        candidates = speculate(current, context)
-                    stats.speculate_s += time.perf_counter() - spec_started
-                    stats.speculated += len(candidates)
-                    # The scheduler validates in rank order (smallest
-                    # statements first within a span) and pushes survivors;
-                    # serial and pooled schedules produce identical pushes.
-                    validate_started = time.perf_counter()
-                    with obs_tracing.span(
-                        "validate", pop=stats.pops, candidates=len(candidates)
-                    ):
-                        self._scheduler.process_pop(
-                            current, candidates, context, deadline, stats, push
-                        )
-                    stats.validate_s += time.perf_counter() - validate_started
+            while heap:
+                if deadline.expired():
+                    stats.timed_out = True
+                    break
+                if (
+                    self.config.max_worklist_pops is not None
+                    and stats.pops >= self.config.max_worklist_pops
+                ):
+                    break
+                _, _, current = heapq.heappop(heap)
+                if current.processed:
+                    continue
+                current.processed = True
+                stats.pops += 1
+                spec_started = time.perf_counter()
+                with obs_tracing.span("speculate", pop=stats.pops):
+                    candidates = speculate(current, context)
+                stats.speculate_s += time.perf_counter() - spec_started
+                stats.speculated += len(candidates)
+                # The scheduler validates in rank order (smallest
+                # statements first within a span) and pushes survivors.
+                validate_started = time.perf_counter()
+                with obs_tracing.span(
+                    "validate", pop=stats.pops, candidates=len(candidates)
+                ):
+                    self._scheduler.process_pop(
+                        current, candidates, context, deadline, stats, push
+                    )
+                stats.validate_s += time.perf_counter() - validate_started
 
             self._prune_store()
             self._collect(result, generalizing)
@@ -522,100 +462,11 @@ class Synthesizer:
         stats.interned_bytes = engine_after.interned_bytes
         stats.persisted_bytes = engine_after.persisted_bytes
         stats.cache_backend = engine_after.backend
-        stats.validation_workers = self._scheduler.workers
         stats.index_builds = built.count
         stats.enum_indexed = self._search.enum_indexed - enum_before[0]
         stats.enum_fallback = self._search.enum_fallback - enum_before[1]
         _SynthMetrics.get().publish(stats)
         return result
-
-    # ------------------------------------------------------------------
-    # Pipelined schedule (producer/consumer across pops)
-    # ------------------------------------------------------------------
-    def _run_pipelined(
-        self,
-        heap: list,
-        heap_lock: threading.Lock,
-        context: SpeculationContext,
-        deadline: Deadline,
-        stats: SynthesisStats,
-        push,
-    ) -> None:
-        """Algorithm 1's loop with speculation/validation overlapped.
-
-        Each iteration commits one pop, hands its (already ranked)
-        candidates to the scheduler's drain thread, and — while that
-        thread validates, merges, and pushes — speculates on the heap's
-        current best guess for the *next* pop.  The drain join at the
-        end of the iteration is a per-pop barrier, so pops commit in
-        exactly the serial order and every push lands before the next
-        pop is chosen: byte-identical output, overlapped wall clock.
-
-        A rewrite pushed during the drain can outrank the guess; the
-        wasted speculation is kept in ``spec_cache`` (speculation is a
-        pure function of the tuple) and consumed whenever that tuple is
-        actually popped.  All speculation — including the overlapped
-        lookahead — runs on this thread: the selector-search memos are
-        not thread-safe, and the drain thread never touches them.
-        """
-        scheduler = self._scheduler
-        spec_cache: dict[int, tuple[RewriteTuple, list]] = {}
-
-        def timed_speculate(tuple_: RewriteTuple) -> list:
-            started = time.perf_counter()
-            with obs_tracing.span("speculate"):
-                candidates = speculate(tuple_, context)
-            stats.speculate_s += time.perf_counter() - started
-            return candidates
-
-        def pop_next() -> Optional[RewriteTuple]:
-            with heap_lock:
-                while heap:
-                    _, _, current = heapq.heappop(heap)
-                    if not current.processed:
-                        return current
-                return None
-
-        def peek_next() -> Optional[RewriteTuple]:
-            with heap_lock:
-                while heap:
-                    if heap[0][2].processed:
-                        heapq.heappop(heap)
-                        continue
-                    return heap[0][2]
-                return None
-
-        while True:
-            if deadline.expired():
-                stats.timed_out = True
-                break
-            if (
-                self.config.max_worklist_pops is not None
-                and stats.pops >= self.config.max_worklist_pops
-            ):
-                break
-            current = pop_next()
-            if current is None:
-                break
-            current.processed = True
-            stats.pops += 1
-            cached = spec_cache.pop(id(current), None)
-            candidates = cached[1] if cached is not None else timed_speculate(current)
-            stats.speculated += len(candidates)
-            handle = scheduler.submit_pop(
-                current, candidates, context, deadline, stats, push
-            )
-            upcoming = peek_next()
-            if (
-                upcoming is not None
-                and id(upcoming) not in spec_cache
-                and not deadline.expired()
-            ):
-                spec_cache[id(upcoming)] = (upcoming, timed_speculate(upcoming))
-            # the per-pop barrier: every push of this pop is applied
-            # before the next pop is selected
-            with obs_tracing.span("validate_drain", pop=stats.pops):
-                scheduler.drain_pop(handle, context, stats)
 
     def _prune_store(self) -> None:
         """Bound the tuples carried into the next incremental call.

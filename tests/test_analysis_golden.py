@@ -72,7 +72,6 @@ class TestPruneParity:
                 programs.append(
                     tuple(format_program(p) for p in result.programs)
                 )
-            synthesizer.close()
             outcomes[flag] = (programs, validations, pruned)
         off_programs, off_validations, off_pruned = outcomes[False]
         on_programs, on_validations, on_pruned = outcomes[True]

@@ -150,6 +150,5 @@ class TestPruneParity:
                 [format_program(p) for p in result.programs],
                 result.stats.validations,
             )
-            synthesizer.close()
         assert outcomes[True][0] == outcomes[False][0]
         assert outcomes[True][1] <= outcomes[False][1]

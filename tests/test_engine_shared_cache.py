@@ -1,6 +1,6 @@
 """The process-level shared execution cache (repro.engine.cache).
 
-Covers the concurrency surface PR 3 introduced: lock-striped shards,
+Covers the concurrency surface: lock-striped shards,
 per-session counter views with cross-session hit attribution, snapshot
 interning (including its race behaviour), byte accounting with LRU
 eviction, and the process-wide singleton.
@@ -21,13 +21,13 @@ from repro.engine.index import index_for
 from repro.lang import EMPTY_DATA
 from repro.lang.data import DataSource
 from repro.lang.ast import canonical_program
-from repro.synth.config import parallel_validation_config, serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import cards_page, scrape_cards_trace
 
 
-def shared_memory_config(workers: int = 0):
+def shared_memory_config():
     """Process-shared cache pinned to the in-process backend.
 
     The cross-session attribution assertions below are about *in-process*
@@ -35,10 +35,7 @@ def shared_memory_config(workers: int = 0):
     under the ``REPRO_CACHE_BACKEND=file`` CI parity run) would turn the
     expected cross-session hits into warm-start hits.
     """
-    return replace(
-        parallel_validation_config(workers=workers, shared=True),
-        cache_backend="memory",
-    )
+    return replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="memory")
 
 
 class TestCounters:
@@ -395,10 +392,7 @@ class TestWarmStartSynthesis:
 
         store = str(tmp_path / "store.sqlite")
         def run_once():
-            config = replace(
-                parallel_validation_config(workers=0, shared=True),
-                cache_backend="file",
-            )
+            config = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="file")
             actions, snapshots = scrape_cards_trace(cards_page(5), 4)
             synthesizer = Synthesizer(EMPTY_DATA, config)
             warm = misses = 0
@@ -415,7 +409,6 @@ class TestWarmStartSynthesis:
             from repro.service.backends import flush_backends
 
             flush_backends()
-            synthesizer.close()
             return warm, misses, programs
 
         import os

@@ -86,7 +86,6 @@ class TestLifecycle:
                 served = served_programs(manager, sid)
                 assert served == [format_program(p) for p in expected.programs]
             manager.close_all()
-            direct.close()
         finally:
             reset_process_cache()
 
