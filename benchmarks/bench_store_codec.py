@@ -2,16 +2,14 @@
 
 Drives the multi-session service workload (the same create /
 record-action / close loop as ``bench_service_sessions``) through the
-persistent :class:`~repro.service.backends.FileBackend` under the two
-payload codecs and both tier policies, each run in a **fresh child
-process** so every measurement starts cold:
+persistent :class:`~repro.service.backends.FileBackend` (binary rows)
+under both tier policies, each run in a **fresh child process** so
+every measurement starts cold:
 
 * **memory** — the in-process backend: the cold baseline every
   persistent run has to beat;
-* **file / json, untiered** — the ablation fallback: JSON rows,
-  everything persisted;
-* **file / binary, untiered** — the binary codec over the same
-  workload: the codec-only footprint comparison;
+* **file / binary, untiered** — everything persisted: the baseline of
+  the tier-policy footprint comparison;
 * **file / binary, tiered** (the default config) — cheap exact
   interior entries are recomputed instead of stored: the tier-policy
   footprint comparison;
@@ -24,9 +22,8 @@ process** so every measurement starts cold:
 Assertions (floors env-overridable, see below):
 
 * the synthesized program lists of every call of every session are
-  **byte-identical** across all six runs — neither the codec, the
+  **byte-identical** across all five runs — neither the store, the
   tier policy, nor the cache topology may change synthesis output;
-* the binary store is smaller than the JSON store on disk;
 * tiering cuts the untiered binary footprint by ≥ 1.5×;
 * the warm file-backend run beats the cold in-memory baseline
   (speedup ≥ 1.0× **or** cross-process hit rate ≥ 50%, the same
@@ -38,22 +35,23 @@ Assertions (floors env-overridable, see below):
   (decoded, then re-aliased through one shared
   :class:`~repro.service.backends.StepInterner`, exactly how live
   writes share step rows): both codecs decode to equal values,
-  binary is ≥ 4× smaller, and its pure-Python encode+decode
-  round-trip stays within a bounded CPU factor of C ``json``.
+  binary is ≥ 4× smaller (the size claim the binary store rests on),
+  and its pure-Python encode+decode round-trip stays within a bounded
+  CPU factor of C ``json``.
 
 The codec's trade is stated, not hidden: a pure-Python token loop
 cannot out-run CPython's C ``json`` on round-trip CPU (measured
 ~1.5–2× slower per payload), so the win is **bytes** — ~8× smaller
-rows and wire frames — plus the decoded-entry LRU and the tier
+rows and cache-tier frames — plus the decoded-entry LRU and the tier
 policy, which keep decodes off the repeat-read path entirely.  The
 CPU ceiling asserted here is a *regression* gate, not a speed claim.
 
-``REPRO_CODEC_BIDS`` picks the subjects (``+`` suffix = scaled
-instance); ``REPRO_CODEC_SESSIONS`` the sessions per subject;
-``REPRO_CODEC_MIN_SPEEDUP`` / ``REPRO_CODEC_MIN_RATE`` /
-``REPRO_CODEC_MIN_FOOTPRINT`` / ``REPRO_CODEC_MIN_SIZE_RATIO`` /
-``REPRO_CODEC_MAX_CPU_RATIO`` the floors and ceiling;
-``REPRO_CODEC_REPS`` the microbench repetitions (min-of-N, codecs
+``REPRO_STORE_BENCH_BIDS`` picks the subjects (``+`` suffix = scaled
+instance); ``REPRO_STORE_BENCH_SESSIONS`` the sessions per subject;
+``REPRO_STORE_BENCH_MIN_SPEEDUP`` / ``REPRO_STORE_BENCH_MIN_RATE`` /
+``REPRO_STORE_BENCH_MIN_FOOTPRINT`` / ``REPRO_STORE_BENCH_MIN_SIZE_RATIO``
+/ ``REPRO_STORE_BENCH_MAX_CPU_RATIO`` the floors and ceiling;
+``REPRO_STORE_BENCH_REPS`` the microbench repetitions (min-of-N, codecs
 interleaved per rep).  ``--quick`` shrinks the workload for the CI
 smoke tier.
 """
@@ -67,7 +65,7 @@ from dataclasses import replace
 
 from repro.benchmarks.suite import benchmark_by_id
 from repro.harness.report import fmt_bytes, fmt_ms, fmt_pct, render_table
-from repro.protocol.codec import CODECS, sniff_codec
+from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, sniff_codec
 from repro.service.backends import (
     CONSISTENCY,
     StepInterner,
@@ -103,11 +101,7 @@ def _drive_sessions(backend, subjects, sessions, shared=True):
     """
     from repro.service.sessions import SessionManager
 
-    config = replace(
-        DEFAULT_CONFIG,
-        shared_cache=True if shared else None,
-        cache_backend=backend,
-    )
+    config = replace(DEFAULT_CONFIG, shared_cache=shared, cache_backend=backend)
     manager = SessionManager(config, timeout=10.0, share_cache=shared)
     programs = []
     elapsed = 0.0
@@ -135,7 +129,6 @@ def _drive_sessions(backend, subjects, sessions, shared=True):
         "programs": programs,
         "warm_hits": totals["warm_start_hits"],
         "misses": totals["cache_misses"],
-        "codec": stats.get("codec"),
         "decode_hits": stats.get("decode_hits", 0),
         "decode_bytes": stats.get("decode_bytes", 0),
     }
@@ -232,8 +225,7 @@ def _measure_codecs(payloads, reps):
     }
     decoded = {}
     for _ in range(reps):
-        for name in ("json", "binary"):
-            codec = CODECS[name]
+        for name, codec in (("json", DEFAULT_CODEC), ("binary", STORE_CODEC)):
             slot = results[name]
             started = time.perf_counter()
             blobs = [codec.encode_payload(payload) for payload in payloads]
@@ -251,58 +243,46 @@ def _measure_codecs(payloads, reps):
 
 def test_store_codec(benchmark, quick):
     spec = os.environ.get(
-        "REPRO_CODEC_BIDS", "b1+,b15" if quick else DEFAULT_BIDS
+        "REPRO_STORE_BENCH_BIDS", "b1+,b15" if quick else DEFAULT_BIDS
     )
-    sessions = int(os.environ.get("REPRO_CODEC_SESSIONS", "1" if quick else "2"))
-    reps = int(os.environ.get("REPRO_CODEC_REPS", "5" if quick else "9"))
-    min_speedup = float(os.environ.get("REPRO_CODEC_MIN_SPEEDUP", "1.0"))
-    min_rate = float(os.environ.get("REPRO_CODEC_MIN_RATE", "0.5"))
-    min_footprint = float(os.environ.get("REPRO_CODEC_MIN_FOOTPRINT", "1.5"))
-    min_size_ratio = float(os.environ.get("REPRO_CODEC_MIN_SIZE_RATIO", "4.0"))
-    max_cpu_ratio = float(os.environ.get("REPRO_CODEC_MAX_CPU_RATIO", "3.0"))
+    sessions = int(
+        os.environ.get("REPRO_STORE_BENCH_SESSIONS", "1" if quick else "2")
+    )
+    reps = int(os.environ.get("REPRO_STORE_BENCH_REPS", "5" if quick else "9"))
+    min_speedup = float(os.environ.get("REPRO_STORE_BENCH_MIN_SPEEDUP", "1.0"))
+    min_rate = float(os.environ.get("REPRO_STORE_BENCH_MIN_RATE", "0.5"))
+    min_footprint = float(os.environ.get("REPRO_STORE_BENCH_MIN_FOOTPRINT", "1.5"))
+    min_size_ratio = float(
+        os.environ.get("REPRO_STORE_BENCH_MIN_SIZE_RATIO", "4.0")
+    )
+    max_cpu_ratio = float(os.environ.get("REPRO_STORE_BENCH_MAX_CPU_RATIO", "3.0"))
     subjects = _subjects(spec)  # validates the spec before forking
 
     untiered = {"REPRO_STORE_TIERING": "0"}
     tiered = {"REPRO_STORE_TIERING": "1"}
     with tempfile.TemporaryDirectory(prefix="repro-codec-bench-") as root:
-        dir_json = os.path.join(root, "json")
         dir_full = os.path.join(root, "binary-full")
         dir_tiered = os.path.join(root, "binary-tiered")
 
         def run_legs():
             memory = _run_child("memory", root, {}, spec, sessions)
-            json_full = _run_child(
-                "file", dir_json, {"REPRO_CODEC": "json", **untiered},
-                spec, sessions,
-            )
-            bin_full = _run_child(
-                "file", dir_full, {"REPRO_CODEC": "binary", **untiered},
-                spec, sessions,
-            )
-            bin_tiered = _run_child(
-                "file", dir_tiered, {"REPRO_CODEC": "binary", **tiered},
-                spec, sessions,
-            )
-            bin_warm = _run_child(
-                "file", dir_tiered, {"REPRO_CODEC": "binary", **tiered},
-                spec, sessions,
-            )
+            bin_full = _run_child("file", dir_full, untiered, spec, sessions)
+            bin_tiered = _run_child("file", dir_tiered, tiered, spec, sessions)
+            bin_warm = _run_child("file", dir_tiered, tiered, spec, sessions)
             # repeat sessions so the store sees the same keys twice —
             # the decoded-entry LRU only earns hits on repeat probes
             bin_reuse = _run_child(
-                "file", dir_tiered, {"REPRO_CODEC": "binary", **tiered},
-                spec, max(2, sessions), shared=False,
+                "file", dir_tiered, tiered, spec, max(2, sessions), shared=False,
             )
-            return memory, json_full, bin_full, bin_tiered, bin_warm, bin_reuse
+            return memory, bin_full, bin_tiered, bin_warm, bin_reuse
 
-        memory, json_full, bin_full, bin_tiered, bin_warm, bin_reuse = (
-            benchmark.pedantic(run_legs, rounds=1, iterations=1)
+        memory, bin_full, bin_tiered, bin_warm, bin_reuse = benchmark.pedantic(
+            run_legs, rounds=1, iterations=1
         )
 
-        # correctness first: neither the codec nor the tier policy may
+        # correctness first: neither the store nor the tier policy may
         # change what gets synthesized
         for label, run in (
-            ("json untiered", json_full),
             ("binary untiered", bin_full),
             ("binary tiered", bin_tiered),
             ("binary warm", bin_warm),
@@ -318,12 +298,9 @@ def test_store_codec(benchmark, quick):
         assert bin_tiered["warm_hits"] == 0, "an empty store cannot warm-start"
         assert bin_warm["warm_hits"] > 0, "the warm store never served a hit"
 
-        # footprint: codec cut (json vs binary) and tier cut (full vs
-        # tiered), both over identical workloads
+        # footprint: the tier cut (full vs tiered) over identical workloads
         full_rows, full_entries, full_bytes = _store_rows(dir_full)
-        _, json_entries, json_bytes = _store_rows(dir_json)
         _, tiered_entries, tiered_bytes = _store_rows(dir_tiered)
-        codec_ratio = json_bytes / full_bytes if full_bytes else 0.0
         tier_ratio = full_bytes / tiered_bytes if tiered_bytes else 0.0
 
         # warm start vs the cold in-memory baseline
@@ -350,10 +327,8 @@ def test_store_codec(benchmark, quick):
             warm_seconds=round(bin_warm["elapsed"], 4),
             speedup=round(speedup, 2),
             warm_rate=round(rate, 3),
-            json_store_bytes=json_bytes,
             binary_store_bytes=full_bytes,
             tiered_store_bytes=tiered_bytes,
-            codec_ratio=round(codec_ratio, 2),
             tier_ratio=round(tier_ratio, 2),
             tier_skips=bin_tiered.get("tier_skips", 0),
             decode_hits=bin_reuse["decode_hits"],
@@ -371,8 +346,6 @@ def test_store_codec(benchmark, quick):
                 [
                     ["memory (cold baseline)", fmt_ms(memory["elapsed"]),
                      memory["warm_hits"], "-", "-"],
-                    ["file json, untiered", fmt_ms(json_full["elapsed"]),
-                     json_full["warm_hits"], json_entries, fmt_bytes(json_bytes)],
                     ["file binary, untiered", fmt_ms(bin_full["elapsed"]),
                      bin_full["warm_hits"], full_entries, fmt_bytes(full_bytes)],
                     ["file binary, tiered", fmt_ms(bin_tiered["elapsed"]),
@@ -385,8 +358,7 @@ def test_store_codec(benchmark, quick):
             )
         )
         print(
-            f"codec footprint: binary {codec_ratio:.2f}x smaller than json; "
-            f"tiering: {tier_ratio:.2f}x on top "
+            f"tiering: {tier_ratio:.2f}x smaller store "
             f"({bin_tiered.get('tier_skips', 0)} writes skipped)"
         )
         print(
@@ -403,10 +375,6 @@ def test_store_codec(benchmark, quick):
             f"decode {bin_micro['decode'] / json_micro['decode']:.2f}x)"
         )
 
-        assert full_bytes < json_bytes, (
-            f"binary store ({full_bytes}B) not smaller than json "
-            f"({json_bytes}B)"
-        )
         assert tier_ratio >= min_footprint, (
             f"tiering cut the store only {tier_ratio:.2f}x "
             f"(< {min_footprint}x): {full_bytes}B -> {tiered_bytes}B"

@@ -6,7 +6,7 @@ the regenerated artifact is printed to stdout (run with ``-s`` to watch).
 
 Environment knobs honoured across benches:
 
-* ``REPRO_TRACE_CAP``    — prediction tests per benchmark (default 120)
+* ``REPRO_TRACE_CAP``    — prediction tests per benchmark (default 100)
 * ``REPRO_TIMEOUT``      — per-test synthesis timeout (default 1.0 s)
 * ``REPRO_SUBSET``       — restrict to a comma-separated benchmark list
 * ``REPRO_Q2_TRACE_CAP`` — cheaper cap for the 3-variant ablation run

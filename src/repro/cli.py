@@ -122,9 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="execution-cache persistence backend: memory, "
                             "file, or remote://host:port (default: "
                             "$REPRO_CACHE_BACKEND or memory)")
-    synth.add_argument("--codec", default=None, choices=("json", "binary"),
-                       help="payload codec of the persistent store "
-                            "(default: $REPRO_CODEC or binary)")
     synth.add_argument("--trace-out", default=None, metavar="FILE",
                        help="record spans and write a Chrome trace-event "
                             "JSON (open in Perfetto)")
@@ -154,9 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=None,
                        help="directory of the file backend's store "
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve.add_argument("--codec", default=None, choices=("json", "binary"),
-                       help="payload codec of the persistent store "
-                            "(default: $REPRO_CODEC or binary)")
     serve.add_argument("--timeout", type=float, default=1.0,
                        help="per-action synthesis budget in seconds")
     serve.add_argument("--session-ttl", type=float, default=None,
@@ -179,10 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_serve.add_argument("--max-bytes", type=int, default=None,
                              help="store size budget before eviction "
                                   "(default: $REPRO_CACHE_MAX_BYTES)")
-    cache_serve.add_argument("--codec", default=None,
-                             choices=("json", "binary"),
-                             help="payload codec of the store "
-                                  "(default: binary)")
     cache_serve.add_argument("--verbose", action="store_true",
                              help="log every request to stderr")
 
@@ -314,13 +304,7 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
                     timeout: float, show_stats: bool = False,
                     shared_cache: bool = False,
                     backend: Optional[str] = None,
-                    codec: Optional[str] = None,
                     trace_out: Optional[str] = None) -> int:
-    if codec is not None:
-        import os
-
-        # resolve_codec reads this when the file backend opens its store
-        os.environ["REPRO_CODEC"] = codec
     if trace_out is not None:
         from repro.obs import tracing as obs_tracing
 
@@ -340,7 +324,7 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
 
         config = replace(
             config,
-            shared_cache=True if shared_cache else None,
+            shared_cache=shared_cache,
             cache_backend=backend,
         )
     from contextlib import nullcontext
@@ -431,9 +415,6 @@ def _cmd_serve(arguments) -> int:
     if arguments.cache_dir is not None:
         # resolve_backend reads this when building the store path
         os.environ["REPRO_CACHE_DIR"] = arguments.cache_dir
-    if arguments.codec is not None:
-        # resolve_codec reads this when the file backend opens its store
-        os.environ["REPRO_CODEC"] = arguments.codec
     config = replace(
         DEFAULT_CONFIG,
         shared_cache=True,
@@ -461,7 +442,6 @@ def _cmd_cache_serve(arguments) -> int:
         host=arguments.host,
         port=arguments.port if arguments.port is not None else DEFAULT_CACHE_PORT,
         max_bytes=arguments.max_bytes,
-        codec=arguments.codec,
         quiet=not arguments.verbose,
     )
 
@@ -672,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             arguments.recording, arguments.cut, arguments.data,
             arguments.timeout, arguments.stats,
             arguments.shared_cache, arguments.backend,
-            arguments.codec, arguments.trace_out,
+            arguments.trace_out,
         )
     if arguments.command == "metrics":
         return _cmd_metrics(arguments.url, arguments.fleet)

@@ -58,8 +58,7 @@ execution.  Engines join through :meth:`SharedExecutionCache.session`,
 which hands out a :class:`SharedCacheSession` view with per-session
 counters (so interleaved sessions never steal each other's telemetry)
 and a cross-session hit count.  :func:`process_cache` holds the
-process-wide instance behind ``SynthesisConfig.shared_cache`` /
-``REPRO_SHARED_CACHE=1``.
+process-wide instance behind ``SynthesisConfig.shared_cache``.
 """
 
 from __future__ import annotations
@@ -1229,10 +1228,9 @@ _PROCESS_LOCK = threading.Lock()
 def process_cache(backend_name: Optional[str] = None) -> SharedExecutionCache:
     """The lazily created process-wide :class:`SharedExecutionCache`.
 
-    Sized by ``REPRO_SHARED_CACHE_ENTRIES`` (default 65536 across all
-    shards), ``REPRO_CACHE_SHARDS`` (default 8),
-    ``REPRO_SHARED_CACHE_SNAPSHOTS`` (default 512 interned snapshots),
-    and ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
+    Sized by the :class:`SharedExecutionCache` defaults (65536 entries
+    over 8 shards, 512 interned snapshots) plus
+    ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
     shards; unset = count-bounded only).  The persistent backend is
     resolved at *first creation* — from ``backend_name`` when the first
     caller passes one (the engine passes its config's resolved backend),
@@ -1247,9 +1245,6 @@ def process_cache(backend_name: Optional[str] = None) -> SharedExecutionCache:
 
             raw_bytes = os.environ.get("REPRO_SHARED_CACHE_BYTES", "").strip()
             _PROCESS_CACHE = SharedExecutionCache(
-                max_entries=int(os.environ.get("REPRO_SHARED_CACHE_ENTRIES", "65536")),
-                shards=int(os.environ.get("REPRO_CACHE_SHARDS", "8")),
-                max_snapshots=int(os.environ.get("REPRO_SHARED_CACHE_SNAPSHOTS", "512")),
                 max_bytes=int(raw_bytes) if raw_bytes else None,
                 backend=resolve_backend(backend_name),
             )

@@ -64,6 +64,10 @@ from repro.semantics.trace import DOMTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.synth.config import SynthesisConfig
 
+#: Bound on entries per private execution-cache table; least-recently-
+#: used outcomes are evicted first.
+MAX_CACHE_ENTRIES = 4096
+
 #: Sentinel distinguishing "not memoized yet" from a memoized ``None``
 #: (= unbounded cost) in the tier-policy hint table.
 _COST_UNKNOWN = object()
@@ -136,7 +140,7 @@ class ExecutionEngine:
         self,
         data: Optional[DataSource] = None,
         *,
-        cache_size: int = 4096,
+        cache_size: int = MAX_CACHE_ENTRIES,
         use_cache: bool = True,
         shared_cache: Optional[SharedExecutionCache] = None,
         backend=None,
@@ -175,7 +179,7 @@ class ExecutionEngine:
     ) -> "ExecutionEngine":
         """An engine honouring the config's cache knobs.
 
-        With ``shared_cache`` resolved on, the engine joins the
+        With ``shared_cache`` on, the engine joins the
         process-level cache (:func:`repro.engine.cache.process_cache`);
         otherwise it gets a private :class:`ExecutionCache`.  The
         config's ``cache_backend`` (default: ``REPRO_CACHE_BACKEND``)
@@ -185,14 +189,14 @@ class ExecutionEngine:
         """
         from repro.engine.cache import process_cache
         from repro.service.backends import resolve_backend
-        from repro.synth.config import resolved_cache_backend, resolved_shared_cache
+        from repro.synth.config import resolved_cache_backend
 
         shared: Optional[SharedExecutionCache] = None
         backend = None
-        if config.use_execution_cache and config.max_cache_entries > 0:
+        if config.use_execution_cache:
             backend_name = resolved_cache_backend(config)
             backend = resolve_backend(backend_name)
-            if resolved_shared_cache(config):
+            if config.shared_cache:
                 shared = process_cache(backend_name)
                 if data is not None:
                     # keys address the source by content digest already;
@@ -201,7 +205,6 @@ class ExecutionEngine:
                     data = shared.intern_data(data)
         return cls(
             data,
-            cache_size=config.max_cache_entries,
             use_cache=config.use_execution_cache,
             shared_cache=shared,
             backend=backend,

@@ -35,13 +35,12 @@ Indexes attach to the snapshot root (``DOMNode._snapshot_index``), the
 same lifetime discipline as the resolve memo; :func:`build_count` feeds
 the engine's telemetry and :func:`track_builds` scopes build attribution
 to one caller (thread-local, so concurrent synthesizers do not steal
-each other's builds).  ``REPRO_DOM_INDEX=0`` (or
-:func:`set_dom_indexes`) disables the machinery for A/B measurements.
+each other's builds).  :func:`set_dom_indexes` disables the machinery
+for A/B measurements.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -65,11 +64,11 @@ from repro.dom.xpath import (
 UNSUPPORTED = object()
 
 #: Per-snapshot byte budget for the enumeration memo (the Decomposition
-#: lists the selector search pins on snapshots) — ``REPRO_ENUM_MEMO_BYTES``
-#: overrides.  8 MiB default: roomy for real pages, bounded for servers.
-_ENUM_MEMO_BYTES = int(os.environ.get("REPRO_ENUM_MEMO_BYTES", str(8 << 20)))
+#: lists the selector search pins on snapshots): roomy for real pages,
+#: bounded for servers.
+_ENUM_MEMO_BYTES = 8 << 20
 
-_ENABLED = os.environ.get("REPRO_DOM_INDEX", "1") != "0"
+_ENABLED = True
 _BUILDS = 0
 _TRACKERS = threading.local()
 #: Serializes lazy index construction: without it two sessions on

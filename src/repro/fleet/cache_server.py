@@ -6,10 +6,11 @@ it with ``--backend remote://host:port`` and share executions across
 machines the way ``--backend file`` shares them across processes on one
 machine.
 
-The wire protocol is two POST routes carrying *codec payloads* — the
+The data plane is two POST routes carrying *binary payloads* — the
 same codec-ready dicts :func:`~repro.service.backends.entry_to_payload`
-produces, with digests hex-encoded — so the server relays rows without
-ever decoding entries into actions and environments:
+produces, with digests hex-encoded, in the store's binary codec — so
+the server relays rows without ever decoding entries into actions and
+environments:
 
 ==============================  ========================================
 ``POST /v1/cache/get``          ``{"k": [[kind, key_hex], ...]}`` →
@@ -18,14 +19,15 @@ ever decoding entries into actions and environments:
 ``POST /v1/cache/put``          ``{"e": [[kind, key_hex, payload], ...]}``
                                 → ``{"stored": n, "entries": total,
                                 "bytes": total}``
-``GET  /healthz``               → ``{ok, role: "cache", codec, codecs}``
+``GET  /healthz``               → ``{ok, role: "cache"}`` (JSON)
 ``GET  /v1/stats``              → store gauges (JSON)
 ``GET  /v1/metrics``            → Prometheus text exposition
 ==============================  ========================================
 
-Bodies and responses speak the protocol codec seam — binary by default,
-negotiated per request via ``Content-Type`` / ``Accept`` with per-row
-sniffing, exactly like the session service.  Reads consult the store's
+Data-plane requests and their 200 replies are binary only; a body in
+any other format is a 400.  The control plane — ``/healthz``,
+``/v1/stats`` and every error body — is always JSON, so operators and
+scrapers read it with any HTTP client.  Reads consult the store's
 write buffer first, so an entry put by one worker is visible to the
 next get even before the SQLite flush.
 
@@ -44,14 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.obs import metrics as obs_metrics
-from repro.protocol.codec import (
-    CODECS,
-    Codec,
-    ProtocolError,
-    codec_for_content_type,
-    resolve_codec,
-    sniff_codec,
-)
+from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, Codec, ProtocolError
 from repro.service.backends import FileBackend, default_store_path
 
 #: Default cache-tier port — well clear of the workers' consecutive
@@ -111,21 +106,12 @@ class _CacheHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - debug aid
             sys.stderr.write("%s - %s\n" % (self.address_string(), format % args))
 
-    def _response_codec(self) -> Codec:
-        return (
-            codec_for_content_type(self.headers.get("Accept"))
-            or getattr(self, "_request_codec", None)
-            or self.server.store.codec
-        )
-
-    def _reply(self, payload: dict, status: int = 200) -> None:
-        codec = self._response_codec()
-        body = codec.encode_payload(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", codec.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _reply(
+        self, payload: dict, status: int = 200, codec: Codec = DEFAULT_CODEC
+    ) -> None:
+        """Send ``payload``: JSON for the control plane, ``STORE_CODEC``
+        for data-plane answers."""
+        self._reply_bytes(codec.encode_payload(payload), status, codec.content_type)
 
     def _reply_bytes(self, body: bytes, status: int, content_type: str) -> None:
         self.send_response(status)
@@ -143,28 +129,16 @@ class _CacheHandler(BaseHTTPRequestHandler):
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length) if length > 0 else b""
-        codec = codec_for_content_type(self.headers.get("Content-Type"))
-        if codec is None:
-            codec = sniff_codec(raw)
-        self._request_codec = codec
-        payload = codec.decode_payload(raw)
+        payload = STORE_CODEC.decode_payload(raw)
         if not isinstance(payload, dict):
             raise ProtocolError("expected an object body")
         return payload
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._request_codec = None
         store = self.server.store
         if self.path == "/healthz":
-            self._reply(
-                {
-                    "ok": True,
-                    "role": "cache",
-                    "codec": store.codec.name,
-                    "codecs": sorted(CODECS),
-                }
-            )
+            self._reply({"ok": True, "role": "cache"})
         elif self.path == "/v1/stats":
             self._reply(
                 {
@@ -172,7 +146,6 @@ class _CacheHandler(BaseHTTPRequestHandler):
                     "path": store.path,
                     "entries": store.entries,
                     "persisted_bytes": store.persisted_bytes,
-                    "codec": store.codec.name,
                     "loads": store.loads,
                     "load_hits": store.load_hits,
                     "stores": store.stores,
@@ -191,7 +164,6 @@ class _CacheHandler(BaseHTTPRequestHandler):
             self._error("get", f"no route {self.path}", 404)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._request_codec = None
         started = time.perf_counter()
         op = "get" if self.path == "/v1/cache/get" else "put"
         try:
@@ -225,7 +197,7 @@ class _CacheHandler(BaseHTTPRequestHandler):
                 op="get", outcome="hit" if found is not None else "miss"
             ).inc()
             entries.append(found)
-        self._reply({"e": entries})
+        self._reply({"e": entries}, codec=STORE_CODEC)
 
     def _put(self, payload: dict) -> None:
         rows = payload.get("e")
@@ -251,7 +223,8 @@ class _CacheHandler(BaseHTTPRequestHandler):
                 "stored": stored,
                 "entries": store.entries,
                 "bytes": store.persisted_bytes,
-            }
+            },
+            codec=STORE_CODEC,
         )
 
     @staticmethod
@@ -280,7 +253,6 @@ def make_cache_server(
     port: int = DEFAULT_CACHE_PORT,
     path: Optional[str] = None,
     max_bytes: Optional[int] = None,
-    codec: Optional[str] = None,
     quiet: bool = True,
 ) -> CacheServer:
     """Bind one cache server (tests drive this in a thread).
@@ -288,11 +260,7 @@ def make_cache_server(
     The store is owned, not resolved through the per-process backend
     registry: the cache server is the process whose *job* is this file.
     """
-    store = FileBackend(
-        path or default_store_path(),
-        max_bytes=max_bytes,
-        codec=resolve_codec(codec, default="binary"),
-    )
+    store = FileBackend(path or default_store_path(), max_bytes=max_bytes)
     return CacheServer((host, port), store, quiet=quiet)
 
 
@@ -301,11 +269,10 @@ def serve_cache(
     port: int = DEFAULT_CACHE_PORT,
     path: Optional[str] = None,
     max_bytes: Optional[int] = None,
-    codec: Optional[str] = None,
     quiet: bool = True,
 ) -> int:
     """Run the cache tier until interrupted; returns the exit code."""
-    server = make_cache_server(host, port, path, max_bytes, codec, quiet)
+    server = make_cache_server(host, port, path, max_bytes, quiet)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro-cache listening on http://{bound_host}:{bound_port}", flush=True)
     try:

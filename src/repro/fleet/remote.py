@@ -23,9 +23,11 @@ Resilience discipline — the cache tier is a cache, never a dependency:
   ``REPRO_REMOTE_BREAKER_RESET_S`` one half-open probe is allowed
   through; success re-closes the breaker and the worker re-attaches.
 
-Every failure mode — refused connection, timeout, mid-body disconnect,
-garbage bytes, non-200 — degrades to a miss or a dropped write.  The
-backend never raises into the engine.
+Request and reply bodies are binary payloads (the store codec); a
+reply in any other format counts as garbage.  Every failure mode —
+refused connection, timeout, mid-body disconnect, garbage bytes,
+non-200 — degrades to a miss or a dropped write.  The backend never
+raises into the engine.
 
 Writes buffer client-side (deduplicated by digest) and flush as one
 batched ``POST /v1/cache/put`` every ``flush_every`` distinct keys and
@@ -51,17 +53,17 @@ from urllib.parse import urlsplit
 
 from repro.fleet.pool import pool
 from repro.obs import metrics as obs_metrics
-from repro.protocol.codec import Codec, ProtocolError, resolve_codec, sniff_codec
+from repro.protocol.codec import STORE_CODEC, ProtocolError
 from repro.service.backends import (
     CONSISTENCY,
     DEFAULT_TIER_COST,
     EXACT,
     CacheBackend,
     StepInterner,
-    _tier_cost_from_env,
     entry_from_payload,
     entry_to_payload,
     register_backend_factory,
+    tiering_enabled,
 )
 
 DEFAULT_TIMEOUT = 1.0
@@ -207,7 +209,6 @@ class RemoteBackend(CacheBackend):
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         flush_every: Optional[int] = None,
-        codec: Optional[Codec] = None,
         breaker_threshold: Optional[int] = None,
         breaker_reset_s: Optional[float] = None,
     ) -> None:
@@ -231,7 +232,6 @@ class RemoteBackend(CacheBackend):
         self.flush_every = max(
             1, DEFAULT_FLUSH_EVERY if flush_every is None else flush_every
         )
-        self.codec = codec if codec is not None else resolve_codec(default="binary")
         self.breaker = CircuitBreaker(
             threshold=(
                 _env_int("REPRO_REMOTE_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD)
@@ -248,8 +248,7 @@ class RemoteBackend(CacheBackend):
         # the observed-cost distribution lives with the cache server's
         # store; the client just avoids shipping trivially-recomputable
         # rows over the wire)
-        pinned = _tier_cost_from_env()
-        self.tier_cost = DEFAULT_TIER_COST if pinned is None else pinned
+        self.tier_cost = DEFAULT_TIER_COST if tiering_enabled() else -1
         self.interner = StepInterner()
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by digest: kind + codec payload.
@@ -277,14 +276,11 @@ class RemoteBackend(CacheBackend):
             metrics.requests.labels(op=op, outcome="skipped").inc()
             return None
         try:
-            body = self.codec.encode_payload(payload)
+            body = STORE_CODEC.encode_payload(payload)
         except (ProtocolError, TypeError, ValueError):
             self.encode_errors += 1
             return None
-        headers = {
-            "Content-Type": self.codec.content_type,
-            "Accept": self.codec.content_type,
-        }
+        headers = {"Content-Type": STORE_CODEC.content_type}
         attempts = self.retries + 1
         shared = pool()
         for attempt in range(attempts):
@@ -312,7 +308,7 @@ class RemoteBackend(CacheBackend):
             if response.status != 200:
                 return self._fail(op, "status")
             try:
-                decoded = sniff_codec(raw).decode_payload(raw)
+                decoded = STORE_CODEC.decode_payload(raw)
             except ProtocolError:
                 return self._fail(op, "decode")
             if not isinstance(decoded, dict):

@@ -13,7 +13,7 @@ dataset with the ground truth's.
 
 Environment knobs (all optional):
 
-* ``REPRO_TRACE_CAP`` — max prediction tests per benchmark (default 120;
+* ``REPRO_TRACE_CAP`` — max prediction tests per benchmark (default 100;
   the paper uses full 500-action traces);
 * ``REPRO_TIMEOUT`` — per-test synthesis timeout in seconds (default 1.0,
   as in the paper);

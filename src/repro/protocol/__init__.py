@@ -10,9 +10,9 @@ migration tooling — speaks the message types defined here:
   ``CandidateList``, ``Accept``/``Reject``, ``SessionClosed``,
   ``ErrorEnvelope``, ``SessionSnapshot``, …) plus
   ``PROTOCOL_VERSION`` and the wire field specs they encode by.
-* :mod:`repro.protocol.codec` — the codec seam (``JsonCodec`` today;
-  a binary payload codec slots in here later) with round-trip
-  validation.
+* :mod:`repro.protocol.codec` — the codecs with round-trip
+  validation: ``JsonCodec`` for the session wire, ``BinaryCodec`` for
+  store rows and the cache tier's data plane.
 * :mod:`repro.protocol.schema` — the machine-readable wire schema
   (``repro protocol-schema``), diffed against the committed
   ``schema.json`` in CI so wire changes are always explicit.

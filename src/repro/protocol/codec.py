@@ -5,29 +5,29 @@ since the same seam now serves the persistent store — arbitrary
 JSON-shaped payload values via :meth:`Codec.encode_payload` /
 :meth:`Codec.decode_payload`.
 
-Two implementations ship:
+Each hop uses exactly one of two implementations:
 
 * :class:`JsonCodec` — canonical JSON (sorted keys, compact
   separators), so every message has exactly one encoding and golden
-  wire fixtures are byte-stable.  The wire default.
-* :class:`BinaryCodec` — the ROADMAP's compact binary payload format:
+  wire fixtures are byte-stable.  The session service wire and every
+  operational (health, stats, error) body.
+* :class:`BinaryCodec` — the compact binary payload format:
   length-prefixed values with a string table and a structural list
   table, so the step/selector lists that repeat across a store entry
   encode once and every later occurrence is a two-byte reference.
-  The store default.
+  Store rows and the cache tier's data plane, where its 7–8× size
+  cut pays; on a loopback wire the pure-Python encoder is slower than
+  C ``json`` for no gain, so the service wire stays JSON.
 
-The session, server, and client layers speak :class:`Codec`, never
-``json`` directly.  Payloads are self-describing: a binary payload
-always starts with a byte ≥ 0x80, which no JSON document can, so
-:func:`sniff_codec` can route mixed stores and wire bodies.
+Payloads are self-describing: a binary payload always starts with a
+byte ≥ 0x80, which no JSON document can, so :func:`sniff_codec` reads
+stores that still hold JSON rows.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-from typing import Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.protocol.messages import ProtocolError, from_wire, to_wire
@@ -907,37 +907,11 @@ class BinaryCodec(Codec):
         return value
 
 
-#: The codec every wire surface uses by default.  JSON stays the wire
-#: default so the committed schema and golden fixtures remain stable;
-#: the store defaults to binary (see ``service/backends.py``).
+#: The service wire codec (and the format of every operational body).
 DEFAULT_CODEC = JsonCodec()
 
-#: Every codec a peer may negotiate, by name.
-CODECS: dict[str, Codec] = {
-    codec.name: codec for codec in (JsonCodec(), BinaryCodec())
-}
-
-
-def resolve_codec(name: Optional[str] = None, default: str = "json") -> Codec:
-    """The codec selected by ``name``, ``$REPRO_CODEC``, or ``default``."""
-    chosen = name or os.environ.get("REPRO_CODEC") or default
-    try:
-        return CODECS[chosen]
-    except KeyError:
-        raise ValueError(
-            f"unknown codec {chosen!r} (have: {', '.join(sorted(CODECS))})"
-        ) from None
-
-
-def codec_for_content_type(content_type: Optional[str]) -> Optional[Codec]:
-    """The codec whose media type matches, or None."""
-    if not content_type:
-        return None
-    media = content_type.split(";", 1)[0].strip().lower()
-    for codec in CODECS.values():
-        if codec.content_type == media:
-            return codec
-    return None
+#: The store and cache-tier data-plane codec.
+STORE_CODEC = BinaryCodec()
 
 
 def sniff_codec(payload: bytes) -> Codec:
@@ -947,5 +921,5 @@ def sniff_codec(payload: bytes) -> Codec:
     ≥ 0x80, so the sniff is unambiguous.
     """
     if payload[:1] == HEADER[:1]:
-        return CODECS["binary"]
-    return CODECS["json"]
+        return STORE_CODEC
+    return DEFAULT_CODEC

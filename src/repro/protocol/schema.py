@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.protocol.codec import CODECS, DEFAULT_CODEC
+from repro.protocol.codec import DEFAULT_CODEC
 from repro.protocol.messages import (
     MESSAGE_SPECS,
     PROTOCOL_VERSION,
@@ -36,9 +36,7 @@ def schema() -> dict:
     return {
         "protocol_version": PROTOCOL_VERSION,
         "codec": DEFAULT_CODEC.name,
-        "codecs": {
-            codec.name: codec.content_type for codec in CODECS.values()
-        },
+        "codecs": {DEFAULT_CODEC.name: DEFAULT_CODEC.content_type},
         "envelope": ["v", "type", "trace?"],
         "messages": {
             spec.tag: {"class": spec.cls.__name__, "fields": _fields(spec)}

@@ -18,10 +18,10 @@ Three backends:
 :class:`FileBackend`
     A persistent store over one SQLite file (stdlib ``sqlite3``, WAL
     mode): a cold process warm-starts from executions recorded by prior
-    sessions — or prior *processes*.  Payloads go through the protocol
-    codec seam (:mod:`repro.protocol.codec`) — binary by default for
-    the ~10× payload-size cut, JSON as the ablation fallback; reads
-    sniff the codec per row, so mixed and legacy stores keep working.
+    sessions — or prior *processes*.  Rows are written in the binary
+    payload codec (:mod:`repro.protocol.codec`) for its 7–8× size cut
+    over JSON; reads sniff the codec per row, so stores that still hold
+    JSON rows keep serving.
     A byte-accounted decoded-entry LRU sits in front of SQLite so
     repeat probes of hot keys skip both the read and the decode.  The
     store is size-tiered: terminal/whole-program outcomes and
@@ -47,10 +47,8 @@ Shared use
 ``REPRO_CACHE_BACKEND`` selects the backend (``memory`` | ``file`` |
 ``remote://host:port``),
 ``REPRO_CACHE_DIR`` the store directory, ``REPRO_CACHE_MAX_BYTES`` the
-store's eviction threshold, ``REPRO_CODEC`` the payload codec
-(``binary`` | ``json``), ``REPRO_DECODE_CACHE_BYTES`` the decoded-entry
-LRU budget, and ``REPRO_STORE_TIERING`` / ``REPRO_STORE_TIER_COST`` the
-persistence tier policy.
+store's eviction threshold, and ``REPRO_STORE_TIERING=0`` turns the
+persistence tier policy off.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from repro.dom.xpath import CHILD, DESC, ConcreteSelector, Predicate, Step, Toke
 from repro.lang.actions import Action
 from repro.lang.ast import SEL_VAR, ValuePath, Var
 from repro.obs import metrics as obs_metrics
-from repro.protocol.codec import Codec, ProtocolError, resolve_codec, sniff_codec
+from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
 from repro.semantics.env import Env
 
 #: Entry kinds.  Stored in the ``kind`` column for store introspection
@@ -88,10 +86,10 @@ DEFAULT_DECODE_CACHE_BYTES = 32 << 20
 #: recomputed rather than persisted.  12 sits just above the short
 #: interior prefixes the synthesis worklist re-probes constantly and
 #: below the long whole-trace executions that dominate wall-clock.
-#: This is only the *seed*: unless ``REPRO_STORE_TIER_COST`` (or the
-#: ``tier_cost`` constructor argument) pins an explicit value, each
-#: store derives its threshold from the recompute costs it actually
-#: observes (see ``FileBackend._recalc_tier_cost_locked``).
+#: This is only the *seed*: unless the ``tier_cost`` constructor
+#: argument pins an explicit value, each store derives its threshold
+#: from the recompute costs it actually observes (see
+#: ``FileBackend._recalc_tier_cost_locked``).
 DEFAULT_TIER_COST = 12
 
 #: Adaptive tiering: re-derive the threshold every this many observed
@@ -433,23 +431,11 @@ class InProcessBackend(CacheBackend):
         pass
 
 
-def _tier_cost_from_env() -> Optional[int]:
-    """The tier threshold the environment selects.
-
-    -1 disables tiering (``REPRO_STORE_TIERING=0``); an integer pins an
-    explicit threshold (``REPRO_STORE_TIER_COST``); ``None`` means
-    neither was set — the store derives the threshold adaptively.
-    """
+def tiering_enabled() -> bool:
+    """Whether the store tier policy is on (``REPRO_STORE_TIERING=0``
+    turns it off: every entry persists)."""
     toggle = os.environ.get("REPRO_STORE_TIERING", "1").strip().lower()
-    if toggle in ("0", "off", "false", "no"):
-        return -1
-    override = os.environ.get("REPRO_STORE_TIER_COST", "").strip()
-    if not override:
-        return None
-    try:
-        return int(override)
-    except ValueError:
-        return None
+    return toggle not in ("0", "off", "false", "no")
 
 
 class FileBackend(CacheBackend):
@@ -465,16 +451,15 @@ class FileBackend(CacheBackend):
     Reads go through a decoded-entry LRU (digest → decoded tuple,
     byte-accounted against ``decode_cache_bytes``) before touching
     SQLite; hits count into ``decode_hits`` / ``decode_bytes``.  Writes
-    go through the payload codec (binary unless ``REPRO_CODEC``/the
-    ``codec`` argument says otherwise); reads sniff the codec per row,
-    so a store written by either codec — or a mix — always decodes.
+    are binary-encoded; reads sniff the codec per row, so a store that
+    still holds JSON rows from older writers always decodes.
 
     The store is size-tiered: :data:`TERMINAL` outcomes and
     :data:`CONSISTENCY` memos always persist, while :data:`EXACT`
     interior entries whose recompute cost is bounded at or below
     ``tier_cost`` are skipped (the in-memory tables still hold them).
-    Unless pinned (constructor argument or ``REPRO_STORE_TIER_COST``),
-    ``tier_cost`` is *derived*: the store tracks the distribution of
+    Unless pinned by the constructor argument, ``tier_cost`` is
+    *derived*: the store tracks the distribution of
     bounded recompute costs it is asked about and re-sets the threshold
     to its :data:`TIER_PERCENTILE` every :data:`TIER_RECALC_EVERY`
     observations, clamped to [:data:`TIER_COST_FLOOR`,
@@ -496,8 +481,7 @@ class FileBackend(CacheBackend):
         path: str | Path,
         max_bytes: Optional[int] = None,
         flush_every: int = 64,
-        codec: Optional[Codec] = None,
-        decode_cache_bytes: Optional[int] = None,
+        decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
         tier_cost: Optional[int] = None,
     ) -> None:
         self.path = str(path)
@@ -505,19 +489,14 @@ class FileBackend(CacheBackend):
             max_bytes = int(os.environ.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES))
         self.max_bytes = max_bytes
         self.flush_every = max(1, flush_every)
-        self.codec = codec if codec is not None else resolve_codec(default="binary")
-        if decode_cache_bytes is None:
-            decode_cache_bytes = int(
-                os.environ.get("REPRO_DECODE_CACHE_BYTES", DEFAULT_DECODE_CACHE_BYTES)
-            )
         self.decode_cache_bytes = decode_cache_bytes
         #: Tier threshold for :meth:`should_persist`; -1 disables tiering.
-        #: An explicit constructor argument or ``REPRO_STORE_TIER_COST``
-        #: pins the value; otherwise it seeds at :data:`DEFAULT_TIER_COST`
-        #: and tracks the :data:`TIER_PERCENTILE` of the bounded
-        #: recompute costs this store actually observes.
-        if tier_cost is None:
-            tier_cost = _tier_cost_from_env()
+        #: An explicit constructor argument pins the value; otherwise it
+        #: seeds at :data:`DEFAULT_TIER_COST` and tracks the
+        #: :data:`TIER_PERCENTILE` of the bounded recompute costs this
+        #: store actually observes.
+        if tier_cost is None and not tiering_enabled():
+            tier_cost = -1
         self.tier_adaptive = tier_cost is None
         self.tier_cost = DEFAULT_TIER_COST if tier_cost is None else tier_cost
         #: Observed bounded-EXACT recompute costs: cost -> count (costs
@@ -778,7 +757,7 @@ class FileBackend(CacheBackend):
 
     def _store(self, kind: int, key: bytes, payload: dict) -> None:
         try:
-            blob = self.codec.encode_payload(payload)
+            blob = STORE_CODEC.encode_payload(payload)
         except (ProtocolError, TypeError, ValueError):
             self.encode_errors += 1
             return

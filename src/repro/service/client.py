@@ -1,8 +1,8 @@
 """Typed client for the ``repro serve`` protocol API (stdlib ``http.client``).
 
 Speaks the versioned ``/v1`` routes end to end in protocol messages
-(:mod:`repro.protocol.messages`) encoded by the protocol codec — the
-same typed surface the server decodes, so driving a served synthesizer
+(:mod:`repro.protocol.messages`) encoded as canonical JSON — the same
+typed surface the server decodes, so driving a served synthesizer
 looks like driving a local
 :class:`~repro.service.sessions.SessionManager`:
 
@@ -19,7 +19,6 @@ action; :meth:`export_session` / :meth:`import_session` /
 
 from __future__ import annotations
 
-import json
 from http.client import HTTPConnection
 from typing import Optional, Union
 from urllib.parse import urlsplit
@@ -27,7 +26,7 @@ from urllib.parse import urlsplit
 from repro.browser.recorder import Recording
 from repro.fleet.pool import pool
 from repro.obs import context as obs_context
-from repro.protocol.codec import Codec, ProtocolError as CodecError, resolve_codec, sniff_codec
+from repro.protocol.codec import DEFAULT_CODEC
 from repro.protocol.messages import (
     Accept,
     Accepted,
@@ -76,13 +75,6 @@ class ServiceClientError(ReproError):
 class ServiceClient:
     """One connection to one service worker.
 
-    ``codec`` selects the wire codec — a name (``json`` | ``binary``), a
-    :class:`~repro.protocol.codec.Codec`, or ``None`` for the
-    ``REPRO_CODEC``/JSON default.  Requests carry the codec's media type
-    in ``Content-Type`` and ``Accept``; the server replies in kind, and
-    responses are decoded by sniffing, so a mixed deployment (old JSON
-    worker, new binary client or vice versa) still round-trips.
-
     Connections come from the process-wide keep-alive pool
     (:mod:`repro.fleet.pool`) shared with the remote cache backend: a
     request borrows a parked connection to ``host:port`` when one is
@@ -93,25 +85,19 @@ class ServiceClient:
     (the server may or may not have processed it).
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 60.0,
-        codec: Union[str, Codec, None] = None,
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         parts = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
         if parts.hostname is None:
             raise ValueError(f"bad service URL {base_url!r}")
         self.host = parts.hostname
         self.port = parts.port or 80
         self.timeout = timeout
-        self.codec = codec if isinstance(codec, Codec) else resolve_codec(codec)
 
     # ------------------------------------------------------------------
-    def _request(self, method: str, path: str, message=None, raw: Optional[dict] = None):
+    def _request(self, method: str, path: str, message=None):
         """One round trip; returns the decoded protocol message (or dict)."""
         body = None
-        headers = {"Accept": self.codec.content_type}
+        headers = {}
         # propagate the ambient trace context so server-side spans
         # stitch under the caller's trace — including migration pushes,
         # where this client runs inside the source worker's request
@@ -119,11 +105,8 @@ class ServiceClient:
         if ctx is not None:
             headers[obs_context.HEADER] = ctx.wire_value()
         if message is not None:
-            body = self.codec.encode(message)
-            headers["Content-Type"] = self.codec.content_type
-        elif raw is not None:
-            body = json.dumps(raw).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            body = DEFAULT_CODEC.encode(message)
+            headers["Content-Type"] = DEFAULT_CODEC.content_type
         connection = pool().acquire(self.host, self.port, timeout=self.timeout)
         try:
             connection.request(method, path, body=body, headers=headers)
@@ -158,8 +141,8 @@ class ServiceClient:
 
     def _decode(self, method: str, path: str, status: int, payload: bytes):
         try:
-            wire = sniff_codec(payload).decode_payload(payload)
-        except CodecError as exc:
+            wire = DEFAULT_CODEC.decode_payload(payload)
+        except ProtocolError as exc:
             raise ServiceClientError(
                 f"malformed response from {path}: {payload[:200]!r}", status=status
             ) from exc

@@ -2,17 +2,18 @@
 
 One worker process = one :class:`~repro.service.sessions.SessionManager`
 behind a :class:`ThreadingHTTPServer` (no dependencies beyond the
-standard library).  Every body — request and response — is a typed
-protocol message encoded by the protocol codec
-(:mod:`repro.protocol.codec`); errors are
-:class:`~repro.protocol.messages.ErrorEnvelope` objects, never bare
-strings.  Sessions are sticky to the worker that created them *until
-migrated*: ``POST /v1/sessions/<sid>/migrate`` serializes a session
+standard library).  Every body — request and response — is canonical
+JSON (:data:`repro.protocol.codec.DEFAULT_CODEC`).  Every POST body
+must be the typed protocol message of its route; anything else — a
+bare dict, the wrong message type, a binary body — is a 400.  Errors
+are :class:`~repro.protocol.messages.ErrorEnvelope` objects, never
+bare strings.  Sessions are sticky to the worker that created them
+*until migrated*: ``POST /v1/sessions/<sid>/migrate`` serializes a session
 (:class:`~repro.protocol.messages.SessionSnapshot`) and either returns
 it to the caller or pushes it straight to another worker's import
 endpoint — de-stickying multi-worker deployments.
 
-Versioned routes (all bodies protocol JSON):
+Versioned routes:
 
 ==========================================  ===================================
 ``POST /v1/sessions``                       ``CreateSession`` → ``SessionCreated``
@@ -21,7 +22,7 @@ Versioned routes (all bodies protocol JSON):
 ``GET  /v1/sessions/<sid>/candidates``      → ``CandidateList``
 ``POST /v1/sessions/<sid>/accept``          ``Accept`` → ``Accepted``
 ``POST /v1/sessions/<sid>/reject``          ``Reject`` → ``Rejected``
-``POST /v1/sessions/<sid>/close``           → ``SessionClosed``
+``POST /v1/sessions/<sid>/close``           ``CloseSession`` → ``SessionClosed``
 ``POST /v1/sessions/<sid>/migrate``         ``MigrateSession`` →
                                             ``SessionSnapshot`` | ``Migrated``
 ``POST /v1/sessions/import``                ``SessionSnapshot`` → ``SessionCreated``
@@ -52,17 +53,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro import io as repro_io
-from repro.lang.data import DataSource
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.protocol.codec import (
-    CODECS,
-    DEFAULT_CODEC,
-    codec_for_content_type,
-    sniff_codec,
-)
+from repro.protocol.codec import DEFAULT_CODEC
 from repro.protocol.messages import (
     PROTOCOL_VERSION,
     Accept,
@@ -165,15 +159,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - debug aid
             sys.stderr.write("%s - %s\n" % (self.address_string(), format % args))
 
-    def _response_codec(self):
-        """Content negotiation: ``Accept`` wins, else reply in the
-        request body's codec, else the wire default (JSON)."""
-        return (
-            codec_for_content_type(self.headers.get("Accept"))
-            or getattr(self, "_request_codec", None)
-            or DEFAULT_CODEC
-        )
-
     def _reply_bytes(self, body: bytes, status: int, content_type: str) -> None:
         self._status = status
         self.send_response(status)
@@ -187,12 +172,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, message, status: int = 200) -> None:
         """Encode one protocol message (or a plain gauge dict) and send."""
-        codec = self._response_codec()
         if isinstance(message, dict):
-            body = codec.encode_payload(message)
+            body = DEFAULT_CODEC.encode_payload(message)
         else:
-            body = codec.encode(message)
-        self._reply_bytes(body, status, codec.content_type)
+            body = DEFAULT_CODEC.encode(message)
+        self._reply_bytes(body, status, DEFAULT_CODEC.content_type)
 
     def _error(
         self,
@@ -203,75 +187,31 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         self._reply(ErrorEnvelope(code=code, message=message, session=session), status)
 
-    def _body(self) -> dict:
+    def _body(self) -> bytes:
         length = int(self.headers.get("Content-Length", "0"))
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
-        # negotiate by Content-Type; sniff when absent or unknown, so
-        # bare pre-protocol JSON posts keep working unchanged
-        codec = codec_for_content_type(self.headers.get("Content-Type"))
-        if codec is None:
-            codec = sniff_codec(raw)
-        self._request_codec = codec
-        payload = codec.decode_payload(raw)
-        if not isinstance(payload, dict):
-            raise ParseError("expected an object body")
-        return payload
-
-    # ------------------------------------------------------------------
-    # Body adapters (bare pre-protocol dicts are still tolerated on /v1)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_create(payload: dict) -> CreateSession:
-        if payload.get("type") is not None:
-            message = from_wire(payload)
-            if not isinstance(message, CreateSession):
-                raise ProtocolError("expected a create_session message")
-            return message
-        if "snapshot" not in payload:
-            raise ParseError("session creation requires 'snapshot'")
-        return CreateSession(
-            snapshot=repro_io.dom_from_json(payload["snapshot"]),
-            data=payload.get("data"),
-            timeout=payload.get("timeout"),
-        )
+        return self.rfile.read(length) if length > 0 else b""
 
     @staticmethod
-    def _as_action(sid: str, payload: dict) -> ActionRecorded:
-        if payload.get("type") is not None:
-            message = from_wire(payload)
-            if not isinstance(message, ActionRecorded):
-                raise ProtocolError("expected an action_recorded message")
-            return ActionRecorded(sid, message.action, message.snapshot)
-        if "action" not in payload or "snapshot" not in payload:
-            raise ParseError("recording requires 'action' and 'snapshot'")
-        return ActionRecorded(
-            sid,
-            repro_io.action_from_json(payload["action"]),
-            repro_io.dom_from_json(payload["snapshot"]),
-        )
+    def _message(raw: bytes, cls):
+        """The request body as the route's protocol message ``cls``.
 
-    @staticmethod
-    def _as_accept(sid: str, payload: dict) -> Accept:
-        if payload.get("type") is not None:
+        The body must be a JSON protocol envelope of exactly that type;
+        anything else raises :class:`ProtocolError` (a 400).
+        """
+        payload = DEFAULT_CODEC.decode_payload(raw)
+        if not isinstance(payload, dict) or payload.get("type") is None:
+            raise ProtocolError(f"expected a typed {cls.__name__} message")
+        try:
             message = from_wire(payload)
-            if not isinstance(message, Accept):
-                raise ProtocolError("expected an accept message")
-            return Accept(sid, message.index)
-        return Accept(sid, int(payload.get("index", 0)))
-
-    @staticmethod
-    def _as_migrate(sid: str, payload: dict) -> MigrateSession:
-        if payload.get("type") is not None:
-            message = from_wire(payload)
-            if not isinstance(message, MigrateSession):
-                raise ProtocolError("expected a migrate_session message")
-            return MigrateSession(sid, message.target)
-        target = payload.get("target")
-        if target is not None and not isinstance(target, str):
-            raise ParseError("'target' must be a worker URL string")
-        return MigrateSession(sid, target)
+        except (TypeError, AttributeError, IndexError) as exc:
+            # a nested value of the wrong shape (a number where a
+            # snapshot object belongs, ...) is the client's error
+            raise ProtocolError(f"malformed {cls.__name__}: {exc}") from exc
+        if not isinstance(message, cls):
+            raise ProtocolError(
+                f"expected a {cls.__name__} message, got {type(message).__name__}"
+            )
+        return message
 
     # ------------------------------------------------------------------
     def _route(self, path: str) -> str:
@@ -318,7 +258,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _do_get(self) -> None:
         path = self._route(self.path)
         sid: Optional[str] = None
-        self._request_codec = None  # keep-alive: no carry-over negotiation
         try:
             if self.path == "/healthz":
                 self._reply(
@@ -326,7 +265,6 @@ class _Handler(BaseHTTPRequestHandler):
                         "ok": True,
                         "protocol": PROTOCOL_VERSION,
                         "codec": DEFAULT_CODEC.name,
-                        "codecs": sorted(CODECS),
                     }
                 )
             elif path == "/stats":
@@ -355,53 +293,40 @@ class _Handler(BaseHTTPRequestHandler):
         path = self._route(self.path)
         manager = self.server.manager
         sid: Optional[str] = None
-        self._request_codec = None  # keep-alive: no carry-over negotiation
         try:
-            payload = self._body()
+            raw = self._body()
             if path == "/sessions":
-                self._reply(manager.create_session(self._as_create(payload)))
+                self._reply(manager.create_session(self._message(raw, CreateSession)))
                 return
             if path == "/sessions/import":
-                message = from_wire(payload)
-                if not isinstance(message, SessionSnapshot):
-                    raise ProtocolError("expected a session_snapshot message")
-                self._reply(manager.import_snapshot(message))
+                self._reply(
+                    manager.import_snapshot(self._message(raw, SessionSnapshot))
+                )
                 return
             if path.startswith("/sessions/"):
-                rest = path[len("/sessions/") :]
-                if rest.endswith("/actions"):
-                    sid = rest[: -len("/actions")]
-                    message = self._as_action(sid, payload)
+                sid, _, verb = path[len("/sessions/") :].rpartition("/")
+                if verb == "actions":
+                    message = self._message(raw, ActionRecorded)
                     self._reply(
                         manager.record_action(sid, message.action, message.snapshot)
                     )
                     return
-                if rest.endswith("/accept"):
-                    sid = rest[: -len("/accept")]
-                    self._reply(
-                        manager.accept(sid, self._as_accept(sid, payload).index)
-                    )
+                if verb == "accept":
+                    self._reply(manager.accept(sid, self._message(raw, Accept).index))
                     return
-                if rest.endswith("/reject"):
-                    sid = rest[: -len("/reject")]
-                    if payload.get("type") is not None and not isinstance(
-                        from_wire(payload), Reject
-                    ):
-                        raise ProtocolError("expected a reject message")
+                if verb == "reject":
+                    self._message(raw, Reject)
                     self._reply(manager.reject(sid))
                     return
-                if rest.endswith("/close"):
-                    sid = rest[: -len("/close")]
-                    if payload.get("type") is not None and not isinstance(
-                        from_wire(payload), CloseSession
-                    ):
-                        raise ProtocolError("expected a close_session message")
+                if verb == "close":
+                    self._message(raw, CloseSession)
                     self._reply(manager.close(sid))
                     return
-                if rest.endswith("/migrate"):
-                    sid = rest[: -len("/migrate")]
-                    self._migrate(self._as_migrate(sid, payload))
+                if verb == "migrate":
+                    target = self._message(raw, MigrateSession).target
+                    self._migrate(MigrateSession(sid, target))
                     return
+                sid = None
             self._error("no_route", f"no route {self.path}", 404)
         except Exception as exc:
             self._handle_error(exc, sid)

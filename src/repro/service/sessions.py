@@ -104,7 +104,7 @@ class SessionManager:
         share_cache: bool = True,
         max_idle_s: Optional[float] = None,
     ) -> None:
-        if share_cache and config.shared_cache is None:
+        if share_cache and not config.shared_cache:
             config = replace(config, shared_cache=True)
         self.config = config
         self.timeout = timeout
@@ -408,7 +408,6 @@ class SessionManager:
             "sessions_imported": imported,
             "backend": backend.name,
             "persisted_bytes": backend.persisted_bytes if backend.persistent else 0,
-            "codec": getattr(getattr(backend, "codec", None), "name", None),
             "decode_hits": getattr(backend, "decode_hits", 0),
             "decode_bytes": getattr(backend, "decode_bytes", 0),
             "totals": totals.to_json(),

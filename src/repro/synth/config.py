@@ -85,15 +85,12 @@ class SynthesisConfig:
         — so this is an ablation knob, not a semantics knob; off
         reproduces the legacy ancestor-walk enumeration exactly.  The
         speculation-index bench measures the speedup.
-    max_cache_entries:
-        Bound on entries per execution-cache table; least-recently-used
-        outcomes are evicted first.
     shared_cache:
         Back the engine with the *process-level*
         :class:`repro.engine.cache.SharedExecutionCache` instead of a
         private cache: concurrent sessions over the same site reuse
-        each other's executions and interned snapshots.  ``None`` (the
-        default) resolves from ``REPRO_SHARED_CACHE=1``.  Behaviour-
+        each other's executions and interned snapshots.  Off for a
+        lone synthesizer; the session service turns it on.  Behaviour-
         preserving — cache hits replay recorded outcomes verbatim, so
         this is a throughput knob, not a semantics knob.
     cache_backend:
@@ -139,8 +136,7 @@ class SynthesisConfig:
         refutation only fires where Algorithm 3 would certainly
         reject, so synthesized programs are byte-identical either way
         (``benchmarks/bench_static_prune.py`` pins identity and
-        measures the saved executions).  ``None`` (the default)
-        resolves from ``REPRO_STATIC_PRUNE`` — on unless it is ``0``.
+        measures the saved executions).
     """
 
     timeout: float = 1.0
@@ -162,14 +158,13 @@ class SynthesisConfig:
     max_worklist_pops: int | None = None
     use_execution_cache: bool = True
     use_index_enumeration: bool = True
-    max_cache_entries: int = 4096
-    shared_cache: Optional[bool] = None
+    shared_cache: bool = False
     cache_backend: Optional[str] = None
     resumable_loops: bool = True
     ranking: str = "size"
     use_shape_gates: bool = True
     use_window_periodicity: bool = False
-    static_prune: Optional[bool] = None
+    static_prune: bool = True
 
 
 #: The full-fledged configuration (Table 1 row 1).
@@ -206,13 +201,6 @@ def no_index_enumeration_config(base: SynthesisConfig = DEFAULT_CONFIG) -> Synth
     return replace(base, use_index_enumeration=False)
 
 
-def resolved_shared_cache(config: SynthesisConfig) -> bool:
-    """Whether the engine should join the process-level shared cache."""
-    if config.shared_cache is not None:
-        return config.shared_cache
-    return os.environ.get("REPRO_SHARED_CACHE", "").strip() == "1"
-
-
 def resolved_cache_backend(config: SynthesisConfig) -> str:
     """The effective backend name: the config knob, else the environment.
 
@@ -223,18 +211,6 @@ def resolved_cache_backend(config: SynthesisConfig) -> str:
     if config.cache_backend is not None:
         return config.cache_backend
     return os.environ.get("REPRO_CACHE_BACKEND", "").strip() or "memory"
-
-
-def resolved_static_prune(config: SynthesisConfig) -> bool:
-    """Whether static candidate refutation is in effect (default: on).
-
-    ``REPRO_STATIC_PRUNE=0`` disables the pruning pass process-wide (an
-    A/B lever for benches and parity suites); an explicit config value
-    always wins.
-    """
-    if config.static_prune is not None:
-        return config.static_prune
-    return os.environ.get("REPRO_STATIC_PRUNE", "").strip() != "0"
 
 
 def no_static_prune_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:

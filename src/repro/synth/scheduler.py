@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.analysis.feasibility import infeasible
-from repro.synth.config import resolved_static_prune
 from repro.synth.rewrite import RewriteTuple
 from repro.synth.speculate import SpeculationContext, SRewrite
 from repro.synth.validate import validate
@@ -49,7 +48,7 @@ def _static_prune(
     Runs in place, before ranking — a pruned candidate costs no rank
     key.
     """
-    if not candidates or not resolved_static_prune(context.config):
+    if not candidates or not context.config.static_prune:
         return
     bounds = current.bounds
     last = len(bounds) - 1

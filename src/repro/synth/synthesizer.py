@@ -34,7 +34,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.semantics.trace import DOMTrace
 from repro.synth.alternatives import SelectorSearch
-from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig, resolved_shared_cache
+from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.synth.ranking import Candidate, rank
 from repro.synth.rewrite import RewriteTuple, extend_with_singletons, initial_tuple
 from repro.synth.scheduler import SerialScheduler
@@ -280,7 +280,7 @@ class Synthesizer:
         self._resumable = config.resumable_loops and config.use_execution_cache
         # interning only pays when the cache is actually shared between
         # sessions
-        self._use_shared_cache = resolved_shared_cache(config)
+        self._use_shared_cache = config.shared_cache
 
     @property
     def engine(self) -> ExecutionEngine:

@@ -15,9 +15,9 @@ values encode, or stops decoding the recorded bytes, these tests fail
 
 The back half covers the store-side machinery the codec feeds: the
 per-backend :class:`StepInterner` LRU, the size-tier persistence
-policy, the decoded-entry cache, and mixed-codec stores (a store
-written under ``REPRO_CODEC=json`` keeps serving after the switch to
-binary, row by row, via the sniff).
+policy, the decoded-entry cache, and mixed-codec stores (a store that
+still holds JSON rows from older writers keeps serving next to new
+binary rows, row by row, via the sniff).
 """
 
 import json
@@ -37,10 +37,8 @@ from repro.protocol.codec import (
     HEADER,
     BinaryCodec,
     JsonCodec,
-    codec_for_content_type,
     decode_value,
     encode_value,
-    resolve_codec,
     sniff_codec,
 )
 from repro.protocol.messages import ProtocolError
@@ -144,17 +142,8 @@ class TestRoundTrip:
         blob = encode_value({"a": []})
         assert sniff_codec(blob).name == "binary"
         assert sniff_codec(b'{"a": []}').name == "json"
-        for codec in (BinaryCodec(), JsonCodec()):
-            assert codec_for_content_type(codec.content_type).name == codec.name
-        assert codec_for_content_type("text/html") is None
-
-    def test_resolve_codec_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEC", "binary")
-        assert resolve_codec().name == "binary"
-        monkeypatch.delenv("REPRO_CODEC")
-        assert resolve_codec(default="json").name == "json"
-        with pytest.raises(ValueError):
-            resolve_codec("gzip")
+        assert JsonCodec.content_type == "application/json"
+        assert BinaryCodec.content_type != JsonCodec.content_type
 
 
 class TestCorruption:
@@ -331,12 +320,9 @@ class TestTierPolicy:
         assert backend.tier_skips == 0
 
     def test_environment_selects_the_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_TIER_COST", "7")
-        assert FileBackend(tmp_path / "a.sqlite").tier_cost == 7
         monkeypatch.setenv("REPRO_STORE_TIERING", "off")
         assert FileBackend(tmp_path / "b.sqlite").tier_cost == -1
         monkeypatch.delenv("REPRO_STORE_TIERING")
-        monkeypatch.setenv("REPRO_STORE_TIER_COST", "not-a-number")
         assert FileBackend(tmp_path / "c.sqlite").tier_cost == DEFAULT_TIER_COST
 
     def test_default_threshold_is_the_environment_default(self, tmp_path):
@@ -350,20 +336,14 @@ class TestAdaptiveTierCost:
         for _ in range(count):
             backend.should_persist(EXACT, cost)
 
-    def test_unpinned_stores_adapt_pinned_stores_do_not(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_TIER_COST", raising=False)
+    def test_unpinned_stores_adapt_pinned_stores_do_not(self, tmp_path):
         adaptive = FileBackend(tmp_path / "a.sqlite")
         assert adaptive.tier_adaptive
         assert adaptive.tier_cost == DEFAULT_TIER_COST  # the seed
         pinned = FileBackend(tmp_path / "b.sqlite", tier_cost=5)
         assert not pinned.tier_adaptive
-        monkeypatch.setenv("REPRO_STORE_TIER_COST", "7")
-        env_pinned = FileBackend(tmp_path / "c.sqlite")
-        assert not env_pinned.tier_adaptive
         self._observe(pinned, 200, TIER_RECALC_EVERY)
-        self._observe(env_pinned, 200, TIER_RECALC_EVERY)
         assert pinned.tier_cost == 5
-        assert env_pinned.tier_cost == 7
 
     def test_expensive_population_raises_the_threshold(self, tmp_path):
         backend = FileBackend(tmp_path / "s.sqlite")
@@ -436,10 +416,9 @@ class TestDecodedEntryCache:
         assert second is first  # the decoded tuple itself, not a copy
 
     def test_byte_budget_evicts_oldest_decoded_entries(self, tmp_path):
-        # codec pinned: the budget below is sized against binary rows,
-        # and the REPRO_CODEC=json CI leg must not change the geometry
+        # the budget below is sized against binary rows
         path = tmp_path / "store.sqlite"
-        writer = FileBackend(path, tier_cost=-1, codec=BinaryCodec())
+        writer = FileBackend(path, tier_cost=-1)
         keys = []
         for i in range(12):
             key = stable_digest(("exact", f"k{i}"))
@@ -451,9 +430,7 @@ class TestDecodedEntryCache:
             keys.append(key)
         writer.flush()
 
-        reader = FileBackend(
-            path, tier_cost=-1, codec=BinaryCodec(), decode_cache_bytes=400
-        )
+        reader = FileBackend(path, tier_cost=-1, decode_cache_bytes=400)
         for key in keys:
             assert reader.fetch_entry(EXACT, key)[0] is not None
         assert 0 < reader._decoded_bytes <= 400
@@ -470,13 +447,23 @@ class TestDecodedEntryCache:
 class TestMixedCodecStores:
     def test_json_rows_keep_serving_after_the_switch_to_binary(self, tmp_path):
         path = tmp_path / "store.sqlite"
-        json_writer = FileBackend(path, codec=JsonCodec(), tier_cost=-1)
+        # a JSON row as older writers stored it, written straight into
+        # the table the file backend creates
+        FileBackend(path, tier_cost=-1).close()
         old_key = stable_digest(("exact", "old"))
         old_actions = (click(parse_selector("//a[1]")),)
-        json_writer.store_entry(EXACT, old_key, old_actions, Env(), None, False)
-        json_writer.flush()
+        old_row = JsonCodec().encode_payload(
+            entry_to_payload(old_actions, Env(), None, False, StepInterner())
+        )
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO entries (key, kind, payload, nbytes) VALUES (?, ?, ?, ?)",
+            (old_key, EXACT, old_row, len(old_row) + len(old_key)),
+        )
+        conn.commit()
+        conn.close()
 
-        binary = FileBackend(path, codec=BinaryCodec(), tier_cost=-1)
+        binary = FileBackend(path, tier_cost=-1)
         new_key = stable_digest(("exact", "new"))
         new_actions = (scrape_text(parse_selector("//h2[1]")),)
         binary.store_entry(EXACT, new_key, new_actions, Env(), None, True)

@@ -4,8 +4,9 @@ keep-alive pool (repro.fleet.pool).
 Boots a real cache server on an ephemeral port and speaks the payload
 wire protocol at it raw — hex keys, codec payload dicts — pinning batch
 get/put semantics, write-buffer visibility (a put is readable before
-the SQLite flush), content negotiation, the health/stats/metrics
-routes, and that malformed requests come back 400, never 500.
+the SQLite flush), the binary-only data plane and JSON-only control
+plane, the health/stats/metrics routes, and that malformed requests
+come back 400, never 500.
 """
 
 import threading
@@ -15,11 +16,8 @@ import pytest
 
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.pool import ConnectionPool, pool, reset_pool
-from repro.protocol.codec import resolve_codec, sniff_codec
+from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
 from repro.service.backends import EXACT
-
-JSON = resolve_codec("json")
-BINARY = resolve_codec("binary")
 
 
 @pytest.fixture
@@ -37,7 +35,7 @@ def cache(tmp_path):
         thread.join(timeout=5)
 
 
-def _post(server, path, payload, codec=JSON, accept=None):
+def _post(server, path, payload, codec=BINARY):
     host, port = server.server_address[:2]
     connection = HTTPConnection(host, port, timeout=10.0)
     try:
@@ -45,10 +43,7 @@ def _post(server, path, payload, codec=JSON, accept=None):
             "POST",
             path,
             body=codec.encode_payload(payload),
-            headers={
-                "Content-Type": codec.content_type,
-                "Accept": (accept or codec).content_type,
-            },
+            headers={"Content-Type": codec.content_type},
         )
         response = connection.getresponse()
         body = response.read()
@@ -79,7 +74,8 @@ class TestWireProtocol:
             cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]}
         )
         assert response.status == 200
-        ack = JSON.decode_payload(body)
+        assert response.getheader("Content-Type") == BINARY.content_type
+        ack = BINARY.decode_payload(body)
         assert ack["stored"] == 1
         response, body = _get_entries(cache, [[2, KEY.hex()]])
         assert response.status == 200
@@ -107,26 +103,26 @@ class TestWireProtocol:
             "/v1/cache/put",
             {"e": [[2, KEY.hex(), PAYLOAD], [2, (b"\x02" * 16).hex(), PAYLOAD]]},
         )
-        ack = JSON.decode_payload(body)
+        ack = BINARY.decode_payload(body)
         assert ack["entries"] == 2
         assert ack["bytes"] > 0
 
-    def test_binary_request_json_response_negotiation(self, cache):
-        response, body = _post(
-            cache,
-            "/v1/cache/put",
-            {"e": [[2, KEY.hex(), PAYLOAD]]},
-            codec=BINARY,
-            accept=JSON,
-        )
-        assert response.status == 200
-        assert response.getheader("Content-Type") == JSON.content_type
-        assert JSON.decode_payload(body)["stored"] == 1
+    def test_json_data_plane_bodies_are_400(self, cache):
+        for path, payload in (
+            ("/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]}),
+            ("/v1/cache/get", {"k": [[2, KEY.hex()]]}),
+        ):
+            response, body = _post(cache, path, payload, codec=JSON)
+            assert response.status == 400
+            # error bodies are control plane: always JSON
+            assert response.getheader("Content-Type") == JSON.content_type
+            assert JSON.decode_payload(body)["error"] == "bad_request"
+        assert cache.store.entries == 0
 
 
 def _get_entries(cache, keys):
     response, body = _post(cache, "/v1/cache/get", {"k": keys})
-    return response, (JSON.decode_payload(body) if response.status == 200 else body)
+    return response, (BINARY.decode_payload(body) if response.status == 200 else body)
 
 
 class TestBadRequests:
@@ -173,15 +169,17 @@ class TestBadRequests:
 class TestOperationalRoutes:
     def test_healthz_names_the_role(self, cache):
         response, body = _get(cache, "/healthz")
-        health = sniff_codec(body).decode_payload(body)
+        assert response.getheader("Content-Type") == JSON.content_type
+        health = JSON.decode_payload(body)
         assert health["ok"] is True
         assert health["role"] == "cache"
 
     def test_stats_reflect_traffic(self, cache):
         _post(cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]})
         _get_entries(cache, [[2, KEY.hex()]])
-        _, body = _get(cache, "/v1/stats")
-        stats = sniff_codec(body).decode_payload(body)
+        response, body = _get(cache, "/v1/stats")
+        assert response.getheader("Content-Type") == JSON.content_type
+        stats = JSON.decode_payload(body)
         assert stats["role"] == "cache"
         assert stats["entries"] == 1
         assert stats["loads"] >= 1

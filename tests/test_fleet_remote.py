@@ -193,6 +193,30 @@ class TestFaultInjection:
         finally:
             server.close()
 
+    def test_json_reply_degrades_to_miss(self):
+        # the data plane is binary only: a well-formed JSON answer is
+        # still a foreign reply, never a hit
+        def json_reply(connection):
+            _drain_request(connection)
+            body = b'{"e": [{"v": 5}]}'
+            connection.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+            )
+
+        server = _FaultServer(json_reply)
+        try:
+            backend = RemoteBackend(
+                f"remote://127.0.0.1:{server.port}",
+                timeout=1.0,
+                retries=0,
+                breaker_threshold=100,
+            )
+            assert backend.load_consistency(KEY) is None
+            assert backend.io_errors == 1
+        finally:
+            server.close()
+
     def test_slow_server_times_out_within_budget(self):
         def stall(connection):
             _drain_request(connection)

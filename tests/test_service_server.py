@@ -275,6 +275,27 @@ class TestMigration:
         service.close_session(sid)
 
 
+def _raw_post(client, path, body, content_type="application/json"):
+    """One POST outside the typed client; the status and decoded envelope."""
+    from repro.protocol.codec import DEFAULT_CODEC
+    from repro.protocol.messages import ErrorEnvelope, from_wire
+
+    if not isinstance(body, bytes):
+        body = DEFAULT_CODEC.encode_payload(body)
+    connection = HTTPConnection(client.host, client.port, timeout=10.0)
+    try:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": content_type}
+        )
+        response = connection.getresponse()
+        assert response.getheader("Content-Type") == DEFAULT_CODEC.content_type
+        envelope = from_wire(DEFAULT_CODEC.decode_payload(response.read()))
+    finally:
+        connection.close()
+    assert isinstance(envelope, ErrorEnvelope)
+    return response.status, envelope
+
+
 class TestErrors:
     def test_unknown_session_is_a_404_envelope(self, service):
         with pytest.raises(ServiceClientError, match="unknown") as excinfo:
@@ -295,17 +316,66 @@ class TestErrors:
         assert excinfo.value.code == "session_closed"
 
     def test_malformed_creation_is_a_400(self, service):
-        with pytest.raises(ServiceClientError, match="snapshot") as excinfo:
-            service._request("POST", "/v1/sessions", raw={"data": {}})
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "bad_request"
+        status, envelope = _raw_post(service, "/v1/sessions", {"data": {}})
+        assert status == 400
+        assert envelope.code == "bad_request"
+        assert "CreateSession" in envelope.message
 
     def test_version_mismatch_is_a_400(self, service):
-        with pytest.raises(ServiceClientError, match="version") as excinfo:
-            service._request(
-                "POST", "/v1/sessions", raw={"v": 999, "type": "create_session"}
-            )
-        assert excinfo.value.status == 400
+        status, envelope = _raw_post(
+            service, "/v1/sessions", {"v": 999, "type": "create_session"}
+        )
+        assert status == 400
+        assert "version" in envelope.message
+
+    @pytest.mark.parametrize(
+        "route, body",
+        [
+            # pre-protocol bare dicts, including the two that used to
+            # escape as 500s through the untyped fallbacks
+            ("/v1/sessions", {"snapshot": 5}),
+            ("/v1/sessions/s1/accept", {"index": {}}),
+            ("/v1/sessions/s1/actions", {"action": {}, "snapshot": {}}),
+            ("/v1/sessions/s1/reject", {}),
+            ("/v1/sessions/s1/close", {}),
+            ("/v1/sessions/s1/migrate", {"target": None}),
+            ("/v1/sessions/import", {}),
+            # typed envelopes with a malformed field
+            ("/v1/sessions", {"v": PROTOCOL_VERSION, "type": "create_session",
+                              "snapshot": 5, "data": None, "timeout": None}),
+            ("/v1/sessions/s1/accept", {"v": PROTOCOL_VERSION, "type": "accept",
+                                        "session": "s1", "index": {}}),
+            ("/v1/sessions/s1/actions", {"v": PROTOCOL_VERSION,
+                                         "type": "action_recorded",
+                                         "session": "s1",
+                                         "action": {"kind": "ScrapeText",
+                                                    "selector": {}},
+                                         "snapshot": {"tag": "html"}}),
+            # the wrong message type for the route
+            ("/v1/sessions/s1/close", {"v": PROTOCOL_VERSION, "type": "reject",
+                                       "session": "s1"}),
+            # no body, a non-object body, and a body that is not JSON
+            ("/v1/sessions", b""),
+            ("/v1/sessions", b"[]"),
+            ("/v1/sessions", b"not json"),
+        ],
+    )
+    def test_untyped_or_malformed_bodies_are_400s(self, service, route, body):
+        status, envelope = _raw_post(service, route, body)
+        assert status == 400
+        assert envelope.code == "bad_request"
+
+    def test_binary_body_is_a_400(self, service):
+        from repro.protocol.codec import STORE_CODEC
+        from repro.protocol.messages import CreateSession
+
+        body = STORE_CODEC.encode(CreateSession(snapshot=cards_page(2)))
+        status, envelope = _raw_post(
+            service, "/v1/sessions", body, content_type=STORE_CODEC.content_type
+        )
+        assert status == 400
+        assert envelope.code == "bad_request"
+        assert service.stats()["sessions"] == 0
 
     def test_unroutable_path_is_a_404(self, service):
         with pytest.raises(ServiceClientError) as excinfo:
@@ -319,81 +389,3 @@ class TestErrors:
         assert excinfo.value.status == 409
         assert excinfo.value.code == "session_state"
         service.close_session(sid)
-
-
-class TestCodecNegotiation:
-    """Binary wire negotiation: Accept/Content-Type, mixed clients."""
-
-    def _raw(self, service, method, path, body=None, headers=None):
-        from http.client import HTTPConnection
-
-        conn = HTTPConnection(service.host, service.port, timeout=5.0)
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            return response, response.read()
-        finally:
-            conn.close()
-
-    def test_binary_client_drives_a_full_session(self, service):
-        binary = ServiceClient(
-            f"http://{service.host}:{service.port}", codec="binary"
-        )
-        try:
-            dom = cards_page(4)
-            actions, snapshots = scrape_cards_trace(dom, 3)
-            sid = binary.create_session(snapshots[0])
-            proposed = None
-            for position, action in enumerate(actions):
-                proposed = binary.record_action(sid, action, snapshots[position + 1])
-            assert proposed.programs > 0
-            accepted = binary.accept(sid, 0)
-            assert accepted.program
-            binary.close_session(sid)
-        finally:
-            binary.close()
-
-    def test_accept_header_selects_the_response_codec(self, service):
-        from repro.protocol.codec import BinaryCodec, sniff_codec
-
-        response, payload = self._raw(
-            service,
-            "GET",
-            "/healthz",
-            headers={"Accept": BinaryCodec.content_type},
-        )
-        assert response.status == 200
-        assert response.getheader("Content-Type") == BinaryCodec.content_type
-        document = sniff_codec(payload).decode_payload(payload)
-        assert document["ok"] is True
-        assert "binary" in document["codecs"] and "json" in document["codecs"]
-
-    def test_unlabelled_binary_body_is_sniffed(self, service):
-        from repro.protocol.codec import BinaryCodec, sniff_codec
-        from repro.protocol.messages import CreateSession
-
-        body = BinaryCodec().encode(CreateSession(snapshot=cards_page(2)))
-        # no Content-Type at all: the server sniffs the 0xC3 magic and,
-        # with no Accept either, replies in the request body's codec
-        response, payload = self._raw(service, "POST", "/v1/sessions", body=body)
-        assert response.status == 200
-        assert response.getheader("Content-Type") == BinaryCodec.content_type
-        wire = sniff_codec(payload).decode_payload(payload)
-        assert wire["type"] == "session_created"
-        service.close_session(wire["session"])
-
-    def test_json_and_binary_clients_share_one_session(self, service):
-        binary = ServiceClient(
-            f"http://{service.host}:{service.port}", codec="binary"
-        )
-        try:
-            dom = cards_page(3)
-            actions, snapshots = scrape_cards_trace(dom, 2)
-            sid = service.create_session(snapshots[0])  # json client
-            for position, action in enumerate(actions):
-                binary.record_action(sid, action, snapshots[position + 1])
-            served = service.candidates(sid)  # json again
-            assert served.candidates
-            binary.close_session(sid)
-        finally:
-            binary.close()
