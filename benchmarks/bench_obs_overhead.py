@@ -1,7 +1,7 @@
 """Observability overhead bench: disabled-path cost, behaviour parity.
 
-Runs the same incremental-synthesis workload three ways over the
-serial stack:
+Runs the same incremental-synthesis workload three ways, each from a
+cold process cache:
 
 * **obs off** — the metrics registry kill-switched
   (``REPRO_OBS=0`` semantics via ``set_enabled(False)``) and tracing
@@ -30,14 +30,16 @@ sessions per subject; ``REPRO_OBS_ROUNDS`` the min-of-N repeat count.
 
 import os
 import time
+from dataclasses import replace
 
 from repro.benchmarks.suite import benchmark_by_id
+from repro.engine.cache import reset_process_cache
 from repro.harness.report import fmt_ms, render_table
 from repro.lang.pretty import format_program
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.synth.config import serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.synthesizer import Synthesizer
 
 #: Validation-pressure subjects: enough engine work per call that the
@@ -60,6 +62,7 @@ def _run_workload(config, subjects, sessions):
 
     Returns (wall-clock total, per-session program renderings).
     """
+    reset_process_cache()
     total = 0.0
     programs = []
     for _ in range(sessions):
@@ -87,7 +90,7 @@ def test_obs_overhead_and_parity(benchmark, quick):
     sessions = int(os.environ.get("REPRO_OBS_SESSIONS", "1"))
     rounds = int(os.environ.get("REPRO_OBS_ROUNDS", "2" if quick else "3"))
     max_ratio = float(os.environ.get("REPRO_OBS_MAX_RATIO", "1.05"))
-    config = serial_validation_config()
+    config = replace(DEFAULT_CONFIG, cache_backend="memory")
     registry = obs_metrics.registry()
 
     def leg_off():

@@ -78,11 +78,7 @@ def _drive_sessions(backend, subjects, sessions):
     """
     from repro.service.sessions import SessionManager
 
-    config = replace(
-        DEFAULT_CONFIG,
-        shared_cache=True,
-        cache_backend=backend,
-    )
+    config = replace(DEFAULT_CONFIG, cache_backend=backend)
     manager = SessionManager(config, timeout=10.0)
     programs = []
     elapsed = 0.0

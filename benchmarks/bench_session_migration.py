@@ -60,7 +60,7 @@ def _subjects(spec):
 def _manager():
     from repro.service.sessions import SessionManager
 
-    config = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="memory")
+    config = replace(DEFAULT_CONFIG, cache_backend="memory")
     return SessionManager(config, timeout=10.0)
 
 

@@ -2,8 +2,9 @@
 
 Runs the multi-session scaling workload — several incremental
 demonstration sessions per subject, the same shape as
-``bench_parallel_validation.py`` — twice over the serial stack: once
-with the static feasibility analysis disabled and once enabled
+``bench_speculation_index.py`` — twice, each from a cold process
+cache: once with the static feasibility analysis disabled and once
+enabled
 (:mod:`repro.analysis.feasibility` refuting speculated candidates
 before the scheduler dispatches them to the execution engine).
 
@@ -35,9 +36,10 @@ import time
 from dataclasses import replace
 
 from repro.benchmarks.suite import benchmark_by_id
+from repro.engine.cache import reset_process_cache
 from repro.harness.report import fmt_ms, render_table
 from repro.lang.pretty import format_program
-from repro.synth.config import no_static_prune_config, serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG, no_static_prune_config
 from repro.synth.synthesizer import Synthesizer
 
 #: Validation-pressure subjects: many speculated candidates per pop,
@@ -61,6 +63,7 @@ def _run_workload(config, subjects, sessions):
     Returns total synthesize wall-clock, per-session program renderings
     (the byte-identity evidence), and the validation/pruned counters.
     """
+    reset_process_cache()
     total = 0.0
     programs = []
     validations = 0
@@ -90,7 +93,7 @@ def test_static_prune_saves_validations(benchmark, quick):
     subjects = _subjects(os.environ.get("REPRO_PRUNE_BIDS", DEFAULT_BIDS))
     sessions = int(os.environ.get("REPRO_PRUNE_SESSIONS", "1" if quick else "2"))
     min_reduction = float(os.environ.get("REPRO_PRUNE_MIN_REDUCTION", "0.15"))
-    base = serial_validation_config()
+    base = replace(DEFAULT_CONFIG, cache_backend="memory")
 
     def run_pair():
         unpruned = _run_workload(no_static_prune_config(base), subjects, sessions)

@@ -14,23 +14,18 @@ every measurement starts cold:
   interior entries are recomputed instead of stored: the tier-policy
   footprint comparison;
 * **file / binary, warm** — a new process over the tiered store: the
-  restart case the store exists for;
-* **file / binary, warm, private caches** — same warm store, but
-  every session keeps a *private* in-memory cache: the backend sees
-  repeat probes and answers them from its decoded-entry LRU.
+  restart case the store exists for.
 
 Assertions (floors env-overridable, see below):
 
 * the synthesized program lists of every call of every session are
-  **byte-identical** across all five runs — neither the store, the
-  tier policy, nor the cache topology may change synthesis output;
+  **byte-identical** across all four runs — neither the store nor the
+  tier policy may change synthesis output;
 * tiering cuts the untiered binary footprint by ≥ 1.5×;
 * the warm file-backend run beats the cold in-memory baseline
   (speedup ≥ 1.0× **or** cross-process hit rate ≥ 50%, the same
   escape hatch as the service bench: the rate is the architectural
   claim, the wall-clock depends on how execution-bound the box is);
-* the warm run's decoded-entry cache absorbed repeat probes — the
-  mechanism that keeps the decode cost off the hot path;
 * a codec microbenchmark over the store's own payload corpus
   (decoded, then re-aliased through one shared
   :class:`~repro.service.backends.StepInterner`, exactly how live
@@ -42,8 +37,8 @@ Assertions (floors env-overridable, see below):
 The codec's trade is stated, not hidden: a pure-Python token loop
 cannot out-run CPython's C ``json`` on round-trip CPU (measured
 ~1.5–2× slower per payload), so the win is **bytes** — ~8× smaller
-rows and cache-tier frames — plus the decoded-entry LRU and the tier
-policy, which keep decodes off the repeat-read path entirely.  The
+rows and cache-tier frames — plus the tier policy and the in-memory
+tables, which keep decodes off the repeat-read path entirely.  The
 CPU ceiling asserted here is a *regression* gate, not a speed claim.
 
 ``REPRO_STORE_BENCH_BIDS`` picks the subjects (``+`` suffix = scaled
@@ -92,17 +87,12 @@ def _subjects(spec):
     return subjects
 
 
-def _drive_sessions(backend, subjects, sessions, shared=True):
-    """Run the workload through a SessionManager; return measurements.
-
-    ``shared=False`` gives every session a *private* in-memory cache
-    over the one store — the multi-tenant shape where the backend sees
-    repeat probes and its decoded-entry LRU earns its keep.
-    """
+def _drive_sessions(backend, subjects, sessions):
+    """Run the workload through a SessionManager; return measurements."""
     from repro.service.sessions import SessionManager
 
-    config = replace(DEFAULT_CONFIG, shared_cache=shared, cache_backend=backend)
-    manager = SessionManager(config, timeout=10.0, share_cache=shared)
+    config = replace(DEFAULT_CONFIG, cache_backend=backend)
+    manager = SessionManager(config, timeout=10.0)
     programs = []
     elapsed = 0.0
     for _ in range(sessions):
@@ -129,12 +119,10 @@ def _drive_sessions(backend, subjects, sessions, shared=True):
         "programs": programs,
         "warm_hits": totals["warm_start_hits"],
         "misses": totals["cache_misses"],
-        "decode_hits": stats.get("decode_hits", 0),
-        "decode_bytes": stats.get("decode_bytes", 0),
     }
 
 
-def _child(backend, store_dir, env, spec, sessions, shared, pipe):
+def _child(backend, store_dir, env, spec, sessions, pipe):
     """Child-process entry: isolate caches and env, drive, ship results."""
     os.environ["REPRO_CACHE_DIR"] = store_dir
     os.environ.update(env)
@@ -144,24 +132,21 @@ def _child(backend, store_dir, env, spec, sessions, shared, pipe):
     reset_process_cache()
     reset_backends()
     try:
-        result = _drive_sessions(backend, _subjects(spec), sessions, shared)
+        result = _drive_sessions(backend, _subjects(spec), sessions)
         if backend == "file":
-            backend_obj = resolve_backend("file")
-            result["tier_skips"] = backend_obj.tier_skips
-            result["decode_hits"] = backend_obj.decode_hits
-            result["decode_bytes"] = backend_obj.decode_bytes
+            result["tier_skips"] = resolve_backend("file").tier_skips
         flush_backends()  # os._exit skips atexit: push buffered entries out
         pipe.send(result)
     finally:
         pipe.close()
 
 
-def _run_child(backend, store_dir, env, spec, sessions, shared=True):
+def _run_child(backend, store_dir, env, spec, sessions):
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe()
     process = context.Process(
         target=_child,
-        args=(backend, store_dir, env, spec, sessions, shared, child_end),
+        args=(backend, store_dir, env, spec, sessions, child_end),
     )
     process.start()
     child_end.close()
@@ -269,14 +254,9 @@ def test_store_codec(benchmark, quick):
             bin_full = _run_child("file", dir_full, untiered, spec, sessions)
             bin_tiered = _run_child("file", dir_tiered, tiered, spec, sessions)
             bin_warm = _run_child("file", dir_tiered, tiered, spec, sessions)
-            # repeat sessions so the store sees the same keys twice —
-            # the decoded-entry LRU only earns hits on repeat probes
-            bin_reuse = _run_child(
-                "file", dir_tiered, tiered, spec, max(2, sessions), shared=False,
-            )
-            return memory, bin_full, bin_tiered, bin_warm, bin_reuse
+            return memory, bin_full, bin_tiered, bin_warm
 
-        memory, bin_full, bin_tiered, bin_warm, bin_reuse = benchmark.pedantic(
+        memory, bin_full, bin_tiered, bin_warm = benchmark.pedantic(
             run_legs, rounds=1, iterations=1
         )
 
@@ -290,10 +270,6 @@ def test_store_codec(benchmark, quick):
             assert memory["programs"] == run["programs"], (
                 f"the {label} run changed the synthesized programs"
             )
-        per_round = memory["programs"][: len(subjects)]
-        assert bin_reuse["programs"] == per_round * max(2, sessions), (
-            "private per-session caches changed the synthesized programs"
-        )
         assert memory["warm_hits"] == 0, "memory backend cannot warm-start"
         assert bin_tiered["warm_hits"] == 0, "an empty store cannot warm-start"
         assert bin_warm["warm_hits"] > 0, "the warm store never served a hit"
@@ -331,7 +307,6 @@ def test_store_codec(benchmark, quick):
             tiered_store_bytes=tiered_bytes,
             tier_ratio=round(tier_ratio, 2),
             tier_skips=bin_tiered.get("tier_skips", 0),
-            decode_hits=bin_reuse["decode_hits"],
             micro_size_ratio=round(micro_size, 2),
             micro_cpu_ratio=round(cpu_ratio, 2),
         )
@@ -361,12 +336,7 @@ def test_store_codec(benchmark, quick):
             f"tiering: {tier_ratio:.2f}x smaller store "
             f"({bin_tiered.get('tier_skips', 0)} writes skipped)"
         )
-        print(
-            f"warm start: {fmt_pct(rate)} hit rate, {speedup:.2f}x vs cold "
-            f"memory; private-cache leg's decoded-entry cache served "
-            f"{bin_reuse['decode_hits']} hits / "
-            f"{fmt_bytes(bin_reuse['decode_bytes'])}"
-        )
+        print(f"warm start: {fmt_pct(rate)} hit rate, {speedup:.2f}x vs cold memory")
         print(
             f"codec micro ({len(full_rows)} payloads, min of {reps}): "
             f"binary {micro_size:.2f}x smaller, round-trip CPU "
@@ -385,10 +355,6 @@ def test_store_codec(benchmark, quick):
         assert speedup >= min_speedup or rate >= min_rate, (
             f"warm start lost to cold memory: speedup {speedup:.2f}x "
             f"< {min_speedup}x and rate {rate:.2f} < {min_rate}"
-        )
-        assert bin_reuse["decode_hits"] > 0, (
-            "the decoded-entry cache never absorbed a repeat probe even "
-            "with private per-session caches over one warm store"
         )
         assert micro_size >= min_size_ratio, (
             f"binary only {micro_size:.2f}x smaller than json "

@@ -7,15 +7,14 @@ Commands
 ``record <bid> [-o FILE]``
     Instrument a benchmark's ground truth and write the recorded
     demonstration as JSON.
-``synthesize <FILE> [--cut K] [--data JSON] [--stats] [--workers N] [--shared-cache]``
+``synthesize <FILE> [--cut K] [--data JSON] [--stats] [--backend NAME]``
     Load a recorded demonstration, synthesize at prefix ``K`` (default:
     all but the last action), print the best program and prediction.
     ``--stats`` also prints synthesis + execution-engine telemetry
-    (worklist activity, cache hits/misses, DOM index builds, worker and
-    shared-cache counters).  ``--workers N`` validates candidates on an
-    N-thread pool (output stays byte-identical to serial);
-    ``--shared-cache`` joins the process-level execution cache so
-    repeated invocations in one process share executions.
+    (worklist activity, static pruning, cache hits/misses and
+    footprint, DOM index builds).  ``--backend`` names the execution
+    cache's persistence backend (``memory``, ``file`` or
+    ``remote://host:port``).
     ``--trace-out FILE`` records spans for the run and writes a Chrome
     trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 ``metrics [--url URL]``
@@ -116,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--timeout", type=float, default=1.0)
     synth.add_argument("--stats", action="store_true",
                        help="print synthesis + execution-engine telemetry")
-    synth.add_argument("--shared-cache", action="store_true",
-                       help="join the process-level shared execution cache")
     synth.add_argument("--backend", default=None, metavar="BACKEND",
                        help="execution-cache persistence backend: memory, "
                             "file, or remote://host:port (default: "
@@ -302,7 +299,6 @@ def _cmd_record(bid: str, output: Optional[str], max_actions: int) -> int:
 
 def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
                     timeout: float, show_stats: bool = False,
-                    shared_cache: bool = False,
                     backend: Optional[str] = None,
                     trace_out: Optional[str] = None) -> int:
     if trace_out is not None:
@@ -319,14 +315,10 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
     prefix = max(1, min(prefix, recording.length - 1))
     actions, snapshots = recording.prefix(prefix)
     config = DEFAULT_CONFIG
-    if shared_cache or backend is not None:
+    if backend is not None:
         from dataclasses import replace
 
-        config = replace(
-            config,
-            shared_cache=shared_cache,
-            cache_backend=backend,
-        )
+        config = replace(config, cache_backend=backend)
     from contextlib import nullcontext
 
     trace_scope = nullcontext()
@@ -415,11 +407,7 @@ def _cmd_serve(arguments) -> int:
     if arguments.cache_dir is not None:
         # resolve_backend reads this when building the store path
         os.environ["REPRO_CACHE_DIR"] = arguments.cache_dir
-    config = replace(
-        DEFAULT_CONFIG,
-        shared_cache=True,
-        cache_backend=arguments.backend,
-    )
+    config = replace(DEFAULT_CONFIG, cache_backend=arguments.backend)
     port = arguments.port if arguments.port is not None else DEFAULT_PORT
     return serve(
         host=arguments.host,
@@ -650,8 +638,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.command == "synthesize":
         return _cmd_synthesize(
             arguments.recording, arguments.cut, arguments.data,
-            arguments.timeout, arguments.stats,
-            arguments.shared_cache, arguments.backend,
+            arguments.timeout, arguments.stats, arguments.backend,
             arguments.trace_out,
         )
     if arguments.command == "metrics":

@@ -4,12 +4,11 @@ Public surface:
 
 * :class:`repro.engine.engine.ExecutionEngine` — the facade every
   synthesizer-stack module executes through.
-* :class:`repro.engine.cache.ExecutionCache` — bounded LRU memoization
-  of simulated execution, with exact-window and terminal-prefix tables.
-* :class:`repro.engine.cache.SharedExecutionCache` — the process-level
-  promotion of the cache: lock-striped shards plus snapshot interning,
-  so concurrent sessions over the same site reuse each other's
-  executions (``process_cache()`` holds the process-wide instance).
+* :class:`repro.engine.cache.ExecutionCache` — the process-level
+  memoization of simulated execution: exact-window and terminal-prefix
+  tables in lock-striped shards plus snapshot interning, so concurrent
+  sessions over the same site reuse each other's executions
+  (``process_cache()`` holds the process-wide instance per backend).
 * :mod:`repro.engine.index` — lazy per-snapshot DOM indexes powering
   descendant-axis selector steps.
 * :mod:`repro.engine.keys` — value-addressed key primitives (stable
@@ -21,8 +20,6 @@ Public surface:
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
-    SharedCacheSession,
-    SharedExecutionCache,
     process_cache,
     reset_process_cache,
 )
@@ -47,8 +44,6 @@ __all__ = [
     "EngineCounters",
     "ExecutionCache",
     "ExecutionEngine",
-    "SharedCacheSession",
-    "SharedExecutionCache",
     "SnapshotIndex",
     "action_digest",
     "build_count",

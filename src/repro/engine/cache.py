@@ -20,7 +20,9 @@ Terminal table
     identical on **any** window extending that examined prefix, which is
     exactly what the next incremental call presents.  The terminal table
     keys such results by ``(statements, env, data, first snapshot)`` and
-    matches by examined-prefix comparison.
+    matches by examined-prefix comparison.  A run that instead absorbed
+    its window mid-loop records its resume point in the same slot (see
+    :meth:`ExecutionCache.get_continuation`).
 
 Every key component is a **value** (see :mod:`repro.engine.keys`):
 statements by alpha-canonical form, environments by fingerprint, data
@@ -28,10 +30,27 @@ sources and snapshots by structural content digest.  Entries therefore
 need no pinning — a key can never alias recycled object ids — and a key
 computed in one process addresses the same outcome in any other, which
 is what the persistent backends below and the multi-process service
-(:mod:`repro.service`) are built on.  Both tables are bounded LRUs with
-byte-accounted footprints and optional byte-based eviction thresholds;
-hit/miss/eviction counters feed
+(:mod:`repro.service`) are built on.  Because statement keys are
+alpha-canonical, one entry serves every statement that differs only in
+its loop variables; the engine stores each env with the statement's
+binders renamed to slot variables and renames them back to the
+caller's on every hit (:mod:`repro.engine.engine`).  The tables are
+bounded LRUs with byte-accounted footprints and optional byte-based
+eviction thresholds; hit/miss/eviction counters feed
 :class:`repro.synth.synthesizer.SynthesisStats`.
+
+Sharing
+-------
+One cache serves every memoizing engine in a process: the tables are
+*lock-striped* across shards (keyed by the same value-addressed keys,
+so a key always lands on the same shard), and a *snapshot-interning*
+table maps structurally equal snapshots from different sessions onto
+one canonical root — sessions over the same site then share the
+per-snapshot :class:`~repro.engine.index.SnapshotIndex` (with its
+``enum_memo``) as well as every memoized execution.  Each engine passes
+its own counters and session token, so interleaved sessions never
+steal each other's telemetry.  :func:`process_cache` holds one instance
+per backend.
 
 Backends
 --------
@@ -40,25 +59,9 @@ level behind the in-memory tables: lookups that miss in memory consult
 the backend (a hit *warm-starts* the entry back into memory and counts
 as ``warm_hits``), and every recorded outcome is written through,
 addressed by the :func:`~repro.engine.keys.stable_digest` of its full
-value key.  The default in-process backend is a no-op — byte-for-byte
-legacy behavior; the file backend persists executions across process
-boundaries and restarts, and several worker processes pointing at one
-store share each other's work.
-
-Process-level sharing
----------------------
-:class:`SharedExecutionCache` promotes the per-engine cache to a
-process-level one: the three tables are *lock-striped* across shards
-(keyed by the same value-addressed keys, so a key always lands on the
-same shard), and a *snapshot-interning* table maps structurally equal
-snapshots from different sessions onto one canonical root — sessions
-over the same site then share the per-snapshot :class:`~repro.engine.
-index.SnapshotIndex` (with its ``enum_memo``) as well as every memoized
-execution.  Engines join through :meth:`SharedExecutionCache.session`,
-which hands out a :class:`SharedCacheSession` view with per-session
-counters (so interleaved sessions never steal each other's telemetry)
-and a cross-session hit count.  :func:`process_cache` holds the
-process-wide instance behind ``SynthesisConfig.shared_cache``.
+value key.  The default in-process backend is a no-op; the file backend
+persists executions across process boundaries and restarts, and several
+worker processes pointing at one store share each other's work.
 """
 
 from __future__ import annotations
@@ -100,13 +103,13 @@ class CacheCounters:
     ``hits = exact_hits + prefix_hits + consistency_hits`` — the first
     two are execution lookups, the third is the consistency-check memo
     that rides the same cache.  ``cross_session_hits`` counts hits whose
-    entry was recorded by a *different* session of a shared cache (it is
-    always 0 for a private cache); ``warm_hits`` counts hits served from
-    a persistent backend — entries recorded by a prior process (they
-    are included in the exact/prefix/consistency breakdown, never in
+    entry was recorded by a *different* session (caller token);
+    ``warm_hits`` counts hits served from a persistent backend —
+    entries recorded by a prior process (they are included in the
+    exact/prefix/consistency breakdown, never in
     ``cross_session_hits``).  Counter objects are merged, not shared:
-    each session of a shared cache records into its own instance, and
-    the shard-level aggregate is folded together on read (:meth:`merge`).
+    each session records into its own instance, and the shard-level
+    aggregate is folded together on read (:meth:`merge`).
     """
 
     hits: int = 0
@@ -123,13 +126,6 @@ class CacheCounters:
     #: hit/miss reconciliation — a resumed lookup was already counted as
     #: a miss by the preceding full-result probe.
     resume_hits: int = 0
-    #: Backend probes served by the backend's decoded-entry cache — the
-    #: store read *and* the payload decode were skipped — and the
-    #: encoded payload bytes those hits never re-read.  A subset of
-    #: ``warm_hits``-eligible traffic, not part of the hit/miss
-    #: reconciliation.
-    decode_hits: int = 0
-    decode_bytes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -138,7 +134,7 @@ class CacheCounters:
         return self.hits / total if total else 0.0
 
     def merge(self, other: "CacheCounters") -> None:
-        """Fold another counter set into this one (per-worker join)."""
+        """Fold another counter set into this one (the shard aggregate)."""
         for field in fields(CacheCounters):
             setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
@@ -151,8 +147,9 @@ class _Entry:
     outcome also stands in for a run whose budget *equals* the action
     count (such a run halts right after that action and can never bind
     again).  ``owner`` is the session token that recorded the entry
-    (0 for private caches and for entries restored from a persistent
-    backend) — hits from other sessions count as cross-session reuse.
+    (0 for callers without a token and for entries restored from a
+    persistent backend) — hits from other sessions count as
+    cross-session reuse.
 
     ``continuation`` distinguishes the terminal table's second entry
     kind: a run that *absorbed* its window mid-loop (nothing to spare,
@@ -258,8 +255,14 @@ def _consistency_bytes(key: tuple, value: tuple) -> int:
     return size
 
 
-class ExecutionCache:
-    """Bounded LRU over execution outcomes (see the module docstring).
+class _Shard:
+    """One lock-striped slice of an :class:`ExecutionCache`.
+
+    Holds the three tables for the keys that hash to it, their byte
+    accounting, and the shard-level aggregate :attr:`counters`.  Every
+    method runs under :attr:`lock` (taken by the owning cache), except
+    :meth:`probe_backend`, which touches only the self-synchronizing
+    backend so the store read can overlap other threads' lookups.
 
     ``base`` below is the window-independent part of the key:
     ``(statements key, env key, data key)``.  ``window_keys`` is the
@@ -270,51 +273,26 @@ class ExecutionCache:
     bounds the *summed* approximate footprint of all three tables —
     when exceeded, oldest entries are evicted table by table until back
     under, so many small entries and few huge ones meet the same
-    ceiling.  ``backend`` is an optional persistent second level
-    (:mod:`repro.service.backends`), consulted on in-memory misses and
-    written through on every insert.
+    ceiling.  ``backend`` is the persistent second level, consulted on
+    in-memory misses and written through on every insert (``None``
+    when the cache has none).
 
-    Lookups and inserts accept an optional per-caller ``counters`` —
-    session views of a shared cache pass their own — and a
-    ``session`` token identifying the caller of a shared cache.  The
-    cache's own :attr:`counters` *always* record (they are the
-    shard-level aggregate); a passed recorder records additionally, so
-    per-session and global telemetry stay reconciled.  A *plain*
-    ``ExecutionCache`` is single-threaded by design — concurrent access
-    must go through :class:`SharedExecutionCache`, whose shards wrap
-    each instance in a lock.
+    Lookups and inserts take the caller's ``counters`` and ``session``
+    token.  The shard's own :attr:`counters` *always* record (they are
+    the aggregate); the caller's record additionally, so per-session
+    and global telemetry stay reconciled.
     """
 
     def __init__(
         self,
-        max_entries: int = 4096,
-        max_bytes: Optional[int] = None,
-        backend=None,
+        max_entries: int,
+        max_bytes: Optional[int],
+        backend,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("cache size must be positive")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("byte threshold must be positive")
+        self.lock = threading.Lock()
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        # a non-persistent backend is a no-op by contract: drop it so the
-        # hot path never computes store digests for nothing
-        self._backend = backend if backend is not None and backend.persistent else None
-        self.backend_name = backend.name if backend is not None else "memory"
-        # optional backend seams, resolved once: duck-typed backends
-        # (test stubs, third parties) may predate fetch_entry (a
-        # load_entry that also reports decoded-cache telemetry) and
-        # should_persist (the store tier policy)
-        if self._backend is not None:
-            resolved = self._backend
-            self._fetch_entry = getattr(
-                resolved,
-                "fetch_entry",
-                lambda kind, key: (resolved.load_entry(kind, key), 0),
-            )
-            self._should_persist = getattr(
-                resolved, "should_persist", lambda kind, cost: True
-            )
+        self._backend = backend
         # recency reordering only pays off once a table could actually
         # evict something hot; below half capacity a hit is left in place
         self._touch_floor = max(1, max_entries // 2)
@@ -339,40 +317,7 @@ class ExecutionCache:
     def __len__(self) -> int:
         return len(self._exact) + len(self._terminal) + len(self._consistency)
 
-    @property
-    def backend(self):
-        """The persistent backend behind this cache, if any."""
-        return self._backend
-
-    @property
-    def persisted_bytes(self) -> int:
-        """Approximate bytes held by the persistent backend (0 without one)."""
-        return self._backend.persisted_bytes if self._backend is not None else 0
-
     # ------------------------------------------------------------------
-    def get(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> Optional[tuple[tuple, Env]]:
-        """The memoized ``(actions, final env)``, or ``None`` on a miss.
-
-        Single-threaded composition of the two-phase lookup below —
-        callers that hold a lock around the whole cache
-        (:class:`SharedCacheSession`) instead call the phases directly
-        and drop the lock for the backend I/O in between.
-        """
-        result, probe = self.lookup_memory(base, window_keys, budget, counters, session)
-        if result is not None or probe is None:
-            return result
-        exact_payload, terminal_payload, served_bytes = self.probe_backend(probe)
-        return self.promote_backend(
-            probe, exact_payload, terminal_payload, counters, session, served_bytes
-        )
-
     def lookup_memory(
         self,
         base: tuple,
@@ -431,20 +376,12 @@ class ExecutionCache:
 
         Touches only the backend (which synchronizes itself), never the
         tables — safe to run while other threads hold the shard lock.
-        Returns ``(exact_payload, terminal_payload, served_bytes)``;
-        ``served_bytes`` is nonzero when the returned payload came from
-        the backend's decoded-entry cache (see
-        :meth:`~repro.service.backends.CacheBackend.fetch_entry`).
+        Returns ``(exact_payload, terminal_payload)``.
         """
-        exact_payload, served_bytes = self._fetch_entry(_EXACT, probe.exact_digest)
-        if exact_payload is not None:
-            return exact_payload, None, served_bytes
-        if probe.terminal_digest is None:
-            return None, None, 0
-        terminal_payload, served_bytes = self._fetch_entry(
-            _TERMINAL, probe.terminal_digest
-        )
-        return None, terminal_payload, served_bytes
+        exact_payload = self._backend.load_entry(_EXACT, probe.exact_digest)
+        if exact_payload is not None or probe.terminal_digest is None:
+            return exact_payload, None
+        return None, self._backend.load_entry(_TERMINAL, probe.terminal_digest)
 
     def promote_backend(
         self,
@@ -453,7 +390,6 @@ class ExecutionCache:
         terminal_payload: Optional[tuple],
         counters: Optional[CacheCounters] = None,
         session: int = 0,
-        served_bytes: int = 0,
     ) -> Optional[tuple[tuple, Env]]:
         """Phase 2b (under the shard lock): promote and settle counting.
 
@@ -462,14 +398,8 @@ class ExecutionCache:
         entry, and a hit served from memory counts as a plain hit, not a
         warm one.  Otherwise the probed payload is promoted exactly as a
         locked warm start would have, or the miss is finally counted.
-        ``served_bytes`` is the decoded-cache telemetry the probe
-        reported; it counts here, where the recorders are known.
         """
         recorders = self._recorders(counters)
-        if served_bytes:
-            for recorder in recorders:
-                recorder.decode_hits += 1
-                recorder.decode_bytes += served_bytes
         entry = self._exact.get(probe.exact_key)
         if entry is not None:
             if len(self._exact) >= self._touch_floor:
@@ -590,7 +520,7 @@ class ExecutionCache:
             _Entry(actions, env, None, owner=session),
             recorders,
         )
-        if self._backend is not None and self._should_persist(_EXACT, cost):
+        if self._backend is not None and self._backend.should_persist(_EXACT, cost):
             self._backend.store_entry(
                 _EXACT,
                 self._store_digest("exact", base, window_keys, budget),
@@ -610,7 +540,7 @@ class ExecutionCache:
                 _Entry(actions, env, examined, exact_budget_ok, owner=session),
                 recorders,
             )
-            if self._backend is not None and self._should_persist(_TERMINAL, None):
+            if self._backend is not None and self._backend.should_persist(_TERMINAL, None):
                 self._backend.store_entry(
                     _TERMINAL,
                     self._store_digest("terminal", base, window_keys[0]),
@@ -673,20 +603,6 @@ class ExecutionCache:
         return entry.actions, entry.env, entry.continuation
 
     # ------------------------------------------------------------------
-    def get_consistency(
-        self,
-        key: tuple,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> Optional[int]:
-        """Memoized ``consistent_prefix_length`` result, or ``None``."""
-        value, digest = self.lookup_consistency_memory(key, counters, session)
-        if value is not None or digest is None:
-            return value
-        return self.promote_consistency(
-            key, self._backend.load_consistency(digest), counters, session
-        )
-
     def lookup_consistency_memory(
         self,
         key: tuple,
@@ -825,9 +741,6 @@ class ExecutionCache:
         return _consistency_bytes(key, value)
 
 
-# ----------------------------------------------------------------------
-# Process-level shared cache
-# ----------------------------------------------------------------------
 
 #: Approximate bytes per interned DOM node: the node object, its attrs
 #: dict, text, child list slot, and its share of the snapshot's index
@@ -848,31 +761,32 @@ def _freeze_json(value) -> tuple:
 _session_tokens = itertools.count(1)
 
 
-class _Shard:
-    """One lock-striped slice of a shared cache."""
-
-    __slots__ = ("lock", "cache")
-
-    def __init__(
-        self, max_entries: int, max_bytes: Optional[int], backend
-    ) -> None:
-        self.lock = threading.Lock()
-        self.cache = ExecutionCache(max_entries, max_bytes=max_bytes, backend=backend)
 
 
-class SharedExecutionCache:
-    """A process-level execution cache shared by concurrent sessions.
+class ExecutionCache:
+    """The execution cache every memoizing engine in a process joins.
 
     The three memo tables are striped over ``shards`` independent
-    :class:`ExecutionCache` instances, each behind its own lock; a key
-    always hashes to the same shard, so the per-table LRU discipline and
-    byte accounting carry over per shard (``max_bytes``, when given, is
-    split evenly across shards).  Value-addressed keys (alpha-canonical
-    statements, env fingerprints, snapshot content digests) make entries
-    session-agnostic — the only per-session piece is telemetry, which
-    lives on the :class:`SharedCacheSession` views handed out by
-    :meth:`session`.  An optional persistent ``backend`` is shared by
-    all shards, extending the same sharing across worker processes.
+    :class:`_Shard` slices, each behind its own lock; a key always
+    hashes to the same shard, so the per-table LRU discipline and byte
+    accounting hold per shard (``max_entries`` and ``max_bytes``, when
+    given, are split evenly across shards).  Value-addressed keys
+    (alpha-canonical statements, env fingerprints, snapshot content
+    digests) make entries session-agnostic — the only per-session piece
+    is telemetry: every lookup and insert takes the caller's
+    ``counters`` and ``session`` token (:func:`session_token`), and a
+    hit on an entry another session recorded counts as
+    ``cross_session_hits``.  An optional persistent ``backend`` is
+    shared by all shards, extending the same sharing across worker
+    processes; a non-persistent one is dropped, so the hot path never
+    computes store digests for nothing.
+
+    Backend reads are two-phase: the in-memory probe runs under the
+    shard lock, the store read and decode run with *no* lock held (so
+    cold-phase lookups on one shard overlap their I/O instead of
+    serializing behind it), and the promote step re-takes the lock,
+    re-checks memory (a racing thread may have promoted first) and
+    settles hit/miss counting exactly once per lookup.
 
     Snapshot interning
         :meth:`intern_snapshots` maps structurally equal snapshot roots
@@ -895,15 +809,17 @@ class SharedExecutionCache:
         max_bytes: Optional[int] = None,
         backend=None,
     ) -> None:
+        if max_entries < 1:
+            raise ValueError("cache size must be positive")
+        if max_bytes is not None and max_bytes < 1:
+            raise ValueError("byte threshold must be positive")
         if shards < 1:
             raise ValueError("need at least one shard")
-        per_shard = max(1, max_entries // shards)
-        per_shard_bytes = None if max_bytes is None else max(1, max_bytes // shards)
-        self._shards = tuple(
-            _Shard(per_shard, per_shard_bytes, backend) for _ in range(shards)
-        )
-        self._backend = backend
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._backend = backend if backend is not None and backend.persistent else None
         self.backend_name = backend.name if backend is not None else "memory"
+        self._shards = self._new_shards(shards)
         self.max_snapshots = max_snapshots
         self._intern_lock = threading.Lock()
         # content key -> canonical root (insertion-ordered: an LRU)
@@ -925,23 +841,125 @@ class SharedExecutionCache:
         #: Canonical snapshots dropped by the interning LRU.
         self.snapshot_evictions = 0
 
-    # ------------------------------------------------------------------
-    def session(self) -> "SharedCacheSession":
-        """A per-session view with its own counters and session token."""
-        return SharedCacheSession(self, next(_session_tokens))
+    def _new_shards(self, count: int) -> tuple[_Shard, ...]:
+        per_shard = max(1, self.max_entries // count)
+        per_shard_bytes = (
+            None if self.max_bytes is None else max(1, self.max_bytes // count)
+        )
+        return tuple(
+            _Shard(per_shard, per_shard_bytes, self._backend) for _ in range(count)
+        )
 
-    def _shard_for(self, key: tuple) -> _Shard:
+    def _shard_for(self, key) -> _Shard:
+        """The shard of a lookup: execution entries pass their base,
+        consistency entries their key's first component (the produced
+        actions' digests) — equal keys still land together, and the
+        hash walks a third of the key's long digest tuples."""
         return self._shards[hash(key) % len(self._shards)]
+
+    # ------------------------------------------------------------------
+    # Lookups and inserts
+    # ------------------------------------------------------------------
+    def get(
+        self,
+        base: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        counters: Optional[CacheCounters] = None,
+        session: int = 0,
+    ) -> Optional[tuple[tuple, Env]]:
+        """The memoized ``(actions, final env)``, or ``None`` on a miss."""
+        shard = self._shard_for(base)
+        with shard.lock:
+            result, probe = shard.lookup_memory(base, window_keys, budget, counters, session)
+        if result is not None or probe is None:
+            return result
+        exact_payload, terminal_payload = shard.probe_backend(probe)
+        with shard.lock:
+            return shard.promote_backend(
+                probe, exact_payload, terminal_payload, counters, session
+            )
+
+    def put(
+        self,
+        base: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        actions: tuple,
+        env: Env,
+        exact_budget_ok: bool = False,
+        counters: Optional[CacheCounters] = None,
+        session: int = 0,
+        continuation: Optional[tuple] = None,
+        cost: Optional[int] = None,
+    ) -> None:
+        """Record one execution outcome (see :meth:`_Shard.put`)."""
+        shard = self._shard_for(base)
+        with shard.lock:
+            shard.put(
+                base,
+                window_keys,
+                budget,
+                actions,
+                env,
+                exact_budget_ok,
+                counters,
+                session,
+                continuation,
+                cost,
+            )
+
+    def get_continuation(
+        self,
+        base: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        counters: Optional[CacheCounters] = None,
+        session: int = 0,
+    ) -> Optional[tuple[tuple, Env, tuple]]:
+        """The stored resume point (see :meth:`_Shard.get_continuation`)."""
+        shard = self._shard_for(base)
+        with shard.lock:
+            return shard.get_continuation(base, window_keys, budget, counters, session)
+
+    def get_consistency(
+        self,
+        key: tuple,
+        counters: Optional[CacheCounters] = None,
+        session: int = 0,
+    ) -> Optional[int]:
+        """Memoized ``consistent_prefix_length`` result, or ``None``."""
+        shard = self._shard_for(key[0])
+        with shard.lock:
+            value, digest = shard.lookup_consistency_memory(key, counters, session)
+        if value is not None or digest is None:
+            return value
+        # same two-phase discipline as `get`: store I/O outside the lock
+        loaded = self._backend.load_consistency(digest)
+        with shard.lock:
+            return shard.promote_consistency(key, loaded, counters, session)
+
+    def put_consistency(
+        self,
+        key: tuple,
+        value: int,
+        counters: Optional[CacheCounters] = None,
+        session: int = 0,
+    ) -> None:
+        """Record one consistency-check outcome."""
+        shard = self._shard_for(key[0])
+        with shard.lock:
+            shard.put_consistency(key, value, counters, session)
 
     # ------------------------------------------------------------------
     # Aggregate telemetry
     # ------------------------------------------------------------------
     def counters(self) -> CacheCounters:
-        """Global shard-level counters merged into one snapshot."""
+        """Shard-level counters of all callers merged into one snapshot."""
         merged = CacheCounters()
         for shard in self._shards:
             with shard.lock:
-                merged.merge(shard.cache.counters)
+                merged.merge(shard.counters)
         return merged
 
     @property
@@ -951,7 +969,7 @@ class SharedExecutionCache:
         (they are cache state with the same lifetime concerns, so they
         count toward the same footprint)."""
         return (
-            sum(shard.cache.approx_bytes for shard in self._shards)
+            sum(shard.approx_bytes for shard in self._shards)
             + self.enum_bytes
         )
 
@@ -975,10 +993,7 @@ class SharedExecutionCache:
     @property
     def persisted_bytes(self) -> int:
         """Approximate bytes held by the persistent backend (0 without one)."""
-        backend = self._backend
-        if backend is None or not backend.persistent:
-            return 0
-        return backend.persisted_bytes
+        return self._backend.persisted_bytes if self._backend is not None else 0
 
     @property
     def interned_snapshots(self) -> int:
@@ -986,18 +1001,12 @@ class SharedExecutionCache:
         return len(self._canonical)
 
     def __len__(self) -> int:
-        return sum(len(shard.cache) for shard in self._shards)
+        return sum(len(shard) for shard in self._shards)
 
     def clear(self) -> None:
         """Drop every entry and interned snapshot (telemetry included)."""
-        for shard in self._shards:
-            with shard.lock:
-                fresh = ExecutionCache(
-                    shard.cache.max_entries,
-                    max_bytes=shard.cache.max_bytes,
-                    backend=self._backend,
-                )
-                shard.cache = fresh
+        # callers already inside an old shard finish against its tables
+        self._shards = self._new_shards(len(self._shards))
         with self._intern_lock:
             self._canonical.clear()
             self._known.clear()
@@ -1080,179 +1089,46 @@ class SharedExecutionCache:
         return canonical
 
 
-class SharedCacheSession:
-    """One session's view of a :class:`SharedExecutionCache`.
-
-    Implements the same lookup surface as :class:`ExecutionCache` (the
-    engine cannot tell them apart) but routes every call through the
-    owning shard's lock and records telemetry into this session's
-    :attr:`counters`.
-    """
-
-    __slots__ = ("_shared", "_token", "counters")
-
-    def __init__(self, shared: SharedExecutionCache, token: int) -> None:
-        self._shared = shared
-        self._token = token
-        self.counters = CacheCounters()
-
-    @property
-    def shared(self) -> SharedExecutionCache:
-        """The process-level cache behind this view."""
-        return self._shared
-
-    def __len__(self) -> int:
-        return len(self._shared)
-
-    @property
-    def approx_bytes(self) -> int:
-        """Approximate bytes of the shared tables (all sessions)."""
-        return self._shared.approx_bytes
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the backend behind the shared cache."""
-        return self._shared.backend_name
-
-    @property
-    def persisted_bytes(self) -> int:
-        """Approximate bytes held by the shared cache's backend."""
-        return self._shared.persisted_bytes
-
-    # ------------------------------------------------------------------
-    def get(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-    ) -> Optional[tuple[tuple, Env]]:
-        shard = self._shared._shard_for(base)
-        with shard.lock:
-            result, probe = shard.cache.lookup_memory(
-                base, window_keys, budget, counters=self.counters, session=self._token
-            )
-        if result is not None or probe is None:
-            return result
-        # two-phase backend lookup: the SQLite read + JSON decode runs
-        # with *no* shard lock held, so cold-phase same-shard lookups
-        # overlap their I/O instead of serializing behind it; the
-        # promote step re-takes the lock, re-checks memory (a racing
-        # thread may have promoted first), and settles hit/miss counting
-        # exactly once per lookup.
-        exact_payload, terminal_payload, served_bytes = shard.cache.probe_backend(probe)
-        with shard.lock:
-            return shard.cache.promote_backend(
-                probe,
-                exact_payload,
-                terminal_payload,
-                counters=self.counters,
-                session=self._token,
-                served_bytes=served_bytes,
-            )
-
-    def put(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-        actions: tuple,
-        env: Env,
-        exact_budget_ok: bool = False,
-        continuation: Optional[tuple] = None,
-        cost: Optional[int] = None,
-    ) -> None:
-        shard = self._shared._shard_for(base)
-        with shard.lock:
-            shard.cache.put(
-                base,
-                window_keys,
-                budget,
-                actions,
-                env,
-                exact_budget_ok,
-                counters=self.counters,
-                session=self._token,
-                continuation=continuation,
-                cost=cost,
-            )
-
-    def get_continuation(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-    ) -> Optional[tuple[tuple, Env, tuple]]:
-        shard = self._shared._shard_for(base)
-        with shard.lock:
-            return shard.cache.get_continuation(
-                base,
-                window_keys,
-                budget,
-                counters=self.counters,
-                session=self._token,
-            )
-
-    def get_consistency(self, key: tuple) -> Optional[int]:
-        shard = self._shared._shard_for(key)
-        with shard.lock:
-            value, digest = shard.cache.lookup_consistency_memory(
-                key, counters=self.counters, session=self._token
-            )
-        if value is not None or digest is None:
-            return value
-        # same two-phase discipline as `get`: store I/O outside the lock
-        loaded = shard.cache.backend.load_consistency(digest)
-        with shard.lock:
-            return shard.cache.promote_consistency(
-                key, loaded, counters=self.counters, session=self._token
-            )
-
-    def put_consistency(self, key: tuple, value: int) -> None:
-        shard = self._shared._shard_for(key)
-        with shard.lock:
-            shard.cache.put_consistency(
-                key,
-                value,
-                counters=self.counters,
-                session=self._token,
-            )
+def session_token() -> int:
+    """A fresh token identifying one caller (engine) of a shared cache."""
+    return next(_session_tokens)
 
 
 # ----------------------------------------------------------------------
-# The process-wide instance
+# The process-wide instances
 # ----------------------------------------------------------------------
-_PROCESS_CACHE: Optional[SharedExecutionCache] = None
+#: One cache per resolved backend object, so a config naming another
+#: backend than the first caller's is never silently served by it.
+_PROCESS_CACHES: dict = {}
 _PROCESS_LOCK = threading.Lock()
 
 
-def process_cache(backend_name: Optional[str] = None) -> SharedExecutionCache:
-    """The lazily created process-wide :class:`SharedExecutionCache`.
+def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
+    """The lazily created process-wide :class:`ExecutionCache` of a backend.
 
-    Sized by the :class:`SharedExecutionCache` defaults (65536 entries
-    over 8 shards, 512 interned snapshots) plus
+    ``backend_name`` is resolved by
+    :func:`repro.service.backends.resolve_backend` (``None`` means
+    ``REPRO_CACHE_BACKEND``), and every caller resolving to the same
+    backend shares one instance.  Sized by the :class:`ExecutionCache`
+    defaults (65536 entries over 8 shards, 512 interned snapshots) plus
     ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
-    shards; unset = count-bounded only).  The persistent backend is
-    resolved at *first creation* — from ``backend_name`` when the first
-    caller passes one (the engine passes its config's resolved backend),
-    else from ``REPRO_CACHE_BACKEND`` (see
-    :func:`repro.service.backends.resolve_backend`).  Later callers
-    share the instance as-is: one process, one backend.
+    shards; unset = count-bounded only).
     """
-    global _PROCESS_CACHE
-    with _PROCESS_LOCK:
-        if _PROCESS_CACHE is None:
-            from repro.service.backends import resolve_backend
+    from repro.service.backends import resolve_backend
 
+    backend = resolve_backend(backend_name)
+    with _PROCESS_LOCK:
+        cache = _PROCESS_CACHES.get(backend)
+        if cache is None:
             raw_bytes = os.environ.get("REPRO_SHARED_CACHE_BYTES", "").strip()
-            _PROCESS_CACHE = SharedExecutionCache(
+            cache = _PROCESS_CACHES[backend] = ExecutionCache(
                 max_bytes=int(raw_bytes) if raw_bytes else None,
-                backend=resolve_backend(backend_name),
+                backend=backend,
             )
-        return _PROCESS_CACHE
+        return cache
 
 
 def reset_process_cache() -> None:
-    """Drop the process-wide cache (benchmark/test isolation)."""
-    global _PROCESS_CACHE
+    """Drop the process-wide caches (benchmark/test isolation)."""
     with _PROCESS_LOCK:
-        _PROCESS_CACHE = None
+        _PROCESS_CACHES.clear()

@@ -13,25 +13,27 @@ directly, which buys three things:
   calls — are computed once (see :mod:`repro.engine.cache`).
 * **Indexing.**  Engine-resolved selectors ride the per-snapshot DOM
   indexes of :mod:`repro.engine.index`.
-* **Sharing.**  The engine is where execution sharing happens: backed
-  by a :class:`~repro.engine.cache.SharedExecutionCache` it joins the
-  process-level cache as one session, so concurrent sessions over the
-  same site reuse each other's executions.
+* **Sharing.**  The engine is where execution sharing happens:
+  :meth:`ExecutionEngine.for_config` joins the process-level
+  :class:`~repro.engine.cache.ExecutionCache` as one session (its own
+  token and counters), so concurrent sessions over the same site reuse
+  each other's executions.
 
 A cached :meth:`execute` replays the actions and remaining-window shape
 of the first structurally equivalent execution.  Statement keys are
-alpha-canonical, so the returned environment's *loop-variable names* may
-come from that first execution; the bindings' values, the action trace,
-and the consumed-snapshot count — everything the synthesizer consumes —
-are identical for alpha-equivalent programs.
+alpha-canonical, so that execution may have bound other loop variables:
+entries store the final (and iteration-top) environment with the
+statement's binders renamed to *slot* variables — one per pre-order
+binder position, with uids :func:`~repro.lang.ast.fresh_var` never
+allocates — and every hit renames the slots back to the caller's
+binders.  A served environment therefore equals a fresh run of the
+caller's own statement.
 
 Thread-safety contract: one engine serves one session at a time, but
-engines backed by the shared (lock-striped) cache may run on different
+engines on the shared (lock-striped) cache may run on different
 threads — the engine-level memos (canonical statements, lazily filled
 snapshot-index layers) are id-keyed, idempotent writes of deterministic
-values, so a lost race recomputes but never corrupts.  A plain private
-``ExecutionCache`` is single-threaded; :meth:`for_config` picks the
-backing from the config's ``shared_cache`` knob.
+values, so a lost race recomputes but never corrupts.
 """
 
 from __future__ import annotations
@@ -46,12 +48,18 @@ from repro.engine import index as dom_index
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
-    SharedCacheSession,
-    SharedExecutionCache,
+    process_cache,
+    session_token,
 )
 from repro.engine.keys import action_digest, data_key
 from repro.lang.actions import Action
-from repro.lang.ast import Program, Statement, canonical_statement
+from repro.lang.ast import (
+    Program,
+    Statement,
+    Var,
+    canonical_statement,
+    statement_binders,
+)
 from repro.lang.data import DataSource
 from repro.semantics import evaluator
 from repro.semantics.consistency import (
@@ -63,10 +71,6 @@ from repro.semantics.trace import DOMTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.synth.config import SynthesisConfig
-
-#: Bound on entries per private execution-cache table; least-recently-
-#: used outcomes are evicted first.
-MAX_CACHE_ENTRIES = 4096
 
 #: Sentinel distinguishing "not memoized yet" from a memoized ``None``
 #: (= unbounded cost) in the tier-policy hint table.
@@ -80,7 +84,7 @@ class EngineCounters:
     ``hits == exact_hits + prefix_hits + consistency_hits`` — the full
     breakdown is carried so downstream telemetry can reconcile the
     aggregate.  ``cross_session_hits`` counts hits served from entries
-    another session of a shared cache recorded.  ``index_builds`` counts
+    another session recorded.  ``index_builds`` counts
     process-wide snapshot-index constructions (indexes live on
     snapshots, not engines); for attributing builds to one caller use
     :func:`repro.engine.index.track_builds`, which the synthesizer
@@ -94,9 +98,8 @@ class EngineCounters:
 
     ``cache_bytes``, ``interned_snapshots``, ``interned_bytes`` and
     ``persisted_bytes`` are *gauges*, not counters: the approximate byte
-    footprint of the backing cache's tables, the shared cache's
-    snapshot-interning table (0 for private caches), and the persistent
-    store, all at snapshot time.  Deltas of gauges are meaningless —
+    footprint of the backing cache's tables, its snapshot-interning
+    table, and the persistent store, all at snapshot time.  Deltas of gauges are meaningless —
     report them as-is.
     """
 
@@ -113,12 +116,6 @@ class EngineCounters:
     #: the preceding full-result probe recorded, so they are *not* part
     #: of the ``hits`` reconciliation above.
     resume_hits: int = 0
-    #: Warm-start probes served by the persistent backend's
-    #: decoded-entry cache (the store read and the payload decode were
-    #: both skipped) and the encoded payload bytes those hits never
-    #: re-read.  Not part of the ``hits`` reconciliation.
-    decode_hits: int = 0
-    decode_bytes: int = 0
     index_builds: int = 0
     cache_bytes: int = 0
     interned_snapshots: int = 0
@@ -140,20 +137,18 @@ class ExecutionEngine:
         self,
         data: Optional[DataSource] = None,
         *,
-        cache_size: int = MAX_CACHE_ENTRIES,
         use_cache: bool = True,
-        shared_cache: Optional[SharedExecutionCache] = None,
-        backend=None,
+        cache: Optional[ExecutionCache] = None,
     ) -> None:
         self.data = data
-        if not use_cache or cache_size <= 0:
+        if not use_cache:
             self._cache = None
-        elif shared_cache is not None:
-            # one session view per engine: shared tables, private counters
-            # (the shared cache owns its own backend)
-            self._cache = shared_cache.session()
         else:
-            self._cache = ExecutionCache(cache_size, backend=backend)
+            self._cache = cache if cache is not None else ExecutionCache()
+        # this engine's session on the (possibly shared) cache: its own
+        # token for cross-session attribution, its own telemetry
+        self._token = session_token()
+        self._counters = CacheCounters()
         # canonical-statement memo: statement objects are shared between
         # tuples and their rewrites, so id-keyed lookup hits constantly;
         # the pin list keeps referenced statements alive.  Writes (and
@@ -179,75 +174,54 @@ class ExecutionEngine:
     ) -> "ExecutionEngine":
         """An engine honouring the config's cache knobs.
 
-        With ``shared_cache`` on, the engine joins the
-        process-level cache (:func:`repro.engine.cache.process_cache`);
-        otherwise it gets a private :class:`ExecutionCache`.  The
-        config's ``cache_backend`` (default: ``REPRO_CACHE_BACKEND``)
-        attaches the resolved persistent backend behind whichever cache
-        is chosen — the process-level cache resolves its backend from
-        the environment at first creation.
+        A memoizing engine joins the process-level cache of the config's
+        resolved ``cache_backend`` (:func:`repro.engine.cache.
+        process_cache`).  The Table 1 "No incremental" ablation
+        (``incremental=False``) instead gets a fresh cache over the same
+        backend, so every from-scratch call also starts cold.
         """
-        from repro.engine.cache import process_cache
         from repro.service.backends import resolve_backend
         from repro.synth.config import resolved_cache_backend
 
-        shared: Optional[SharedExecutionCache] = None
-        backend = None
-        if config.use_execution_cache:
-            backend_name = resolved_cache_backend(config)
-            backend = resolve_backend(backend_name)
-            if config.shared_cache:
-                shared = process_cache(backend_name)
-                if data is not None:
-                    # keys address the source by content digest already;
-                    # interning shares the wrapper object (and its
-                    # memoized digest) between equal-content sessions
-                    data = shared.intern_data(data)
-        return cls(
-            data,
-            use_cache=config.use_execution_cache,
-            shared_cache=shared,
-            backend=backend,
-        )
+        if not config.use_execution_cache:
+            return cls(data, use_cache=False)
+        backend_name = resolved_cache_backend(config)
+        if config.incremental:
+            cache = process_cache(backend_name)
+        else:
+            cache = ExecutionCache(backend=resolve_backend(backend_name))
+        if data is not None:
+            # keys address the source by content digest already;
+            # interning shares the wrapper object (and its memoized
+            # digest) between equal-content sessions
+            data = cache.intern_data(data)
+        return cls(data, cache=cache)
 
     @property
-    def cache_enabled(self) -> bool:
-        """Whether execution memoization is active."""
-        return self._cache is not None
-
-    @property
-    def shared_cache(self) -> Optional[SharedExecutionCache]:
-        """The shared cache behind this engine, if it is backed by one."""
-        if isinstance(self._cache, SharedCacheSession):
-            return self._cache.shared
-        return None
+    def cache(self) -> Optional[ExecutionCache]:
+        """The execution cache behind this engine (``None`` when off)."""
+        return self._cache
 
     def counters(self) -> EngineCounters:
-        """Current telemetry (cache counters + global index builds)."""
-        cache = self._cache.counters if self._cache is not None else CacheCounters()
-        shared = self.shared_cache
+        """Current telemetry (this session's counters + cache gauges)."""
+        counters = self._counters
+        cache = self._cache
         return EngineCounters(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            exact_hits=cache.exact_hits,
-            prefix_hits=cache.prefix_hits,
-            consistency_hits=cache.consistency_hits,
-            cross_session_hits=cache.cross_session_hits,
-            warm_hits=cache.warm_hits,
-            resume_hits=cache.resume_hits,
-            decode_hits=cache.decode_hits,
-            decode_bytes=cache.decode_bytes,
+            hits=counters.hits,
+            misses=counters.misses,
+            evictions=counters.evictions,
+            exact_hits=counters.exact_hits,
+            prefix_hits=counters.prefix_hits,
+            consistency_hits=counters.consistency_hits,
+            cross_session_hits=counters.cross_session_hits,
+            warm_hits=counters.warm_hits,
+            resume_hits=counters.resume_hits,
             index_builds=dom_index.build_count(),
-            cache_bytes=self._cache.approx_bytes if self._cache is not None else 0,
-            interned_snapshots=shared.interned_snapshots if shared is not None else 0,
-            interned_bytes=shared.interned_bytes if shared is not None else 0,
-            persisted_bytes=(
-                self._cache.persisted_bytes if self._cache is not None else 0
-            ),
-            backend=(
-                self._cache.backend_name if self._cache is not None else "memory"
-            ),
+            cache_bytes=cache.approx_bytes if cache is not None else 0,
+            interned_snapshots=cache.interned_snapshots if cache is not None else 0,
+            interned_bytes=cache.interned_bytes if cache is not None else 0,
+            persisted_bytes=cache.persisted_bytes if cache is not None else 0,
+            backend=cache.backend_name if cache is not None else "memory",
         )
 
     # ------------------------------------------------------------------
@@ -287,21 +261,31 @@ class ExecutionEngine:
         if self._cache is None or window_length == 0 or budget <= 0:
             return evaluator.execute(program, doms, source, env, max_actions)
         statements = tuple(program)
+        binders = _binders(statements)
+        if binders and not _slots_apply(binders, env):
+            # a variable bound twice (or already bound on entry) has no
+            # unique slot, so its env could not be renamed back: run it
+            # unmemoized
+            return evaluator.execute(statements, doms, source, env, max_actions)
         # every component is a value (see repro.engine.keys): canonical
         # statement forms, the env fingerprint, the data source's content
         # digest, and the window's snapshot content digests — so the key
         # addresses the same outcome in any process
         base = (self._statements_key(statements), _env_key(env), _data_key(source))
         window_keys = doms.value_key()
-        hit = self._cache.get(base, window_keys, budget)
+        cache, counters, token = self._cache, self._counters, self._token
+        hit = cache.get(base, window_keys, budget, counters, token)
         if hit is not None:
-            actions, final_env = hit
-            return EvalResult(list(actions), doms.window(len(actions)), final_env)
+            actions, stored_env = hit
+            final_env = _from_slots(stored_env, binders, env)
+            if final_env is not None:
+                return EvalResult(list(actions), doms.window(len(actions)), final_env)
         resumable = resumable and len(statements) == 1
         if resumable:
-            cont = self._cache.get_continuation(base, window_keys, budget)
-            if cont is not None:
-                prefix_actions, cont_env, state = cont
+            cont = cache.get_continuation(base, window_keys, budget, counters, token)
+            cont_env = None if cont is None else _from_slots(cont[1], binders, env)
+            if cont_env is not None:
+                prefix_actions, _, state = cont
                 consumed = len(prefix_actions)
                 suffix = evaluator.resume_statement(
                     statements[0],
@@ -322,13 +306,13 @@ class ExecutionEngine:
                     suffix.env_at_last_action if suffix.actions else None,
                     _shift_continuation(suffix.continuation, consumed),
                 )
-                self._record_result(base, window_keys, budget, result, statements)
+                self._record_result(base, window_keys, budget, result, statements, binders)
                 return result
         result = evaluator.execute(
             statements, doms, source, env, max_actions,
             record_continuation=resumable,
         )
-        self._record_result(base, window_keys, budget, result, statements)
+        self._record_result(base, window_keys, budget, result, statements, binders)
         return result
 
     def _record_result(
@@ -337,30 +321,33 @@ class ExecutionEngine:
         window_keys: tuple[int, ...],
         budget: int,
         result: EvalResult,
-        statements: Optional[tuple] = None,
+        statements: tuple,
+        binders: tuple[Var, ...],
     ) -> None:
-        cost = None
-        if statements is not None:
-            cost = self._cost_hint(base[0], statements)
-            if cost is None:
-                # the static bound is unbounded (a loop) — but the entry
-                # is value-addressed to these exact snapshots, so its
-                # recompute cost is exactly the execution it records
-                cost = len(result.actions)
+        cost = self._cost_hint(base[0], statements)
+        if cost is None:
+            # the static bound is unbounded (a loop) — but the entry is
+            # value-addressed to these exact snapshots, so its recompute
+            # cost is exactly the execution it records
+            cost = len(result.actions)
+        continuation = result.continuation
+        if continuation is not None and binders:
+            consumed, cont_env, state = continuation
+            continuation = (consumed, _to_slots(cont_env, binders), state)
         self._cache.put(
             base,
             window_keys,
             budget,
             tuple(result.actions),
-            result.env,
+            _to_slots(result.env, binders),
             exact_budget_ok=result.env_at_last_action is result.env,
-            continuation=result.continuation,
+            counters=self._counters,
+            session=self._token,
+            continuation=continuation,
             cost=cost,
         )
 
-    def _cost_hint(
-        self, statements_key: tuple, statements: Optional[tuple]
-    ) -> Optional[int]:
+    def _cost_hint(self, statements_key: tuple, statements: tuple) -> Optional[int]:
         """A static upper bound on this fragment's recompute cost.
 
         Feeds the store tier policy: a *bounded* cheap cost means the
@@ -371,8 +358,6 @@ class ExecutionEngine:
         value-addressed entry) and memoized per canonical statements
         key.
         """
-        if statements is None:
-            return None
         hint = self._cost_hints.get(statements_key, _COST_UNKNOWN)
         if hint is not _COST_UNKNOWN:
             return hint
@@ -419,13 +404,13 @@ class ExecutionEngine:
             tuple(self.action_key(action) for action in reference),
             doms.value_key(),
         )
-        hit = self._cache.get_consistency(key)
+        hit = self._cache.get_consistency(key, self._counters, self._token)
         if hit is not None:
             return hit
         value = self._incremental_prefix_length(key, produced, reference, doms)
         if value is None:
             value = _consistent_prefix_length(produced, reference, doms)
-        self._cache.put_consistency(key, value)
+        self._cache.put_consistency(key, value, self._counters, self._token)
         return value
 
     #: How many trailing actions the incremental consistency path will
@@ -456,7 +441,9 @@ class ExecutionEngine:
                 reference_keys[:cut],
                 window_keys[:cut],
             )
-            prior = self._cache.get_consistency(prefix_key)
+            prior = self._cache.get_consistency(
+                prefix_key, self._counters, self._token
+            )
             if prior is None:
                 continue
             if prior < cut:
@@ -541,6 +528,65 @@ def _shift_continuation(
         return None
     offset, cont_env, state = continuation
     return (consumed + offset, cont_env, state)
+
+
+def _binders(statements: tuple[Statement, ...]) -> tuple[Var, ...]:
+    """The loop variables ``statements`` bind, in pre-order."""
+    if len(statements) == 1:
+        return statement_binders(statements[0])
+    binders: tuple[Var, ...] = ()
+    for statement in statements:
+        binders += statement_binders(statement)
+    return binders
+
+
+def _slots_apply(binders: tuple[Var, ...], env: Optional[Env]) -> bool:
+    """Whether every binder owns exactly one slot for this call."""
+    if len(binders) > 1 and len(set(binders)) != len(binders):
+        return False
+    return env is None or len(env) == 0 or not any(var in env for var in binders)
+
+
+def _to_slots(env: Env, binders: tuple[Var, ...]) -> Env:
+    """``env`` with the statement's binders renamed to their slots.
+
+    The slot of the binder at pre-order position ``p`` is
+    ``Var(kind, -1 - p)``: negative uids, which
+    :func:`~repro.lang.ast.fresh_var` never allocates, so a slot can
+    never collide with a real variable.  Positions run over the whole
+    statement sequence — unlike :func:`~repro.lang.ast.
+    canonical_statement`'s depth numbering, sibling loops get distinct
+    slots.
+    """
+    if not binders:
+        return env
+    slots = {var: Var(var.kind, -1 - position) for position, var in enumerate(binders)}
+    return Env({slots.get(var, var): value for var, value in env.items()})
+
+
+def _from_slots(
+    stored: Env, binders: tuple[Var, ...], env: Optional[Env]
+) -> Optional[Env]:
+    """A stored env with its slots renamed to the caller's binders.
+
+    Every other variable the stored env binds must be one the caller
+    passed in (``env``); a stored env binding anything else — a binder
+    with no slot, as rows written before slots existed carry — cannot
+    be the caller's result, so it answers ``None`` (a miss).
+    """
+    if not binders:
+        return stored
+    renamed = {}
+    for var, value in stored.items():
+        if var.uid < 0:
+            position = -1 - var.uid
+            if position >= len(binders) or binders[position].kind != var.kind:
+                return None
+            var = binders[position]
+        elif env is None or var not in env:
+            return None
+        renamed[var] = value
+    return Env(renamed)
 
 
 def _env_key(env: Optional[Env]) -> tuple:

@@ -4,7 +4,7 @@
 :class:`~repro.service.backends.CacheBackend` seam against a
 ``repro cache-serve`` process.  The engine's two-phase probe already
 runs backend lookups *outside* the shard locks
-(:meth:`repro.engine.cache.SharedExecutionCache.probe_backend`), so the
+(:meth:`repro.engine.cache.ExecutionCache.get`), so the
 network round trip here never stalls other sessions' in-memory hits.
 
 Resilience discipline — the cache tier is a cache, never a dependency:
@@ -328,18 +328,15 @@ class RemoteBackend(CacheBackend):
     # The CacheBackend seam
     # ------------------------------------------------------------------
     def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        return self.fetch_entry(kind, key)[0]
-
-    def fetch_entry(self, kind: int, key: bytes) -> tuple[Optional[tuple], int]:
         payload = self._get_payload(kind, key)
         if payload is None:
-            return None, 0
+            return None
         try:
             entry = entry_from_payload(payload, self.interner)
         except (KeyError, TypeError, ValueError, IndexError):
-            return None, 0  # foreign or corrupt payload: a miss
+            return None  # foreign or corrupt payload: a miss
         self.load_hits += 1
-        return entry, 0
+        return entry
 
     def _get_payload(self, kind: int, key: bytes) -> Optional[dict]:
         self.loads += 1

@@ -54,6 +54,7 @@ from repro.browser.virtual import Browser, State, VirtualWebsite
 from repro.dom.builder import E, page
 from repro.dom.node import DOMNode
 from repro.dom.xpath import parse_selector, raw_path, resolve
+from repro.engine.cache import reset_process_cache
 from repro.harness.report import render_table
 from repro.lang.ast import Program
 from repro.lang.actions import action_to_statement, scrape_text
@@ -149,6 +150,7 @@ def synthesized_program() -> Program:
             scrape_text(parse_selector(f"//div[@class='card'][{index}]/div[1]"))
         )
     actions, snapshots = browser.trace()
+    reset_process_cache()
     result = Synthesizer(EMPTY_DATA).synthesize(actions, snapshots)
     if result.best_program is None:
         raise RuntimeError("synthesis failed on the clean drift page")

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from repro.benchmarks.suite import Benchmark, all_benchmarks
 from repro.browser.replayer import Replayer
+from repro.engine.cache import reset_process_cache
 from repro.harness.report import fmt_ms, fmt_pct, quartiles, render_table
 from repro.lang.ast import (
     ForEachSelector,
@@ -118,8 +119,6 @@ class BenchmarkResult:
     cache_consistency_hits: int = 0
     cache_cross_session_hits: int = 0
     cache_warm_hits: int = 0
-    cache_decode_hits: int = 0
-    cache_decode_bytes: int = 0
     cache_backend: str = "memory"
     index_builds: int = 0
     enum_indexed: int = 0
@@ -158,6 +157,7 @@ def evaluate_benchmark(
         expected_supported=benchmark.expected_supported,
     )
     final_program: Optional[Program] = None
+    reset_process_cache()  # every benchmark is measured cold
     synthesizer = Synthesizer(benchmark.data, config)
     for k in range(1, tests + 1):
         actions, snapshots = recording.prefix(k)
@@ -175,8 +175,6 @@ def evaluate_benchmark(
         result.cache_consistency_hits += synthesis.stats.cache_consistency_hits
         result.cache_cross_session_hits += synthesis.stats.cache_cross_session_hits
         result.cache_warm_hits += synthesis.stats.cache_warm_hits
-        result.cache_decode_hits += synthesis.stats.cache_decode_hits
-        result.cache_decode_bytes += synthesis.stats.cache_decode_bytes
         result.cache_backend = synthesis.stats.cache_backend
         result.index_builds += synthesis.stats.index_builds
         result.enum_indexed += synthesis.stats.enum_indexed
@@ -331,13 +329,6 @@ class Q1Report:
                     f"  warm-start cache hits (persistent backend "
                     f"{'/'.join(backends)}): {warm} = {fmt_pct(warm / hits)} "
                     f"of all hits"
-                )
-            decode = sum(result.cache_decode_hits for result in results)
-            if decode:
-                decode_bytes = sum(result.cache_decode_bytes for result in results)
-                lines.append(
-                    f"  decoded-entry cache hits (store read + decode "
-                    f"skipped): {decode}, {decode_bytes} payload bytes"
                 )
         indexed = sum(result.enum_indexed for result in results)
         fallback = sum(result.enum_fallback for result in results)

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.benchmarks.suite import Benchmark, all_benchmarks, benchmark_by_id
 from repro.browser.recorder import Recording
 from repro.browser.virtual import Browser
+from repro.engine.cache import reset_process_cache
 from repro.harness.report import fmt_pct, render_table
 from repro.interact.session import InteractiveSession, SessionReport
 from repro.interact.user import NoisyUser, OracleUser
@@ -77,6 +78,7 @@ def run_session(
     """Run one interactive session for a benchmark task."""
     recording = _capped_recording(benchmark, cap if cap is not None else q3_trace_cap())
     browser = benchmark.fresh_browser()
+    reset_process_cache()  # every session is measured cold
     synthesizer = Synthesizer(benchmark.data)
     if noisy:
         user = NoisyUser(recording, mistake_rate=0.08, seed=seed)

@@ -84,8 +84,6 @@ def render_synthesis_stats(stats) -> str:
         ["  cross-session hits", stats.cache_cross_session_hits],
         ["  warm-start hits", stats.cache_warm_hits],
         ["loop resume hits", stats.cache_resume_hits],
-        ["decoded-cache hits", stats.cache_decode_hits],
-        ["decoded-cache bytes", fmt_bytes(stats.cache_decode_bytes)],
         ["exec cache misses", stats.cache_misses],
         ["exec cache hit rate", fmt_pct(stats.cache_hit_rate)],
         ["exec cache evictions", stats.cache_evictions],

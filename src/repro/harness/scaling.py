@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.benchmarks.suite import benchmark_by_id
+from repro.engine.cache import reset_process_cache
 from repro.harness.figures import horizontal_bars
 from repro.harness.report import fmt_ms, render_table
 from repro.lang.pretty import format_program
@@ -107,6 +108,7 @@ def run_scaling(
     series = []
     for name, config in variants:
         current = ScalingSeries(name)
+        reset_process_cache()  # every variant is measured cold
         synthesizer = Synthesizer(benchmark.data, config)
         for cut in range(1, length + 1):
             actions, snapshots = recording.prefix(cut)

@@ -497,6 +497,22 @@ def canonical_statement(stmt: Statement) -> tuple[object, ...]:
     return cached
 
 
+def statement_binders(stmt: Statement) -> tuple[Var, ...]:
+    """The loop variables ``stmt`` binds, in pre-order (outer loops and
+    earlier siblings first).  Cached on each loop statement object, like
+    :func:`canonical_statement`, so shared sub-statements are walked
+    once."""
+    if isinstance(stmt, ActionStmt):
+        return ()
+    cached: Optional[tuple[Var, ...]] = stmt.__dict__.get("_binders")
+    if cached is None:
+        cached = (stmt.var,) if isinstance(stmt, (ForEachSelector, ForEachValue)) else ()
+        for child in stmt.body:
+            cached += statement_binders(child)
+        object.__setattr__(stmt, "_binders", cached)
+    return cached
+
+
 def canonical_program(program: Program) -> tuple[tuple[object, ...], ...]:
     """A hashable key identifying ``program`` up to alpha-equivalence."""
     return tuple(canonical_statement(stmt) for stmt in program.statements)

@@ -54,6 +54,10 @@ class Env:
     def __len__(self) -> int:
         return len(self._bindings)
 
+    def items(self):
+        """The ``(variable, binding)`` pairs."""
+        return self._bindings.items()
+
     def fingerprint(self) -> tuple:
         """A hashable value identity of the bindings.
 

@@ -21,10 +21,7 @@ Three backends:
     sessions — or prior *processes*.  Rows are written in the binary
     payload codec (:mod:`repro.protocol.codec`) for its 7–8× size cut
     over JSON; reads sniff the codec per row, so stores that still hold
-    JSON rows keep serving.
-    A byte-accounted decoded-entry LRU sits in front of SQLite so
-    repeat probes of hot keys skip both the read and the decode.  The
-    store is size-tiered: terminal/whole-program outcomes and
+    JSON rows keep serving.  The store is size-tiered: terminal/whole-program outcomes and
     consistency memos always persist, while cheap exact interior
     entries (bounded cost at or below the tier threshold) are
     recomputed rather than stored.  Eviction is byte-accounted against
@@ -76,9 +73,6 @@ EXACT, TERMINAL, CONSISTENCY = 0, 1, 2
 #: Default store eviction threshold: 256 MiB of payload bytes.
 DEFAULT_MAX_BYTES = 256 << 20
 
-#: Default decoded-entry LRU budget: 32 MiB of (encoded) payload bytes.
-DEFAULT_DECODE_CACHE_BYTES = 32 << 20
-
 #: Default tier threshold: exact interior entries whose recompute cost
 #: (the static bound when the analysis can close it, else the entry's
 #: own recorded action count — exact, since entries are value-addressed
@@ -119,8 +113,7 @@ class _StoreMetrics:
         registry = obs_metrics.registry()
         self.probes = registry.counter(
             "repro_store_probes_total",
-            "Persistent-store probe outcomes (decoded = served from the "
-            "decoded-entry LRU without a read).",
+            "Persistent-store probe outcomes.",
             ("outcome",),
         )
         self.stores = registry.counter(
@@ -356,16 +349,6 @@ class CacheBackend:
         """``(actions, env, examined, exact_budget_ok)`` or ``None``."""
         raise NotImplementedError
 
-    def fetch_entry(self, kind: int, key: bytes) -> tuple[Optional[tuple], int]:
-        """``(entry, cached_bytes)``: :meth:`load_entry` plus telemetry.
-
-        ``cached_bytes`` is the encoded payload size when the entry was
-        served from a decoded-entry cache (the read *and* the decode
-        were skipped), 0 on a store read or a miss.  The base
-        implementation has no such cache, so it always reports 0.
-        """
-        return self.load_entry(kind, key), 0
-
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         """Whether an entry of this kind and bounded cost is worth storing.
 
@@ -448,11 +431,10 @@ class FileBackend(CacheBackend):
     exit), so other processes see entries with bounded staleness at a
     fraction of the commit cost.
 
-    Reads go through a decoded-entry LRU (digest → decoded tuple,
-    byte-accounted against ``decode_cache_bytes``) before touching
-    SQLite; hits count into ``decode_hits`` / ``decode_bytes``.  Writes
-    are binary-encoded; reads sniff the codec per row, so a store that
-    still holds JSON rows from older writers always decodes.
+    Reads see the write buffer first, so a just-written entry is
+    visible before the next flush.  Writes are binary-encoded; reads
+    sniff the codec per row, so a store that still holds JSON rows from
+    older writers always decodes.
 
     The store is size-tiered: :data:`TERMINAL` outcomes and
     :data:`CONSISTENCY` memos always persist, while :data:`EXACT`
@@ -481,7 +463,6 @@ class FileBackend(CacheBackend):
         path: str | Path,
         max_bytes: Optional[int] = None,
         flush_every: int = 64,
-        decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
         tier_cost: Optional[int] = None,
     ) -> None:
         self.path = str(path)
@@ -489,7 +470,6 @@ class FileBackend(CacheBackend):
             max_bytes = int(os.environ.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES))
         self.max_bytes = max_bytes
         self.flush_every = max(1, flush_every)
-        self.decode_cache_bytes = decode_cache_bytes
         #: Tier threshold for :meth:`should_persist`; -1 disables tiering.
         #: An explicit constructor argument pins the value; otherwise it
         #: seeds at :data:`DEFAULT_TIER_COST` and tracks the
@@ -510,28 +490,16 @@ class FileBackend(CacheBackend):
         #: double-counted duplicate.
         self._pending: dict[bytes, tuple[int, bytes, int]] = {}
         self._pending_bytes = 0
-        #: Decoded-entry LRU: digest → (value, encoded bytes).  The value
-        #: is the decoded entry tuple on the read path; the write path
-        #: parks the *encoded* ``bytes`` row instead (encoding already
-        #: happened for the store), and the first probe decodes it once
-        #: and swaps the slot — so a just-written entry never pays the
-        #: SQLite read, and the pure-Python decode is paid at most once
-        #: per process either way.
-        self._decoded: dict[bytes, tuple[object, int]] = {}
-        self._decoded_bytes = 0
         #: Telemetry: loads answered / attempted, writes, evicted rows,
         #: entries dropped because their values were not codec-encodable,
-        #: I/O errors degraded to misses, decoded-cache hits and the
-        #: encoded bytes those hits never re-read, and writes the tier
-        #: policy skipped.
+        #: I/O errors degraded to misses, and writes the tier policy
+        #: skipped.
         self.load_hits = 0
         self.loads = 0
         self.stores = 0
         self.evictions = 0
         self.encode_errors = 0
         self.io_errors = 0
-        self.decode_hits = 0
-        self.decode_bytes = 0
         self.tier_skips = 0
         Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(
@@ -561,50 +529,13 @@ class FileBackend(CacheBackend):
 
     # ------------------------------------------------------------------
     def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        return self.fetch_entry(kind, key)[0]
-
-    def fetch_entry(self, kind: int, key: bytes) -> tuple[Optional[tuple], int]:
-        blob: Optional[bytes] = None
-        with self._lock:
-            cached = self._decoded.get(key)
-            if cached is not None:
-                self._decoded[key] = self._decoded.pop(key)
-                value, nbytes = cached
-                if isinstance(value, bytes):
-                    blob = value  # write-path slot: still encoded
-                else:
-                    self.loads += 1
-                    self.load_hits += 1
-                    self.decode_hits += 1
-                    self.decode_bytes += nbytes
-                    _StoreMetrics.get().probes.labels(outcome="decoded").inc()
-                    return value, nbytes
-        if blob is not None:
-            # an encoded row remembered at write time: the SQLite read is
-            # skipped, the decode is paid here — once per process — and
-            # the slot swaps to the decoded entry for every later probe
-            entry = self._decode_blob(key, blob)
-            if entry is None:
-                return None, 0
-            nbytes = len(blob) + len(key)
-            with self._lock:
-                self.loads += 1
-                self.load_hits += 1
-                self.decode_hits += 1
-                self.decode_bytes += nbytes
-                self._remember_decoded_locked(key, entry, nbytes)
-            _StoreMetrics.get().probes.labels(outcome="encoded").inc()
-            return entry, nbytes
-        payload, nbytes = self._load(key)
+        payload = self.load_payload(key)
         if payload is None:
-            return None, 0
+            return None
         try:
-            entry = entry_from_payload(payload, self.interner)
+            return entry_from_payload(payload, self.interner)
         except (KeyError, TypeError, ValueError, IndexError):
-            return None, 0  # corrupt or foreign payload: a miss
-        with self._lock:
-            self._remember_decoded_locked(key, entry, nbytes)
-        return entry, 0
+            return None  # corrupt or foreign payload: a miss
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         if kind != EXACT or self.tier_cost < 0:
@@ -700,32 +631,7 @@ class FileBackend(CacheBackend):
         """Write one codec payload through the buffered store path."""
         self._store(kind, key, payload)
 
-    def _decode_blob(self, key: bytes, blob: bytes) -> Optional[tuple]:
-        """Decode an LRU-held encoded row; corrupt rows drop and miss."""
-        try:
-            payload = sniff_codec(blob).decode_payload(blob)
-            if not isinstance(payload, dict) or "a" not in payload:
-                raise ProtocolError("not an entry payload")
-            return entry_from_payload(payload, self.interner)
-        except (ProtocolError, KeyError, TypeError, ValueError, IndexError):
-            with self._lock:
-                cached = self._decoded.pop(key, None)
-                if cached is not None:
-                    self._decoded_bytes -= cached[1]
-            return None
-
     # ------------------------------------------------------------------
-    def _remember_decoded_locked(self, key: bytes, entry, nbytes: int) -> None:
-        decoded = self._decoded
-        previous = decoded.pop(key, None)
-        if previous is not None:
-            self._decoded_bytes -= previous[1]
-        decoded[key] = (entry, nbytes)
-        self._decoded_bytes += nbytes
-        while self._decoded_bytes > self.decode_cache_bytes and decoded:
-            oldest = next(iter(decoded))
-            self._decoded_bytes -= decoded.pop(oldest)[1]
-
     def _load(self, key: bytes) -> tuple[Optional[dict], int]:
         self.loads += 1
         metrics = _StoreMetrics.get()
@@ -770,15 +676,6 @@ class FileBackend(CacheBackend):
                 self._pending_bytes -= previous[2]
             self._pending[key] = (kind, blob, nbytes)
             self._pending_bytes += nbytes
-            if kind != CONSISTENCY:
-                # park the encoded row in the decode LRU: a later probe
-                # of this key (another session, a post-eviction re-probe)
-                # skips the read and decodes lazily, exactly once — but
-                # never downgrade a slot that already holds the decoded
-                # entry (same digest, same value: it stays valid)
-                cached = self._decoded.get(key)
-                if cached is None or isinstance(cached[0], bytes):
-                    self._remember_decoded_locked(key, blob, nbytes)
             if len(self._pending) < self.flush_every:
                 return
         self.flush()
@@ -849,7 +746,7 @@ class FileBackend(CacheBackend):
         for tier in (EXACT, CONSISTENCY, TERMINAL):
             while self._db_bytes > target:
                 rows = self._conn.execute(
-                    "SELECT rowid, nbytes, key FROM entries WHERE kind = ?"
+                    "SELECT rowid, nbytes FROM entries WHERE kind = ?"
                     " ORDER BY rowid LIMIT ?",
                     (tier, self._EVICT_BATCH),
                 ).fetchall()
@@ -858,15 +755,10 @@ class FileBackend(CacheBackend):
                 cutoff = rows[-1][0]
                 freed = 0
                 dropped = 0
-                for rowid, nbytes, key in rows:
+                for rowid, nbytes in rows:
                     cutoff = rowid
                     freed += nbytes
                     dropped += 1
-                    # the decode LRU must not outlive the row: a load
-                    # after eviction is a miss, not a phantom hit
-                    cached = self._decoded.pop(key, None)
-                    if cached is not None:
-                        self._decoded_bytes -= cached[1]
                     if self._db_bytes - freed <= target:
                         break
                 self._conn.execute(
@@ -995,3 +887,7 @@ def reset_backends() -> None:
         _URL_BACKENDS.clear()
     for backend in backends:
         backend.close()
+    # caches over the closed backends must not outlive them
+    from repro.engine.cache import reset_process_cache
+
+    reset_process_cache()

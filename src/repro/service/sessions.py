@@ -11,9 +11,9 @@ them:
   :class:`~repro.synth.synthesizer.Synthesizer` (store carried across
   calls, one engine per session) behind a per-session lock, so requests
   for *different* sessions synthesize concurrently;
-* all sessions share the process-level execution cache by default
-  (``shared_cache=True``), and — with a persistent backend — the cache
-  of every *other* worker process over the same store;
+* all sessions share the process-level execution cache, and — with a
+  persistent backend — the cache of every *other* worker process over
+  the same store;
 * sessions idle longer than ``max_idle_s`` (env ``REPRO_SESSION_TTL``)
   are evicted, their stats folded into the manager totals, so a
   long-lived server never leaks abandoned demonstrations;
@@ -88,9 +88,9 @@ def resolved_session_ttl(max_idle_s: Optional[float]) -> Optional[float]:
 class SessionManager:
     """All live sessions of one service worker process.
 
-    ``config`` seeds every session's synthesizer; by default sessions
-    join the process-level shared execution cache (and through its
-    backend, other worker processes).  ``timeout`` is the per-call
+    ``config`` seeds every session's synthesizer; sessions join the
+    process-level execution cache (and through its backend, other
+    worker processes).  ``timeout`` is the per-call
     synthesis budget (the paper's interactive 1s default unless the
     creator overrides per session).  ``max_idle_s`` evicts sessions
     idle longer than that many seconds (default: ``REPRO_SESSION_TTL``,
@@ -101,11 +101,8 @@ class SessionManager:
         self,
         config: SynthesisConfig = DEFAULT_CONFIG,
         timeout: Optional[float] = None,
-        share_cache: bool = True,
         max_idle_s: Optional[float] = None,
     ) -> None:
-        if share_cache and not config.shared_cache:
-            config = replace(config, shared_cache=True)
         self.config = config
         self.timeout = timeout
         self.max_idle_s = resolved_session_ttl(max_idle_s)
@@ -408,7 +405,5 @@ class SessionManager:
             "sessions_imported": imported,
             "backend": backend.name,
             "persisted_bytes": backend.persisted_bytes if backend.persistent else 0,
-            "decode_hits": getattr(backend, "decode_hits", 0),
-            "decode_bytes": getattr(backend, "decode_bytes", 0),
             "totals": totals.to_json(),
         }

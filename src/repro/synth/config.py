@@ -74,8 +74,13 @@ class SynthesisConfig:
         Memoize simulated execution in the
         :class:`~repro.engine.engine.ExecutionEngine` (identical
         ``(statement, window)`` executions across worklist pops and
-        across incremental calls run once).  Behaviour-preserving; the
-        engine-cache bench measures the speedup.
+        across incremental calls run once), and let loop runs that
+        absorb their whole window record *continuations*, so the
+        extension and generalization checks resume the trailing loop
+        at its last started iteration instead of re-executing it —
+        per-call extension cost becomes O(new actions), the §5.4
+        interactivity requirement.  Behaviour-preserving; the
+        engine-cache and incremental-pipeline benches measure it.
     use_index_enumeration:
         Enumerate selector decompositions from the per-snapshot DOM
         index's bucket layer (:mod:`repro.engine.index`) instead of
@@ -85,34 +90,16 @@ class SynthesisConfig:
         — so this is an ablation knob, not a semantics knob; off
         reproduces the legacy ancestor-walk enumeration exactly.  The
         speculation-index bench measures the speedup.
-    shared_cache:
-        Back the engine with the *process-level*
-        :class:`repro.engine.cache.SharedExecutionCache` instead of a
-        private cache: concurrent sessions over the same site reuse
-        each other's executions and interned snapshots.  Off for a
-        lone synthesizer; the session service turns it on.  Behaviour-
-        preserving — cache hits replay recorded outcomes verbatim, so
-        this is a throughput knob, not a semantics knob.
     cache_backend:
         Name of the execution-cache persistence backend
         (:mod:`repro.service.backends`): ``"memory"`` keeps today's
         in-process-only tables; ``"file"`` adds a persistent SQLite
         store so a cold process warm-starts from prior sessions and
         worker processes share one store.  ``None`` (the default)
-        resolves from ``REPRO_CACHE_BACKEND``.  Behaviour-preserving
-        for the same reason as ``shared_cache``: the cache keys are
-        value-addressed end to end, and hits replay recorded outcomes
-        verbatim.
-    resumable_loops:
-        Let the execution cache record *continuations* for loop runs
-        that absorb their whole window, so the synthesizer's extension
-        and generalization checks resume the trailing loop at its last
-        started iteration instead of re-executing it over the grown
-        window — per-call extension cost becomes O(new actions), the
-        §5.4 interactivity requirement.  Behaviour-preserving: the
-        iteration-top state fully determines the remainder, so resumed
-        runs are identical to from-scratch runs.  On by default; the
-        incremental-pipeline bench measures resume on against off.
+        resolves from ``REPRO_CACHE_BACKEND``.  Every memoizing engine
+        joins the process-level cache of its resolved backend.
+        Behaviour-preserving: the cache keys are value-addressed end to
+        end, and hits replay recorded outcomes verbatim.
     ranking:
         Name of the ranking strategy applied to generalizing programs
         (see :mod:`repro.synth.ranking`); the default is the paper's
@@ -158,9 +145,7 @@ class SynthesisConfig:
     max_worklist_pops: int | None = None
     use_execution_cache: bool = True
     use_index_enumeration: bool = True
-    shared_cache: bool = False
     cache_backend: Optional[str] = None
-    resumable_loops: bool = True
     ranking: str = "size"
     use_shape_gates: bool = True
     use_window_periodicity: bool = False
@@ -221,21 +206,6 @@ def no_static_prune_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisC
 def file_backend_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
     """The persistent file backend switched on (service/warm-start runs)."""
     return replace(base, cache_backend="file")
-
-
-def serial_validation_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Private in-memory cache, resumable loops off, pinned against the env.
-
-    The plain validation loop with neither cross-session sharing nor
-    loop continuations — the baseline the parallel-validation and
-    incremental-pipeline benches credit those two mechanisms against.
-    """
-    return replace(
-        base,
-        shared_cache=False,
-        cache_backend="memory",
-        resumable_loops=False,
-    )
 
 
 def ranking_config(strategy: str, base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:

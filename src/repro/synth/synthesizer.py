@@ -91,8 +91,8 @@ class _SynthMetrics:
         self.cache_hits = registry.counter(
             "repro_cache_hits_total",
             "Execution-cache hits by kind.  exact/prefix/consistency "
-            "partition the reconciling hits; cross_session, warm, resume "
-            "and decode are overlay counts of the same lookups.",
+            "partition the reconciling hits; cross_session, warm and "
+            "resume are overlay counts of the same lookups.",
             ("kind",),
         )
         self.cache_misses = registry.counter(
@@ -100,10 +100,6 @@ class _SynthMetrics:
         )
         self.cache_evictions = registry.counter(
             "repro_cache_evictions_total", "In-memory cache entries evicted."
-        )
-        self.decode_bytes = registry.counter(
-            "repro_cache_decode_bytes_total",
-            "Encoded bytes the decoded-entry cache never re-read.",
         )
         self.cache_bytes = registry.gauge(
             "repro_cache_bytes", "Approximate in-memory cache footprint."
@@ -139,10 +135,8 @@ class _SynthMetrics:
         hits.labels(kind="cross_session").inc(stats.cache_cross_session_hits)
         hits.labels(kind="warm").inc(stats.cache_warm_hits)
         hits.labels(kind="resume").inc(stats.cache_resume_hits)
-        hits.labels(kind="decode").inc(stats.cache_decode_hits)
         self.cache_misses.inc(stats.cache_misses)
         self.cache_evictions.inc(stats.cache_evictions)
-        self.decode_bytes.inc(stats.cache_decode_bytes)
         self.cache_bytes.set(stats.cache_bytes)
         self.interned_bytes.set(stats.interned_bytes)
 
@@ -163,10 +157,10 @@ class SynthesisStats:
     bucket-driven path vs the legacy ancestor walk.
 
     Sharing telemetry: ``cache_cross_session_hits`` is the per-call
-    delta of hits served from entries *other* sessions of a shared
-    cache recorded; ``cache_warm_hits`` the per-call delta of hits
-    served from a *persistent backend* — executions recorded by a prior
-    process (``cache_backend`` names the backend).
+    delta of hits served from entries *other* sessions recorded;
+    ``cache_warm_hits`` the per-call delta of hits served from a
+    *persistent backend* — executions recorded by a prior process
+    (``cache_backend`` names the backend).
     ``cache_bytes``, ``interned_snapshots``, ``interned_bytes`` and
     ``persisted_bytes`` are end-of-call gauges (not deltas) of the
     backing cache's approximate footprint, its snapshot-interning
@@ -204,14 +198,8 @@ class SynthesisStats:
     cache_warm_hits: int = 0
     #: Executions answered by resuming a stored loop continuation over
     #: the window suffix instead of re-executing from the window start
-    #: (``resumable_loops``); not part of the hit/miss reconciliation.
+    #: (resumable loops); not part of the hit/miss reconciliation.
     cache_resume_hits: int = 0
-    #: Warm-start probes served by the backend's decoded-entry cache
-    #: (SQLite read and payload decode both skipped) and the encoded
-    #: bytes those hits never re-read; not part of the hit/miss
-    #: reconciliation.
-    cache_decode_hits: int = 0
-    cache_decode_bytes: int = 0
     cache_bytes: int = 0
     interned_snapshots: int = 0
     interned_bytes: int = 0
@@ -260,8 +248,8 @@ class Synthesizer:
     far.  With ``config.incremental`` (default) the rewrite store is
     shared across calls; otherwise every call starts from scratch.
 
-    With ``shared_cache`` resolved on, the engine joins the process-level
-    :class:`~repro.engine.cache.SharedExecutionCache` and every call's
+    A memoizing engine joins the process-level
+    :class:`~repro.engine.cache.ExecutionCache` and every call's
     snapshots are interned there, so concurrent sessions over the same
     site reuse each other's executions and DOM indexes.
     """
@@ -275,12 +263,6 @@ class Synthesizer:
         self._search = self._new_search()
         self._engine = ExecutionEngine.for_config(data, config)
         self._scheduler = SerialScheduler()
-        # resumable loops ride the execution cache's terminal table —
-        # without the cache there is nowhere to keep continuations
-        self._resumable = config.resumable_loops and config.use_execution_cache
-        # interning only pays when the cache is actually shared between
-        # sessions
-        self._use_shared_cache = config.shared_cache
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -327,14 +309,6 @@ class Synthesizer:
                 f"need m+1 snapshots for m actions, got {len(snapshots)} for {len(actions)}"
             )
         deadline = Deadline(self.config.timeout if timeout is None else timeout)
-        if self._use_shared_cache:
-            shared = self._engine.shared_cache
-            if shared is not None:
-                # structurally equal snapshots from other sessions over
-                # the same site collapse onto one canonical root, making
-                # the id-keyed cache entries and SnapshotIndexes shared;
-                # re-interning the same objects is an O(1) id lookup
-                snapshots = shared.intern_snapshots(snapshots)
         if not self.config.incremental:
             self.reset()
         old_length = len(self._actions)
@@ -345,6 +319,13 @@ class Synthesizer:
             # Not a continuation of the stored demonstration.
             self.reset()
             old_length = 0
+        cache = self._engine.cache  # read after any reset above
+        if cache is not None:
+            # structurally equal snapshots from other sessions over the
+            # same site collapse onto one canonical root, so they share
+            # SnapshotIndexes; re-interning the same objects is an O(1)
+            # id lookup
+            snapshots = cache.intern_snapshots(snapshots)
         had_store = bool(self._store)
         self._actions = list(actions)
         self._snapshots = list(snapshots)
@@ -453,10 +434,6 @@ class Synthesizer:
         )
         stats.cache_warm_hits = engine_after.warm_hits - engine_before.warm_hits
         stats.cache_resume_hits = engine_after.resume_hits - engine_before.resume_hits
-        stats.cache_decode_hits = engine_after.decode_hits - engine_before.decode_hits
-        stats.cache_decode_bytes = (
-            engine_after.decode_bytes - engine_before.decode_bytes
-        )
         stats.cache_bytes = engine_after.cache_bytes
         stats.interned_snapshots = engine_after.interned_snapshots
         stats.interned_bytes = engine_after.interned_bytes
@@ -523,7 +500,7 @@ class Synthesizer:
                 [stored.statements[-1]],
                 lookahead,
                 max_actions=len(lookahead),
-                resumable=self._resumable,
+                resumable=True,
             ).actions[: len(window)]
             reference = self._actions[slice_start : slice_start + len(produced)]
             consistent = self._engine.consistent_prefix_length(
@@ -572,7 +549,7 @@ class Synthesizer:
             [tuple_.statements[-1]],
             window,
             max_actions=needed + 1,
-            resumable=self._resumable,
+            resumable=True,
         ).actions
         if len(produced) <= needed:
             return None

@@ -21,7 +21,7 @@ from repro.analysis import UNKNOWN, analyze_program
 from repro.benchmarks.suite import all_benchmarks, benchmark_by_id
 from repro.lang.ast import Program
 from repro.lang.pretty import format_program
-from repro.synth.config import serial_validation_config
+from repro.synth.config import no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 
 
@@ -60,7 +60,7 @@ class TestPruneParity:
         actions, snapshots = recording.prefix(length)
         outcomes = {}
         for flag in (False, True):
-            config = replace(serial_validation_config(), static_prune=flag)
+            config = replace(no_execution_cache_config(), static_prune=flag)
             synthesizer = Synthesizer(bench.data, config)
             programs, validations, pruned = [], 0, 0
             for cut in range(1, length + 1):

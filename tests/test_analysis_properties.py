@@ -26,7 +26,7 @@ from repro.browser import record_ground_truth
 from repro.lang import EMPTY_DATA, Program, action_to_statement, parse_program
 from repro.lang.pretty import format_program
 from repro.semantics import DOMTrace, execute
-from repro.synth.config import serial_validation_config
+from repro.synth.config import no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 
 FLAT_GT = parse_program(
@@ -143,7 +143,7 @@ class TestPruneParity:
         actions, snapshots = recording.prefix(length)
         outcomes = {}
         for flag in (False, True):
-            config = replace(serial_validation_config(), static_prune=flag)
+            config = replace(no_execution_cache_config(), static_prune=flag)
             synthesizer = Synthesizer(data, config)
             result = synthesizer.synthesize(actions, snapshots, timeout=10.0)
             outcomes[flag] = (

@@ -388,62 +388,6 @@ class TestAdaptiveTierCost:
         assert backend.tier_skips == 0
 
 
-class TestDecodedEntryCache:
-    def _stored(self, tmp_path, **kwargs):
-        path = tmp_path / "store.sqlite"
-        writer = FileBackend(path, tier_cost=-1)
-        key = stable_digest(("exact", "decoded"))
-        actions = (scrape_text(parse_selector("//h3[1]")),)
-        writer.store_entry(EXACT, key, actions, Env(), (0,), True)
-        writer.flush()
-        return FileBackend(path, tier_cost=-1, **kwargs), key
-
-    def test_second_fetch_is_a_decode_hit_with_byte_accounting(self, tmp_path):
-        reader, key = self._stored(tmp_path)
-        entry, saved = reader.fetch_entry(EXACT, key)
-        assert entry is not None and saved == 0
-        assert reader.decode_hits == 0
-
-        again, saved = reader.fetch_entry(EXACT, key)
-        assert again == entry and saved > 0
-        assert reader.decode_hits == 1
-        assert reader.decode_bytes == saved
-
-    def test_cached_entry_is_served_without_reparsing(self, tmp_path):
-        reader, key = self._stored(tmp_path)
-        first, _ = reader.fetch_entry(EXACT, key)
-        second, _ = reader.fetch_entry(EXACT, key)
-        assert second is first  # the decoded tuple itself, not a copy
-
-    def test_byte_budget_evicts_oldest_decoded_entries(self, tmp_path):
-        # the budget below is sized against binary rows
-        path = tmp_path / "store.sqlite"
-        writer = FileBackend(path, tier_cost=-1)
-        keys = []
-        for i in range(12):
-            key = stable_digest(("exact", f"k{i}"))
-            actions = tuple(
-                scrape_text(parse_selector(f"//div[@class='x{i}'][{j + 1}]"))
-                for j in range(6)
-            )
-            writer.store_entry(EXACT, key, actions, Env(), None, False)
-            keys.append(key)
-        writer.flush()
-
-        reader = FileBackend(path, tier_cost=-1, decode_cache_bytes=400)
-        for key in keys:
-            assert reader.fetch_entry(EXACT, key)[0] is not None
-        assert 0 < reader._decoded_bytes <= 400
-        assert len(reader._decoded) < len(keys)
-
-    def test_zero_budget_disables_the_cache(self, tmp_path):
-        reader, key = self._stored(tmp_path, decode_cache_bytes=0)
-        assert reader.fetch_entry(EXACT, key)[0] is not None
-        entry, saved = reader.fetch_entry(EXACT, key)
-        assert entry is not None and saved == 0
-        assert reader.decode_hits == 0
-
-
 class TestMixedCodecStores:
     def test_json_rows_keep_serving_after_the_switch_to_binary(self, tmp_path):
         path = tmp_path / "store.sqlite"

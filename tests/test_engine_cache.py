@@ -14,6 +14,7 @@ from repro.lang.ast import (
     canonical_program,
 )
 from repro.dom.xpath import Predicate, parse_selector
+from repro.semantics import evaluator
 from repro.semantics.trace import DOMTrace
 from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
@@ -55,9 +56,44 @@ class TestExecuteMemo:
         engine = ExecutionEngine(EMPTY_DATA)
         window = DOMTrace(snapshots, 0, 4)
         engine.execute([card_loop()], window, max_actions=len(window))
-        engine.execute([card_loop()], window, max_actions=len(window))
+        second = card_loop()
+        served = engine.execute([second], window, max_actions=len(window))
         counters = engine.counters()
         assert counters.hits == 1  # different Var objects, same canonical key
+        # the served env binds the *caller's* loop variable
+        fresh = evaluator.execute([second], window, EMPTY_DATA)
+        assert served.env.fingerprint() == fresh.env.fingerprint()
+
+    def test_sibling_loops_get_their_own_binders_back(self):
+        # canonical keys number binders by depth, so two sibling loops
+        # share one index; served envs must still map each loop's slot
+        # back to that loop's own variable
+        dom = cards_page(3)
+        window = DOMTrace([dom] * 7, 0, 7)
+        engine = ExecutionEngine(EMPTY_DATA)
+        engine.execute([card_loop(), card_loop()], window, max_actions=6)
+        program = [card_loop(), card_loop()]
+        served = engine.execute(program, window, max_actions=6)
+        assert engine.counters().hits == 1
+        fresh = evaluator.execute(program, window, EMPTY_DATA, max_actions=6)
+        assert len(fresh.actions) == 6
+        assert served.env.fingerprint() == fresh.env.fingerprint()
+
+    def test_stored_env_with_an_unslotted_binder_is_a_miss(self):
+        # an entry whose env binds a loop variable by its own name (a row
+        # written without slots) cannot be the caller's result
+        dom = cards_page(3)
+        window = DOMTrace([dom] * 4, 0, 4)
+        engine = ExecutionEngine(EMPTY_DATA)
+        foreign = card_loop()
+        engine.execute([foreign], window, max_actions=4)
+        stale = evaluator.execute([foreign], window, EMPTY_DATA)
+        base = (engine._statements_key((foreign,)), (), 0)
+        engine.cache.put(base, window.value_key(), 4, tuple(stale.actions), stale.env)
+        caller = card_loop()
+        served = engine.execute([caller], window, max_actions=4)
+        fresh = evaluator.execute([caller], window, EMPTY_DATA)
+        assert served.env.fingerprint() == fresh.env.fingerprint()
 
     def test_terminal_hit_on_extended_window(self):
         # the loop scrapes 3 cards then terminates with snapshots left —
@@ -152,11 +188,11 @@ class TestExecuteMemo:
 
 class TestCacheBounds:
     def test_lru_eviction(self):
-        cache = ExecutionCache(max_entries=2)
+        cache = ExecutionCache(max_entries=2, shards=1)
         for index in range(3):
             # one action over a one-snapshot window: exact-table only
             cache.put(("base", index), (index,), 1, ("a",), None)
-        assert cache.counters.evictions == 1
+        assert cache.counters().evictions == 1
         assert cache.get(("base", 0), (0,), 1) is None  # oldest evicted
         assert cache.get(("base", 2), (2,), 1) is not None
 

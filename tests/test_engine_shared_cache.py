@@ -1,9 +1,9 @@
-"""The process-level shared execution cache (repro.engine.cache).
+"""The process-level execution cache (repro.engine.cache).
 
-Covers the concurrency surface: lock-striped shards,
-per-session counter views with cross-session hit attribution, snapshot
-interning (including its race behaviour), byte accounting with LRU
-eviction, and the process-wide singleton.
+Covers the concurrency surface: lock-striped shards, per-caller
+counters with cross-session hit attribution, snapshot interning
+(including its race behaviour), byte accounting with LRU eviction, and
+the process-wide instances.
 """
 
 import threading
@@ -13,29 +13,55 @@ from repro.dom import E, page
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
-    SharedExecutionCache,
     process_cache,
     reset_process_cache,
+    session_token,
 )
 from repro.engine.index import index_for
 from repro.lang import EMPTY_DATA
 from repro.lang.data import DataSource
 from repro.lang.ast import canonical_program
-from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
+from repro.service.backends import CacheBackend
+from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import cards_page, scrape_cards_trace
 
 
+class _Caller:
+    """One caller of a shared cache, holding what an engine holds: its
+    own session token and counters."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.token = session_token()
+        self.counters = CacheCounters()
+
+    def get(self, base, window_keys, budget):
+        return self.cache.get(base, window_keys, budget, self.counters, self.token)
+
+    def put(self, base, window_keys, budget, actions, env):
+        self.cache.put(
+            base, window_keys, budget, actions, env,
+            counters=self.counters, session=self.token,
+        )
+
+    def get_consistency(self, key):
+        return self.cache.get_consistency(key, self.counters, self.token)
+
+    def put_consistency(self, key, value):
+        self.cache.put_consistency(key, value, self.counters, self.token)
+
+
 def shared_memory_config():
-    """Process-shared cache pinned to the in-process backend.
+    """Process cache pinned to the in-process backend.
 
     The cross-session attribution assertions below are about *in-process*
     sharing semantics; a persistent store left by earlier tests (e.g.
     under the ``REPRO_CACHE_BACKEND=file`` CI parity run) would turn the
     expected cross-session hits into warm-start hits.
     """
-    return replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="memory")
+    return replace(DEFAULT_CONFIG, cache_backend="memory")
 
 
 class TestCounters:
@@ -59,16 +85,16 @@ class TestCounters:
         # aggregate) counters both saw the traffic — merge-based
         # accumulation never loses counts to either side
         assert (worker.hits, worker.misses) == (1, 1)
-        assert (cache.counters.hits, cache.counters.misses) == (1, 1)
+        assert (cache.counters().hits, cache.counters().misses) == (1, 1)
         # traffic without an explicit recorder lands on the aggregate only
         assert cache.get(("base",), (1,), 1) is not None
-        assert cache.counters.hits == 2
+        assert cache.counters().hits == 2
         assert worker.hits == 1
 
 
 class TestByteAccounting:
     def test_bytes_grow_with_entries_and_shrink_on_eviction(self):
-        cache = ExecutionCache(max_entries=2)
+        cache = ExecutionCache(max_entries=2, shards=1)
         assert cache.approx_bytes == 0
         cache.put(("a",), (1,), 1, ("x",), None)
         one_entry = cache.approx_bytes
@@ -78,13 +104,13 @@ class TestByteAccounting:
         assert two_entries > one_entry
         # third insert evicts the oldest: bytes stay bounded, counted
         cache.put(("c",), (3,), 1, ("x",), None)
-        assert cache.counters.evictions == 1
+        assert cache.counters().evictions == 1
         assert cache.approx_bytes < two_entries + one_entry
         assert len(cache) <= 2
 
     def test_shared_cache_aggregates_shard_bytes(self):
-        shared = SharedExecutionCache(max_entries=64, shards=4)
-        session = shared.session()
+        shared = ExecutionCache(max_entries=64, shards=4)
+        session = _Caller(shared)
         for index in range(10):
             session.put((f"k{index}",), (index,), 1, ("a",), None)
         assert shared.approx_bytes > 0
@@ -96,8 +122,8 @@ class TestByteAccounting:
 
 class TestSessions:
     def test_sessions_share_entries_and_attribute_cross_hits(self):
-        shared = SharedExecutionCache(max_entries=64, shards=2)
-        writer, reader = shared.session(), shared.session()
+        shared = ExecutionCache(max_entries=64, shards=2)
+        writer, reader = _Caller(shared), _Caller(shared)
         writer.put(("base",), (1,), 1, ("a",), None)
         assert writer.get(("base",), (1,), 1) is not None
         assert writer.counters.cross_session_hits == 0  # own entry
@@ -108,8 +134,8 @@ class TestSessions:
         assert shared.counters().hits == 2
 
     def test_consistency_memo_is_shared_too(self):
-        shared = SharedExecutionCache(max_entries=64, shards=2)
-        writer, reader = shared.session(), shared.session()
+        shared = ExecutionCache(max_entries=64, shards=2)
+        writer, reader = _Caller(shared), _Caller(shared)
         writer.put_consistency(("key",), 3)
         assert reader.get_consistency(("key",)) == 3
         assert reader.counters.consistency_hits == 1
@@ -118,7 +144,7 @@ class TestSessions:
 
 class TestInterning:
     def test_structurally_equal_roots_collapse(self):
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         first = cards_page(3)
         second = cards_page(3).clone().freeze()
         assert first is not second
@@ -131,20 +157,20 @@ class TestInterning:
         assert index_for(shared.intern_snapshot(second)) is index_for(first)
 
     def test_different_structures_stay_distinct(self):
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         assert shared.intern_snapshot(cards_page(3)) is not shared.intern_snapshot(
             cards_page(4)
         )
         assert shared.interned_snapshots == 2
 
     def test_unfrozen_snapshots_pass_through(self):
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         mutable = E("div")
         assert shared.intern_snapshot(mutable) is mutable
         assert shared.interned_snapshots == 0
 
     def test_interning_lru_evicts_and_counts(self):
-        shared = SharedExecutionCache(max_snapshots=2)
+        shared = ExecutionCache(max_snapshots=2)
         shared.intern_snapshot(cards_page(2))
         shared.intern_snapshot(cards_page(3))
         before = shared.interned_bytes
@@ -157,7 +183,7 @@ class TestInterning:
         # the race the intern lock exists for: N threads intern distinct
         # structurally equal clones at once; everyone must get the same
         # canonical root and the table must hold exactly one entry
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         template = cards_page(5)
         clones = [template.clone().freeze() for _ in range(8)]
         results = [None] * len(clones)
@@ -181,8 +207,8 @@ class TestInterning:
         assert shared.intern_hits == len(clones) - 1
 
     def test_concurrent_shard_traffic_stays_consistent(self):
-        shared = SharedExecutionCache(max_entries=256, shards=4)
-        sessions = [shared.session() for _ in range(4)]
+        shared = ExecutionCache(max_entries=256, shards=4)
+        sessions = [_Caller(shared) for _ in range(4)]
         errors = []
 
         def hammer(session, salt):
@@ -210,7 +236,7 @@ class TestInterning:
 
 class TestDataInterning:
     def test_equal_content_sources_collapse(self):
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         first = DataSource({"zips": [10001, 10002]})
         second = DataSource({"zips": [10001, 10002]})
         other = DataSource({"zips": [90210]})
@@ -252,7 +278,7 @@ class TestCrossSessionSynthesis:
             snaps_a = [dom_a] * (len(actions) + 1)
             snaps_b = [dom_b] * (len(actions) + 1)
             session_a = Synthesizer(EMPTY_DATA, config)
-            session_b = Synthesizer(EMPTY_DATA, serial_validation_config())
+            session_b = Synthesizer(EMPTY_DATA, no_execution_cache_config())
             baseline = Synthesizer(EMPTY_DATA, config)
             cross_a = 0
             for cut in range(1, len(actions) + 1):
@@ -272,17 +298,6 @@ class TestCrossSessionSynthesis:
         finally:
             reset_process_cache()
 
-    def test_serial_private_sessions_never_share(self):
-        actions, snapshots = scrape_cards_trace(cards_page(4), 3)
-        first = Synthesizer(EMPTY_DATA, serial_validation_config())
-        second = Synthesizer(EMPTY_DATA, serial_validation_config())
-        for cut in range(1, len(actions) + 1):
-            a = first.synthesize(actions[:cut], snapshots[: cut + 1])
-            b = second.synthesize(actions[:cut], snapshots[: cut + 1])
-            assert a.stats.cache_cross_session_hits == 0
-            assert b.stats.cache_cross_session_hits == 0
-            assert b.stats.interned_snapshots == 0
-
 
 class TestProcessCache:
     def test_singleton_until_reset(self):
@@ -295,20 +310,36 @@ class TestProcessCache:
         finally:
             reset_process_cache()
 
+    def test_one_instance_per_backend(self, tmp_path, monkeypatch):
+        # a config naming another backend than the first caller's must
+        # get a cache over *that* backend, never the first one's
+        from repro.service.backends import reset_backends
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_process_cache()
+        try:
+            memory = process_cache("memory")
+            stored = process_cache("file")
+            assert stored is not memory
+            assert (memory.backend_name, stored.backend_name) == ("memory", "file")
+            assert process_cache("file") is stored
+        finally:
+            reset_backends()
+
 
 class TestByteThresholds:
     def test_byte_threshold_evicts_oldest_until_under(self):
-        cache = ExecutionCache(max_entries=1024, max_bytes=2000)
+        cache = ExecutionCache(max_entries=1024, shards=1, max_bytes=2000)
         for index in range(32):
             cache.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
-        assert cache.counters.evictions > 0
+        assert cache.counters().evictions > 0
         assert cache.approx_bytes <= 2000
         # the most recent entry always survives
         assert cache.get(("k31",), (31,), 1) is not None
         assert cache.get(("k0",), (0,), 1) is None
 
     def test_single_oversized_entry_does_not_wedge_the_cache(self):
-        cache = ExecutionCache(max_entries=8, max_bytes=250)
+        cache = ExecutionCache(max_entries=8, shards=1, max_bytes=250)
         cache.put(("big",), tuple(range(64)), 64, ("a",) * 64, None)
         # larger than the whole budget: kept as the last entry standing
         assert len(cache) >= 1
@@ -321,12 +352,12 @@ class TestByteThresholds:
             ExecutionCache(max_entries=8, max_bytes=0)
 
     def test_shared_cache_splits_the_threshold_across_shards(self):
-        shared = SharedExecutionCache(max_entries=1024, shards=4, max_bytes=8000)
-        session = shared.session()
+        shared = ExecutionCache(max_entries=1024, shards=4, max_bytes=8000)
+        session = _Caller(shared)
         for index in range(256):
             session.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
         assert shared.counters().evictions > 0
-        assert sum(s.cache.approx_bytes for s in shared._shards) <= 8000
+        assert sum(s.approx_bytes for s in shared._shards) <= 8000
 
     def test_window_length_scales_the_terminal_entry_estimate(self):
         # the ROADMAP eviction-policy note: terminal entries for long
@@ -342,7 +373,7 @@ class TestByteThresholds:
 
 class TestEnumMemoAccounting:
     def test_enum_bytes_counted_in_shared_footprint(self):
-        shared = SharedExecutionCache()
+        shared = ExecutionCache()
         dom = cards_page(4)
         canonical = shared.intern_snapshot(dom)
         index = index_for(canonical)
@@ -392,7 +423,7 @@ class TestWarmStartSynthesis:
 
         store = str(tmp_path / "store.sqlite")
         def run_once():
-            config = replace(DEFAULT_CONFIG, shared_cache=True, cache_backend="file")
+            config = replace(DEFAULT_CONFIG, cache_backend="file")
             actions, snapshots = scrape_cards_trace(cards_page(5), 4)
             synthesizer = Synthesizer(EMPTY_DATA, config)
             warm = misses = 0
@@ -437,7 +468,7 @@ class TestWarmStartSynthesis:
                 os.environ["REPRO_CACHE_DIR"] = previous
 
 
-class _StubBackend:
+class _StubBackend(CacheBackend):
     """A persistent-looking backend with scriptable loads.
 
     ``payload`` is returned for *every* exact-entry load (None = empty
@@ -472,20 +503,6 @@ class _StubBackend:
     def store_consistency(self, key, value):
         self.consistency[key] = value
 
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
-
-    @property
-    def persisted_bytes(self):
-        return 0
-
-    @property
-    def entries(self):
-        return 0
-
 
 class TestTwoPhaseBackendLookup:
     """ROADMAP follow-on (d): the store probe must not hold the shard lock."""
@@ -498,8 +515,8 @@ class TestTwoPhaseBackendLookup:
         # lock, so a regression deadlocks the barrier and fails fast.
         barrier = threading.Barrier(2)
         stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
-        shared = SharedExecutionCache(max_entries=64, shards=1, backend=stub)
-        sessions = [shared.session(), shared.session()]
+        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        sessions = [_Caller(shared), _Caller(shared)]
         failures = []
 
         def lookup(index):
@@ -523,8 +540,8 @@ class TestTwoPhaseBackendLookup:
 
     def test_empty_store_misses_count_exactly_once_per_lookup(self):
         stub = _StubBackend(payload=None)
-        shared = SharedExecutionCache(max_entries=256, shards=1, backend=stub)
-        sessions = [shared.session() for _ in range(4)]
+        shared = ExecutionCache(max_entries=256, shards=1, backend=stub)
+        sessions = [_Caller(shared) for _ in range(4)]
         lookups_per_session = 8
 
         def lookup(session, index):
@@ -548,8 +565,8 @@ class TestTwoPhaseBackendLookup:
     def test_racing_promotions_of_one_key_each_count_a_hit(self):
         barrier = threading.Barrier(2)
         stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
-        shared = SharedExecutionCache(max_entries=64, shards=1, backend=stub)
-        sessions = [shared.session(), shared.session()]
+        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        sessions = [_Caller(shared), _Caller(shared)]
         failures = []
 
         def lookup(index):
@@ -574,8 +591,8 @@ class TestTwoPhaseBackendLookup:
 
     def test_warm_entry_is_promoted_once_then_served_from_memory(self):
         stub = _StubBackend(payload=(("a",), None, None, False))
-        shared = SharedExecutionCache(max_entries=64, shards=2, backend=stub)
-        session = shared.session()
+        shared = ExecutionCache(max_entries=64, shards=2, backend=stub)
+        session = _Caller(shared)
         assert session.get(("base",), (1,), 1) is not None
         loads_after_first = stub.loads
         assert session.get(("base",), (1,), 1) is not None
@@ -586,8 +603,8 @@ class TestTwoPhaseBackendLookup:
     def test_consistency_memo_rides_the_same_two_phase_path(self):
         stub = _StubBackend()
         stub.consistency = {}
-        shared = SharedExecutionCache(max_entries=64, shards=1, backend=stub)
-        writer, reader = shared.session(), shared.session()
+        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        writer, reader = _Caller(shared), _Caller(shared)
         writer.put_consistency(("key",), 5)
         # key is in memory: served without a store read
         loads_before = stub.loads

@@ -135,7 +135,7 @@ class TestFaultInjection:
             breaker_threshold=100,
         )
         assert backend.load_entry(EXACT, KEY) is None
-        assert backend.fetch_entry(EXACT, KEY) == (None, 0)
+        assert backend.load_entry(EXACT, KEY) is None
         assert backend.io_errors == 2  # retries do not double-count
 
     def test_writes_to_a_dead_tier_drop_not_raise(self):
@@ -263,7 +263,7 @@ class TestFaultInjection:
         cache.store.store_payload(EXACT, KEY, {"junk": 1})
         cache.store.store_payload(CONSISTENCY, b"\x08" * 16, {"v": "NaN"})
         backend = RemoteBackend(_cache_url(cache))
-        assert backend.fetch_entry(EXACT, KEY) == (None, 0)
+        assert backend.load_entry(EXACT, KEY) is None
         assert backend.load_consistency(b"\x08" * 16) is None
         assert backend.load_hits == 0
 

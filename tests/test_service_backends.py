@@ -143,10 +143,6 @@ class TestFileBackend:
             backend._conn.execute(
                 "UPDATE entries SET payload = ?", (b"{not json",)
             )
-            # drop the in-memory row so the load really hits the
-            # corrupted disk payload
-            backend._decoded.clear()
-            backend._decoded_bytes = 0
         assert backend.load_entry(EXACT, key) is None
         backend.close()
 
@@ -205,7 +201,7 @@ class TestCacheWarmStart:
         hit = reader.get(("base",), (101, 102), 2)
         assert hit is not None
         assert hit[0] == actions
-        counters = reader.counters
+        counters = reader.counters()
         assert counters.hits == counters.exact_hits == counters.warm_hits == 1
         assert counters.misses == 0
         assert counters.cross_session_hits == 0  # restored entries own no session
@@ -213,7 +209,7 @@ class TestCacheWarmStart:
         loads_before = backend.loads
         assert reader.get(("base",), (101, 102), 2) is not None
         assert backend.loads == loads_before
-        assert reader.counters.warm_hits == 1
+        assert reader.counters().warm_hits == 1
         backend.close()
 
     def test_terminal_entries_warm_start_onto_extended_windows(self, tmp_path):
@@ -226,8 +222,8 @@ class TestCacheWarmStart:
         # an extended window sharing the examined prefix hits via disk
         hit = reader.get(("base",), (101, 102, 104, 105), 4)
         assert hit is not None
-        assert reader.counters.prefix_hits == 1
-        assert reader.counters.warm_hits == 1
+        assert reader.counters().prefix_hits == 1
+        assert reader.counters().warm_hits == 1
         # a window with a different examined prefix must miss
         fresh = ExecutionCache(max_entries=16, backend=backend)
         assert fresh.get(("base",), (101, 999, 104), 3) is None
@@ -249,8 +245,8 @@ class TestCacheWarmStart:
         reader.put(("base",), (101, 102, 103), 3, actions, env, exact_budget_ok=False)
         hit = reader.get(("base",), (101, 102), 1)
         assert hit is not None
-        assert reader.counters.warm_hits == 1
-        assert reader.counters.exact_hits == 1
+        assert reader.counters().warm_hits == 1
+        assert reader.counters().exact_hits == 1
         backend.close()
 
     def test_consistency_memo_round_trips_through_the_store(self, tmp_path):
@@ -259,8 +255,8 @@ class TestCacheWarmStart:
         writer.put_consistency(((1, 2), (3, 4), (5,)), 2)
         reader = ExecutionCache(max_entries=16, backend=backend)
         assert reader.get_consistency(((1, 2), (3, 4), (5,))) == 2
-        assert reader.counters.consistency_hits == 1
-        assert reader.counters.warm_hits == 1
+        assert reader.counters().consistency_hits == 1
+        assert reader.counters().warm_hits == 1
         backend.close()
 
     def test_memory_backend_never_touches_digests(self):
@@ -269,4 +265,4 @@ class TestCacheWarmStart:
         assert cache.backend_name == "memory"
         cache.put(("base",), (1,), 1, ("a",), None)
         assert cache.get(("base",), (1,), 1) is not None
-        assert cache.counters.warm_hits == 0
+        assert cache.counters().warm_hits == 0

@@ -25,7 +25,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.protocol import PROTOCOL_VERSION
 from repro.protocol.messages import SessionSnapshot
-from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.server import make_server
@@ -99,7 +99,7 @@ class TestRoundTrip:
         served = [item.program for item in service.candidates(sid).candidates]
         # the session is incremental: compare against an incrementally
         # driven synthesizer, not a one-shot call
-        direct = Synthesizer(EMPTY_DATA, serial_validation_config())
+        direct = Synthesizer(EMPTY_DATA, no_execution_cache_config())
         for cut in range(1, len(actions) + 1):
             expected = direct.synthesize(actions[:cut], snapshots[: cut + 1])
         assert served == [format_program(p) for p in expected.programs]

@@ -22,7 +22,7 @@ from repro.protocol.messages import (
     SessionClosed,
 )
 from repro.protocol.session import SessionClosedError, UnknownSessionError
-from repro.synth.config import DEFAULT_CONFIG, serial_validation_config
+from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 from repro.service.sessions import SessionError, SessionManager
 
@@ -76,7 +76,7 @@ class TestLifecycle:
             manager = memory_manager(timeout=5.0)
             dom = cards_page(5)
             actions, snapshots = scrape_cards_trace(dom, 4)
-            direct = Synthesizer(EMPTY_DATA, serial_validation_config())
+            direct = Synthesizer(EMPTY_DATA, no_execution_cache_config())
             sid = manager.create(snapshots[0])
             for position, action in enumerate(actions):
                 manager.record_action(sid, action, snapshots[position + 1])

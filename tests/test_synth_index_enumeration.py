@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.benchmarks.suite import benchmark_by_id
 from repro.dom import E, raw_path, resolve
+from repro.engine.cache import reset_process_cache
 from repro.lang import EMPTY_DATA
 from repro.lang.ast import canonical_program
 from repro.synth.alternatives import (
@@ -180,7 +181,10 @@ class TestSynthesizerParity:
         # two sessions over different sites, alternating calls: each
         # call reports exactly the builds its own snapshots forced.
         # Recording the traces resolves selectors (which would pre-build
-        # the index), so each session gets a fresh clone of its page.
+        # the index), so each session gets a fresh clone of its page —
+        # and a cold process cache, whose snapshot interning would
+        # otherwise map the clones onto roots earlier tests indexed.
+        reset_process_cache()
         actions_a, _ = scrape_cards_trace(cards_page(4), 3)
         actions_b, _ = scrape_cards_trace(cards_page(5), 3)
         dom_a = cards_page(4).clone().freeze()
