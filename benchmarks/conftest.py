@@ -12,8 +12,6 @@ Environment knobs honoured across benches:
 * ``REPRO_Q2_TRACE_CAP`` — cheaper cap for the 3-variant ablation run
 * ``REPRO_Q3_TRACE_CAP`` — task-length cap for interactive sessions
 * ``REPRO_Q4_TIMEOUT``   — per-run baseline budget (default 60 s)
-* ``REPRO_PAR_*``        — parallel-validation bench subjects/sessions/
-  floor (see ``bench_parallel_validation.py``)
 
 ``--quick`` shrinks the perf benches (fewer sessions, shorter traces,
 slightly relaxed speedup floors) to a CI-smoke-tier footprint; see the

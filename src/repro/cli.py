@@ -187,35 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rebalance.add_argument("--timeout", type=float, default=10.0,
                            help="per-request timeout when polling/migrating")
 
-    loadtest = commands.add_parser(
-        "loadtest", help="replay concurrent demonstrations against a fleet"
-    )
-    loadtest.add_argument("--fleet", default=None, metavar="URL,URL,...",
-                          help="worker base URLs (default: spawn a local "
-                               "cache server + workers and tear them down)")
-    loadtest.add_argument("--workers", type=int, default=2,
-                          help="workers to spawn when no --fleet is given")
-    loadtest.add_argument("--subjects", default=None, metavar="BID,BID,...",
-                          help="benchmark demonstrations to replay "
-                               "(default: b1,b4; --quick: b1)")
-    loadtest.add_argument("--sessions", type=int, default=None,
-                          help="sessions per wave (default 6; --quick: 2)")
-    loadtest.add_argument("--concurrency", type=int, default=None,
-                          help="sessions in flight at once (default 4)")
-    loadtest.add_argument("--timeout", type=float, default=None,
-                          help="per-action synthesis budget (default 10)")
-    loadtest.add_argument("--quick", action="store_true",
-                          help="CI preset: one subject, two sessions/wave")
-    loadtest.add_argument("--out", default="BENCH_fleet_load.json",
-                          help="trajectory artifact path")
-    loadtest.add_argument("--max-p99-ms", type=float, default=None,
-                          help="fail (exit 1) when p99 exceeds this bound")
-    loadtest.add_argument("--min-warm-rate", type=float, default=None,
-                          help="fail (exit 1) when the remote warm rate "
-                               "falls below this fraction")
-    loadtest.add_argument("--no-verify", action="store_true",
-                          help="skip the in-process byte-identity check")
-
     commands.add_parser("protocol-schema",
                         help="print the interaction protocol wire schema")
 
@@ -361,8 +332,8 @@ def _cmd_metrics(url: Optional[str], fleet: Optional[str] = None) -> int:
         for member in (part.strip() for part in fleet.split(",")):
             if not member:
                 continue
-            host, port = split_host_port(member)
             try:
+                host, port = split_host_port(member)
                 scrapes.append((f"{host}:{port}", scrape_text(member)))
             except (OSError, ValueError) as error:
                 failures += 1
@@ -374,27 +345,17 @@ def _cmd_metrics(url: Optional[str], fleet: Optional[str] = None) -> int:
 
         sys.stdout.write(obs_metrics.registry().render())
         return 0
-    from http.client import HTTPConnection
-    from urllib.parse import urlsplit
+    from repro.fleet.metrics import scrape_text
 
-    parts = urlsplit(url if "//" in url else f"http://{url}")
-    if parts.hostname is None:
+    try:
+        text = scrape_text(url)
+    except ValueError:
         print(f"bad service URL {url!r}", file=sys.stderr)
         return 2
-    connection = HTTPConnection(parts.hostname, parts.port or 80, timeout=10.0)
-    try:
-        connection.request("GET", "/v1/metrics")
-        response = connection.getresponse()
-        body = response.read()
     except OSError as error:
         print(f"cannot scrape {url}: {error}", file=sys.stderr)
         return 1
-    finally:
-        connection.close()
-    if response.status != 200:
-        print(f"GET /v1/metrics -> {response.status}", file=sys.stderr)
-        return 1
-    sys.stdout.write(body.decode("utf-8"))
+    sys.stdout.write(text)
     return 0
 
 
@@ -451,24 +412,6 @@ def _cmd_rebalance(arguments) -> int:
         skew=arguments.skew if arguments.skew is not None else DEFAULT_SKEW,
         dry_run=arguments.dry_run,
         timeout=arguments.timeout,
-    )
-
-
-def _cmd_loadtest(arguments) -> int:
-    from repro.fleet.loadtest import run_cli_loadtest
-
-    return run_cli_loadtest(
-        fleet=arguments.fleet,
-        workers=arguments.workers,
-        subjects_spec=arguments.subjects,
-        sessions=arguments.sessions,
-        concurrency=arguments.concurrency,
-        timeout=arguments.timeout,
-        quick=arguments.quick,
-        out=arguments.out,
-        max_p99_ms=arguments.max_p99_ms,
-        min_warm_rate=arguments.min_warm_rate,
-        verify=not arguments.no_verify,
     )
 
 
@@ -649,8 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_cache_serve(arguments)
     if arguments.command == "rebalance":
         return _cmd_rebalance(arguments)
-    if arguments.command == "loadtest":
-        return _cmd_loadtest(arguments)
     if arguments.command == "protocol-schema":
         from repro.protocol.schema import main as protocol_schema_main
 

@@ -35,13 +35,6 @@ the pieces here are pure plumbing:
     workers' dumps into one ``instance``-labeled stream
     (``repro metrics --fleet``).
 
-:mod:`repro.fleet.loadtest`
-    ``repro loadtest`` + ``benchmarks/bench_fleet_load.py`` — N
-    concurrent protocol sessions replayed against a real fleet,
-    reporting p50/p95/p99 latency, throughput, and the remote-warm hit
-    rate as a ``BENCH_*.json`` trajectory, with byte-identity asserted
-    against the in-process path.
-
 This module stays import-light on purpose: :mod:`repro.service` imports
 parts of the fleet lazily (and vice versa), so nothing here may import
 the service layer at module import time.

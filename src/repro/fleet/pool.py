@@ -18,7 +18,7 @@ The discipline is acquire / release / discard:
   ``Connection: close`` responses, protocol errors).
 
 Lifecycle counts publish as ``repro_pool_connections_total{event}`` so
-the keep-alive win is measurable (see ``repro loadtest``).
+the keep-alive win is measurable (``repro metrics --fleet``).
 """
 
 from __future__ import annotations

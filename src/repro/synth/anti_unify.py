@@ -48,6 +48,9 @@ from repro.synth.config import SynthesisConfig
 
 Accessors = tuple[Union[str, int], ...]
 
+#: Cap on anti-unification results per pivot pair.
+MAX_PIVOT_UNIFICATIONS = 6
+
 
 @dataclass(frozen=True)
 class SelectorAU:
@@ -98,7 +101,7 @@ def anti_unify_selectors(
             use_index_enumeration=config.use_index_enumeration,
         )
     pairings = search.loop_pairings(
-        first_sel, first_dom, second_sel, second_dom, config.max_pivot_unifications
+        first_sel, first_dom, second_sel, second_dom, MAX_PIVOT_UNIFICATIONS
     )
     results: list[SelectorAU] = []
     for item in pairings:

@@ -35,8 +35,6 @@ class SynthesisConfig:
         pagers (counter-templated page clicks plus an optional
         next-block button), the paper's b9 failure case.  Off by
         default to match the published system.
-    max_paginate_advance_alternatives:
-        Cap on advance-button selector candidates per paginate span.
     incremental:
         When False, every call rebuilds the worklist from scratch — the
         "No incremental" ablation of Table 1 (§5.4).
@@ -51,19 +49,12 @@ class SynthesisConfig:
     max_suffix_child_steps:
         Longest child-step chain allowed after a descendant anchor step in
         generated suffixes.
-    max_pivot_unifications:
-        Cap on anti-unification results per pivot pair.
     max_parametrize_variants:
         Cap on parametrized variants per non-pivot statement (the
         unchanged statement is always among them).
     max_rewrites_per_span:
         Per popped tuple, keep only this many validated rewrites covering
         the same trace slice (smallest statements win).
-    max_while_click_alternatives:
-        Cap on the common alternative selectors tried for a while loop's
-        terminating click.
-    max_generalizing_programs:
-        Stop collecting once this many generalizing programs are known.
     max_store_tuples:
         Upper bound on tuples carried across incremental calls; the
         largest programs are dropped first when the cap is hit.
@@ -130,17 +121,13 @@ class SynthesisConfig:
     use_alternative_selectors: bool = True
     use_token_predicates: bool = False
     use_numbered_pagination: bool = False
-    max_paginate_advance_alternatives: int = 4
     incremental: bool = True
     max_body: int = 8
     max_loop_bodies_per_span: int = 16
     max_decompositions: int = 64
     max_suffix_child_steps: int = 2
-    max_pivot_unifications: int = 6
     max_parametrize_variants: int = 4
     max_rewrites_per_span: int = 3
-    max_while_click_alternatives: int = 4
-    max_generalizing_programs: int = 128
     max_store_tuples: int = 256
     max_worklist_pops: int | None = None
     use_execution_cache: bool = True

@@ -48,6 +48,9 @@ from repro.lang.ast import (
     selector_of,
 )
 
+#: Cap on advance-button selector candidates per paginate span.
+MAX_PAGINATE_ADVANCE_ALTERNATIVES = 4
+
 
 def counter_pair(first: str, second: str) -> Optional[tuple[str, int, str]]:
     """Split two strings as ``prefix+k+suffix`` / ``prefix+(k+1)+suffix``.
@@ -161,7 +164,7 @@ def advance_candidates(tuple_, ctx, second: int, template: CounterTemplate,
             counter += 1
             continue
         return ctx.search.alternatives(
-            selector, dom, max_results=ctx.config.max_paginate_advance_alternatives
+            selector, dom, max_results=MAX_PAGINATE_ADVANCE_ALTERNATIVES
         )
     return []
 

@@ -44,6 +44,10 @@ from repro.synth.parametrize import parametrize_statement
 from repro.synth.periodicity import Shape, shape_sequence, window_periodic
 from repro.synth.rewrite import RewriteTuple
 
+#: Cap on the common alternative selectors tried for a while loop's
+#: terminating click.
+MAX_WHILE_CLICK_ALTERNATIVES = 4
+
 
 @dataclass(frozen=True)
 class SRewrite:
@@ -365,7 +369,7 @@ def _speculate_while(
                 ctx.context_dom(tuple_, pivot),
                 ConcreteSelector(second_click.target.steps),
                 ctx.context_dom(tuple_, second),
-                max_results=config.max_while_click_alternatives,
+                max_results=MAX_WHILE_CLICK_ALTERNATIVES,
             )
             for selector in shared:
                 loop = WhileLoop(

@@ -42,6 +42,9 @@ from repro.synth.speculate import SpeculationContext, speculate
 from repro.util.errors import SynthesisError
 from repro.util.timer import Deadline
 
+#: Stop collecting once this many generalizing programs are known.
+MAX_GENERALIZING_PROGRAMS = 128
+
 
 class _SynthMetrics:
     """Lazy handles on the synthesis registry families.
@@ -360,7 +363,7 @@ class Synthesizer:
                 store[key] = tuple_
                 heapq.heappush(heap, (tuple_.length, next(sequence), tuple_))
                 prediction = self._try_generalize(tuple_, context)
-                if prediction is not None and len(generalizing) < self.config.max_generalizing_programs:
+                if prediction is not None and len(generalizing) < MAX_GENERALIZING_PROGRAMS:
                     generalizing.append(
                         Candidate.of(tuple_.program(), prediction, tuple_.length)
                     )

@@ -5,8 +5,8 @@ The parse/merge helpers are pinned against hand-written exposition
 dumps (label escaping, histogram suffix folding, HELP/TYPE
 deduplication); the CLI test scrapes a real worker *and* a real cache
 server and asserts the merged stream tags every sample with its
-instance.  The loadtest percentile helper lives here too — it is pure
-math shared by the harness and the bench.
+instance, and that unreachable or malformed members and URLs are
+reported with an exit code instead of a traceback.
 """
 
 import threading
@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.fleet.cache_server import make_cache_server
-from repro.fleet.loadtest import percentile
 from repro.fleet.metrics import (
     merge_exposition,
     parse_samples,
@@ -123,26 +122,6 @@ class TestMergeExposition:
         assert merge_exposition([]) == ""
 
 
-class TestPercentile:
-    def test_rank_interpolation(self):
-        assert percentile([10.0, 20.0, 30.0], 50) == 20.0
-        samples = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(samples, 0) == 10.0
-        assert percentile(samples, 95) == 40.0
-        assert percentile(samples, 99) == 40.0
-
-    def test_single_sample(self):
-        assert percentile([7.0], 50) == 7.0
-
-    def test_empty_is_zero(self):
-        assert percentile([], 99) == 0.0
-
-    def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == percentile(
-            [1.0, 2.0, 3.0], 50
-        )
-
-
 @pytest.fixture
 def cache(tmp_path):
     server = make_cache_server(port=0, path=str(tmp_path / "cache.sqlite"))
@@ -178,12 +157,30 @@ class TestFleetScrape:
         out = capsys.readouterr().out
         assert f'instance="{url}"' in out
 
-    def test_cli_metrics_fleet_reports_dead_members(self, cache, capsys):
+    @pytest.mark.parametrize(
+        "member", ["127.0.0.1:9", "127.0.0.1:abc", "http://"]
+    )
+    def test_cli_metrics_fleet_reports_dead_members(
+        self, cache, capsys, member
+    ):
         from repro.cli import main
 
         host, port = cache.server_address[:2]
-        assert (
-            main(["metrics", "--fleet", f"{host}:{port},127.0.0.1:9"]) == 1
-        )
-        err = capsys.readouterr().err
-        assert "127.0.0.1:9" in err
+        assert main(["metrics", "--fleet", f"{host}:{port},{member}"]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot scrape {member}" in captured.err
+        # the live member is still merged into the output
+        assert f'instance="{host}:{port}"' in captured.out
+
+    def test_cli_metrics_url_reads_the_metrics_route(self, cache, capsys):
+        from repro.cli import main
+
+        host, port = cache.server_address[:2]
+        assert main(["metrics", "--url", f"{host}:{port}"]) == 0
+        assert "repro_store_entries" in capsys.readouterr().out
+
+    def test_cli_metrics_bad_url_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["metrics", "--url", "127.0.0.1:abc"]) == 2
+        assert "bad service URL" in capsys.readouterr().err
