@@ -9,9 +9,14 @@ Environment knobs honoured across benches:
 * ``REPRO_TRACE_CAP``    — prediction tests per benchmark (default 100)
 * ``REPRO_TIMEOUT``      — per-test synthesis timeout (default 1.0 s)
 * ``REPRO_SUBSET``       — restrict to a comma-separated benchmark list
-* ``REPRO_Q2_TRACE_CAP`` — cheaper cap for the 3-variant ablation run
+* ``REPRO_Q2_TRACE_CAP`` — cheaper cap for the 3-variant Table 1 run
+* ``REPRO_Q2_TIMEOUT``   — per-test timeout of the Table 1 run (default 0.5 s)
 * ``REPRO_Q3_TRACE_CAP`` — task-length cap for interactive sessions
 * ``REPRO_Q4_TIMEOUT``   — per-run baseline budget (default 60 s)
+
+Every other bench reads only its own sizing and floor overrides
+(``REPRO_EXT_*``, ``REPRO_CACHE_*``, ``REPRO_SPEC_*``, ...), listed in
+its module docstring.
 
 ``--quick`` shrinks the perf benches (fewer sessions, shorter traces,
 slightly relaxed speedup floors) to a CI-smoke-tier footprint; see the

@@ -19,7 +19,7 @@ executing it.  Four abstract domains, one per module:
     :mod:`repro.browser.repair`'s dynamic drift repair.
 :mod:`repro.analysis.cost`
     Symbolic cost intervals: min/max emitted actions as a function of
-    loop bounds, a ranking signal for :mod:`repro.synth.ranking`.
+    loop bounds.
 
 :mod:`repro.analysis.feasibility` is the synthesis-hot-path client: a
 statically sound refutation of speculated candidates (can this

@@ -17,10 +17,9 @@ trace semantics' halting behaviour:
 
 Selector loops and the unbounded pagination forms get ``[0, ∞)`` /
 ``[body_lo, ∞)``: how many nodes match — or how many pages exist — is
-a property of the page, not the program.  The interval is still a
-useful ranking signal (:mod:`repro.synth.ranking`'s ``cost``
-strategy): among generalizing programs, a tighter, cheaper interval
-means a more predictable replay.
+a property of the page, not the program.  The interval still tells
+the user how predictable a replay is: a tighter, cheaper interval
+means fewer surprises.
 """
 
 from __future__ import annotations

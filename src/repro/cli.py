@@ -65,8 +65,8 @@ differing only in the ``tool`` tag and the rules that can appear.
     Regenerate the corresponding evaluation artifact (same as
     ``python -m repro.harness.qN``).
 ``ablations``
-    Run the design-choice ablation reports (search caps, ranking
-    strategies, published-failure-case extensions).
+    Run the extensions report: the paper's published failure cases
+    (b6, b9, b10) with this repo's opt-in extensions off and on.
 ``scaling``
     Run the incremental-vs-from-scratch trace-length scaling
     comparison.
@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for experiment in ("q1", "q2", "q3", "q4"):
         commands.add_parser(experiment, help=f"regenerate the {experiment} artifact")
-    commands.add_parser("ablations", help="run the design-choice ablation reports")
+    commands.add_parser("ablations", help="run the published-failure-case extensions report")
     commands.add_parser("scaling", help="run the trace-length scaling comparison")
     commands.add_parser("drift", help="run the drift-robustness replay study")
     return parser

@@ -1,167 +1,28 @@
-"""Extended ablations beyond Table 1 (design-choice benches).
+"""The extensions report: the paper's failure cases, extensions off and on.
 
 Table 1 ablates the two headline ideas (selector search and incremental
-synthesis).  DESIGN.md calls out three further implementation choices
-that stand in for the paper's unstated "several additional
-optimizations"; this module quantifies each so the trade-offs are
-measured rather than asserted:
-
-* **search caps** (:func:`run_caps_ablation`) — the bounded-search
-  knobs ``max_rewrites_per_span`` / ``max_loop_bodies_per_span``:
-  tighter caps are faster but can drop the intended rewrite, looser
-  caps burn the 1-second budget on duplicates;
-* **ranking strategy** (:func:`run_ranking_ablation`) — the paper's
-  smallest-program heuristic against the alternatives in
-  :mod:`repro.synth.ranking`;
-* **extensions** (:func:`run_extensions_report`) — the two published
-  failure cases (b6 disjunctive selectors, b9/b10 numbered pagination)
-  with this repo's opt-in extensions switched on and off.
-
-All runners accept a benchmark subset so the benches stay fast; the
-defaults are small representative slices of the suite.
+synthesis).  This module reports the two published failure cases (b6
+disjunctive selectors, b9/b10 numbered pagination) with this repo's
+opt-in extensions (:func:`~repro.synth.config.token_predicate_config`,
+:func:`~repro.synth.config.numbered_pagination_config`) switched off and
+on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.benchmarks.suite import benchmark_by_id
 from repro.harness.q1 import BenchmarkResult, evaluate_benchmark
-from repro.harness.report import fmt_ms, fmt_pct, render_table
+from repro.harness.report import fmt_pct, render_table
 from repro.synth.config import (
     DEFAULT_CONFIG,
-    SynthesisConfig,
     numbered_pagination_config,
     token_predicate_config,
 )
-from repro.synth.ranking import STRATEGIES
-
-#: Representative slice: flat list, nested store scrape, data entry,
-#: forum navigation, wiki table.
-DEFAULT_SUBSET = ("b74", "b12", "b33", "b21", "b16", "b7")
 
 
-@dataclass
-class VariantOutcome:
-    """One configuration's aggregate over the subset."""
-
-    name: str
-    results: list[BenchmarkResult]
-
-    @property
-    def solved(self) -> int:
-        return sum(result.intended for result in self.results)
-
-    @property
-    def mean_accuracy(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(result.accuracy for result in self.results) / len(self.results)
-
-    @property
-    def mean_time(self) -> float:
-        times = [t for result in self.results for t in result.prediction_times]
-        return sum(times) / len(times) if times else 0.0
-
-    def row(self) -> list:
-        return [
-            self.name,
-            f"{self.solved}/{len(self.results)}",
-            fmt_pct(self.mean_accuracy),
-            fmt_ms(self.mean_time),
-        ]
-
-
-def _run_variants(
-    variants: Sequence[tuple[str, SynthesisConfig]],
-    subset: Sequence[str],
-    trace_cap: int,
-    timeout: float,
-) -> list[VariantOutcome]:
-    outcomes = []
-    for name, config in variants:
-        results = [
-            evaluate_benchmark(benchmark_by_id(bid), config, trace_cap, timeout)
-            for bid in subset
-        ]
-        outcomes.append(VariantOutcome(name, results))
-    return outcomes
-
-
-def render_variants(title: str, outcomes: Sequence[VariantOutcome]) -> str:
-    """A Table 1-style summary of variant outcomes."""
-    table = render_table(
-        ["variant", "intended", "accuracy", "time/test"],
-        [outcome.row() for outcome in outcomes],
-    )
-    return f"{title}\n{table}"
-
-
-# ----------------------------------------------------------------------
-# Search-cap ablation
-# ----------------------------------------------------------------------
-def run_caps_ablation(
-    subset: Sequence[str] = DEFAULT_SUBSET,
-    trace_cap: int = 40,
-    timeout: float = 1.0,
-) -> list[VariantOutcome]:
-    """Sweep the bounded-search caps around their defaults."""
-    base = DEFAULT_CONFIG
-    variants = [
-        ("default (3 rewrites/span, 16 bodies)", base),
-        ("tight (1 rewrite/span, 2 bodies)",
-         replace(base, max_rewrites_per_span=1, max_loop_bodies_per_span=2)),
-        ("loose (8 rewrites/span, 64 bodies)",
-         replace(base, max_rewrites_per_span=8, max_loop_bodies_per_span=64)),
-        ("tiny store (32 tuples)", replace(base, max_store_tuples=32)),
-        ("few variants (1 per stmt)", replace(base, max_parametrize_variants=1)),
-    ]
-    return _run_variants(variants, subset, trace_cap, timeout)
-
-
-# ----------------------------------------------------------------------
-# Shape-gate ablation
-# ----------------------------------------------------------------------
-def run_gates_ablation(
-    subset: Sequence[str] = DEFAULT_SUBSET,
-    trace_cap: int = 40,
-    timeout: float = 1.0,
-) -> list[VariantOutcome]:
-    """The periodicity gates (:mod:`repro.synth.periodicity`) on/off.
-
-    The pivot gate is behaviour-preserving (same programs, less time);
-    the window gate prunes harder and may change which tuple produces
-    a program first.
-    """
-    base = DEFAULT_CONFIG
-    variants = [
-        ("pivot gate (default)", base),
-        ("no gates", replace(base, use_shape_gates=False)),
-        ("pivot + window gates", replace(base, use_window_periodicity=True)),
-    ]
-    return _run_variants(variants, subset, trace_cap, timeout)
-
-
-# ----------------------------------------------------------------------
-# Ranking ablation
-# ----------------------------------------------------------------------
-def run_ranking_ablation(
-    subset: Sequence[str] = DEFAULT_SUBSET,
-    trace_cap: int = 40,
-    timeout: float = 1.0,
-) -> list[VariantOutcome]:
-    """Compare the registered ranking strategies (paper default: size)."""
-    variants = [
-        (f"ranking={name}", replace(DEFAULT_CONFIG, ranking=name))
-        for name in sorted(STRATEGIES)
-    ]
-    return _run_variants(variants, subset, trace_cap, timeout)
-
-
-# ----------------------------------------------------------------------
-# Extensions report (the paper's failure cases)
-# ----------------------------------------------------------------------
 @dataclass
 class ExtensionCase:
     """One failure-case benchmark under both configurations."""
@@ -217,13 +78,7 @@ def render_extensions(cases: Sequence[ExtensionCase]) -> str:
 
 
 def main() -> None:
-    """CLI entry: run all ablation reports."""
-    print(render_variants("Search-cap ablation", run_caps_ablation()))
-    print()
-    print(render_variants("Shape-gate ablation", run_gates_ablation()))
-    print()
-    print(render_variants("Ranking-strategy ablation", run_ranking_ablation()))
-    print()
+    """CLI entry: run the extensions report."""
     print(render_extensions(run_extensions_report()))
 
 

@@ -6,9 +6,7 @@ from repro.synth.config import (
     no_execution_cache_config,
     no_incremental_config,
     no_selector_config,
-    no_shape_gates_config,
     token_predicate_config,
-    window_periodicity_config,
 )
 from repro.synth.problem import (
     SynthesisProblem,
@@ -35,8 +33,6 @@ from repro.synth.parametrize import parametrize_statement
 from repro.synth.periodicity import (
     shape_sequence,
     statement_shape,
-    trace_periods,
-    window_periodic,
 )
 from repro.synth.rewrite import (
     RewriteTuple,
@@ -58,9 +54,7 @@ __all__ = [
     "no_execution_cache_config",
     "no_incremental_config",
     "no_selector_config",
-    "no_shape_gates_config",
     "token_predicate_config",
-    "window_periodicity_config",
     "SynthesisProblem",
     "generalizes",
     "produced_actions",
@@ -79,8 +73,6 @@ __all__ = [
     "parametrize_statement",
     "shape_sequence",
     "statement_shape",
-    "trace_periods",
-    "window_periodic",
     "RewriteTuple",
     "extend_with_singletons",
     "initial_tuple",

@@ -53,6 +53,14 @@ from repro.engine.index import (
     dom_indexes_enabled,
     index_for,
 )
+from repro.synth.config import SynthesisConfig
+
+#: Cap on selector decompositions considered per concrete selector.
+MAX_DECOMPOSITIONS = 64
+
+#: Longest child-step chain allowed after a descendant anchor step in
+#: generated suffixes.
+MAX_SUFFIX_CHILD_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,6 @@ def relative_step_candidates(
     base: DOMNode,
     target: DOMNode,
     use_alternatives: bool = True,
-    max_suffix_child_steps: int = 2,
     token_predicates: bool = False,
     use_index_enumeration: bool = True,
 ) -> list[tuple[Step, ...]]:
@@ -151,7 +158,6 @@ def relative_step_candidates(
             id(base),
             id(target),
             use_alternatives,
-            max_suffix_child_steps,
             token_predicates,
         )
         cached = index.enum_memo.get(memo_key)
@@ -175,7 +181,7 @@ def relative_step_candidates(
         chain_nodes.reverse()  # base's child ... target
         for position, mid in enumerate(chain_nodes):
             remaining = len(chain_nodes) - 1 - position
-            if remaining > max_suffix_child_steps:
+            if remaining > MAX_SUFFIX_CHILD_STEPS:
                 continue
             if index is not None:
                 # every chain node sits between base and target, so the
@@ -207,7 +213,6 @@ def decompositions(
     selector: ConcreteSelector,
     dom: DOMNode,
     use_alternatives: bool = True,
-    max_suffix_child_steps: int = 2,
     max_results: int = 128,
     token_predicates: bool = False,
     use_index_enumeration: bool = True,
@@ -232,7 +237,6 @@ def decompositions(
             index,
             target,
             use_alternatives,
-            max_suffix_child_steps,
             max_results,
             token_predicates,
         )
@@ -244,7 +248,6 @@ def decompositions(
             element,
             target,
             use_alternatives,
-            max_suffix_child_steps,
             token_predicates,
             use_index_enumeration=False,
         )
@@ -285,7 +288,6 @@ def _decompositions_indexed(
     index: SnapshotIndex,
     target: DOMNode,
     use_alternatives: bool,
-    max_suffix_child_steps: int,
     max_results: int,
     token_predicates: bool,
 ) -> list[Decomposition]:
@@ -304,7 +306,6 @@ def _decompositions_indexed(
         "decomp",
         id(target),
         use_alternatives,
-        max_suffix_child_steps,
         max_results,
         token_predicates,
     )
@@ -318,7 +319,6 @@ def _decompositions_indexed(
             element,
             target,
             use_alternatives,
-            max_suffix_child_steps,
             token_predicates,
             use_index_enumeration=True,
         )
@@ -416,14 +416,10 @@ class SelectorSearch:
     def __init__(
         self,
         use_alternatives: bool = True,
-        max_suffix_child_steps: int = 2,
-        max_decompositions: int = 128,
         token_predicates: bool = False,
         use_index_enumeration: bool = True,
     ) -> None:
         self.use_alternatives = use_alternatives
-        self.max_suffix_child_steps = max_suffix_child_steps
-        self.max_decompositions = max_decompositions
         self.token_predicates = token_predicates
         self.use_index_enumeration = use_index_enumeration
         self.enum_indexed = 0
@@ -433,6 +429,15 @@ class SelectorSearch:
         self._alternatives_cache: dict[tuple, list[ConcreteSelector]] = {}
         self._pairing_cache: dict[tuple, object] = {}
         self._pins: list = []  # keeps cached DOMs alive so ids stay valid
+
+    @classmethod
+    def for_config(cls, config: SynthesisConfig) -> "SelectorSearch":
+        """The search a synthesis run under ``config`` queries."""
+        return cls(
+            use_alternatives=config.use_alternative_selectors,
+            token_predicates=config.use_token_predicates,
+            use_index_enumeration=config.use_index_enumeration,
+        )
 
     def _pin(self, *objects) -> None:
         self._pins.append(objects)
@@ -465,8 +470,7 @@ class SelectorSearch:
                 selector,
                 dom,
                 use_alternatives=self.use_alternatives,
-                max_suffix_child_steps=self.max_suffix_child_steps,
-                max_results=self.max_decompositions,
+                max_results=MAX_DECOMPOSITIONS,
                 token_predicates=self.token_predicates,
                 use_index_enumeration=self.use_index_enumeration,
             )
@@ -484,7 +488,6 @@ class SelectorSearch:
                 base,
                 target,
                 use_alternatives=self.use_alternatives,
-                max_suffix_child_steps=self.max_suffix_child_steps,
                 token_predicates=self.token_predicates,
                 use_index_enumeration=self.use_index_enumeration,
             )

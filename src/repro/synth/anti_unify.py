@@ -94,12 +94,7 @@ def anti_unify_selectors(
     call, so results are never shared between spans.
     """
     if search is None:
-        search = SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        search = SelectorSearch.for_config(config)
     pairings = search.loop_pairings(
         first_sel, first_dom, second_sel, second_dom, MAX_PIVOT_UNIFICATIONS
     )

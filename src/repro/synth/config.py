@@ -16,6 +16,17 @@ from typing import Optional
 class SynthesisConfig:
     """Tunable knobs of the synthesis engine.
 
+    Only what a paper ablation (Table 1), the extensions bench, a
+    deployment or a parity oracle sets is a field here.  The search
+    bounds are module constants next to their readers:
+    :data:`~repro.synth.speculate.MAX_BODY` and
+    :data:`~repro.synth.speculate.MAX_LOOP_BODIES_PER_SPAN`,
+    :data:`~repro.synth.parametrize.MAX_PARAMETRIZE_VARIANTS`,
+    :data:`~repro.synth.scheduler.MAX_REWRITES_PER_SPAN`,
+    :data:`~repro.synth.synthesizer.MAX_STORE_TUPLES`, and
+    :data:`~repro.synth.alternatives.MAX_DECOMPOSITIONS` /
+    :data:`~repro.synth.alternatives.MAX_SUFFIX_CHILD_STEPS`.
+
     Attributes
     ----------
     timeout:
@@ -38,29 +49,6 @@ class SynthesisConfig:
     incremental:
         When False, every call rebuilds the worklist from scratch — the
         "No incremental" ablation of Table 1 (§5.4).
-    max_body:
-        Maximum number of statements in a speculated first iteration
-        (bounds the span enumeration in Algorithm 2).
-    max_loop_bodies_per_span:
-        Cap on the Cartesian product of parametrized bodies generated for
-        one ``(i, p, j, q)`` span.
-    max_decompositions:
-        Cap on selector decompositions considered per concrete selector.
-    max_suffix_child_steps:
-        Longest child-step chain allowed after a descendant anchor step in
-        generated suffixes.
-    max_parametrize_variants:
-        Cap on parametrized variants per non-pivot statement (the
-        unchanged statement is always among them).
-    max_rewrites_per_span:
-        Per popped tuple, keep only this many validated rewrites covering
-        the same trace slice (smallest statements win).
-    max_store_tuples:
-        Upper bound on tuples carried across incremental calls; the
-        largest programs are dropped first when the cap is hit.
-    max_worklist_pops:
-        Safety valve on worklist processing per call (None = unbounded,
-        the deadline is then the only stop).
     use_execution_cache:
         Memoize simulated execution in the
         :class:`~repro.engine.engine.ExecutionEngine` (identical
@@ -91,21 +79,6 @@ class SynthesisConfig:
         joins the process-level cache of its resolved backend.
         Behaviour-preserving: the cache keys are value-addressed end to
         end, and hits replay recorded outcomes verbatim.
-    ranking:
-        Name of the ranking strategy applied to generalizing programs
-        (see :mod:`repro.synth.ranking`); the default is the paper's
-        smallest-program heuristic.
-    use_shape_gates:
-        Skip anti-unification of pivot pairs whose statement *shapes*
-        differ (see :mod:`repro.synth.periodicity`).  Shape inequality
-        is a necessary condition of the Figure 10 rules, so this is a
-        behaviour-preserving speedup; on by default.
-    use_window_periodicity:
-        Additionally require a span's whole first iteration to repeat
-        shape-wise one period later before speculating on it.  Prunes
-        harder but changes the exploration order on tuples whose two
-        exhibited iterations are in different rewriting states; off by
-        default (the ablation bench measures the trade).
     static_prune:
         Statically refute speculated candidates before dispatching
         validation (:mod:`repro.analysis.feasibility`): a candidate
@@ -122,20 +95,9 @@ class SynthesisConfig:
     use_token_predicates: bool = False
     use_numbered_pagination: bool = False
     incremental: bool = True
-    max_body: int = 8
-    max_loop_bodies_per_span: int = 16
-    max_decompositions: int = 64
-    max_suffix_child_steps: int = 2
-    max_parametrize_variants: int = 4
-    max_rewrites_per_span: int = 3
-    max_store_tuples: int = 256
-    max_worklist_pops: int | None = None
     use_execution_cache: bool = True
     use_index_enumeration: bool = True
     cache_backend: Optional[str] = None
-    ranking: str = "size"
-    use_shape_gates: bool = True
-    use_window_periodicity: bool = False
     static_prune: bool = True
 
 
@@ -194,17 +156,3 @@ def file_backend_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConf
     """The persistent file backend switched on (service/warm-start runs)."""
     return replace(base, cache_backend="file")
 
-
-def ranking_config(strategy: str, base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """A configuration using the named ranking strategy (ablation helper)."""
-    return replace(base, ranking=strategy)
-
-
-def no_shape_gates_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Pivot shape gate disabled (ablation: measures its speedup)."""
-    return replace(base, use_shape_gates=False)
-
-
-def window_periodicity_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Window-periodicity span gate enabled (ablation: harder pruning)."""
-    return replace(base, use_window_periodicity=True)

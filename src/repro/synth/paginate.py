@@ -178,10 +178,12 @@ def speculate_paginate(tuple_, ctx, emit) -> None:
     ``spec_start``: the advance button may only become visible in later
     increments of the trace, so new candidates can arise from old spans.
     """
+    # imported here: speculate imports this module at load time
+    from repro.synth.speculate import MAX_BODY
+
     statements = tuple_.statements
     length = tuple_.length
-    config = ctx.config
-    for span_len in range(2, config.max_body + 1):
+    for span_len in range(2, MAX_BODY + 1):
         for start in range(0, length - span_len):
             pivot = start + span_len - 1
             second = pivot + span_len

@@ -41,6 +41,10 @@ from repro.synth.config import SynthesisConfig
 
 Binding = Union[ConcreteSelector, ValuePath]
 
+#: Cap on parametrized variants per non-pivot statement (the unchanged
+#: statement is always among them).
+MAX_PARAMETRIZE_VARIANTS = 4
+
 
 def parametrize_statement(
     stmt: Statement,
@@ -55,22 +59,17 @@ def parametrize_statement(
     ``dom`` is the snapshot the statement's first action executed on — the
     alternative-selector search runs against it.  The result always ends
     with the unchanged statement (rule (1)) and is capped at
-    ``config.max_parametrize_variants`` entries.
+    :data:`MAX_PARAMETRIZE_VARIANTS` entries.
     """
     if search is None:
-        search = SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        search = SelectorSearch.for_config(config)
     if var.kind == SEL_VAR:
         assert isinstance(first_binding, ConcreteSelector)
         variants = _parametrize_selector(stmt, var, first_binding, dom, config, search)
     else:
         assert isinstance(first_binding, ValuePath)
         variants = _parametrize_value(stmt, var, first_binding)
-    variants = variants[: config.max_parametrize_variants - 1]
+    variants = variants[: MAX_PARAMETRIZE_VARIANTS - 1]
     variants.append(stmt)
     return variants
 

@@ -1,38 +1,19 @@
-"""Shape-periodicity gates for span enumeration (optimization).
+"""Statement shapes: the pivot gate of span enumeration (optimization).
 
 Algorithm 2 enumerates every span ``(i, p, j, q)`` of a tuple's program
 and anti-unifies each pivot pair — but most pairs cannot anti-unify at
 all (a Click never unifies with a ScrapeText; a loop never unifies with
-an action), and most spans cannot survive validation (the loop's second
-iteration must re-execute statements of the same shapes).  Both facts
-are visible in a cheap abstraction of the statement list: its *shape
-sequence*.
+an action).  That fact is visible in a cheap abstraction of the
+statement list: its *shape sequence*.
 
 :func:`statement_shape` maps a statement to a hashable key such that
 shape inequality implies :func:`~repro.synth.anti_unify.
 anti_unify_statements` returns nothing (the key captures exactly the
 non-selector conditions the rules require: action kinds and constant
-arguments, loop collection type and predicate, body kind trees).  Two
-gates build on it:
-
-* the **pivot gate** skips anti-unification whenever the pivot pair's
-  shapes differ.  This is behaviour-preserving — it precomputes a
-  necessary condition of the rules — and is on by default
-  (``SynthesisConfig.use_shape_gates``).
-* the **window gate** (:func:`window_periodic`) additionally requires
-  the whole conjectured first iteration to repeat shape-wise one period
-  later, which a validated rewrite exhibits whenever both iterations are
-  in the same rewriting state.  Tuples in *asymmetric* states (one
-  occurrence of an inner loop rolled, the next still raw) can validate
-  spans this gate prunes, so it changes the exploration order; the
-  symmetric sibling tuple always exists on the worklist (rewrites of
-  independent slices commute), so Theorem 5.5 is unaffected.  Opt-in via
-  ``SynthesisConfig.use_window_periodicity``; the ablation bench
-  measures its effect.
-
-:func:`trace_periods` reports the statement-level periods a whole
-program window exhibits — a cheap diagnostic for seeing what the gates
-would prune on a given trace.
+arguments, loop collection type and predicate, body kind trees).
+Speculation skips anti-unification whenever the pivot pair's shapes
+differ.  This is behaviour-preserving — it precomputes a necessary
+condition of the rules — so the gate is unconditional.
 """
 
 from __future__ import annotations
@@ -96,39 +77,3 @@ def shape_sequence(statements: Sequence[Statement]) -> list[Shape]:
     """The shape of every statement, in order (one tuple-program pass)."""
     return [statement_shape(stmt) for stmt in statements]
 
-
-def window_periodic(shapes: Sequence[Shape], start: int, period: int) -> bool:
-    """Does the window ``[start, start+period)`` repeat one period later?
-
-    True exactly when ``shapes[k] == shapes[k + period]`` for every
-    ``k`` in the window — the statement-level footprint of two aligned
-    loop iterations.  Windows running past the end are not periodic.
-    """
-    if start < 0 or period < 1 or start + 2 * period > len(shapes):
-        return False
-    return all(
-        shapes[position] == shapes[position + period]
-        for position in range(start, start + period)
-    )
-
-
-def trace_periods(
-    shapes: Sequence[Shape], max_period: int | None = None
-) -> dict[int, int]:
-    """Window counts per period: how much repetition the trace exhibits.
-
-    Maps each period ``L`` (up to ``max_period``, default ``len // 2``)
-    to the number of start positions whose ``L``-window repeats.  Purely
-    diagnostic — it shows what the window gate would see on a trace.
-    """
-    limit = max_period if max_period is not None else len(shapes) // 2
-    counts: dict[int, int] = {}
-    for period in range(1, limit + 1):
-        windows = sum(
-            1
-            for start in range(0, len(shapes) - 2 * period + 1)
-            if window_periodic(shapes, start, period)
-        )
-        if windows:
-            counts[period] = windows
-    return counts

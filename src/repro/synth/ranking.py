@@ -1,44 +1,19 @@
 """Ranking of generalizing programs (Algorithm 1 line 8).
 
-The paper "aims to synthesize a smallest program in size" (§4) and
-breaks ties deterministically; that is the default strategy here.  The
-alternatives quantify how much the smallest-program heuristic matters —
-``benchmarks/bench_ablation_ranking.py`` compares them on the full
-suite:
-
-``size``
-    AST node count, then statement-sequence length, then program text.
-    The paper's choice.
-``fewest-statements``
-    Top-level compression first (a program whose rewrites absorbed more
-    of the trace into loops ranks higher), then AST size.
-``deepest``
-    Most-nested programs first — the "most general structure" guess —
-    then AST size.  A deliberately aggressive strategy: it wins when
-    repetition is real, overfits when it is coincidental.
-``shallowest``
-    Least-nested first — the conservative guess.
-``cost``
-    Cheapest static replay cost first (the analysis layer's symbolic
-    action-count interval, :mod:`repro.analysis.cost`): upper bound
-    with unbounded last, then lower bound, then AST size.  Prefers
-    programs whose replay does provably bounded work — a user-facing
-    "least surprising replay" order rather than a syntax order.
-
-All strategies share the final text tie-break, so ranking is a total
-deterministic order and results are reproducible run to run.
+The paper "aims to synthesize a smallest program in size" (§4): programs
+are ordered by AST node count, then statement-sequence length, then
+program text.  The final text tie-break makes ranking a total
+deterministic order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.analysis.cost import program_cost
 from repro.lang.actions import Action
-from repro.lang.ast import Program, program_depth, program_size
+from repro.lang.ast import Program, program_size
 from repro.lang.pretty import format_program
-from repro.util.errors import SynthesisError
 
 
 @dataclass(frozen=True)
@@ -47,8 +22,8 @@ class Candidate:
 
     ``statements`` is the rewrite tuple's top-level statement count (a
     lower count means loops absorbed more of the demonstration);
-    ``text`` is the pretty-printed form, cached because every strategy
-    uses it as the final tie-break.
+    ``text`` is the pretty-printed form, cached because it is the final
+    tie-break.
     """
 
     program: Program
@@ -62,61 +37,10 @@ class Candidate:
         return cls(program, prediction, statements, format_program(program))
 
 
-#: A strategy maps a candidate to a sort key (ascending = better).
-Strategy = Callable[[Candidate], tuple]
-
-
 def _by_size(candidate: Candidate) -> tuple:
     return (program_size(candidate.program), candidate.statements, candidate.text)
 
 
-def _by_fewest_statements(candidate: Candidate) -> tuple:
-    return (candidate.statements, program_size(candidate.program), candidate.text)
-
-
-def _by_deepest(candidate: Candidate) -> tuple:
-    return (
-        -program_depth(candidate.program),
-        program_size(candidate.program),
-        candidate.text,
-    )
-
-
-def _by_shallowest(candidate: Candidate) -> tuple:
-    return (
-        program_depth(candidate.program),
-        program_size(candidate.program),
-        candidate.text,
-    )
-
-
-def _by_cost(candidate: Candidate) -> tuple:
-    cost = program_cost(candidate.program)
-    upper = float("inf") if cost.hi is None else cost.hi
-    return (upper, cost.lo, program_size(candidate.program), candidate.text)
-
-
-#: Registered strategies by name (``SynthesisConfig.ranking``).
-STRATEGIES: dict[str, Strategy] = {
-    "size": _by_size,
-    "fewest-statements": _by_fewest_statements,
-    "deepest": _by_deepest,
-    "shallowest": _by_shallowest,
-    "cost": _by_cost,
-}
-
-DEFAULT_STRATEGY = "size"
-
-
-def strategy_by_name(name: str) -> Strategy:
-    """Look up a registered strategy; raise on unknown names."""
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(STRATEGIES))
-        raise SynthesisError(f"unknown ranking strategy {name!r} (known: {known})") from None
-
-
-def rank(candidates: Sequence[Candidate], strategy: str = DEFAULT_STRATEGY) -> list[Candidate]:
-    """Order candidates best-first under the named strategy."""
-    return sorted(candidates, key=strategy_by_name(strategy))
+def rank(candidates: Sequence[Candidate]) -> list[Candidate]:
+    """Order candidates best-first: smallest program first."""
+    return sorted(candidates, key=_by_size)

@@ -26,6 +26,10 @@ from repro.util.timer import Deadline
 #: ``push(rewritten)`` — the synthesizer's worklist/store insertion.
 PushFn = Callable[[RewriteTuple], None]
 
+#: Per popped tuple, keep only this many validated rewrites covering the
+#: same trace slice (smallest statements win).
+MAX_REWRITES_PER_SPAN = 3
+
 
 def _static_prune(
     current: RewriteTuple,
@@ -108,14 +112,13 @@ class SerialScheduler:
         """
         _static_prune(current, candidates, context, stats)
         _rank_order(candidates, context)
-        max_per_span = context.config.max_rewrites_per_span
         per_span: dict[tuple, int] = {}
         for candidate in candidates:
             if deadline.expired():
                 stats.timed_out = True
                 break
             span_key = (candidate.start, candidate.end)
-            if per_span.get(span_key, 0) >= max_per_span:
+            if per_span.get(span_key, 0) >= MAX_REWRITES_PER_SPAN:
                 continue
             stats.validations += 1
             rewritten = validate(candidate, current, context)

@@ -41,8 +41,16 @@ from repro.synth.alternatives import SelectorSearch
 from repro.synth.config import SynthesisConfig
 from repro.synth.paginate import speculate_paginate
 from repro.synth.parametrize import parametrize_statement
-from repro.synth.periodicity import Shape, shape_sequence, window_periodic
+from repro.synth.periodicity import shape_sequence
 from repro.synth.rewrite import RewriteTuple
+
+#: Maximum number of statements in a speculated first iteration (bounds
+#: the span enumeration in Algorithm 2).
+MAX_BODY = 8
+
+#: Cap on the Cartesian product of parametrized bodies generated for one
+#: ``(i, p, j, q)`` span.
+MAX_LOOP_BODIES_PER_SPAN = 16
 
 #: Cap on the common alternative selectors tried for a while loop's
 #: terminating click.
@@ -87,12 +95,7 @@ class SpeculationContext:
         self.data = data
         self.config = config
         self.engine = engine or ExecutionEngine.for_config(data, config)
-        self.search = search or SelectorSearch(
-            use_alternatives=config.use_alternative_selectors,
-            max_suffix_child_steps=config.max_suffix_child_steps,
-            max_decompositions=config.max_decompositions,
-            use_index_enumeration=config.use_index_enumeration,
-        )
+        self.search = search or SelectorSearch.for_config(config)
         # Statement-level memos.  Statement objects are shared between a
         # tuple and its extensions, so id-keyed caching hits across spans
         # and across incremental calls; the search object pins referents.
@@ -205,13 +208,8 @@ def speculate(tuple_: RewriteTuple, ctx: SpeculationContext) -> list[SRewrite]:
         # every possible second-iteration position was already explored
         # on an ancestor tuple (e.g. a pure loop-absorption extension)
         return results
-    shapes = (
-        shape_sequence(tuple_.statements)
-        if ctx.config.use_shape_gates or ctx.config.use_window_periodicity
-        else None
-    )
-    _speculate_foreach(tuple_, ctx, results, seen, shapes)
-    _speculate_while(tuple_, ctx, results, seen, shapes)
+    _speculate_foreach(tuple_, ctx, results, seen)
+    _speculate_while(tuple_, ctx, results, seen)
     return results
 
 
@@ -234,20 +232,18 @@ def _speculate_foreach(
     ctx: SpeculationContext,
     results: list[SRewrite],
     seen: set[tuple],
-    shapes: "list[Shape] | None",
 ) -> None:
-    """Lines 2-13: selector-loop and value-loop spans."""
+    """Lines 2-13: selector-loop and value-loop spans.
+
+    Pivot pairs whose statement shapes differ are skipped before
+    anti-unification: shape inequality refutes every Figure 10 rule
+    (:mod:`repro.synth.periodicity`), so the gate only saves work.
+    """
     statements = tuple_.statements
     length = tuple_.length
-    config = ctx.config
-    for span_len in range(1, config.max_body + 1):
+    shapes = shape_sequence(statements)
+    for span_len in range(1, MAX_BODY + 1):
         for start in range(0, length - span_len):
-            if (
-                shapes is not None
-                and config.use_window_periodicity
-                and not window_periodic(shapes, start, span_len)
-            ):
-                continue  # first iteration does not repeat shape-wise
             end = start + span_len - 1  # inclusive first-iteration end
             for pivot in range(start, end + 1):
                 second = pivot + span_len
@@ -255,11 +251,7 @@ def _speculate_foreach(
                     break
                 if second < tuple_.spec_start:
                     continue  # already explored on an ancestor tuple
-                if (
-                    shapes is not None
-                    and config.use_shape_gates
-                    and shapes[pivot] != shapes[second]
-                ):
+                if shapes[pivot] != shapes[second]:
                     continue  # the rules cannot unify shape-distinct pivots
                 pivot_dom = ctx.context_dom(tuple_, pivot)
                 second_dom = ctx.context_dom(tuple_, second)
@@ -284,7 +276,6 @@ def _assemble_loops(
 ) -> None:
     """Lines 4-7 / 10-13: parametrize the span and build loop statements."""
     statements = tuple_.statements
-    config = ctx.config
     variant_lists: list[list[Statement]] = []
     for index in range(start, end + 1):
         if index == pivot:
@@ -297,7 +288,7 @@ def _assemble_loops(
             # Dedup each slot *before* the Cartesian product: alpha-
             # equivalent variants would only produce loops `_emit` drops
             # anyway, but they multiply the product and burn the
-            # `max_loop_bodies_per_span` clip on bodies that cannot
+            # `MAX_LOOP_BODIES_PER_SPAN` clip on bodies that cannot
             # survive dedup.  Pruning per-slot keeps the clip cheap and
             # spends it on distinct bodies only.
             unique: list[Statement] = []
@@ -310,7 +301,7 @@ def _assemble_loops(
             variants = unique
         variant_lists.append(variants)
     bodies = itertools.islice(
-        itertools.product(*variant_lists), config.max_loop_bodies_per_span
+        itertools.product(*variant_lists), MAX_LOOP_BODIES_PER_SPAN
     )
     value_loop = isinstance(candidate.collection, ValuePathsOf)
     for body in bodies:
@@ -326,7 +317,6 @@ def _speculate_while(
     ctx: SpeculationContext,
     results: list[SRewrite],
     seen: set[tuple],
-    shapes: "list[Shape] | None",
 ) -> None:
     """Lines 14-16: click-terminated while-loop spans.
 
@@ -338,20 +328,13 @@ def _speculate_while(
     """
     statements = tuple_.statements
     length = tuple_.length
-    config = ctx.config
-    for span_len in range(2, config.max_body + 1):
+    for span_len in range(2, MAX_BODY + 1):
         for start in range(0, length - span_len):
             pivot = start + span_len - 1  # the Click ending the iteration
             second = pivot + span_len
             if second >= length:
                 continue
             if second < tuple_.spec_start:
-                continue
-            if (
-                shapes is not None
-                and config.use_window_periodicity
-                and not window_periodic(shapes, start, span_len)
-            ):
                 continue
             first_click = statements[pivot]
             second_click = statements[second]

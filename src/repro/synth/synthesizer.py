@@ -45,6 +45,10 @@ from repro.util.timer import Deadline
 #: Stop collecting once this many generalizing programs are known.
 MAX_GENERALIZING_PROGRAMS = 128
 
+#: Upper bound on tuples carried across incremental calls; the largest
+#: programs are dropped first when the cap is hit.
+MAX_STORE_TUPLES = 256
+
 
 class _SynthMetrics:
     """Lazy handles on the synthesis registry families.
@@ -263,7 +267,7 @@ class Synthesizer:
         self._actions: list[Action] = []
         self._snapshots: list[DOMNode] = []
         self._store: dict[tuple, RewriteTuple] = {}
-        self._search = self._new_search()
+        self._search = SelectorSearch.for_config(self.config)
         self._engine = ExecutionEngine.for_config(data, config)
         self._scheduler = SerialScheduler()
 
@@ -272,22 +276,13 @@ class Synthesizer:
         """The memoizing execution engine serving this session."""
         return self._engine
 
-    def _new_search(self) -> SelectorSearch:
-        return SelectorSearch(
-            use_alternatives=self.config.use_alternative_selectors,
-            max_suffix_child_steps=self.config.max_suffix_child_steps,
-            max_decompositions=self.config.max_decompositions,
-            token_predicates=self.config.use_token_predicates,
-            use_index_enumeration=self.config.use_index_enumeration,
-        )
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget all state from previous calls."""
         self._actions = []
         self._snapshots = []
         self._store = {}
-        self._search = self._new_search()
+        self._search = SelectorSearch.for_config(self.config)
         self._engine = ExecutionEngine.for_config(self.data, self.config)
 
     def synthesize(
@@ -387,11 +382,6 @@ class Synthesizer:
                 if deadline.expired():
                     stats.timed_out = True
                     break
-                if (
-                    self.config.max_worklist_pops is not None
-                    and stats.pops >= self.config.max_worklist_pops
-                ):
-                    break
                 _, _, current = heapq.heappop(heap)
                 if current.processed:
                     continue
@@ -457,11 +447,10 @@ class Synthesizer:
         largest statement count but is the ancestor of every rewrite —
         drop everything else first.
         """
-        cap = self.config.max_store_tuples
-        if len(self._store) <= cap:
+        if len(self._store) <= MAX_STORE_TUPLES:
             return
         entries = sorted(self._store.items(), key=lambda item: item[1].length)
-        keep = dict(entries[: cap - 1])
+        keep = dict(entries[: MAX_STORE_TUPLES - 1])
         # the all-singleton tuple (maximal length) must survive: it seeds
         # spans no rewritten tuple can express
         tail_key, tail_tuple = entries[-1]
@@ -571,8 +560,8 @@ class Synthesizer:
     ) -> None:
         """Rank generalizing programs (Algorithm 1 line 8); dedup predictions.
 
-        The strategy is ``config.ranking`` (default: the paper's
-        smallest-program heuristic — see :mod:`repro.synth.ranking`).
+        The order is the paper's smallest-program heuristic (see
+        :mod:`repro.synth.ranking`).
         Predictions are deduplicated by the node they address on the
         latest snapshot (plus non-selector arguments), so semantically
         identical predictions from different programs collapse into one
@@ -580,7 +569,7 @@ class Synthesizer:
         """
         last_dom = self._snapshots[-1] if self._snapshots else None
         seen_predictions: set = set()
-        for candidate in rank(generalizing, self.config.ranking):
+        for candidate in rank(generalizing):
             result.programs.append(candidate.program)
             key = self._prediction_key(candidate.prediction, last_dom)
             if key not in seen_predictions:

@@ -8,8 +8,6 @@ scores and the resolve check; the candidate-feasibility NFA; and the
 aggregated :func:`analyze_program` report with its unified findings.
 """
 
-import pytest
-
 from repro.analysis import (
     CostInterval,
     EffectSummary,
@@ -28,10 +26,8 @@ from repro.analysis.feasibility import infeasible
 from repro.dom import parse_selector
 from repro.lang import parse_program
 from repro.lang.data import DataSource, EMPTY_DATA
-from repro.synth.ranking import Candidate, rank
 
-from helpers import cards_page, raw_action, scrape_cards_trace
-from repro.lang import click, scrape_text
+from helpers import cards_page, scrape_cards_trace
 
 
 SCRAPE_LOOP = (
@@ -226,23 +222,3 @@ class TestAnalyzeProgram:
             set(item) == {"tool", "rule", "severity", "path", "message"}
             for item in payload["findings"]
         )
-
-
-class TestCostRanking:
-    def test_cost_strategy_prefers_cheapest_replay(self):
-        dom = cards_page(2)
-        bounded = parse_program("ScrapeText(//h3[1])")
-        unbounded = parse_program(SCRAPE_LOOP)
-        prediction = raw_action(scrape_text, dom, "//h3[1]")
-        candidates = [
-            Candidate.of(unbounded, prediction, 1),
-            Candidate.of(bounded, prediction, 1),
-        ]
-        ranked = rank(candidates, "cost")
-        assert ranked[0].program is bounded
-
-    def test_unknown_strategy_still_rejected(self):
-        from repro.util.errors import SynthesisError
-
-        with pytest.raises(SynthesisError):
-            rank([], "not-a-strategy")

@@ -1,62 +1,22 @@
-"""Tests for the extended-ablation harness (`repro.harness.ablations`)."""
+"""Tests for the extensions report (`repro.harness.ablations`)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.ablations import (
     ExtensionCase,
-    VariantOutcome,
     render_extensions,
-    render_variants,
     run_extensions_report,
-    run_gates_ablation,
 )
 from repro.harness.q1 import BenchmarkResult
 
 
-def result(accuracy: float, intended: bool, times=(0.01,)) -> BenchmarkResult:
+def result(accuracy: float, intended: bool) -> BenchmarkResult:
     outcome = BenchmarkResult(bid="x", family="f")
     outcome.tests = 10
     outcome.correct = int(accuracy * 10)
     outcome.intended = intended
-    outcome.prediction_times = list(times)
+    outcome.prediction_times = [0.01]
     return outcome
-
-
-class TestVariantOutcome:
-    def test_aggregates(self):
-        outcome = VariantOutcome(
-            "v", [result(1.0, True), result(0.6, False, times=(0.03,))]
-        )
-        assert outcome.solved == 1
-        assert outcome.mean_accuracy == pytest.approx(0.8)
-        assert outcome.mean_time == pytest.approx(0.02)
-
-    def test_empty_results(self):
-        outcome = VariantOutcome("v", [])
-        assert outcome.solved == 0
-        assert outcome.mean_accuracy == 0.0
-        assert outcome.mean_time == 0.0
-
-    def test_render_contains_rows(self):
-        text = render_variants("My title", [VariantOutcome("only", [result(1.0, True)])])
-        assert "My title" in text
-        assert "only" in text and "1/1" in text
-
-
-class TestGatesAblation:
-    def test_shapes_and_equivalence_on_one_benchmark(self):
-        outcomes = run_gates_ablation(subset=("b74",), trace_cap=8)
-        assert [o.name for o in outcomes] == [
-            "pivot gate (default)",
-            "no gates",
-            "pivot + window gates",
-        ]
-        gated, ungated, _windowed = outcomes
-        # the pivot gate is behaviour-preserving
-        assert gated.solved == ungated.solved
-        assert gated.mean_accuracy == ungated.mean_accuracy
 
 
 class TestExtensionsReport:

@@ -4,17 +4,26 @@ from repro.dom import (
     CHILD,
     DESC,
     EPSILON,
+    E,
     Predicate,
+    page,
     parse_selector,
     raw_path,
     resolve,
 )
+from repro.lang import parse_program
+from repro.lang.ast import SEL_VAR, fresh_var
+from repro.lang.data import DataSource
 from repro.synth import (
+    SpeculationContext,
     alternative_selectors,
+    anti_unify_selectors,
     common_alternatives,
     decompositions,
     node_predicates,
+    parametrize_statement,
     relative_step_candidates,
+    token_predicate_config,
 )
 
 from helpers import cards_page, node_at
@@ -34,8 +43,6 @@ class TestNodePredicates:
         assert node_predicates(card, use_alternatives=False) == [Predicate("div")]
 
     def test_empty_attribute_ignored(self):
-        from repro.dom import E
-
         node = E("div", {"class": ""})
         assert node_predicates(node) == [Predicate("div")]
 
@@ -196,3 +203,25 @@ class TestCommonAlternatives:
             raw_path(next1), page1, raw_path(next2), page2, use_alternatives=False
         )
         assert shared == []
+
+
+class TestSelectorSearchForConfig:
+    def test_fallback_searches_honour_token_predicates(self):
+        # every entry point that builds its own search must read the
+        # config's token-predicate switch, not just the synthesizer's
+        config = token_predicate_config()
+        dom = page(
+            E("div", {"class": "match first"}, E("span", {"class": "price big"})),
+            E("div", {"class": "other"}),
+            E("div", {"class": "match second"}, E("span", {"class": "price"})),
+        )
+        first = raw_path(node_at(dom, "/html[1]/body[1]/div[1]"))
+        third = raw_path(node_at(dom, "/html[1]/body[1]/div[3]"))
+
+        assert SpeculationContext([], [], DataSource({}), config).search.token_predicates
+        # divs 1 and 3 are items 1 and 2 only under the `match` token
+        readings = anti_unify_selectors(first, dom, third, dom, config)
+        assert any("~='match'" in str(item.collection) for item in readings)
+        (stmt,) = parse_program(f"ScrapeText({first}/span[1])").statements
+        variants = parametrize_statement(stmt, fresh_var(SEL_VAR), first, dom, config)
+        assert any("~='price'" in str(variant) for variant in variants)

@@ -1,14 +1,20 @@
 """Edge-case and failure-injection tests for the synthesis engine."""
 
+import importlib
+
 import pytest
 
 from repro.benchmarks import benchmark_by_id
 from repro.dom import parse_selector, raw_path
 from repro.lang import EMPTY_DATA, ForEachSelector, WhileLoop, scrape_link, scrape_text
 from repro.semantics import actions_consistent
-from repro.synth import SynthesisConfig, Synthesizer
+from repro.synth import Synthesizer
 
 from helpers import cards_page, raw_action, scrape_cards_trace
+
+# the package re-exports a ``speculate`` function, so import modules by name
+speculate_module = importlib.import_module("repro.synth.speculate")
+synthesizer_module = importlib.import_module("repro.synth.synthesizer")
 
 
 class TestBudgetsAndLimits:
@@ -19,30 +25,23 @@ class TestBudgetsAndLimits:
         assert result.stats.timed_out
         assert result.predictions == [] or result.predictions
 
-    def test_tiny_store_cap_still_solves_simple_loop(self):
-        config = SynthesisConfig(max_store_tuples=4)
+    def test_tiny_store_cap_still_solves_simple_loop(self, monkeypatch):
+        monkeypatch.setattr(synthesizer_module, "MAX_STORE_TUPLES", 4)
         dom = cards_page(5)
         actions, snapshots = scrape_cards_trace(dom, 3)
-        synth = Synthesizer(EMPTY_DATA, config)
+        synth = Synthesizer(EMPTY_DATA)
         result = None
         for k in range(1, len(actions) + 1):
             result = synth.synthesize(actions[:k], snapshots[: k + 1])
         assert result.best_program is not None
 
-    def test_max_worklist_pops_bounds_processing(self):
-        config = SynthesisConfig(max_worklist_pops=1)
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 2)
-        result = Synthesizer(EMPTY_DATA, config).synthesize(actions, snapshots)
-        assert result.stats.pops == 1
-
-    def test_small_body_cap_misses_long_iterations(self):
+    def test_small_body_cap_misses_long_iterations(self, monkeypatch):
         # the first iteration of the card loop spans 2 statements; with
-        # max_body=1 the engine cannot speculate it
-        config = SynthesisConfig(max_body=1)
+        # MAX_BODY=1 the engine cannot speculate it
+        monkeypatch.setattr(speculate_module, "MAX_BODY", 1)
         dom = cards_page(4)
         actions, snapshots = scrape_cards_trace(dom, 2)
-        result = Synthesizer(EMPTY_DATA, config).synthesize(actions, snapshots)
+        result = Synthesizer(EMPTY_DATA).synthesize(actions, snapshots)
         assert result.best_program is None
 
 

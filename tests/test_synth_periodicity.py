@@ -1,32 +1,17 @@
-"""Tests for the shape-periodicity gates (`repro.synth.periodicity`).
+"""Tests for statement shapes and the pivot gate (`repro.synth.periodicity`).
 
 The load-bearing property is the pivot gate's soundness contract:
 whenever two statements' shapes differ, anti-unification must return
-nothing — otherwise the default-on gate would prune real rewrites.
+nothing — otherwise the unconditional gate would prune real rewrites.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dom import E, page
 from repro.lang import parse_program
-from repro.lang.ast import Program
-from repro.synth import (
-    DEFAULT_CONFIG,
-    Synthesizer,
-    anti_unify_statements,
-    no_shape_gates_config,
-    shape_sequence,
-    statement_shape,
-    trace_periods,
-    window_periodic,
-    window_periodicity_config,
-)
-from repro.lang.data import DataSource, EMPTY_DATA
-
-from helpers import cards_page, scrape_cards_trace
+from repro.synth import DEFAULT_CONFIG, anti_unify_statements, statement_shape
 
 
 def stmts(text: str):
@@ -118,110 +103,3 @@ class TestPivotGateSoundness:
         dom = page(E("input", {"name": "q"}))
         results = anti_unify_statements(a, dom, b, dom, DEFAULT_CONFIG)
         assert results  # rule (3) fires
-
-
-# ----------------------------------------------------------------------
-# Windows and periods
-# ----------------------------------------------------------------------
-class TestWindowPeriodic:
-    def test_perfect_repetition(self):
-        shapes = shape_sequence(
-            stmts(
-                "ScrapeText(//li[1]/h3[1])\nScrapeLink(//li[1]/a[1])\n"
-                "ScrapeText(//li[2]/h3[1])\nScrapeLink(//li[2]/a[1])"
-            )
-        )
-        assert window_periodic(shapes, 0, 2)
-        assert not window_periodic(shapes, 0, 1)
-
-    def test_window_running_past_end(self):
-        shapes = shape_sequence(stmts("ScrapeText(//li[1])\nScrapeText(//li[2])"))
-        assert window_periodic(shapes, 0, 1)
-        assert not window_periodic(shapes, 1, 1)
-        assert not window_periodic(shapes, 0, 2)
-
-    def test_degenerate_inputs(self):
-        assert not window_periodic([], 0, 1)
-        assert not window_periodic([("a",)], 0, 0)
-        assert not window_periodic([("a",), ("a",)], -1, 1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from("ab"), min_size=2, max_size=12), st.integers(1, 6))
-    def test_matches_bruteforce(self, symbols, period):
-        shapes = [(symbol,) for symbol in symbols]
-        for start in range(len(shapes)):
-            expected = start + 2 * period <= len(shapes) and all(
-                shapes[k] == shapes[k + period] for k in range(start, start + period)
-            )
-            assert window_periodic(shapes, start, period) == expected
-
-
-class TestTracePeriods:
-    def test_pure_repetition_reports_period(self):
-        shapes = [("a",), ("b",)] * 4
-        periods = trace_periods(shapes)
-        assert periods[2] == len(shapes) - 4 + 1
-        assert 1 not in periods  # a,b alternate: period 1 never holds
-
-    def test_aperiodic_trace_reports_nothing(self):
-        shapes = [("a",), ("b",), ("c",), ("d",)]
-        assert trace_periods(shapes) == {}
-
-    def test_max_period_caps_search(self):
-        shapes = [("a",)] * 10
-        assert set(trace_periods(shapes, max_period=2)) == {1, 2}
-
-
-# ----------------------------------------------------------------------
-# End-to-end: the gates do not change synthesis results
-# ----------------------------------------------------------------------
-def synthesize_with(config, dom, count=3):
-    actions, snapshots = scrape_cards_trace(dom, count)
-    return Synthesizer(EMPTY_DATA, config=config).synthesize(actions, snapshots)
-
-
-class TestGateEquivalence:
-    def test_pivot_gate_preserves_best_program(self):
-        from repro.lang.ast import canonical_program
-
-        dom = cards_page(6)
-        gated = synthesize_with(DEFAULT_CONFIG, dom)
-        ungated = synthesize_with(no_shape_gates_config(), dom)
-        assert gated.best_program is not None
-        # fresh loop variables differ between runs; compare alpha-classes
-        assert canonical_program(gated.best_program) == canonical_program(
-            ungated.best_program
-        )
-
-    def test_window_gate_still_solves_uniform_traces(self):
-        dom = cards_page(6)
-        windowed = synthesize_with(window_periodicity_config(), dom)
-        assert windowed.best_program is not None
-        assert windowed.best_prediction is not None
-
-    def test_window_gate_handles_data_entry(self):
-        # a trace mixing entry and scraping still rolls under the gate
-        data = DataSource({"zips": ["48104", "48105", "48106"]})
-        from repro.benchmarks.sites.store_locator import StoreLocatorSite
-        from repro.browser import Browser
-        from repro.dom import parse_selector
-        from repro.lang import X, click, enter_data
-
-        site = StoreLocatorSite(pages_per_zip=1, stores_per_page=4)
-        browser = Browser(site, data)
-        for index in (1, 2):
-            browser.perform(
-                enter_data(
-                    parse_selector("//input[@name='search'][1]"),
-                    X.extend("zips").extend(index),
-                )
-            )
-            browser.perform(
-                click(parse_selector("//button[@class='squareButton btnDoSearch'][1]"))
-            )
-        actions, snapshots = browser.trace()
-        result = Synthesizer(data, config=window_periodicity_config()).synthesize(
-            actions, snapshots
-        )
-        assert result.best_program is not None
-        assert result.best_prediction is not None

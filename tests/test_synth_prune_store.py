@@ -1,14 +1,16 @@
 """Edge cases of ``Synthesizer._prune_store`` (the incremental-store cap)."""
 
-from dataclasses import replace
+import importlib
 
 from repro.dom import raw_path
 from repro.lang import EMPTY_DATA, scrape_text
 from repro.semantics import actions_consistent
-from repro.synth import DEFAULT_CONFIG, Synthesizer
+from repro.synth import Synthesizer
 from repro.synth.rewrite import initial_tuple
 
 from helpers import cards_page, node_at, scrape_cards_trace
+
+synthesizer_module = importlib.import_module("repro.synth.synthesizer")
 
 
 def singleton_prefix_store(actions, lengths):
@@ -25,24 +27,25 @@ def singleton_prefix_store(actions, lengths):
     return store
 
 
-def capped_synthesizer(cap):
-    return Synthesizer(EMPTY_DATA, replace(DEFAULT_CONFIG, max_store_tuples=cap))
+def capped_synthesizer(monkeypatch, cap):
+    monkeypatch.setattr(synthesizer_module, "MAX_STORE_TUPLES", cap)
+    return Synthesizer(EMPTY_DATA)
 
 
 class TestPruneStore:
-    def test_store_exactly_at_cap_is_untouched(self):
+    def test_store_exactly_at_cap_is_untouched(self, monkeypatch):
         dom = cards_page(5)
         actions, _ = scrape_cards_trace(dom, 4)
-        synth = capped_synthesizer(3)
+        synth = capped_synthesizer(monkeypatch, 3)
         store = singleton_prefix_store(actions, [2, 4, 8])
         synth._store = dict(store)
         synth._prune_store()
         assert synth._store == store
 
-    def test_one_over_cap_drops_the_second_largest(self):
+    def test_one_over_cap_drops_the_second_largest(self, monkeypatch):
         dom = cards_page(5)
         actions, _ = scrape_cards_trace(dom, 4)
-        synth = capped_synthesizer(3)
+        synth = capped_synthesizer(monkeypatch, 3)
         store = singleton_prefix_store(actions, [2, 4, 6, 8])
         synth._store = dict(store)
         synth._prune_store()
@@ -51,10 +54,10 @@ class TestPruneStore:
         assert len(synth._store) == 3
         assert lengths == [2, 4, 8]
 
-    def test_all_singleton_tuple_always_survives(self):
+    def test_all_singleton_tuple_always_survives(self, monkeypatch):
         dom = cards_page(5)
         actions, _ = scrape_cards_trace(dom, 4)
-        synth = capped_synthesizer(2)
+        synth = capped_synthesizer(monkeypatch, 2)
         store = singleton_prefix_store(actions, [1, 2, 3, 4, 5, 6, 7, 8])
         full = initial_tuple(actions)
         synth._store = dict(store)
@@ -66,12 +69,12 @@ class TestPruneStore:
 
 
 class TestPruneStoreEndToEnd:
-    def test_tiny_cap_still_predicts_incrementally(self):
+    def test_tiny_cap_still_predicts_incrementally(self, monkeypatch):
         # P0's extension seeds spans no rewrite can express; with a tiny
         # store the session must keep generalizing across calls
         dom = cards_page(6)
         actions, snapshots = scrape_cards_trace(dom, 5)
-        synth = capped_synthesizer(2)
+        synth = capped_synthesizer(monkeypatch, 2)
         result = None
         for cut in range(1, len(actions) + 1):
             result = synth.synthesize(actions[:cut], snapshots[: cut + 1])

@@ -1,20 +1,10 @@
-"""Tests for the pluggable ranking strategies (repro.synth.ranking)."""
-
-import pytest
+"""Tests for the smallest-program ranking (repro.synth.ranking)."""
 
 from repro.lang import parse_program
 from repro.lang.actions import scrape_text
-from repro.lang.ast import program_depth, program_size
+from repro.lang.ast import program_size
 from repro.dom.xpath import parse_selector
-from repro.synth.config import DEFAULT_CONFIG, ranking_config
-from repro.synth.ranking import (
-    Candidate,
-    DEFAULT_STRATEGY,
-    STRATEGIES,
-    rank,
-    strategy_by_name,
-)
-from repro.util.errors import SynthesisError
+from repro.synth.ranking import Candidate, rank
 
 FLAT = parse_program("ScrapeText(//h3[1])\nScrapeText(//h3[2])\nScrapeText(//h3[3])")
 ONE_LOOP = parse_program("foreach r in Dscts(/, h3) do\n  ScrapeText(r)")
@@ -38,70 +28,22 @@ CANDIDATES = [
 
 
 class TestStrategies:
-    def test_registry_names(self):
-        assert set(STRATEGIES) == {
-            "size", "fewest-statements", "deepest", "shallowest", "cost",
-        }
-        assert DEFAULT_STRATEGY in STRATEGIES
-
     def test_size_prefers_smallest_ast(self):
-        best = rank(CANDIDATES, "size")[0]
+        best = rank(CANDIDATES)[0]
         assert program_size(best.program) == min(
             program_size(c.program) for c in CANDIDATES
         )
 
-    def test_deepest_prefers_most_nested(self):
-        assert rank(CANDIDATES, "deepest")[0].program is NESTED
-
-    def test_shallowest_prefers_flat(self):
-        assert program_depth(rank(CANDIDATES, "shallowest")[0].program) == 0
-
-    def test_fewest_statements_prefers_compression(self):
-        best = rank(CANDIDATES, "fewest-statements")[0]
-        assert best.statements == 1
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(SynthesisError, match="unknown ranking strategy"):
-            strategy_by_name("best-effort")
-
     def test_ranking_is_deterministic_total_order(self):
         import random
 
-        for name in STRATEGIES:
-            shuffled = list(CANDIDATES)
-            random.Random(7).shuffle(shuffled)
-            assert [c.text for c in rank(shuffled, name)] == [
-                c.text for c in rank(CANDIDATES, name)
-            ]
+        shuffled = list(CANDIDATES)
+        random.Random(7).shuffle(shuffled)
+        assert [c.text for c in rank(shuffled)] == [c.text for c in rank(CANDIDATES)]
 
     def test_text_tie_break(self):
         # same size and statement count: order falls back to program text
         a = candidate(parse_program("ScrapeText(//a[1])"), 1)
         b = candidate(parse_program("ScrapeText(//b[1])"), 1)
-        ordered = rank([b, a], "size")
+        ordered = rank([b, a])
         assert [c.text for c in ordered] == sorted([a.text, b.text])
-
-
-class TestSynthesizerIntegration:
-    def test_config_knob_exists(self):
-        assert DEFAULT_CONFIG.ranking == "size"
-        assert ranking_config("deepest").ranking == "deepest"
-
-    def test_ranking_changes_top_program(self):
-        """On an ambiguous prefix, strategies pick different winners."""
-        from tests.helpers import cards_page, scrape_cards_trace
-        from repro.lang import EMPTY_DATA
-        from repro.synth.synthesizer import Synthesizer
-
-        dom = cards_page(6)
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        default = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG).synthesize(actions, snapshots)
-        deepest = Synthesizer(EMPTY_DATA, ranking_config("deepest")).synthesize(
-            actions, snapshots
-        )
-        assert default.programs and deepest.programs
-        # both must still generalize the same demonstration
-        assert default.best_prediction is not None
-        assert deepest.best_prediction is not None
-        # the deepest-first strategy never picks a shallower program
-        assert program_depth(deepest.best_program) >= program_depth(default.best_program)
