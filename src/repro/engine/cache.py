@@ -61,7 +61,12 @@ as ``warm_hits``), and every recorded outcome is written through,
 addressed by the :func:`~repro.engine.keys.stable_digest` of its full
 value key.  The default in-process backend is a no-op; the file backend
 persists executions across process boundaries and restarts, and several
-worker processes pointing at one store share each other's work.
+worker processes pointing at one store share each other's work.  Each
+lookup reads its backend rows in one batch (``load_entries`` /
+``load_consistencies``): an execution miss its exact and terminal rows,
+a consistency check its full key and lookback prefixes
+(:meth:`ExecutionCache.prefetch_consistency`) — one round trip per
+probe on a networked tier.
 """
 
 from __future__ import annotations
@@ -246,6 +251,11 @@ def _entry_bytes(key: tuple, entry: _Entry) -> int:
     return size
 
 
+def _consistency_digest(key: tuple) -> bytes:
+    """The backend address of a consistency-memo key."""
+    return stable_digest(("consistency", key))
+
+
 def _consistency_bytes(key: tuple, value: tuple) -> int:
     """Deterministic size estimate of one consistency-memo entry."""
     size = _ENTRY_OVERHEAD
@@ -354,34 +364,69 @@ class _Shard:
             for recorder in recorders:
                 recorder.misses += 1
             return None, None
-        # full in-memory miss: the backend may hold either kind from a
-        # prior process.  An *inapplicable* in-memory terminal entry
-        # only rules out the store's terminal copy (write-through keeps
-        # them equal) — a persisted exact entry for this very window may
-        # still exist, so only the terminal probe is skipped in that
-        # case.  Digests are computed here, under the lock, because the
-        # base-digest memo is shard state.
-        probe = _BackendProbe(
+        return None, self._probe(base, window_keys, budget, entry)
+
+    def _probe(
+        self,
+        base: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        terminal: Optional[_Entry],
+    ) -> "_BackendProbe":
+        """The backend follow-up of a full in-memory miss.
+
+        The backend may hold either kind from a prior process.  An
+        *inapplicable* in-memory ``terminal`` entry only rules out the
+        store's terminal copy (write-through keeps them equal) — a
+        persisted exact entry for this very window may still exist, so
+        only the terminal probe is skipped in that case.  Digests are
+        computed here, under the lock, because the base-digest memo is
+        shard state.
+        """
+        return _BackendProbe(
             window_keys,
             budget,
-            exact_key,
-            terminal_key,
+            (base, window_keys, budget),
+            (base, window_keys[0]),
             self._store_digest("exact", base, window_keys, budget),
-            None if entry is not None else self._store_digest("terminal", base, window_keys[0]),
+            None if terminal is not None else self._store_digest("terminal", base, window_keys[0]),
         )
-        return None, probe
 
-    def probe_backend(self, probe: "_BackendProbe") -> tuple:
+    def peek_probe(
+        self, base: tuple, window_keys: tuple[int, ...], budget: int
+    ) -> Optional["_BackendProbe"]:
+        """The probe :meth:`lookup_memory` would return now, or ``None``
+        when memory answers; counts nothing, touches nothing."""
+        if self._backend is None or (base, window_keys, budget) in self._exact:
+            return None
+        entry = self._terminal.get((base, window_keys[0]))
+        if entry is not None and self._terminal_applies(entry, window_keys, budget):
+            return None
+        return self._probe(base, window_keys, budget, entry)
+
+    def probe_backend(
+        self, probe: "_BackendProbe", fetched: Optional[dict] = None
+    ) -> tuple:
         """Phase 2a (no lock): read the store for a phase-1 miss.
 
         Touches only the backend (which synchronizes itself), never the
         tables — safe to run while other threads hold the shard lock.
-        Returns ``(exact_payload, terminal_payload)``.
+        The exact and terminal rows go out in one backend batch (one
+        round trip on a networked tier), or come from ``fetched``
+        (:meth:`ExecutionCache.prefetch_entries`) when it holds them
+        all; an exact hit wins, exactly as if the terminal row had never
+        been read.  Returns ``(exact_payload, terminal_payload)``.
         """
-        exact_payload = self._backend.load_entry(_EXACT, probe.exact_digest)
-        if exact_payload is not None or probe.terminal_digest is None:
-            return exact_payload, None
-        return None, self._backend.load_entry(_TERMINAL, probe.terminal_digest)
+        rows = [(_EXACT, probe.exact_digest)]
+        if probe.terminal_digest is not None:
+            rows.append((_TERMINAL, probe.terminal_digest))
+        if fetched is not None and all(digest in fetched for _, digest in rows):
+            loaded = [fetched[digest] for _, digest in rows]
+        else:
+            loaded = self._backend.load_entries(rows)
+        if loaded[0] is not None or len(loaded) == 1:
+            return loaded[0], None
+        return None, loaded[1]
 
     def promote_backend(
         self,
@@ -608,21 +653,25 @@ class _Shard:
         key: tuple,
         counters: Optional[CacheCounters] = None,
         session: int = 0,
-    ) -> tuple[Optional[int], Optional[bytes]]:
+    ) -> tuple[Optional[int], bool]:
         """Phase 1 of the consistency lookup (same contract as
-        :meth:`lookup_memory`): ``(value, pending store digest)``."""
+        :meth:`lookup_memory`): ``(value, backend read pending)``."""
         recorders = self._recorders(counters)
         hit = self._consistency.get(key)
         if hit is None:
             if self._backend is not None:
-                return None, stable_digest(("consistency", key))
+                return None, True
             for recorder in recorders:
                 recorder.misses += 1
-            return None, None
+            return None, False
         if len(self._consistency) >= self._touch_floor:
             self._touch(self._consistency, key)
         self._record_hit(recorders, "consistency_hits", hit[1], session)
-        return hit[0], None
+        return hit[0], False
+
+    def holds_consistency(self, key: tuple) -> bool:
+        """Whether memory holds ``key`` (no counting, no recency touch)."""
+        return key in self._consistency
 
     def promote_consistency(
         self,
@@ -659,9 +708,7 @@ class _Shard:
             "consistency", key, (value, session), self._recorders(counters)
         )
         if self._backend is not None:
-            self._backend.store_consistency(
-                stable_digest(("consistency", key)), value
-            )
+            self._backend.store_consistency(_consistency_digest(key), value)
 
     # ------------------------------------------------------------------
     def _recorders(self, counters: Optional[CacheCounters]) -> tuple:
@@ -867,14 +914,20 @@ class ExecutionCache:
         budget: int,
         counters: Optional[CacheCounters] = None,
         session: int = 0,
+        fetched: Optional[dict] = None,
     ) -> Optional[tuple[tuple, Env]]:
-        """The memoized ``(actions, final env)``, or ``None`` on a miss."""
+        """The memoized ``(actions, final env)``, or ``None`` on a miss.
+
+        ``fetched`` is a :meth:`prefetch_entries` result: a memory miss
+        whose backend rows it holds settles from it instead of reading
+        the backend again.
+        """
         shard = self._shard_for(base)
         with shard.lock:
             result, probe = shard.lookup_memory(base, window_keys, budget, counters, session)
         if result is not None or probe is None:
             return result
-        exact_payload, terminal_payload = shard.probe_backend(probe)
+        exact_payload, terminal_payload = shard.probe_backend(probe, fetched)
         with shard.lock:
             return shard.promote_backend(
                 probe, exact_payload, terminal_payload, counters, session
@@ -922,22 +975,91 @@ class ExecutionCache:
         with shard.lock:
             return shard.get_continuation(base, window_keys, budget, counters, session)
 
+    def prefetch_entries(
+        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int]]
+    ) -> dict:
+        """Read the backend rows of upcoming :meth:`get` calls in one batch.
+
+        Each lookup is ``(base, window_keys, budget)``; one that memory
+        answers now reads nothing.  Returns ``{digest: payload or
+        None}`` for every row read (empty without a backend or with
+        nothing to read).  Counts nothing: each :meth:`get` still
+        settles its own hit or miss, in the caller's order.
+        """
+        if self._backend is None:
+            return {}
+        rows: dict = {}
+        for base, window_keys, budget in lookups:
+            shard = self._shard_for(base)
+            with shard.lock:
+                probe = shard.peek_probe(base, window_keys, budget)
+            if probe is None:
+                continue
+            rows[probe.exact_digest] = _EXACT
+            if probe.terminal_digest is not None:
+                rows[probe.terminal_digest] = _TERMINAL
+        if not rows:
+            return {}
+        loaded = self._backend.load_entries([(kind, digest) for digest, kind in rows.items()])
+        return dict(zip(rows, loaded))
+
     def get_consistency(
         self,
         key: tuple,
         counters: Optional[CacheCounters] = None,
         session: int = 0,
+        fetched: Optional[dict] = None,
     ) -> Optional[int]:
-        """Memoized ``consistent_prefix_length`` result, or ``None``."""
+        """Memoized ``consistent_prefix_length`` result, or ``None``.
+
+        ``fetched`` is a :meth:`prefetch_consistency` result: a memory
+        miss on one of its keys settles from it instead of reading the
+        backend again.
+        """
         shard = self._shard_for(key[0])
         with shard.lock:
-            value, digest = shard.lookup_consistency_memory(key, counters, session)
-        if value is not None or digest is None:
+            value, pending = shard.lookup_consistency_memory(key, counters, session)
+        if not pending:
             return value
         # same two-phase discipline as `get`: store I/O outside the lock
-        loaded = self._backend.load_consistency(digest)
+        if fetched is not None and key in fetched:
+            loaded = fetched[key]
+        else:
+            loaded = self._backend.load_consistencies([_consistency_digest(key)])[0]
         with shard.lock:
             return shard.promote_consistency(key, loaded, counters, session)
+
+    def prefetch_consistency(self, checks: Sequence[Sequence[tuple]]) -> dict:
+        """Read the backend rows of one or more consistency checks in
+        one batch.
+
+        Each check is its full key followed by the keys it may look up
+        next, should that one miss.  A check whose full key memory holds
+        reads nothing.  Returns ``{key: stored value or None}`` for every
+        key read (empty without a backend or with nothing to read).
+        Counts nothing: each :meth:`get_consistency` still settles its
+        own hit or miss, in the caller's order.
+        """
+        if self._backend is None:
+            return {}
+        missing: dict = {}
+        for keys in checks:
+            if self._holds_consistency(keys[0]):
+                continue
+            for key in keys:
+                if key not in missing and not self._holds_consistency(key):
+                    missing[key] = None
+        if not missing:
+            return {}
+        values = self._backend.load_consistencies(
+            [_consistency_digest(key) for key in missing]
+        )
+        return dict(zip(missing, values))
+
+    def _holds_consistency(self, key: tuple) -> bool:
+        shard = self._shard_for(key[0])
+        with shard.lock:
+            return shard.holds_consistency(key)
 
     def put_consistency(
         self,

@@ -39,8 +39,9 @@ values, so a lost race recomputes but never corrupts.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.dom.xpath import ConcreteSelector, resolve as _resolve
@@ -167,6 +168,10 @@ class ExecutionEngine:
         # statements' canonical key (a value, so collisions are
         # impossible); None = unbounded/unknown = always persist
         self._cost_hints: dict[tuple, Optional[int]] = {}
+        # backend rows read ahead inside :meth:`prefetching`: execution
+        # rows by store digest, consistency rows by memo key; None
+        # outside the scope
+        self._prefetched: Optional[dict] = None
 
     @classmethod
     def for_config(
@@ -271,10 +276,10 @@ class ExecutionEngine:
         # statement forms, the env fingerprint, the data source's content
         # digest, and the window's snapshot content digests — so the key
         # addresses the same outcome in any process
-        base = (self._statements_key(statements), _env_key(env), _data_key(source))
+        base = self._base_key(statements, env, source)
         window_keys = doms.value_key()
         cache, counters, token = self._cache, self._counters, self._token
-        hit = cache.get(base, window_keys, budget, counters, token)
+        hit = cache.get(base, window_keys, budget, counters, token, self._prefetched)
         if hit is not None:
             actions, stored_env = hit
             final_env = _from_slots(stored_env, binders, env)
@@ -314,6 +319,11 @@ class ExecutionEngine:
         )
         self._record_result(base, window_keys, budget, result, statements, binders)
         return result
+
+    def _base_key(
+        self, statements: tuple, env: Optional[Env], source: Optional[DataSource]
+    ) -> tuple:
+        return (self._statements_key(statements), _env_key(env), _data_key(source))
 
     def _record_result(
         self,
@@ -396,22 +406,113 @@ class ExecutionEngine:
         any process, through a persistent backend) share one entry.
         The digests themselves are id-memoized per action object
         (:meth:`action_key`), keeping the hot path a tuple of dict hits.
+
+        With a persistent backend, a memory miss on the full key reads
+        it and every lookback key (:meth:`_incremental_prefix_length`)
+        from the backend in one batch, unless :meth:`prefetch_consistency`
+        already read them; the lookups then settle from that batch in
+        their usual order.
         """
         if self._cache is None or not produced:
             return _consistent_prefix_length(produced, reference, doms)
-        key = (
+        key = self._consistency_key(produced, reference, doms)
+        limit = min(len(produced), len(reference), len(doms))
+        fetched = None
+        if self._cache.backend is not None:
+            if self._prefetched is not None and key in self._prefetched:
+                fetched = self._prefetched
+            else:
+                fetched = self._cache.prefetch_consistency(
+                    [self._check_keys(key, limit)]
+                )
+        hit = self._cache.get_consistency(key, self._counters, self._token, fetched)
+        if hit is not None:
+            return hit
+        value = self._incremental_prefix_length(
+            key, produced, reference, doms, limit, fetched
+        )
+        if value is None:
+            value = _consistent_prefix_length(produced, reference, doms)
+        self._cache.put_consistency(key, value, self._counters, self._token)
+        if self._prefetched is not None:
+            self._prefetched.pop(key, None)  # memory holds it now
+        return value
+
+    @contextmanager
+    def prefetching(self):
+        """Scope for :meth:`prefetch_executions` and
+        :meth:`prefetch_consistency`: rows read inside it serve the
+        lookups run inside it, then are dropped."""
+        self._prefetched = {}
+        try:
+            yield
+        finally:
+            self._prefetched = None
+
+    def prefetch_executions(
+        self, runs: Iterable[tuple[Sequence[Statement], DOMTrace, int]]
+    ) -> None:
+        """Read the backend rows of upcoming :meth:`execute` calls in one
+        batch.
+
+        Each ``(statements, doms, max_actions)`` run is the call
+        ``execute(statements, doms, max_actions=max_actions)``: no
+        entry env, the engine's own data source.  A later call settles
+        a memory miss from this batch instead of reading the backend
+        again.  Counts nothing; does nothing outside :meth:`prefetching`
+        or without a persistent backend.
+        """
+        if self._prefetched is None or self._cache is None or self._cache.backend is None:
+            return
+        lookups = []
+        for statements, doms, max_actions in runs:
+            statements = tuple(statements)
+            budget = min(max_actions, len(doms))
+            binders = _binders(statements)
+            if budget <= 0 or (binders and not _slots_apply(binders, None)):
+                continue  # execute runs these unmemoized
+            lookups.append(
+                (self._base_key(statements, None, self.data), doms.value_key(), budget)
+            )
+        self._prefetched.update(self._cache.prefetch_entries(lookups))
+
+    def prefetch_consistency(
+        self, checks: Sequence[tuple[Sequence[Action], Sequence[Action], DOMTrace]]
+    ) -> None:
+        """Read the backend rows of upcoming consistency checks in one batch.
+
+        Each ``(produced, reference, doms)`` check contributes its full
+        key and its lookback keys; a later
+        :meth:`consistent_prefix_length` on one of them settles from
+        this batch instead of reading the backend again.  Counts
+        nothing; does nothing outside :meth:`prefetching` or without a
+        persistent backend.
+        """
+        if self._prefetched is None or self._cache is None or self._cache.backend is None:
+            return
+        self._prefetched.update(
+            self._cache.prefetch_consistency(
+                [
+                    self._check_keys(
+                        self._consistency_key(produced, reference, doms),
+                        min(len(produced), len(reference), len(doms)),
+                    )
+                    for produced, reference, doms in checks
+                    if produced
+                ]
+            )
+        )
+
+    def _consistency_key(self, produced, reference, doms: DOMTrace) -> tuple:
+        return (
             tuple(self.action_key(action) for action in produced),
             tuple(self.action_key(action) for action in reference),
             doms.value_key(),
         )
-        hit = self._cache.get_consistency(key, self._counters, self._token)
-        if hit is not None:
-            return hit
-        value = self._incremental_prefix_length(key, produced, reference, doms)
-        if value is None:
-            value = _consistent_prefix_length(produced, reference, doms)
-        self._cache.put_consistency(key, value, self._counters, self._token)
-        return value
+
+    def _check_keys(self, key, limit: int) -> list:
+        """A check's full key, then every key its lookback may probe."""
+        return [key] + [prefix_key for _, prefix_key in self._lookback(key, limit)]
 
     #: How many trailing actions the incremental consistency path will
     #: look back over for a settled prefix entry (extension adds at most
@@ -419,8 +520,18 @@ class ExecutionEngine:
     #: is no worse than probing).
     _CONSISTENCY_LOOKBACK = 4
 
+    def _lookback(self, key, limit: int) -> list:
+        """``(cut, prefix key)`` for each settled prefix
+        :meth:`_incremental_prefix_length` may probe, longest first."""
+        produced_keys, reference_keys, window_keys = key
+        floor = max(limit - self._CONSISTENCY_LOOKBACK, 1)
+        return [
+            (cut, (produced_keys[:cut], reference_keys[:cut], window_keys[:cut]))
+            for cut in range(limit - 1, floor - 1, -1)
+        ]
+
     def _incremental_prefix_length(
-        self, key, produced, reference, doms
+        self, key, produced, reference, doms, limit: int, fetched: Optional[dict]
     ) -> Optional[int]:
         """Extend a settled shorter check instead of rescanning.
 
@@ -432,17 +543,9 @@ class ExecutionEngine:
         cost stays O(new actions) on long demonstrations.  A settled
         prefix that was already inconsistent is the answer outright.
         """
-        produced_keys, reference_keys, window_keys = key
-        limit = min(len(produced), len(reference), len(doms))
-        floor = max(limit - self._CONSISTENCY_LOOKBACK, 1)
-        for cut in range(limit - 1, floor - 1, -1):
-            prefix_key = (
-                produced_keys[:cut],
-                reference_keys[:cut],
-                window_keys[:cut],
-            )
+        for cut, prefix_key in self._lookback(key, limit):
             prior = self._cache.get_consistency(
-                prefix_key, self._counters, self._token
+                prefix_key, self._counters, self._token, fetched
             )
             if prior is None:
                 continue

@@ -59,6 +59,9 @@ _VALID_KINDS = (0, 1, 2)
 #: Hard per-request row cap: a runaway batch degrades to 400, not OOM.
 MAX_BATCH = 4096
 
+#: Data-plane POST routes and their metric ``op`` label.
+_POST_OPS = {"/v1/cache/get": "get", "/v1/cache/put": "put"}
+
 
 class _CacheServerMetrics:
     """Lazy handles on the cache server's registry families."""
@@ -165,14 +168,16 @@ class _CacheHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         started = time.perf_counter()
-        op = "get" if self.path == "/v1/cache/get" else "put"
+        # one label for the request counter and the latency histogram:
+        # an unknown route is neither a get nor a put
+        op = _POST_OPS.get(self.path, "post")
         try:
-            if self.path == "/v1/cache/get":
+            if op == "get":
                 self._get(self._body())
-            elif self.path == "/v1/cache/put":
+            elif op == "put":
                 self._put(self._body())
             else:
-                self._error("post", f"no route {self.path}", 404)
+                self._error(op, f"no route {self.path}", 404)
                 return
         except (ProtocolError, ValueError, TypeError, KeyError) as exc:
             self._error(op, str(exc))

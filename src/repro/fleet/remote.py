@@ -32,13 +32,18 @@ raises into the engine.
 Writes buffer client-side (deduplicated by digest) and flush as one
 batched ``POST /v1/cache/put`` every ``flush_every`` distinct keys and
 on :meth:`RemoteBackend.flush` (the worker-exit and session-close
-paths), so the per-entry wire cost amortizes.  Reads serve the
-process's own pending writes directly.
+paths), so the per-entry wire cost amortizes.  Reads are batched the
+same way: :meth:`RemoteBackend.load_entries` and
+:meth:`RemoteBackend.load_consistencies` serve the process's own
+pending writes directly and send every other row in one
+``POST /v1/cache/get``.
 
 Telemetry: ``repro_remote_requests_total{op,outcome}``,
-``repro_remote_retries_total``, ``repro_remote_dropped_writes_total``,
-and the ``repro_remote_breaker_state`` gauge (0 closed, 1 half-open,
-2 open).
+``repro_remote_request_seconds{op}`` (the round trip as the worker
+sees it; minus the cache server's ``repro_cache_server_seconds{op}``
+it is the transport), ``repro_remote_retries_total``,
+``repro_remote_dropped_writes_total``, and the
+``repro_remote_breaker_state`` gauge (0 closed, 1 half-open, 2 open).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import random
 import threading
 import time
 from http.client import HTTPException
-from typing import Optional
+from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
 from repro.fleet.pool import pool
@@ -60,7 +65,8 @@ from repro.service.backends import (
     EXACT,
     CacheBackend,
     StepInterner,
-    entry_from_payload,
+    decode_consistency,
+    decode_entry,
     entry_to_payload,
     register_backend_factory,
     tiering_enabled,
@@ -123,6 +129,13 @@ class _RemoteMetrics:
         self.breaker = registry.gauge(
             "repro_remote_breaker_state",
             "Circuit-breaker state (0 closed, 1 half-open, 2 open).",
+        )
+        self.latency = registry.histogram(
+            "repro_remote_request_seconds",
+            "Cache-tier round-trip latency seen by the worker, by operation "
+            "(retries included; this minus repro_cache_server_seconds = "
+            "transport).",
+            ("op",),
         )
 
     @classmethod
@@ -280,6 +293,15 @@ class RemoteBackend(CacheBackend):
         except (ProtocolError, TypeError, ValueError):
             self.encode_errors += 1
             return None
+        started = time.perf_counter()
+        try:
+            return self._send(path, body, op)
+        finally:
+            metrics.latency.labels(op=op).observe(time.perf_counter() - started)
+
+    def _send(self, path: str, body: bytes, op: str) -> Optional[dict]:
+        """The attempts of one :meth:`_post`, retries included."""
+        metrics = _RemoteMetrics.get()
         headers = {"Content-Type": STORE_CODEC.content_type}
         attempts = self.retries + 1
         shared = pool()
@@ -328,32 +350,48 @@ class RemoteBackend(CacheBackend):
     # The CacheBackend seam
     # ------------------------------------------------------------------
     def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        payload = self._get_payload(kind, key)
-        if payload is None:
-            return None
-        try:
-            entry = entry_from_payload(payload, self.interner)
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None  # foreign or corrupt payload: a miss
-        self.load_hits += 1
-        return entry
+        return self.load_entries([(kind, key)])[0]
 
-    def _get_payload(self, kind: int, key: bytes) -> Optional[dict]:
-        self.loads += 1
+    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        entries = [
+            decode_entry(payload, self.interner)
+            for payload in self._get_payloads(rows)
+        ]
+        self.load_hits += sum(1 for entry in entries if entry is not None)
+        return entries
+
+    def _get_payloads(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        """Payloads for ``(kind, key)`` rows, in order.
+
+        Our own buffered writes are served locally; every other row goes
+        out in one ``POST /v1/cache/get``.  A failed request, or a reply
+        whose ``e`` does not hold one slot per row sent, is a miss for
+        every row sent.
+        """
+        self.loads += len(rows)
+        payloads: list = [None] * len(rows)
+        remote = []
         with self._lock:
-            pending = self._pending.get(key)
-        if pending is not None:
-            return pending[1]  # our own buffered write: serve locally
+            for index, (_, key) in enumerate(rows):
+                pending = self._pending.get(key)
+                if pending is not None:
+                    payloads[index] = pending[1]
+                else:
+                    remote.append(index)
+        if not remote:
+            return payloads
         result = self._post(
-            "/v1/cache/get", {"k": [[kind, key.hex()]]}, op="get"
+            "/v1/cache/get",
+            {"k": [[rows[index][0], rows[index][1].hex()] for index in remote]},
+            op="get",
         )
-        if result is None:
-            return None
-        entries = result.get("e")
-        if not isinstance(entries, list) or not entries:
-            return None
-        payload = entries[0]
-        return payload if isinstance(payload, dict) else None
+        entries = result.get("e") if result is not None else None
+        if not isinstance(entries, list) or len(entries) != len(remote):
+            return payloads
+        for index, payload in zip(remote, entries):
+            if isinstance(payload, dict):
+                payloads[index] = payload
+        return payloads
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         if kind != EXACT or self.tier_cost < 0 or cost is None:
@@ -376,11 +414,15 @@ class RemoteBackend(CacheBackend):
         self._buffer(kind, key, payload)
 
     def load_consistency(self, key: bytes) -> Optional[int]:
-        payload = self._get_payload(CONSISTENCY, key)
-        if payload is None or not isinstance(payload.get("v"), int):
-            return None
-        self.load_hits += 1
-        return payload["v"]
+        return self.load_consistencies([key])[0]
+
+    def load_consistencies(self, keys: Sequence[bytes]) -> list:
+        values = [
+            decode_consistency(payload)
+            for payload in self._get_payloads([(CONSISTENCY, key) for key in keys])
+        ]
+        self.load_hits += sum(1 for value in values if value is not None)
+        return values
 
     def store_consistency(self, key: bytes, value: int) -> None:
         self._buffer(CONSISTENCY, key, {"v": value})

@@ -55,7 +55,7 @@ import os
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.dom.xpath import CHILD, DESC, ConcreteSelector, Predicate, Step, TokenPredicate
 from repro.lang.actions import Action
@@ -101,6 +101,10 @@ TIER_COST_CEIL = 64
 #: Costs above this all land in one overflow bucket of the observed
 #: distribution (they are never near the derived percentile anyway).
 _TIER_COST_CAP = 256
+
+#: Keys per ``WHERE key IN (…)`` statement (under SQLite's host
+#: parameter limit).
+_SQL_CHUNK = 500
 
 
 class _StoreMetrics:
@@ -326,6 +330,26 @@ def entry_from_payload(
     return actions, env, examined, bool(payload.get("ok", False))
 
 
+def decode_entry(
+    payload: Optional[dict], interner: Optional[StepInterner] = None
+) -> Optional[tuple]:
+    """:func:`entry_from_payload`, with a missing, corrupt or foreign
+    payload read as a miss (``None``) instead of raising."""
+    if payload is None:
+        return None
+    try:
+        return entry_from_payload(payload, interner)
+    except (KeyError, TypeError, ValueError, IndexError):
+        return None
+
+
+def decode_consistency(payload: Optional[dict]) -> Optional[int]:
+    """The value of a consistency-memo payload, or ``None``."""
+    if payload is None or not isinstance(payload.get("v"), int):
+        return None
+    return payload["v"]
+
+
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
@@ -348,6 +372,15 @@ class CacheBackend:
     def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
         """``(actions, env, examined, exact_budget_ok)`` or ``None``."""
         raise NotImplementedError
+
+    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        """:meth:`load_entry` for each ``(kind, key)`` row, in order.
+
+        The cache reads through this batch form only; a store that
+        answers several rows in one round trip overrides it, and the
+        base loop serves every other backend.
+        """
+        return [self.load_entry(kind, key) for kind, key in rows]
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         """Whether an entry of this kind and bounded cost is worth storing.
@@ -373,6 +406,11 @@ class CacheBackend:
     def load_consistency(self, key: bytes) -> Optional[int]:
         """A stored consistency-memo value, or ``None``."""
         raise NotImplementedError
+
+    def load_consistencies(self, keys: Sequence[bytes]) -> list:
+        """:meth:`load_consistency` for each key, in order (batch form,
+        as :meth:`load_entries`)."""
+        return [self.load_consistency(key) for key in keys]
 
     def store_consistency(self, key: bytes, value: int) -> None:
         """Write one consistency-memo value through to the store."""
@@ -529,13 +567,13 @@ class FileBackend(CacheBackend):
 
     # ------------------------------------------------------------------
     def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        payload = self.load_payload(key)
-        if payload is None:
-            return None
-        try:
-            return entry_from_payload(payload, self.interner)
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None  # corrupt or foreign payload: a miss
+        return self.load_entries([(kind, key)])[0]
+
+    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        return [
+            decode_entry(payload, self.interner)
+            for payload in self.load_payloads([key for _, key in rows])
+        ]
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         if kind != EXACT or self.tier_cost < 0:
@@ -597,10 +635,10 @@ class FileBackend(CacheBackend):
         self._store(kind, key, payload)
 
     def load_consistency(self, key: bytes) -> Optional[int]:
-        payload, _ = self._load(key)
-        if payload is None or not isinstance(payload.get("v"), int):
-            return None
-        return payload["v"]
+        return self.load_consistencies([key])[0]
+
+    def load_consistencies(self, keys: Sequence[bytes]) -> list:
+        return [decode_consistency(payload) for payload in self.load_payloads(keys)]
 
     def store_consistency(self, key: bytes, value: int) -> None:
         self._store(CONSISTENCY, key, {"v": value})
@@ -614,53 +652,60 @@ class FileBackend(CacheBackend):
     def load_payload(self, key: bytes) -> Optional[dict]:
         """The codec payload stored under ``key`` (reads the write buffer
         first, so a just-put entry is visible before the next flush)."""
+        return self.load_payloads([key])[0]
+
+    def load_payloads(self, keys: Sequence[bytes]) -> list:
+        """:meth:`load_payload` for each key, in order: the write buffer
+        answers first, one ``SELECT … WHERE key IN (…)`` the rest."""
+        self.loads += len(keys)
+        blobs: dict[bytes, bytes] = {}
         with self._lock:
-            pending = self._pending.get(key)
-        if pending is not None:
-            blob = pending[1]
+            for key in keys:
+                pending = self._pending.get(key)
+                if pending is not None:
+                    blobs[key] = pending[1]
+        buffered = set(blobs)
+        stored = [key for key in keys if key not in buffered]
+        metrics = _StoreMetrics.get()
+        if stored:
             try:
-                payload = sniff_codec(blob).decode_payload(blob)
-            except ProtocolError:  # pragma: no cover - we encoded it
-                return None
-            self.loads += 1
-            self.load_hits += 1
-            return payload if isinstance(payload, dict) else None
-        return self._load(key)[0]
+                with self._lock:
+                    for start in range(0, len(stored), _SQL_CHUNK):
+                        chunk = stored[start : start + _SQL_CHUNK]
+                        marks = ",".join("?" * len(chunk))
+                        for key, blob in self._conn.execute(
+                            f"SELECT key, payload FROM entries WHERE key IN ({marks})",
+                            chunk,
+                        ):
+                            blobs[bytes(key)] = bytes(blob)
+            except sqlite3.Error:
+                self.io_errors += 1
+                metrics.io_errors.inc()
+        payloads = []
+        for key in keys:
+            blob = blobs.get(key)
+            payload = None
+            if blob is not None:
+                try:
+                    payload = sniff_codec(blob).decode_payload(blob)
+                except ProtocolError:
+                    pass  # corrupt row: a miss, never an error
+            if not isinstance(payload, dict):
+                payload = None
+            if payload is not None:
+                self.load_hits += 1
+            if key not in buffered:
+                metrics.probes.labels(
+                    outcome="miss" if payload is None else "hit"
+                ).inc()
+            payloads.append(payload)
+        return payloads
 
     def store_payload(self, kind: int, key: bytes, payload: dict) -> None:
         """Write one codec payload through the buffered store path."""
         self._store(kind, key, payload)
 
     # ------------------------------------------------------------------
-    def _load(self, key: bytes) -> tuple[Optional[dict], int]:
-        self.loads += 1
-        metrics = _StoreMetrics.get()
-        try:
-            with self._lock:
-                row = self._conn.execute(
-                    "SELECT payload FROM entries WHERE key = ?", (key,)
-                ).fetchone()
-        except sqlite3.Error:
-            self.io_errors += 1
-            metrics.io_errors.inc()
-            metrics.probes.labels(outcome="miss").inc()
-            return None, 0
-        if row is None:
-            metrics.probes.labels(outcome="miss").inc()
-            return None, 0
-        blob = bytes(row[0])
-        try:
-            payload = sniff_codec(blob).decode_payload(blob)
-        except ProtocolError:
-            metrics.probes.labels(outcome="miss").inc()
-            return None, 0  # corrupt row: a miss, never an error
-        if not isinstance(payload, dict):
-            metrics.probes.labels(outcome="miss").inc()
-            return None, 0
-        self.load_hits += 1
-        metrics.probes.labels(outcome="hit").inc()
-        return payload, len(blob) + len(key)
-
     def _store(self, kind: int, key: bytes, payload: dict) -> None:
         try:
             blob = STORE_CODEC.encode_payload(payload)
@@ -690,8 +735,8 @@ class FileBackend(CacheBackend):
                 replaced_rows = 0
                 replaced_bytes = 0
                 keys = list(pending)
-                for start in range(0, len(keys), 500):
-                    chunk = keys[start : start + 500]
+                for start in range(0, len(keys), _SQL_CHUNK):
+                    chunk = keys[start : start + _SQL_CHUNK]
                     marks = ",".join("?" * len(chunk))
                     for _, nbytes in self._conn.execute(
                         f"SELECT key, nbytes FROM entries WHERE key IN ({marks})",

@@ -15,10 +15,16 @@ looks like driving a local
 :meth:`drive_recording` replays a stored demonstration action by
 action; :meth:`export_session` / :meth:`import_session` /
 :meth:`migrate_session` move a live session between workers.
+
+Every round trip is timed into ``repro_client_request_seconds{route}``
+under the server's route labels (:func:`metric_route`), so the client
+histogram minus the server's ``repro_http_request_seconds`` is the
+transport.
 """
 
 from __future__ import annotations
 
+import time
 from http.client import HTTPConnection
 from typing import Optional, Union
 from urllib.parse import urlsplit
@@ -26,6 +32,7 @@ from urllib.parse import urlsplit
 from repro.browser.recorder import Recording
 from repro.fleet.pool import pool
 from repro.obs import context as obs_context
+from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC
 from repro.protocol.messages import (
     Accept,
@@ -47,6 +54,54 @@ from repro.protocol.messages import (
     from_wire,
 )
 from repro.util.errors import ReproError
+
+
+#: Fixed-path routes allowed verbatim as metric labels.
+_KNOWN_ROUTES = {
+    "/healthz",
+    "/v1/stats",
+    "/v1/metrics",
+    "/v1/sessions",
+    "/v1/sessions/import",
+}
+
+_SESSION_VERBS = {"actions", "candidates", "accept", "reject", "close", "migrate"}
+
+
+def metric_route(path: str) -> str:
+    """Low-cardinality route label: session ids collapse to ``:sid``,
+    anything unrecognized to ``other`` (404 probes must not mint one
+    label per probed path).  The server's and the client's request
+    histograms share it, so their difference per route is the
+    transport."""
+    path = path.split("?", 1)[0]
+    parts = path.split("/")
+    if (
+        len(parts) == 5
+        and parts[1] == "v1"
+        and parts[2] == "sessions"
+        and parts[4] in _SESSION_VERBS
+    ):
+        return "/v1/sessions/:sid/" + parts[4]
+    if path in _KNOWN_ROUTES:
+        return path
+    return "other"
+
+
+_latency = None
+
+
+def _latency_family():
+    """Lazy family handle: client-side round-trip latency per route."""
+    global _latency
+    if _latency is None:
+        _latency = obs_metrics.registry().histogram(
+            "repro_client_request_seconds",
+            "Service round-trip latency seen by the client, by normalized "
+            "route (client minus server = transport).",
+            ("route",),
+        )
+    return _latency
 
 
 class ServiceClientError(ReproError):
@@ -107,6 +162,17 @@ class ServiceClient:
         if message is not None:
             body = DEFAULT_CODEC.encode(message)
             headers["Content-Type"] = DEFAULT_CODEC.content_type
+        started = time.perf_counter()
+        try:
+            response, payload = self._round_trip(method, path, body, headers)
+        finally:
+            _latency_family().labels(route=metric_route(path)).observe(
+                time.perf_counter() - started
+            )
+        return self._decode(method, path, response.status, payload)
+
+    def _round_trip(self, method: str, path: str, body, headers: dict):
+        """Send one request over a pooled connection; ``(response, body)``."""
         connection = pool().acquire(self.host, self.port, timeout=self.timeout)
         try:
             connection.request(method, path, body=body, headers=headers)
@@ -137,7 +203,7 @@ class ServiceClient:
             pool().discard(connection)
         else:
             pool().release(self.host, self.port, connection)
-        return self._decode(method, path, response.status, payload)
+        return response, payload
 
     def _decode(self, method: str, path: str, status: int, payload: bytes):
         try:

@@ -73,42 +73,13 @@ from repro.protocol.messages import (
 )
 from repro.protocol.session import SessionClosedError, UnknownSessionError
 from repro.service.backends import flush_backends
+from repro.service.client import ServiceClient, ServiceClientError, metric_route
 from repro.service.sessions import SessionError, SessionManager
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.util.errors import ParseError, ReproError
 
 #: Default service port (consecutive ports for extra workers).
 DEFAULT_PORT = 8738
-
-#: Fixed-path routes allowed verbatim as metric labels.
-_KNOWN_ROUTES = {
-    "/healthz",
-    "/v1/stats",
-    "/v1/metrics",
-    "/v1/sessions",
-    "/v1/sessions/import",
-}
-
-_SESSION_VERBS = {"actions", "candidates", "accept", "reject", "close", "migrate"}
-
-
-def _metric_route(path: str) -> str:
-    """Low-cardinality route label: session ids collapse to ``:sid``,
-    anything unrecognized to ``other`` (404 probes must not mint one
-    label per probed path)."""
-    path = path.split("?", 1)[0]
-    parts = path.split("/")
-    if (
-        len(parts) == 5
-        and parts[1] == "v1"
-        and parts[2] == "sessions"
-        and parts[4] in _SESSION_VERBS
-    ):
-        return "/v1/sessions/:sid/" + parts[4]
-    if path in _KNOWN_ROUTES:
-        return path
-    return "other"
-
 
 class _HttpMetrics:
     """Per-route request counters and latency histograms.
@@ -230,7 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
         keep-alive request on this thread.
         """
         started = time.perf_counter()
-        route = _metric_route(self.path)
+        route = metric_route(self.path)
         ctx = obs_context.parse(self.headers.get(obs_context.HEADER))
         if ctx is None:
             ctx = obs_context.new_root()
@@ -346,8 +317,6 @@ class _Handler(BaseHTTPRequestHandler):
         if message.target is None:
             self._reply(manager.export_snapshot(message.session))
             return
-        from repro.service.client import ServiceClient, ServiceClientError
-
         session, snapshot = manager.begin_migration(message.session)
         try:
             with ServiceClient(message.target) as peer:

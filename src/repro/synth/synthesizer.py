@@ -366,10 +366,14 @@ class Synthesizer:
             extend_started = time.perf_counter()
             with obs_tracing.span("extend", stored=len(self._store)):
                 if had_store:
-                    for stored in self._store.values():
-                        extended = self._extend(stored, old_length, trace_length, context)
-                        if extended is not None:
-                            push(extended)
+                    with self._engine.prefetching():
+                        self._prefetch_extension(old_length, trace_length)
+                        for stored in self._store.values():
+                            extended = self._extend(
+                                stored, old_length, trace_length, context
+                            )
+                            if extended is not None:
+                                push(extended)
                 else:
                     push(initial_tuple(self._actions))
             stats.extend_s += time.perf_counter() - extend_started
@@ -460,6 +464,25 @@ class Synthesizer:
     # ------------------------------------------------------------------
     # Extension across calls (§5.4)
     # ------------------------------------------------------------------
+    def _lookahead(self, stored: RewriteTuple, new_length: int) -> DOMTrace:
+        """The window :meth:`_extend` runs a trailing loop over: its
+        slice plus one snapshot past the grown trace."""
+        return DOMTrace(self._snapshots, stored.bounds[-2], new_length + 1)
+
+    def _prefetch_extension(self, old_length: int, new_length: int) -> None:
+        """Read the backend rows of every trailing-loop run
+        :meth:`_extend` is about to make, in one batch."""
+        if old_length == new_length:
+            return
+        # a generator: without a persistent backend the engine returns
+        # before building any window
+        self._engine.prefetch_executions(
+            ([stored.statements[-1]], lookahead, len(lookahead))
+            for stored in self._store.values()
+            if stored.ends_with_loop()
+            for lookahead in (self._lookahead(stored, new_length),)
+        )
+
     def _extend(
         self,
         stored: RewriteTuple,
@@ -487,14 +510,24 @@ class Synthesizer:
             # extension window its behaviour there is a prefix of the
             # lookahead run, and ``_try_generalize`` on the extended
             # tuple then reuses this execution from the engine cache.
-            lookahead = DOMTrace(self._snapshots, slice_start, new_length + 1)
-            produced = self._engine.execute(
+            lookahead = self._lookahead(stored, new_length)
+            ahead = self._engine.execute(
                 [stored.statements[-1]],
                 lookahead,
                 max_actions=len(lookahead),
                 resumable=True,
-            ).actions[: len(window)]
+            ).actions
+            produced = ahead[: len(window)]
             reference = self._actions[slice_start : slice_start + len(produced)]
+            checks = [(produced, reference, window)]
+            if len(ahead) > len(window):
+                # the loop absorbs every new action, so pushing the
+                # extended tuple runs ``_try_generalize``'s check on this
+                # same lookahead run: read both checks' rows together
+                checks.append(
+                    (ahead, self._actions[slice_start:new_length], lookahead)
+                )
+            self._engine.prefetch_consistency(checks)
             consistent = self._engine.consistent_prefix_length(
                 produced, reference, window
             )

@@ -1,0 +1,428 @@
+"""Batched cache-tier reads (``CacheBackend.load_entries`` /
+``load_consistencies``).
+
+An execution-cache miss reads its exact and terminal rows in one
+backend batch, and a consistency check reads its full key and its
+lookback prefix keys in one batch; over ``remote://`` each batch is one
+``POST /v1/cache/get``.  Inside ``ExecutionEngine.prefetching`` several
+upcoming lookups share one batch: the synthesizer's extension step
+reads every trailing loop's execution rows together, then each loop's
+two consistency checks together.  Pinned here against an in-thread
+cache server, counting requests on the worker side and rows through
+the server's own metrics:
+
+* each probe costs exactly one request, and a prefetch one for all;
+* a batch serves the worker's own pending writes locally and sends
+  only the other rows;
+* a reply with the wrong number of slots is a miss for every row;
+* hit/miss counting is identical to a backend that only implements the
+  per-key loads (the base class's loops serve its batch forms).
+"""
+
+import contextlib
+import threading
+from dataclasses import asdict, replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from repro.dom import parse_selector
+from repro.engine import ExecutionCache, ExecutionEngine
+from repro.engine.cache import reset_process_cache
+from repro.fleet.cache_server import make_cache_server
+from repro.fleet.metrics import parse_samples, sample_value
+from repro.fleet.pool import reset_pool
+from repro.fleet.remote import RemoteBackend
+from repro.lang import EMPTY_DATA, scrape_text
+from repro.lang.pretty import format_program
+from repro.obs import metrics as obs_metrics
+from repro.protocol.codec import STORE_CODEC
+from repro.semantics.env import Env
+from repro.semantics.trace import DOMTrace
+from repro.service.backends import (
+    CacheBackend,
+    FileBackend,
+    default_store_path,
+    flush_backends,
+    register_backend_factory,
+    reset_backends,
+)
+from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.synthesizer import Synthesizer
+
+from helpers import TIMEOUT, cards_page, scrape_cards_trace
+
+KEY_A = b"\x0a" * 16
+KEY_B = b"\x0b" * 16
+
+
+@pytest.fixture(autouse=True)
+def _isolate():
+    reset_process_cache()
+    reset_pool()
+    obs_metrics.reset_registry()
+    yield
+    reset_backends()
+    reset_process_cache()
+    reset_pool()
+
+
+def _start_cache(path):
+    server = make_cache_server(port=0, path=str(path))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def _stop_cache(server, thread):
+    server.shutdown()
+    server.server_close()
+    server.store.close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture
+def cache(tmp_path):
+    server, thread = _start_cache(tmp_path / "cache.sqlite")
+    try:
+        yield server
+    finally:
+        _stop_cache(server, thread)
+
+
+def _url(server) -> str:
+    return f"remote://127.0.0.1:{server.server_address[1]}"
+
+
+def _sample(name, labels):
+    value = sample_value(parse_samples(obs_metrics.registry().render()), name, labels)
+    return 0 if value is None else int(value)
+
+
+def _get_requests() -> int:
+    """``POST /v1/cache/get`` requests answered, counted by the worker
+    before the call returns (the server's latency sample is observed
+    after its reply is written)."""
+    return _sample("repro_remote_requests_total", {"op": "get", "outcome": "ok"})
+
+
+def _get_rows(outcome: str) -> int:
+    """Rows the cache server answered with ``outcome`` (hit / miss)."""
+    return _sample("repro_cache_server_requests_total", {"op": "get", "outcome": outcome})
+
+
+class TestOneRequestPerProbe:
+    def test_exact_miss_with_terminal_probe_is_one_request(self, cache):
+        shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
+        assert shared.get(("base",), (1, 2, 3), 2) is None
+        assert _get_requests() == 1
+        assert _get_rows("miss") == 2  # the exact row and the terminal row
+        assert shared.counters().misses == 1
+
+    def test_consistency_lookback_walk_is_one_request(self, cache):
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        window = DOMTrace(snapshots, 0, 6)
+        engine = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
+        )
+        assert engine.consistent_prefix_length(actions, actions, window) == 6
+        assert _get_requests() == 1
+        # the full key plus its four lookback prefixes, all misses
+        assert _get_rows("miss") == 5
+        counters = engine.counters()
+        assert (counters.hits, counters.misses) == (0, 5)
+
+    def test_lookback_settles_from_the_batch_in_order(self, cache):
+        # a "prior process" settled the five-action prefix; the next
+        # process's six-action check reads it back in the same single
+        # request and counts one miss (the full key) then one warm hit
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        url = _url(cache)
+        writer = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(url))
+        )
+        writer.consistent_prefix_length(actions[:5], actions[:5], DOMTrace(snapshots, 0, 5))
+        writer.cache.backend.flush()
+        before = _get_requests()
+        reader = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(url))
+        )
+        assert reader.consistent_prefix_length(actions, actions, DOMTrace(snapshots, 0, 6)) == 6
+        assert _get_requests() == before + 1
+        counters = reader.counters()
+        assert (counters.misses, counters.consistency_hits, counters.warm_hits) == (1, 1, 1)
+
+    def test_memory_hit_on_the_full_key_reads_nothing(self, cache):
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        window = DOMTrace(snapshots, 0, 6)
+        engine = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
+        )
+        engine.consistent_prefix_length(actions, actions, window)
+        before = _get_requests()
+        assert engine.consistent_prefix_length(actions, actions, window) == 6
+        assert _get_requests() == before
+        assert engine.counters().consistency_hits == 1
+
+
+class TestRemoteBatches:
+    def test_pending_rows_are_served_locally_and_the_rest_sent(self, cache):
+        backend = RemoteBackend(_url(cache), flush_every=1000)
+        backend.store_consistency(KEY_A, 5)
+        assert backend.load_consistencies([KEY_A, KEY_B]) == [5, None]
+        assert _get_requests() == 1
+        assert (_get_rows("hit"), _get_rows("miss")) == (0, 1)  # KEY_B only
+
+    def test_an_all_pending_batch_sends_nothing(self, cache):
+        backend = RemoteBackend(_url(cache), flush_every=1000)
+        backend.store_consistency(KEY_A, 5)
+        backend.store_consistency(KEY_B, 6)
+        assert backend.load_consistencies([KEY_B, KEY_A]) == [6, 5]
+        assert _get_requests() == 0
+
+    def test_batch_answers_keep_row_order(self, cache):
+        writer = RemoteBackend(_url(cache))
+        writer.store_consistency(KEY_B, 7)
+        writer.flush()
+        reader = RemoteBackend(_url(cache))
+        assert reader.load_consistencies([KEY_A, KEY_B, KEY_A]) == [None, 7, None]
+        assert _get_requests() == 1
+        assert reader.loads == 3
+        assert reader.load_hits == 1
+
+
+class TestPrefetch:
+    def test_execution_rows_of_several_lookups_are_one_request(self, cache):
+        shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
+        lookups = [(("base", n), (1, 2, 3), 2) for n in range(3)]
+        fetched = shared.prefetch_entries(lookups)
+        assert _get_requests() == 1
+        assert _get_rows("miss") == 6  # an exact and a terminal row each
+        for base, window, budget in lookups:
+            assert shared.get(base, window, budget, fetched=fetched) is None
+        assert _get_requests() == 1
+        assert shared.counters().misses == 3
+
+    def test_prefetched_rows_settle_warm_hits(self, cache):
+        actions = (scrape_text(parse_selector("//h3[1]")),)
+        lookups = [(("base", n), (1, 2, 3), 2) for n in range(2)]
+        writer = ExecutionCache(backend=RemoteBackend(_url(cache)))
+        for base, window, budget in lookups:
+            writer.put(base, window, budget, actions, Env(), cost=100)
+        writer.backend.flush()
+        reader = ExecutionCache(backend=RemoteBackend(_url(cache)))
+        fetched = reader.prefetch_entries(lookups)
+        assert _get_requests() == 1
+        for base, window, budget in lookups:
+            assert reader.get(base, window, budget, fetched=fetched)[0] == actions
+        assert _get_requests() == 1
+        counters = reader.counters()
+        assert (counters.hits, counters.warm_hits, counters.misses) == (2, 2, 0)
+
+    def test_a_lookup_memory_answers_reads_nothing(self, cache):
+        shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
+        shared.put(("base",), (1, 2, 3), 2, ("a", "b"), None)
+        assert shared.prefetch_entries([(("base",), (1, 2, 3), 2)]) == {}
+        assert _get_requests() == 0
+
+    def test_consistency_checks_share_one_request(self, cache, tmp_path):
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        checks = [
+            (actions[:n], actions[:n], DOMTrace(snapshots, 0, n)) for n in (5, 6)
+        ]
+        engine = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
+        )
+        with engine.prefetching():
+            engine.prefetch_consistency(checks)
+            assert _get_requests() == 1
+            values = [engine.consistent_prefix_length(*check) for check in checks]
+        assert _get_requests() == 1
+        # the same checks, unbatched, over an empty store of their own
+        control = ExecutionEngine(
+            EMPTY_DATA,
+            cache=ExecutionCache(backend=FileBackend(tmp_path / "control.sqlite")),
+        )
+        assert values == [control.consistent_prefix_length(*check) for check in checks]
+        counted = ("hits", "misses", "consistency_hits", "warm_hits")
+        assert [getattr(engine.counters(), name) for name in counted] == [
+            getattr(control.counters(), name) for name in counted
+        ]
+
+    def test_prefetch_outside_the_scope_reads_nothing(self, cache):
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        engine = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
+        )
+        engine.prefetch_consistency([(actions, actions, DOMTrace(snapshots, 0, 6))])
+        assert _get_requests() == 0
+
+
+class _FixedReply(BaseHTTPRequestHandler):
+    """Answers every POST with the same binary ``{"e": [...]}`` body."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    slots: list = []
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+    def do_POST(self):  # noqa: N802 - stdlib naming
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        body = STORE_CODEC.encode_payload({"e": self.slots})
+        self.send_response(200)
+        self.send_header("Content-Type", STORE_CODEC.content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def fixed_reply():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixedReply)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class TestMisshapenReplies:
+    @pytest.mark.parametrize(
+        "slots, keys",
+        [
+            ([{"v": 5}], [KEY_A, KEY_B]),  # too few slots
+            ([{"v": 5}, {"v": 6}], [KEY_A]),  # too many slots
+            ([], [KEY_A]),
+        ],
+    )
+    def test_wrong_slot_count_is_an_all_miss(self, fixed_reply, monkeypatch, slots, keys):
+        monkeypatch.setattr(_FixedReply, "slots", slots)
+        backend = RemoteBackend(f"remote://127.0.0.1:{fixed_reply.server_address[1]}")
+        assert backend.load_consistencies(keys) == [None] * len(keys)
+        assert backend.load_hits == 0
+
+    def test_matching_slot_count_is_read(self, fixed_reply, monkeypatch):
+        monkeypatch.setattr(_FixedReply, "slots", [{"v": 5}, None])
+        backend = RemoteBackend(f"remote://127.0.0.1:{fixed_reply.server_address[1]}")
+        assert backend.load_consistencies([KEY_A, KEY_B]) == [5, None]
+
+
+class _PerKey(CacheBackend):
+    """A backend with per-key loads only: the base class's loops serve
+    ``load_entries`` / ``load_consistencies``, one store read per row."""
+
+    name = "per-key"
+    persistent = True
+
+    def __init__(self, inner: CacheBackend) -> None:
+        self.inner = inner
+
+    def load_entry(self, kind, key):
+        return self.inner.load_entry(kind, key)
+
+    def load_consistency(self, key):
+        return self.inner.load_consistency(key)
+
+    def should_persist(self, kind, cost):
+        return self.inner.should_persist(kind, cost)
+
+    def store_entry(self, kind, key, actions, env, examined, exact_budget_ok):
+        self.inner.store_entry(kind, key, actions, env, examined, exact_budget_ok)
+
+    def store_consistency(self, key, value):
+        self.inner.store_consistency(key, value)
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
+
+
+def _per_key_factory(name: str) -> CacheBackend:
+    inner = name.split("://", 1)[1]
+    if inner.startswith("remote://"):
+        return _PerKey(RemoteBackend(inner))
+    return _PerKey(FileBackend(default_store_path()))
+
+
+register_backend_factory("per-key", _per_key_factory)
+
+
+def _session(backend_name: str):
+    """One incremental session: its programs per call and the cache's
+    merged counters."""
+    dom = cards_page(6)
+    actions, snapshots = scrape_cards_trace(dom, 4)
+    synthesizer = Synthesizer(EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name))
+    programs = []
+    for cut in range(1, len(actions) + 1):
+        # a generous deadline: a timed-out call would differ by timing alone
+        result = synthesizer.synthesize(actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT)
+        programs.append(tuple(format_program(program) for program in result.programs))
+    flush_backends()
+    return programs, asdict(synthesizer.engine.cache.counters())
+
+
+def _cold_then_warm(backend_name: str):
+    """A cold session, then the same session in a "new process" (fresh
+    backend objects and memory, same store)."""
+    cold = _session(backend_name)
+    reset_backends()
+    warm = _session(backend_name)
+    reset_backends()
+    return cold, warm
+
+
+@pytest.mark.parametrize("tier", ["file", "remote"])
+def test_counters_match_a_per_key_backend(tier, tmp_path, monkeypatch):
+    outcomes = {}
+    for variant in ("batched", "per-key"):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / variant))
+        server = thread = None
+        name = "file"
+        if tier == "remote":
+            server, thread = _start_cache(tmp_path / f"{variant}.sqlite")
+            name = _url(server)
+        if variant == "per-key":
+            name = f"per-key://{name}"
+        try:
+            outcomes[variant] = _cold_then_warm(name)
+        finally:
+            if server is not None:
+                _stop_cache(server, thread)
+    cold, warm = outcomes["batched"]
+    assert warm[1]["warm_hits"] > 0  # the warm session read the store
+    assert warm[0] == cold[0]
+    assert outcomes["batched"] == outcomes["per-key"]
+
+
+def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch):
+    """Incremental sessions with the extension step's prefetch and
+    without it: the same programs and counters, fewer requests."""
+    outcomes, requests = {}, {}
+    for variant in ("prefetch", "per-lookup"):
+        if variant == "per-lookup":
+            monkeypatch.setattr(
+                ExecutionEngine, "prefetching", lambda self: contextlib.nullcontext()
+            )
+        obs_metrics.reset_registry()
+        server, thread = _start_cache(tmp_path / f"{variant}.sqlite")
+        try:
+            outcomes[variant] = _cold_then_warm(_url(server))
+        finally:
+            _stop_cache(server, thread)
+        requests[variant] = _get_requests()
+    assert outcomes["prefetch"] == outcomes["per-lookup"]
+    assert requests["prefetch"] < requests["per-lookup"]

@@ -15,7 +15,9 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.fleet.cache_server import make_cache_server
+from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import ConnectionPool, pool, reset_pool
+from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
 from repro.service.backends import EXACT
 
@@ -153,6 +155,27 @@ class TestBadRequests:
         assert response.status == 404
         response, _ = _post(cache, "/v1/nope", {})
         assert response.status == 404
+
+    def test_unknown_post_route_is_labelled_post_in_both_metrics(self, cache):
+        obs_metrics.reset_registry()
+        response, _ = _post(cache, "/v1/nope", {})
+        assert response.status == 404
+        samples = parse_samples(obs_metrics.registry().render())
+        assert sample_value(
+            samples,
+            "repro_cache_server_requests_total",
+            {"op": "post", "outcome": "bad_request"},
+        ) == 1
+        # the latency lands under the same label, not under a cache op
+        assert (
+            sample_value(samples, "repro_cache_server_seconds_count", {"op": "post"})
+            == 1
+        )
+        for op in ("get", "put"):
+            assert (
+                sample_value(samples, "repro_cache_server_seconds_count", {"op": op})
+                is None
+            )
 
     def test_garbage_body_is_400_not_500(self, cache):
         host, port = cache.server_address[:2]

@@ -21,6 +21,7 @@ import pytest
 
 from repro.engine.cache import reset_process_cache
 from repro.fleet.cache_server import make_cache_server
+from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
 from repro.fleet.remote import (
     CLOSED,
@@ -29,6 +30,7 @@ from repro.fleet.remote import (
     CircuitBreaker,
     RemoteBackend,
 )
+from repro.obs import metrics as obs_metrics
 from repro.service.backends import CONSISTENCY, EXACT, reset_backends, resolve_backend
 from repro.service.client import ServiceClient
 from repro.service.server import make_server
@@ -348,6 +350,27 @@ class TestWireRoundTrip:
         backend = resolve_backend(url)
         assert backend.load_hits > 0
         assert backend.io_errors == 0
+
+    def test_request_histogram_pairs_with_the_cache_server(self, cache):
+        obs_metrics.reset_registry()
+        backend = RemoteBackend(_cache_url(cache))
+        backend.store_consistency(KEY, 9)
+        backend.flush()
+        assert RemoteBackend(_cache_url(cache)).load_consistency(KEY) == 9
+        text = obs_metrics.registry().render()
+        assert "# TYPE repro_remote_request_seconds histogram" in text
+        samples = parse_samples(text)
+        for op in ("get", "put"):
+            worker = sample_value(
+                samples, "repro_remote_request_seconds_count", {"op": op}
+            )
+            server = sample_value(
+                samples, "repro_cache_server_seconds_count", {"op": op}
+            )
+            assert worker == server == 1
+            assert sample_value(
+                samples, "repro_remote_request_seconds_sum", {"op": op}
+            ) >= sample_value(samples, "repro_cache_server_seconds_sum", {"op": op})
 
     def test_stats_duck_type_like_the_file_backend(self, cache):
         backend = RemoteBackend(_cache_url(cache))

@@ -146,6 +146,23 @@ class TestFileBackend:
         assert backend.load_entry(EXACT, key) is None
         backend.close()
 
+    def test_batch_reads_mix_the_buffer_and_the_store_in_order(self, tmp_path):
+        backend = FileBackend(tmp_path / "store.sqlite", flush_every=1000)
+        stored, buffered, absent = (
+            stable_digest(("consistency", name)) for name in "sba"
+        )
+        backend.store_consistency(stored, 5)
+        backend.flush()
+        backend.store_consistency(buffered, 6)
+        assert backend.load_consistencies([buffered, absent, stored, buffered]) == [
+            6,
+            None,
+            5,
+            6,
+        ]
+        assert (backend.loads, backend.load_hits) == (4, 3)
+        backend.close()
+
     def test_terminal_payload_with_examined(self, tmp_path):
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
         actions = (scrape_text(parse_selector("//h3[1]")),)

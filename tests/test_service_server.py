@@ -18,6 +18,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.engine.cache import reset_process_cache
+from repro.fleet.metrics import parse_samples, sample_value
 from repro.lang.pretty import format_program
 from repro.lang import EMPTY_DATA
 from repro.obs import context as obs_context
@@ -163,6 +164,31 @@ class TestObservability:
         assert sid not in text
         # synthesis instrumentation published through the same registry
         assert "repro_synth_calls_total" in text
+
+    def test_client_histogram_pairs_with_the_server_histogram(self, service):
+        obs_metrics.reset_registry()
+        sid = service.create_session(cards_page(3))
+        service.candidates(sid)
+        assert service.health()
+        text = obs_metrics.registry().render()
+        assert "# TYPE repro_client_request_seconds histogram" in text
+        samples = parse_samples(text)
+        # one client-side sample per round trip, under the server's
+        # normalized route label (session ids collapse to :sid)
+        for route in ("/v1/sessions", "/v1/sessions/:sid/candidates", "/healthz"):
+            client = sample_value(
+                samples, "repro_client_request_seconds_count", {"route": route}
+            )
+            server = sample_value(
+                samples, "repro_http_request_seconds_count", {"route": route}
+            )
+            assert client == server == 1
+            assert sample_value(
+                samples, "repro_client_request_seconds_sum", {"route": route}
+            ) >= sample_value(
+                samples, "repro_http_request_seconds_sum", {"route": route}
+            )
+        assert sid not in text
 
     def test_unknown_routes_do_not_mint_labels(self, service):
         obs_metrics.reset_registry()
