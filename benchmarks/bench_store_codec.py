@@ -1,8 +1,8 @@
-"""Store codec bench: binary payloads + tiered persistence, gated.
+"""Store codec bench: compressed payloads + tiered persistence, gated.
 
 Drives the multi-session service workload (the same create /
 record-action / close loop as ``bench_service_sessions``) through the
-persistent :class:`~repro.service.backends.FileBackend` (binary rows)
+persistent :class:`~repro.service.backends.FileBackend` (zlib-compressed JSON rows)
 under both tier policies, each run in a **fresh child process** so
 every measurement starts cold:
 
@@ -26,20 +26,17 @@ Assertions (floors env-overridable, see below):
   (speedup ≥ 1.0× **or** cross-process hit rate ≥ 50%, the same
   escape hatch as the service bench: the rate is the architectural
   claim, the wall-clock depends on how execution-bound the box is);
-* a codec microbenchmark over the store's own payload corpus
-  (decoded, then re-aliased through one shared
-  :class:`~repro.service.backends.StepInterner`, exactly how live
-  writes share step rows): both codecs decode to equal values,
-  binary is ≥ 4× smaller (the size claim the binary store rests on),
-  and its pure-Python encode+decode round-trip stays within a bounded
-  CPU factor of C ``json``.
+* a codec microbenchmark over the store's own payload corpus (the
+  decoded rows of the untiered store): both codecs decode to equal
+  values, the store codec is ≥ 4× smaller (the size claim the
+  compressed store rests on), and its encode+decode round-trip stays
+  within a bounded CPU factor of plain JSON.
 
-The codec's trade is stated, not hidden: a pure-Python token loop
-cannot out-run CPython's C ``json`` on round-trip CPU (measured
-~1.5–2× slower per payload), so the win is **bytes** — ~8× smaller
-rows and cache-tier frames — plus the tier policy and the in-memory
-tables, which keep decodes off the repeat-read path entirely.  The
-CPU ceiling asserted here is a *regression* gate, not a speed claim.
+The store codec is canonical JSON under the stdlib's C zlib, so the
+win is **bytes** — ~10× smaller rows and cache-tier frames — at about
+plain JSON's round-trip CPU (both halves run in C; measured 0.66–1.36×
+JSON on a shared 2-core box).  The CPU ceiling asserted
+here is a *regression* gate, not a speed claim.
 
 ``REPRO_STORE_BENCH_BIDS`` picks the subjects (``+`` suffix = scaled
 instance); ``REPRO_STORE_BENCH_SESSIONS`` the sessions per subject;
@@ -61,12 +58,6 @@ from dataclasses import replace
 from repro.benchmarks.suite import benchmark_by_id
 from repro.harness.report import fmt_bytes, fmt_ms, fmt_pct, render_table
 from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, sniff_codec
-from repro.service.backends import (
-    CONSISTENCY,
-    StepInterner,
-    entry_from_payload,
-    entry_to_payload,
-)
 from repro.synth.config import DEFAULT_CONFIG
 
 #: Loop-heavy, execution-dominated subjects — the entries the store
@@ -177,24 +168,8 @@ def _store_rows(store_dir):
 
 
 def _corpus(rows):
-    """The store's payload dicts, re-aliased the way live writes are.
-
-    Entry payloads round-trip through one shared
-    :class:`StepInterner`, so repeated selector steps share one row
-    list per payload set — the aliasing :func:`entry_to_payload`
-    produces in production, which the binary encoder's identity memo
-    turns into back-references.
-    """
-    interner = StepInterner()
-    payloads = []
-    for kind, blob in rows:
-        payload = sniff_codec(blob).decode_payload(blob)
-        if kind != CONSISTENCY:
-            payload = entry_to_payload(
-                *entry_from_payload(payload, interner), interner
-            )
-        payloads.append(payload)
-    return payloads
+    """The store's payload dicts, decoded row by row."""
+    return [sniff_codec(blob).decode_payload(blob) for _, blob in rows]
 
 
 def _measure_codecs(payloads, reps):

@@ -72,7 +72,6 @@ probe on a networked tier.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -81,6 +80,7 @@ from repro.dom.node import DOMNode
 from repro.engine.keys import stable_digest
 from repro.obs import metrics as obs_metrics
 from repro.semantics.env import Env
+from repro.util.env import env_int
 
 _promotions = None
 
@@ -1242,9 +1242,8 @@ def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
     with _PROCESS_LOCK:
         cache = _PROCESS_CACHES.get(backend)
         if cache is None:
-            raw_bytes = os.environ.get("REPRO_SHARED_CACHE_BYTES", "").strip()
             cache = _PROCESS_CACHES[backend] = ExecutionCache(
-                max_bytes=int(raw_bytes) if raw_bytes else None,
+                max_bytes=env_int("REPRO_SHARED_CACHE_BYTES", None),
                 backend=backend,
             )
         return cache

@@ -14,8 +14,9 @@ the pieces here are pure plumbing:
 :mod:`repro.fleet.cache_server`
     ``repro cache-serve`` — the execution cache as a standalone
     ThreadingHTTPServer over the existing
-    :class:`~repro.service.backends.FileBackend`, speaking binary
-    payload batches on ``POST /v1/cache/get`` / ``POST /v1/cache/put``
+    :class:`~repro.service.backends.FileBackend`, speaking store-codec
+    (zlib-compressed JSON) payload batches on ``POST /v1/cache/get`` /
+    ``POST /v1/cache/put``
     (its health, stats and error bodies are JSON).
 
 :mod:`repro.fleet.remote`

@@ -6,11 +6,11 @@ it with ``--backend remote://host:port`` and share executions across
 machines the way ``--backend file`` shares them across processes on one
 machine.
 
-The data plane is two POST routes carrying *binary payloads* — the
-same codec-ready dicts :func:`~repro.service.backends.entry_to_payload`
-produces, with digests hex-encoded, in the store's binary codec — so
-the server relays rows without ever decoding entries into actions and
-environments:
+The data plane is two POST routes carrying *store-codec payloads* —
+the same codec-ready dicts :func:`~repro.service.backends.entry_to_payload`
+produces, with digests hex-encoded, as zlib-compressed canonical JSON
+— so the server relays rows without ever decoding entries into actions
+and environments:
 
 ==============================  ========================================
 ``POST /v1/cache/get``          ``{"k": [[kind, key_hex], ...]}`` →
@@ -24,8 +24,9 @@ environments:
 ``GET  /v1/metrics``            → Prometheus text exposition
 ==============================  ========================================
 
-Data-plane requests and their 200 replies are binary only; a body in
-any other format is a 400.  The control plane — ``/healthz``,
+Data-plane requests and their 200 replies are in the store codec
+only; a body in any other format, or one that inflates past
+:data:`~repro.protocol.codec.MAX_DECODED_BYTES`, is a 400.  The control plane — ``/healthz``,
 ``/v1/stats`` and every error body — is always JSON, so operators and
 scrapers read it with any HTTP client.  Reads consult the store's
 write buffer first, so an entry put by one worker is visible to the

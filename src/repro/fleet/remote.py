@@ -23,8 +23,9 @@ Resilience discipline — the cache tier is a cache, never a dependency:
   ``REPRO_REMOTE_BREAKER_RESET_S`` one half-open probe is allowed
   through; success re-closes the breaker and the worker re-attaches.
 
-Request and reply bodies are binary payloads (the store codec); a
-reply in any other format counts as garbage.  Every failure mode —
+Request and reply bodies are store-codec payloads (zlib-compressed
+canonical JSON); a reply in any other format, or one that inflates
+past the codec's decode cap, counts as garbage.  Every failure mode —
 refused connection, timeout, mid-body disconnect, garbage bytes,
 non-200 — degrades to a miss or a dropped write.  The backend never
 raises into the engine.
@@ -48,7 +49,6 @@ it is the transport), ``repro_remote_retries_total``,
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -71,6 +71,7 @@ from repro.service.backends import (
     register_backend_factory,
     tiering_enabled,
 )
+from repro.util.env import env_float, env_int
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1
@@ -83,26 +84,6 @@ BACKOFF_BASE_S = 0.05
 
 #: Breaker states (also the gauge encoding).
 CLOSED, HALF_OPEN, OPEN = 0, 1, 2
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 class _RemoteMetrics:
@@ -232,13 +213,13 @@ class RemoteBackend(CacheBackend):
         self.host = parts.hostname
         self.port = parts.port or 8799  # DEFAULT_CACHE_PORT (import cycle)
         self.timeout = (
-            _env_float("REPRO_REMOTE_TIMEOUT", DEFAULT_TIMEOUT)
+            env_float("REPRO_REMOTE_TIMEOUT", DEFAULT_TIMEOUT)
             if timeout is None
             else timeout
         )
         self.retries = max(
             0,
-            _env_int("REPRO_REMOTE_RETRIES", DEFAULT_RETRIES)
+            env_int("REPRO_REMOTE_RETRIES", DEFAULT_RETRIES)
             if retries is None
             else retries,
         )
@@ -247,12 +228,12 @@ class RemoteBackend(CacheBackend):
         )
         self.breaker = CircuitBreaker(
             threshold=(
-                _env_int("REPRO_REMOTE_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD)
+                env_int("REPRO_REMOTE_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD)
                 if breaker_threshold is None
                 else breaker_threshold
             ),
             reset_after=(
-                _env_float("REPRO_REMOTE_BREAKER_RESET_S", DEFAULT_BREAKER_RESET_S)
+                env_float("REPRO_REMOTE_BREAKER_RESET_S", DEFAULT_BREAKER_RESET_S)
                 if breaker_reset_s is None
                 else breaker_reset_s
             ),
@@ -405,9 +386,7 @@ class RemoteBackend(CacheBackend):
         self, kind, key, actions, env, examined, exact_budget_ok
     ) -> None:
         try:
-            payload = entry_to_payload(
-                actions, env, examined, exact_budget_ok, self.interner
-            )
+            payload = entry_to_payload(actions, env, examined, exact_budget_ok)
         except (TypeError, AttributeError, ValueError):
             self.encode_errors += 1
             return

@@ -11,8 +11,9 @@ migration tooling — speaks the message types defined here:
   ``ErrorEnvelope``, ``SessionSnapshot``, …) plus
   ``PROTOCOL_VERSION`` and the wire field specs they encode by.
 * :mod:`repro.protocol.codec` — the codecs with round-trip
-  validation: ``JsonCodec`` for the session wire, ``BinaryCodec`` for
-  store rows and the cache tier's data plane.
+  validation: ``JsonCodec`` (canonical JSON) for the session wire,
+  ``BinaryCodec`` (the same JSON under zlib) for store rows and the
+  cache tier's data plane.
 * :mod:`repro.protocol.schema` — the machine-readable wire schema
   (``repro protocol-schema``), diffed against the committed
   ``schema.json`` in CI so wire changes are always explicit.

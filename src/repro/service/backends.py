@@ -18,10 +18,10 @@ Three backends:
 :class:`FileBackend`
     A persistent store over one SQLite file (stdlib ``sqlite3``, WAL
     mode): a cold process warm-starts from executions recorded by prior
-    sessions — or prior *processes*.  Rows are written in the binary
-    payload codec (:mod:`repro.protocol.codec`) for its 7–8× size cut
-    over JSON; reads sniff the codec per row, so stores that still hold
-    JSON rows keep serving.  The store is size-tiered: terminal/whole-program outcomes and
+    sessions — or prior *processes*.  Rows are written in the store
+    codec (:mod:`repro.protocol.codec`: canonical JSON under zlib, ~10×
+    smaller than plain JSON); reads sniff the codec per row, so stores
+    that still hold plain JSON rows keep serving.  The store is size-tiered: terminal/whole-program outcomes and
     consistency memos always persist, while cheap exact interior
     entries (bounded cost at or below the tier threshold) are
     recomputed rather than stored.  Eviction is byte-accounted against
@@ -63,6 +63,7 @@ from repro.lang.ast import SEL_VAR, ValuePath, Var
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
 from repro.semantics.env import Env
+from repro.util.env import env_int
 
 #: Entry kinds.  Stored in the ``kind`` column for store introspection
 #: and tier-aware eviction — lookups key on the digest alone, whose
@@ -155,50 +156,38 @@ class _StoreMetrics:
 # Payload conversion (exact structural values — no string round-trips)
 # ----------------------------------------------------------------------
 class StepInterner:
-    """A bounded two-way memo between :class:`Step` objects and payload rows.
+    """Payload rows for :class:`Step` objects, and a bounded memo back.
 
-    Encode side: maps each step to **one shared row list**, so every
-    selector payload that repeats a step emits the same list object —
-    the binary codec's identity memo then collapses the repeat into a
-    two-byte back-reference (the JSON codec simply re-serializes it).
+    Encode side: :meth:`step_to_row` builds a step's six-field row.
     Decode side: maps rows back to interned :class:`Step` objects,
     skipping Predicate/Step re-construction — restored selectors repeat
     the same few steps thousands of times (every card of a list page
     shares most of its raw path).
 
-    Bounded as an LRU (hits migrate to the back once the table passes
-    half capacity; the oldest entry drops when full), owned per backend
-    instance, so one backend's traffic can no longer flush another's
-    hot steps mid-decode the way the old module-global wholesale-clear
-    dict could.  Losing an entry only costs reconstruction.
+    The decode memo is bounded as an LRU (hits migrate to the back once
+    the table passes half capacity; the oldest entry drops when full),
+    owned per backend instance, so one backend's traffic can never
+    flush another's hot steps mid-decode.  Losing an entry only costs
+    reconstruction.
     """
 
-    __slots__ = ("capacity", "_rows", "_steps")
+    __slots__ = ("capacity", "_steps")
 
     def __init__(self, capacity: int = 1 << 15) -> None:
         self.capacity = capacity
-        self._rows: dict[Step, list] = {}
         self._steps: dict[tuple, Step] = {}
 
-    def step_to_row(self, step: Step) -> list:
-        rows = self._rows
-        row = rows.get(step)
-        if row is None:
-            pred = step.pred
-            row = [
-                step.axis == DESC,
-                pred.tag,
-                pred.attr,
-                pred.value,
-                type(pred) is TokenPredicate,
-                step.index,
-            ]
-            if len(rows) >= self.capacity:
-                del rows[next(iter(rows))]
-            rows[step] = row
-        elif len(rows) > (self.capacity >> 1):
-            rows[step] = rows.pop(step)
-        return row
+    @staticmethod
+    def step_to_row(step: Step) -> list:
+        pred = step.pred
+        return [
+            step.axis == DESC,
+            pred.tag,
+            pred.attr,
+            pred.value,
+            type(pred) is TokenPredicate,
+            step.index,
+        ]
 
     def row_to_step(self, row: list) -> Step:
         key = tuple(row)
@@ -222,10 +211,8 @@ class StepInterner:
 _DEFAULT_INTERNER = StepInterner()
 
 
-def _steps_to_payload(
-    steps: tuple[Step, ...], interner: StepInterner
-) -> list:
-    row = interner.step_to_row
+def _steps_to_payload(steps: tuple[Step, ...]) -> list:
+    row = StepInterner.step_to_row
     return [row(step) for step in steps]
 
 
@@ -234,15 +221,10 @@ def _steps_from_payload(payload: list, interner: StepInterner) -> tuple[Step, ..
     return tuple(step(item) for item in payload)
 
 
-def action_to_payload(
-    action: Action, interner: Optional[StepInterner] = None
-) -> list:
+def action_to_payload(action: Action) -> list:
     """One action as a codec-ready value (structural, lossless)."""
-    interner = interner or _DEFAULT_INTERNER
     selector = (
-        None
-        if action.selector is None
-        else _steps_to_payload(action.selector.steps, interner)
+        None if action.selector is None else _steps_to_payload(action.selector.steps)
     )
     path = None if action.path is None else list(action.path.accessors)
     return [action.kind, selector, action.text, path]
@@ -264,18 +246,15 @@ def action_from_payload(
     )
 
 
-def env_to_payload(
-    env: Optional[Env], interner: Optional[StepInterner] = None
-) -> Optional[list]:
+def env_to_payload(env: Optional[Env]) -> Optional[list]:
     """An environment's bindings as a codec-ready value."""
     if env is None:
         return None
-    interner = interner or _DEFAULT_INTERNER
     bindings = []
     for var, binding in env.fingerprint():
         if isinstance(binding, ConcreteSelector):
             bindings.append(
-                [var.kind, var.uid, _steps_to_payload(binding.steps, interner)]
+                [var.kind, var.uid, _steps_to_payload(binding.steps)]
             )
         else:  # a concrete ValuePath
             bindings.append([var.kind, var.uid, list(binding.accessors)])
@@ -304,13 +283,11 @@ def entry_to_payload(
     env: Env,
     examined: Optional[tuple[int, ...]],
     exact_budget_ok: bool,
-    interner: Optional[StepInterner] = None,
 ) -> dict:
     """An execution-cache entry as a codec-ready dict."""
-    interner = interner or _DEFAULT_INTERNER
     payload: dict = {
-        "a": [action_to_payload(action, interner) for action in actions],
-        "e": env_to_payload(env, interner),
+        "a": [action_to_payload(action) for action in actions],
+        "e": env_to_payload(env),
     }
     if examined is not None:
         payload["x"] = list(examined)
@@ -470,9 +447,11 @@ class FileBackend(CacheBackend):
     fraction of the commit cost.
 
     Reads see the write buffer first, so a just-written entry is
-    visible before the next flush.  Writes are binary-encoded; reads
-    sniff the codec per row, so a store that still holds JSON rows from
-    older writers always decodes.
+    visible before the next flush.  Writes use the store codec; reads
+    sniff the codec per row, so a store that still holds plain JSON
+    rows from older writers always decodes.  A row that fails to decode
+    (corrupt, or in a deleted format) is a miss, and the recomputed
+    entry overwrites it.
 
     The store is size-tiered: :data:`TERMINAL` outcomes and
     :data:`CONSISTENCY` memos always persist, while :data:`EXACT`
@@ -505,7 +484,7 @@ class FileBackend(CacheBackend):
     ) -> None:
         self.path = str(path)
         if max_bytes is None:
-            max_bytes = int(os.environ.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES))
+            max_bytes = env_int("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
         self.flush_every = max(1, flush_every)
         #: Tier threshold for :meth:`should_persist`; -1 disables tiering.
@@ -624,9 +603,7 @@ class FileBackend(CacheBackend):
         self, kind, key, actions, env, examined, exact_budget_ok
     ) -> None:
         try:
-            payload = entry_to_payload(
-                actions, env, examined, exact_budget_ok, self.interner
-            )
+            payload = entry_to_payload(actions, env, examined, exact_budget_ok)
         except (TypeError, AttributeError, ValueError):
             # values outside the codec vocabulary (unit-test stubs,
             # future extensions): the in-memory tables still hold them

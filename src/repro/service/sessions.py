@@ -29,7 +29,6 @@ it over HTTP, tests and benchmarks drive it directly.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -58,6 +57,7 @@ from repro.protocol.session import (
     UnknownSessionError,
 )
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
+from repro.util.env import env_float
 
 #: Deprecated alias — the session core now lives in the protocol layer.
 DemoSession = Session
@@ -78,10 +78,7 @@ def resolved_session_ttl(max_idle_s: Optional[float]) -> Optional[float]:
     """The effective idle TTL: the argument, else ``REPRO_SESSION_TTL``."""
     if max_idle_s is not None:
         return max_idle_s if max_idle_s > 0 else None
-    raw = os.environ.get("REPRO_SESSION_TTL", "").strip()
-    if not raw:
-        return None
-    value = float(raw)
+    value = env_float("REPRO_SESSION_TTL", 0.0)
     return value if value > 0 else None
 
 

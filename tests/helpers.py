@@ -7,11 +7,15 @@ the snapshot it executed on, plus one trailing snapshot.
 
 from __future__ import annotations
 
+import functools
+import zlib
+
 from hypothesis import strategies as st
 
 from repro.dom import DOMNode, E, page, raw_path, resolve, parse_selector
 from repro.lang import Action, X, click, enter_data, scrape_text
 from repro.lang.ast import canonical_program
+from repro.protocol.codec import MAX_DECODED_BYTES
 
 #: Generous per-call deadline for parity tests: output is only compared
 #: for calls that finish within their budget.
@@ -76,6 +80,22 @@ def scrape_cards_trace(dom: DOMNode, count: int):
         )
     snapshots = [dom] * (len(actions) + 1)
     return actions, snapshots
+
+
+@functools.lru_cache(maxsize=1)
+def zlib_bomb() -> bytes:
+    """A ~66 KB zlib stream that inflates past ``MAX_DECODED_BYTES``.
+
+    Its content is a valid JSON object, so only the decode cap stands
+    between it and a 65 MiB allocation.  Built chunk by chunk so the
+    test process never holds the inflated text.
+    """
+    chunk = b"a" * (1 << 20)
+    deflater = zlib.compressobj()
+    parts = [deflater.compress(b'{"v":"')]
+    parts += [deflater.compress(chunk) for _ in range(MAX_DECODED_BYTES // len(chunk) + 1)]
+    parts += [deflater.compress(b'"}'), deflater.flush()]
+    return b"".join(parts)
 
 
 def _session_outputs(synthesizer, actions, snapshots):

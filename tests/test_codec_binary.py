@@ -1,46 +1,43 @@
-"""The binary payload codec, adversarially.
+"""The store codec (zlib-compressed canonical JSON), adversarially.
 
 Property tests pin the codec's contract from three sides: round-trips
 over random payload values (binary and JSON must decode to the *same*
 value), byte stability (re-encoding a decoded value reproduces the
-bytes), and corruption (every truncation or bit flip of a valid blob
-raises :class:`ProtocolError` or decodes cleanly — never any other
-exception, and through the file backend never anything but a miss).
+bytes), and corruption (every truncation, trailing byte, bit flip or
+decompression bomb raises :class:`ProtocolError` or decodes cleanly —
+never any other exception, and through the file backend never anything
+but a miss).
 
-``tests/data/codec_golden.json`` holds committed wire bytes.  Those
-fixtures are the compatibility gate for the preset dictionary and
-``FORMAT_VERSION``: if an edit to the codec changes how the recorded
-values encode, or stops decoding the recorded bytes, these tests fail
-— bump ``FORMAT_VERSION`` and regenerate deliberately, never silently.
+``tests/data/codec_golden.json`` holds committed store rows.  The
+decode check reads the recorded bytes back to the recorded values, so
+rows written by earlier builds keep serving; the encode check pins the
+canonical JSON text inside each stream rather than the compressed
+bytes, which may differ between zlib builds.  A change to either must
+land as a deliberate ``format_version`` bump with regenerated fixtures.
 
 The back half covers the store-side machinery the codec feeds: the
 per-backend :class:`StepInterner` LRU, the size-tier persistence
-policy, the decoded-entry cache, and mixed-codec stores (a store that
-still holds JSON rows from older writers keeps serving next to new
-binary rows, row by row, via the sniff).
+policy, and mixed-format stores (a store that still holds plain JSON
+rows from older writers keeps serving next to new rows, row by row,
+via the sniff; rows in the deleted 0xC3 format are misses).
 """
 
 import json
-import os
 import sqlite3
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dom.xpath import parse_selector
+from repro.engine.cache import reset_process_cache
 from repro.engine.keys import stable_digest
 from repro.lang import X, click, enter_data, scrape_text, send_keys
-from repro.lang.ast import SEL_VAR, Var
-from repro.protocol.codec import (
-    FORMAT_VERSION,
-    HEADER,
-    BinaryCodec,
-    JsonCodec,
-    decode_value,
-    encode_value,
-    sniff_codec,
-)
+from repro.lang.ast import SEL_VAR, Var, canonical_program
+from repro.lang.data import EMPTY_DATA
+from repro.protocol.codec import STORE_CODEC, BinaryCodec, JsonCodec, sniff_codec
 from repro.protocol.messages import ProtocolError
 from repro.semantics.env import Env
 from repro.service.backends import (
@@ -55,9 +52,29 @@ from repro.service.backends import (
     StepInterner,
     entry_from_payload,
     entry_to_payload,
+    flush_backends,
+    reset_backends,
 )
+from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.synthesizer import Synthesizer
+
+from helpers import cards_page, scrape_cards_trace, zlib_bomb
 
 GOLDEN = Path(__file__).parent / "data" / "codec_golden.json"
+
+#: The store-row format the golden fixtures were recorded in.
+GOLDEN_FORMAT_VERSION = 2
+
+#: One entry row as the deleted 0xC3 binary format wrote it.
+LEGACY_BINARY_ROW = bytes.fromhex(
+    "c30108040b01070307040b0a07030b280b290706020b050b0c050463617264010304"
+    "000007040b0207010706020b0f0b270b17010302000007040b1507010706020b2300"
+    "0001030605076c6170746f7073000b03070107030b04030207030b280b290706010b"
+    "1800000103020b12020b11070203000308"
+)
+
+encode = STORE_CODEC.encode_payload
+decode = STORE_CODEC.decode_payload
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +97,7 @@ values = st.recursive(
 )
 
 
-def _sample_entry(interner=None):
+def _sample_entry():
     """A realistic store entry payload (selectors, env, examined set)."""
     actions = (
         click(parse_selector("/html[1]/body[1]//div[@class='card'][2]")),
@@ -89,14 +106,38 @@ def _sample_entry(interner=None):
         enter_data(parse_selector("//input[1]"), X.extend("zips").extend(3)),
     )
     env = Env().bind(Var(SEL_VAR, 1), parse_selector("/html[1]/body[1]/div[2]"))
-    return entry_to_payload(actions, env, (0, 3), True, interner or StepInterner())
+    return entry_to_payload(actions, env, (0, 3), True)
+
+
+def _insert_row(path, key, blob, kind=EXACT):
+    """Write one raw row straight into the table the file backend creates."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT OR REPLACE INTO entries (key, kind, payload, nbytes) "
+        "VALUES (?, ?, ?, ?)",
+        (key, kind, blob, len(blob) + len(key)),
+    )
+    conn.commit()
+    conn.close()
+
+
+def _rows(path):
+    conn = sqlite3.connect(path)
+    rows = {
+        bytes(key): (kind, bytes(blob))
+        for key, kind, blob in conn.execute(
+            "SELECT key, kind, payload FROM entries ORDER BY rowid"
+        )
+    }
+    conn.close()
+    return rows
 
 
 class TestRoundTrip:
     @given(values)
     @settings(max_examples=200, deadline=None)
     def test_binary_round_trips_every_payload_value(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert decode(encode(value)) == value
 
     @given(values)
     @settings(max_examples=200, deadline=None)
@@ -109,12 +150,12 @@ class TestRoundTrip:
     @given(values)
     @settings(max_examples=200, deadline=None)
     def test_encoding_is_byte_stable(self, value):
-        blob = encode_value(value)
-        assert encode_value(decode_value(blob)) == blob
+        blob = encode(value)
+        assert encode(decode(blob)) == blob
 
     def test_big_ints_survive(self):
         for n in (1 << 200, -(1 << 200), (1 << 62) - 1, 1 << 62, -(1 << 62)):
-            assert decode_value(encode_value(n)) == n
+            assert decode(encode(n)) == n
 
     def test_entry_payloads_agree_across_codecs(self):
         payload = _sample_entry()
@@ -125,11 +166,9 @@ class TestRoundTrip:
         ) == text.decode_payload(text.encode_payload(payload))
 
     def test_decoded_entries_rebuild_identical_objects(self):
-        interner = StepInterner()
-        payload = _sample_entry(interner)
-        blob = encode_value(payload)
+        payload = _sample_entry()
         actions, env, examined, ok = entry_from_payload(
-            decode_value(blob), StepInterner()
+            decode(encode(payload)), StepInterner()
         )
         ref_actions, ref_env, ref_examined, ref_ok = entry_from_payload(
             payload, StepInterner()
@@ -139,9 +178,10 @@ class TestRoundTrip:
         assert (examined, ok) == (ref_examined, ref_ok)
 
     def test_sniff_and_content_types_identify_each_codec(self):
-        blob = encode_value({"a": []})
+        blob = encode({"a": []})
         assert sniff_codec(blob).name == "binary"
         assert sniff_codec(b'{"a": []}').name == "json"
+        assert sniff_codec(LEGACY_BINARY_ROW).name == "json"  # undecodable
         assert JsonCodec.content_type == "application/json"
         assert BinaryCodec.content_type != JsonCodec.content_type
 
@@ -151,80 +191,95 @@ class TestCorruption:
 
     def _blobs(self):
         return [
-            encode_value(_sample_entry()),
-            encode_value([None, True, 1 << 70, -3, 2.5, "x" * 40, {"k": [1]}]),
-            encode_value("ScrapeText"),
+            encode(_sample_entry()),
+            encode([None, True, 1 << 70, -3, 2.5, "x" * 40, {"k": [1]}]),
+            encode("ScrapeText"),
         ]
 
     def test_every_truncation_is_a_protocol_error(self):
         for blob in self._blobs():
             for cut in range(len(blob)):
                 with pytest.raises(ProtocolError):
-                    decode_value(blob[:cut])
+                    decode(blob[:cut])
 
     def test_trailing_garbage_is_a_protocol_error(self):
-        blob = encode_value([1, 2])
-        with pytest.raises(ProtocolError):
-            decode_value(blob + b"\x00")
+        for blob in self._blobs():
+            for tail in (b"\x00", b"x", blob):
+                with pytest.raises(ProtocolError, match="trailing"):
+                    decode(blob + tail)
 
     def test_bad_magic_and_version_are_protocol_errors(self):
-        blob = encode_value(None)
+        blob = encode(None)
+        # 0x77: compression method 7 in the zlib header, not deflate
         with pytest.raises(ProtocolError):
-            decode_value(b"\xc4" + blob[1:])
+            decode(b"\x77" + blob[1:])
+        # a row in the deleted 0xC3 format, by either codec
         with pytest.raises(ProtocolError):
-            decode_value(bytes((HEADER[0], FORMAT_VERSION + 1)) + blob[2:])
+            decode(LEGACY_BINARY_ROW)
+        with pytest.raises(ProtocolError):
+            sniff_codec(LEGACY_BINARY_ROW).decode_payload(LEGACY_BINARY_ROW)
+        # a well-formed stream whose content is not JSON
+        with pytest.raises(ProtocolError):
+            decode(zlib.compress(b"not json"))
 
     def test_bit_flips_never_escape_as_other_exceptions(self):
-        # A flip may still decode (it can form a different valid
-        # payload); it must decode or raise ProtocolError, nothing else.
+        # Adler-32 catches nearly every flip, and a flip in the padding
+        # bits after the final block decodes to the original value.  A
+        # flip must decode or raise ProtocolError, nothing else.
         for blob in self._blobs():
             for pos in range(len(blob)):
                 for bit in (0x01, 0x10, 0x80):
                     mutated = bytearray(blob)
                     mutated[pos] ^= bit
                     try:
-                        decode_value(bytes(mutated))
+                        decode(bytes(mutated))
                     except ProtocolError:
                         pass
 
     @given(st.binary(max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_decode_or_raise_protocol_error(self, junk):
-        try:
-            decode_value(junk)
-        except ProtocolError:
-            pass
+        for candidate in (junk, b"\x78\x9c" + junk):
+            try:
+                decode(candidate)
+            except ProtocolError:
+                pass
+
+    def test_bombs_are_protocol_errors(self):
+        with pytest.raises(ProtocolError, match="inflates past"):
+            decode(zlib_bomb())
+        nested = b"[" * 100_000 + b"]" * 100_000
+        for codec in (BinaryCodec(), JsonCodec()):
+            blob = zlib.compress(nested) if codec.name == "binary" else nested
+            with pytest.raises(ProtocolError):
+                codec.decode_payload(blob)
 
     def test_corrupt_store_rows_degrade_to_misses(self, tmp_path):
         path = tmp_path / "store.sqlite"
         writer = FileBackend(path, tier_cost=-1)
         key = stable_digest(("exact", "flip"))
+        bomb_key = stable_digest(("exact", "bomb"))
         actions = (scrape_text(parse_selector("//h3[1]")),)
         writer.store_entry(EXACT, key, actions, Env(), None, True)
         writer.flush()
 
-        conn = sqlite3.connect(path)
-        (payload,) = conn.execute(
-            "SELECT payload FROM entries WHERE key = ?", (key,)
-        ).fetchone()
+        [(_, payload)] = _rows(path).values()
         mutated = bytearray(payload)
         mutated[len(mutated) // 2] ^= 0x40
-        conn.execute(
-            "UPDATE entries SET payload = ? WHERE key = ?", (bytes(mutated), key)
-        )
-        conn.commit()
-        conn.close()
+        _insert_row(path, key, bytes(mutated))
+        _insert_row(path, bomb_key, zlib_bomb())
 
         reader = FileBackend(path, tier_cost=-1)
         assert reader.load_entry(EXACT, key) is None  # a miss, not a crash
+        assert reader.load_entry(EXACT, bomb_key) is None
 
 
 class TestGoldenFixtures:
-    """Committed wire bytes: the dictionary/FORMAT_VERSION compat gate."""
+    """Committed store rows: the format compatibility gate."""
 
     def _load(self):
         document = json.loads(GOLDEN.read_text())
-        assert document["format_version"] == FORMAT_VERSION, (
+        assert document["format_version"] == GOLDEN_FORMAT_VERSION, (
             "golden fixtures were generated for another format version — "
             "regenerate tests/data/codec_golden.json deliberately"
         )
@@ -232,25 +287,19 @@ class TestGoldenFixtures:
 
     def test_recorded_bytes_still_decode_to_the_recorded_values(self):
         for case in self._load():
-            assert decode_value(bytes.fromhex(case["hex"])) == case["value"], (
+            assert decode(bytes.fromhex(case["hex"])) == case["value"], (
                 f"golden case {case['name']!r} no longer decodes — "
                 "this breaks stores written by earlier builds"
             )
 
-    def test_recorded_values_still_encode_to_the_recorded_bytes(self):
+    def test_recorded_values_still_encode_to_the_recorded_json(self):
         for case in self._load():
-            if not case["stable_encode"]:
-                continue  # value had shared-identity back-references
-            assert encode_value(case["value"]).hex() == case["hex"], (
+            recorded = zlib.decompress(bytes.fromhex(case["hex"])).decode("utf-8")
+            encoded = zlib.decompress(encode(case["value"])).decode("utf-8")
+            assert recorded == encoded == case["json"], (
                 f"golden case {case['name']!r} encodes differently — "
-                "dictionary or tag changes require a FORMAT_VERSION bump"
+                "a change to the canonical text requires a format_version bump"
             )
-
-    def test_shared_rows_decode_as_equal_lists(self):
-        case = {c["name"]: c for c in self._load()}["shared-backref"]
-        decoded = decode_value(bytes.fromhex(case["hex"]))
-        assert decoded == case["value"]
-        assert decoded[0] == decoded[1] == decoded[2]
 
 
 class TestStepInterner:
@@ -259,35 +308,32 @@ class TestStepInterner:
             parse_selector(f"//div[@class='c{i}'][1]").steps[-1] for i in range(count)
         ]
 
-    def test_encode_side_shares_one_row_per_step(self):
+    def test_rows_rebuild_equal_steps(self):
         interner = StepInterner()
-        step = self._steps(1)[0]
-        assert interner.step_to_row(step) is interner.step_to_row(step)
+        for step in self._steps(3):
+            assert interner.row_to_step(StepInterner.step_to_row(step)) == step
 
     def test_decode_side_shares_one_step_per_row(self):
         interner = StepInterner()
         row = [False, "div", "class", "c0", False, 1]
         assert interner.row_to_step(row) is interner.row_to_step(list(row))
 
-    def test_capacity_bounds_both_tables(self):
+    def test_capacity_bounds_the_step_table(self):
         interner = StepInterner(capacity=4)
         for step in self._steps(10):
-            row = interner.step_to_row(step)
-            interner.row_to_step(row)
-        assert len(interner._rows) <= 4
+            interner.row_to_step(StepInterner.step_to_row(step))
         assert len(interner._steps) <= 4
 
     def test_hot_entries_survive_an_overflow(self):
         interner = StepInterner(capacity=4)
-        steps = self._steps(6)
-        hot = steps[0]
-        hot_row = interner.step_to_row(hot)
-        for step in steps[1:4]:
-            interner.step_to_row(step)
-        interner.step_to_row(hot)  # touch: migrates to the back
-        for step in steps[4:]:
-            interner.step_to_row(step)
-        assert interner.step_to_row(hot) is hot_row
+        rows = [StepInterner.step_to_row(step) for step in self._steps(6)]
+        hot = interner.row_to_step(rows[0])
+        for row in rows[1:4]:
+            interner.row_to_step(row)
+        interner.row_to_step(rows[0])  # touch: migrates to the back
+        for row in rows[4:]:
+            interner.row_to_step(row)
+        assert interner.row_to_step(rows[0]) is hot
 
     def test_each_backend_owns_its_interner(self, tmp_path):
         a = FileBackend(tmp_path / "a.sqlite")
@@ -391,21 +437,20 @@ class TestAdaptiveTierCost:
 class TestMixedCodecStores:
     def test_json_rows_keep_serving_after_the_switch_to_binary(self, tmp_path):
         path = tmp_path / "store.sqlite"
-        # a JSON row as older writers stored it, written straight into
-        # the table the file backend creates
+        # a plain JSON row as older writers stored it, and a row in the
+        # deleted 0xC3 format, written straight into the table
         FileBackend(path, tier_cost=-1).close()
         old_key = stable_digest(("exact", "old"))
+        legacy_key = stable_digest(("exact", "legacy"))
         old_actions = (click(parse_selector("//a[1]")),)
-        old_row = JsonCodec().encode_payload(
-            entry_to_payload(old_actions, Env(), None, False, StepInterner())
+        _insert_row(
+            path,
+            old_key,
+            JsonCodec().encode_payload(
+                entry_to_payload(old_actions, Env(), None, False)
+            ),
         )
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO entries (key, kind, payload, nbytes) VALUES (?, ?, ?, ?)",
-            (old_key, EXACT, old_row, len(old_row) + len(old_key)),
-        )
-        conn.commit()
-        conn.close()
+        _insert_row(path, legacy_key, LEGACY_BINARY_ROW)
 
         binary = FileBackend(path, tier_cost=-1)
         new_key = stable_digest(("exact", "new"))
@@ -416,12 +461,65 @@ class TestMixedCodecStores:
         reader = FileBackend(path, tier_cost=-1)
         assert reader.load_entry(EXACT, old_key)[0] == old_actions
         assert reader.load_entry(EXACT, new_key)[0] == new_actions
+        assert reader.load_entry(EXACT, legacy_key) is None  # a miss
 
-        conn = sqlite3.connect(path)
-        rows = dict(conn.execute("SELECT key, payload FROM entries").fetchall())
-        conn.close()
-        assert sniff_codec(bytes(rows[old_key])).name == "json"
-        assert sniff_codec(bytes(rows[new_key])).name == "binary"
+        # the recomputed entry overwrites the legacy row in the new format
+        reader.store_entry(EXACT, legacy_key, new_actions, Env(), None, True)
+        reader.flush()
+        rows = _rows(path)
+        assert sniff_codec(rows[old_key][1]).name == "json"
+        assert sniff_codec(rows[new_key][1]).name == "binary"
+        assert sniff_codec(rows[legacy_key][1]).name == "binary"
+        again = FileBackend(path, tier_cost=-1)
+        assert again.load_entry(EXACT, legacy_key)[0] == new_actions
+
+    def test_a_mixed_format_store_proposes_the_memory_backend_programs(
+        self, tmp_path, monkeypatch
+    ):
+        # tiering off so every entry persists and all three row formats
+        # meet the warm run's probes
+        monkeypatch.setenv("REPRO_STORE_TIERING", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        actions, snapshots = scrape_cards_trace(cards_page(5), 4)
+
+        def run(backend_name):
+            reset_process_cache()
+            reset_backends()
+            synthesizer = Synthesizer(
+                EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name)
+            )
+            programs, warm = [], 0
+            for cut in range(1, len(actions) + 1):
+                result = synthesizer.synthesize(actions[:cut], snapshots[: cut + 1])
+                programs.append([canonical_program(p) for p in result.programs])
+                warm += result.stats.cache_warm_hits
+            flush_backends()
+            return programs, warm
+
+        try:
+            expected, _ = run("memory")
+            run("file")
+            # age the store: every third row back to plain JSON, every
+            # third to the deleted 0xC3 format, the rest stay new
+            path = tmp_path / "execution-cache.sqlite"
+            for index, (key, (kind, blob)) in enumerate(_rows(path).items()):
+                if index % 3 == 0:
+                    _insert_row(path, key, JsonCodec().encode_payload(decode(blob)), kind)
+                elif index % 3 == 1:
+                    _insert_row(path, key, LEGACY_BINARY_ROW, kind)
+            legacy_before = sum(
+                blob == LEGACY_BINARY_ROW for _, blob in _rows(path).values()
+            )
+            programs, warm = run("file")
+            legacy_after = sum(
+                blob == LEGACY_BINARY_ROW for _, blob in _rows(path).values()
+            )
+        finally:
+            reset_process_cache()
+            reset_backends()
+        assert programs == expected
+        assert warm > 0  # the JSON and new rows served
+        assert legacy_after < legacy_before  # missed legacy rows were rewritten
 
     def test_binary_rows_shrink_the_same_entry(self, tmp_path):
         entry = _sample_entry()

@@ -21,6 +21,8 @@ from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
 from repro.service.backends import EXACT
 
+from helpers import zlib_bomb
+
 
 @pytest.fixture
 def cache(tmp_path):
@@ -187,6 +189,28 @@ class TestBadRequests:
             response.read()
         finally:
             connection.close()
+
+    def test_decompression_bomb_is_400_and_the_server_keeps_serving(self, cache):
+        host, port = cache.server_address[:2]
+        for path in ("/v1/cache/get", "/v1/cache/put"):
+            connection = HTTPConnection(host, port, timeout=10.0)
+            try:
+                connection.request(
+                    "POST",
+                    path,
+                    body=zlib_bomb(),
+                    headers={"Content-Type": BINARY.content_type},
+                )
+                response = connection.getresponse()
+                body = response.read()
+            finally:
+                connection.close()
+            assert response.status == 400
+            assert "inflates past" in JSON.decode_payload(body)["message"]
+        response, body = _post(cache, "/v1/cache/put", {"e": [[EXACT, KEY.hex(), PAYLOAD]]})
+        assert response.status == 200
+        _, found = _get_entries(cache, [[EXACT, KEY.hex()]])
+        assert found == {"e": [PAYLOAD]}
 
 
 class TestOperationalRoutes:

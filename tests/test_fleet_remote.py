@@ -37,7 +37,7 @@ from repro.service.server import make_server
 from repro.service.sessions import SessionManager
 from repro.synth.config import DEFAULT_CONFIG
 
-from helpers import cards_page, scrape_cards_trace
+from helpers import cards_page, scrape_cards_trace, zlib_bomb
 
 KEY = b"\x07" * 16
 
@@ -218,6 +218,35 @@ class TestFaultInjection:
             assert backend.io_errors == 1
         finally:
             server.close()
+
+    def test_decompression_bomb_reply_is_a_decode_miss(self):
+        def bomb_reply(connection):
+            _drain_request(connection)
+            body = zlib_bomb()
+            connection.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Length: "
+                + str(len(body)).encode()
+                + b"\r\n\r\n"
+                + body
+            )
+
+        obs_metrics.reset_registry()
+        server = _FaultServer(bomb_reply)
+        try:
+            backend = RemoteBackend(
+                f"remote://127.0.0.1:{server.port}",
+                timeout=5.0,
+                retries=0,
+                breaker_threshold=100,
+            )
+            assert backend.load_consistency(KEY) is None
+            assert backend.io_errors == 1
+        finally:
+            server.close()
+        samples = parse_samples(obs_metrics.registry().render())
+        assert sample_value(
+            samples, "repro_remote_requests_total", {"op": "get", "outcome": "decode"}
+        ) == 1
 
     def test_slow_server_times_out_within_budget(self):
         def stall(connection):
