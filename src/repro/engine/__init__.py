@@ -5,9 +5,10 @@ Public surface:
 * :class:`repro.engine.engine.ExecutionEngine` — the facade every
   synthesizer-stack module executes through.
 * :class:`repro.engine.cache.ExecutionCache` — the process-level
-  memoization of simulated execution: exact-window and terminal-prefix
-  tables in lock-striped shards plus snapshot interning, so concurrent
-  sessions over the same site reuse each other's executions
+  memoization of simulated execution: exact-window, terminal-prefix
+  and consistency-check tables behind one lock plus snapshot
+  interning, so concurrent sessions over the same site reuse each
+  other's executions
   (``process_cache()`` holds the process-wide instance per backend).
 * :mod:`repro.engine.index` — lazy per-snapshot DOM indexes powering
   descendant-axis selector steps.
@@ -23,7 +24,7 @@ from repro.engine.cache import (
     process_cache,
     reset_process_cache,
 )
-from repro.engine.engine import EngineCounters, ExecutionEngine
+from repro.engine.engine import ExecutionEngine
 from repro.engine.index import (
     SnapshotIndex,
     build_count,
@@ -41,7 +42,6 @@ from repro.engine.keys import (
 
 __all__ = [
     "CacheCounters",
-    "EngineCounters",
     "ExecutionCache",
     "ExecutionEngine",
     "SnapshotIndex",

@@ -41,16 +41,15 @@ eviction thresholds; hit/miss/eviction counters feed
 
 Sharing
 -------
-One cache serves every memoizing engine in a process: the tables are
-*lock-striped* across shards (keyed by the same value-addressed keys,
-so a key always lands on the same shard), and a *snapshot-interning*
-table maps structurally equal snapshots from different sessions onto
-one canonical root — sessions over the same site then share the
-per-snapshot :class:`~repro.engine.index.SnapshotIndex` (with its
-``enum_memo``) as well as every memoized execution.  Each engine passes
-its own counters and session token, so interleaved sessions never
-steal each other's telemetry.  :func:`process_cache` holds one instance
-per backend.
+One cache serves every memoizing engine in a process, behind one lock:
+its tables are keyed by values, so every session's lookups meet the
+same entries, and a *snapshot-interning* table maps structurally equal
+snapshots from different sessions onto one canonical root — sessions
+over the same site then share the per-snapshot
+:class:`~repro.engine.index.SnapshotIndex` (with its ``enum_memo``) as
+well as every memoized execution.  Each engine passes its own counters
+and session token, so interleaved sessions never steal each other's
+telemetry.  :func:`process_cache` holds one instance per backend.
 
 Backends
 --------
@@ -73,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.dom.node import DOMNode
@@ -112,9 +111,8 @@ class CacheCounters:
     ``warm_hits`` counts hits served from a persistent backend —
     entries recorded by a prior process (they are included in the
     exact/prefix/consistency breakdown, never in
-    ``cross_session_hits``).  Counter objects are merged, not shared:
-    each session records into its own instance, and the shard-level
-    aggregate is folded together on read (:meth:`merge`).
+    ``cross_session_hits``).  Each caller (engine) records into its
+    own instance; the cache keeps no aggregate.
     """
 
     hits: int = 0
@@ -137,11 +135,6 @@ class CacheCounters:
         """Hits over all lookups (0.0 when the cache was never consulted)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def merge(self, other: "CacheCounters") -> None:
-        """Fold another counter set into this one (the shard aggregate)."""
-        for field in fields(CacheCounters):
-            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
 
 class _Entry:
@@ -192,7 +185,7 @@ class _BackendProbe:
     Carries everything phase 2 needs so the backend read can run with
     no lock held: the lookup coordinates for the in-memory re-check and
     the store digests (computed under the lock — the base-digest memo
-    is shard state).  ``terminal_digest`` is ``None`` when an
+    is cache state).  ``terminal_digest`` is ``None`` when an
     inapplicable in-memory terminal entry already rules the store's
     terminal copy out.
     """
@@ -265,16 +258,70 @@ def _consistency_bytes(key: tuple, value: tuple) -> int:
     return size
 
 
-class _Shard:
-    """One lock-striped slice of an :class:`ExecutionCache`.
+def _terminal_applies(
+    entry: _Entry, window_keys: tuple[int, ...], budget: int
+) -> bool:
+    """Whether a terminal-table entry answers this window and budget.
 
-    Holds the three tables for the keys that hash to it, their byte
-    accounting, and the shard-level aggregate :attr:`counters`.  Every
-    method runs under :attr:`lock` (taken by the owning cache), except
-    :meth:`probe_backend`, which touches only the self-synchronizing
-    backend so the store read can overlap other threads' lookups.
+    A budget exactly equal to the action count also replays identically
+    — but only when the recorded run bound nothing after its last action
+    (``exact_budget_ok``), since a capped run halts there and its final
+    env is the last-action env.  Continuation entries are not terminated
+    runs — their recorded prefix is mid-loop, so they never answer a
+    full-result lookup.
+    """
+    return (
+        entry.continuation is None
+        and len(entry.examined) <= len(window_keys)
+        and (
+            budget > len(entry.actions)
+            or (budget == len(entry.actions) and entry.exact_budget_ok)
+        )
+        and window_keys[: len(entry.examined)] == entry.examined
+    )
 
-    ``base`` below is the window-independent part of the key:
+
+def _record_hit(
+    counters: CacheCounters, kind: str, owner: int, session: int, warm: bool = False
+) -> None:
+    counters.hits += 1
+    setattr(counters, kind, getattr(counters, kind) + 1)
+    if owner and owner != session:
+        counters.cross_session_hits += 1
+    if warm:
+        counters.warm_hits += 1
+
+
+def _value_bytes(key: tuple, value) -> int:
+    if isinstance(value, _Entry):
+        return _entry_bytes(key, value)
+    return _consistency_bytes(key, value)
+
+
+#: Approximate bytes per interned DOM node: the node object, its attrs
+#: dict, text, child list slot, and its share of the snapshot's index
+#: buckets (interned snapshots and their indexes dominate the shared
+#: cache's resident footprint, so this coarse figure is what the
+#: eviction telemetry reports on).
+_NODE_BYTES = 320
+
+
+def _freeze_json(value) -> tuple:
+    """A hashable, exact canonical form of a JSON-like value."""
+    if isinstance(value, dict):
+        return ("d", tuple((key, _freeze_json(item)) for key, item in sorted(value.items())))
+    if isinstance(value, list):
+        return ("l", tuple(_freeze_json(item) for item in value))
+    return ("v", value)
+
+_session_tokens = itertools.count(1)
+
+
+class ExecutionCache:
+    """The execution cache every memoizing engine in a process joins.
+
+    Three memo tables (exact, terminal, consistency) behind one lock.
+    ``base`` below is the window-independent part of an execution key:
     ``(statements key, env key, data key)``.  ``window_keys`` is the
     window's snapshots by content digest; ``budget`` the effective
     action budget (already clamped to the window length by the engine).
@@ -283,32 +330,61 @@ class _Shard:
     bounds the *summed* approximate footprint of all three tables —
     when exceeded, oldest entries are evicted table by table until back
     under, so many small entries and few huge ones meet the same
-    ceiling.  ``backend`` is the persistent second level, consulted on
-    in-memory misses and written through on every insert (``None``
-    when the cache has none).
+    ceiling.
 
-    Lookups and inserts take the caller's ``counters`` and ``session``
-    token.  The shard's own :attr:`counters` *always* record (they are
-    the aggregate); the caller's record additionally, so per-session
-    and global telemetry stay reconciled.
+    Value-addressed keys (alpha-canonical statements, env fingerprints,
+    snapshot content digests) make entries session-agnostic — the only
+    per-session piece is telemetry: every lookup and insert records into
+    the caller's ``counters`` and takes its ``session`` token
+    (:func:`session_token`), and a hit on an entry another session
+    recorded counts as ``cross_session_hits``.  An optional persistent
+    ``backend`` extends the same sharing across worker processes: it is
+    consulted on in-memory misses and written through on every insert.
+    A non-persistent one is dropped, so the hot path never computes
+    store digests for nothing.
+
+    Backend reads are two-phase: the in-memory probe runs under the
+    lock, the store read and decode run with *no* lock held (so cold
+    lookups overlap their I/O instead of serializing behind it), and
+    the promote step re-takes the lock, re-checks memory (a racing
+    thread may have promoted first) and settles hit/miss counting
+    exactly once per lookup.
+
+    Snapshot interning
+        :meth:`intern_snapshots` maps structurally equal snapshot roots
+        onto one canonical root per structure, so sessions recording the
+        same site share ``SnapshotIndex`` instances (with their
+        ``enum_memo``).  The interning table is keyed by
+        :meth:`repro.dom.node.DOMNode.content_key` — the same
+        value-addressed digest the execution keys use (collisions are
+        cryptographically negligible), memoized on each frozen root —
+        and a bounded LRU: evicting a canonical root only forfeits
+        future index sharing, since execution entries reference
+        snapshots by digest, never by object.  Only canonical roots are
+        held; an interned non-canonical root stays collectable.
     """
 
     def __init__(
         self,
-        max_entries: int,
-        max_bytes: Optional[int],
-        backend,
+        max_entries: int = 65536,
+        max_snapshots: int = 512,
+        max_bytes: Optional[int] = None,
+        backend=None,
     ) -> None:
-        self.lock = threading.Lock()
+        if max_entries < 1:
+            raise ValueError("cache size must be positive")
+        if max_bytes is not None and max_bytes < 1:
+            raise ValueError("byte threshold must be positive")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._backend = backend
+        self._backend = backend if backend is not None and backend.persistent else None
+        self.backend_name = backend.name if backend is not None else "memory"
+        self._lock = threading.Lock()
         # recency reordering only pays off once a table could actually
         # evict something hot; below half capacity a hit is left in place
         self._touch_floor = max(1, max_entries // 2)
-        self.counters = CacheCounters()
-        #: Approximate bytes held by all three tables.
-        self.approx_bytes = 0
+        # approximate bytes held by the three tables
+        self._table_bytes = 0
         # memo of stable_digest(base): the same base (statements, env,
         # data) is probed against hundreds of windows, and re-hashing
         # canonical statement forms per probe would dominate backend
@@ -323,48 +399,110 @@ class _Shard:
             "terminal": self._terminal,
             "consistency": self._consistency,
         }
-
-    def __len__(self) -> int:
-        return len(self._exact) + len(self._terminal) + len(self._consistency)
+        self.max_snapshots = max_snapshots
+        self._intern_lock = threading.Lock()
+        # content key -> canonical root (insertion-ordered: an LRU)
+        self._canonical: dict[int, DOMNode] = {}
+        self._node_counts: dict[int, int] = {}
+        # data-source interning (same discipline as snapshots): frozen
+        # JSON value -> canonical DataSource
+        self._data_canonical: dict[tuple, object] = {}
+        #: Approximate bytes held by the interned (canonical) snapshots.
+        self.interned_bytes = 0
+        #: Interning calls answered with an *already canonical* root
+        #: recorded by some other snapshot object — cross-session reuse.
+        self.intern_hits = 0
+        #: Canonical snapshots dropped by the interning LRU.
+        self.snapshot_evictions = 0
 
     # ------------------------------------------------------------------
-    def lookup_memory(
+    # Execution lookups and inserts
+    # ------------------------------------------------------------------
+    def get(
         self,
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
-        counters: Optional[CacheCounters] = None,
+        counters: CacheCounters,
         session: int = 0,
-    ) -> tuple[Optional[tuple[tuple, Env]], Optional["_BackendProbe"]]:
-        """Phase 1 (under the shard lock): the in-memory probe.
+        fetched: Optional[dict] = None,
+    ) -> Optional[tuple[tuple, Env]]:
+        """The memoized ``(actions, final env)``, or ``None`` on a miss.
+
+        ``fetched`` is a :meth:`prefetch_entries` result: a memory miss
+        whose backend rows it holds settles from it instead of reading
+        the backend again.
+        """
+        with self._lock:
+            result, probe = self._lookup_memory(base, window_keys, budget, counters, session)
+        if result is not None or probe is None:
+            return result
+        exact_payload, terminal_payload = self._probe_backend(probe, fetched)
+        with self._lock:
+            return self._promote_backend(
+                probe, exact_payload, terminal_payload, counters, session
+            )
+
+    def _lookup_memory(
+        self,
+        base: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        counters: CacheCounters,
+        session: int,
+    ) -> tuple[Optional[tuple[tuple, Env]], Optional[_BackendProbe]]:
+        """Phase 1 (under the lock): the in-memory probe.
 
         Returns ``(result, probe)``: a non-``None`` result is a counted
         hit; a non-``None`` probe means the persistent backend must
         still be consulted — the miss is *not* counted yet, that is
-        :meth:`promote_backend`'s job, so each lookup counts exactly one
-        hit or one miss whichever phase settles it.  Both ``None`` is a
-        counted miss (no backend).
+        :meth:`_promote_backend`'s job, so each lookup counts exactly
+        one hit or one miss whichever phase settles it.  Both ``None``
+        is a counted miss (no backend).
         """
-        recorders = self._recorders(counters)
-        exact_key = (base, window_keys, budget)
+        result, terminal = self._memory_hit(
+            (base, window_keys, budget),
+            (base, window_keys[0]),
+            window_keys,
+            budget,
+            counters,
+            session,
+        )
+        if result is not None:
+            return result, None
+        if self._backend is None:
+            counters.misses += 1
+            return None, None
+        return None, self._probe(base, window_keys, budget, terminal)
+
+    def _memory_hit(
+        self,
+        exact_key: tuple,
+        terminal_key: tuple,
+        window_keys: tuple[int, ...],
+        budget: int,
+        counters: CacheCounters,
+        session: int,
+    ) -> tuple[Optional[tuple[tuple, Env]], Optional[_Entry]]:
+        """Serve a lookup from the in-memory tables (under the lock).
+
+        Returns ``(result, terminal entry)``: a non-``None`` result is a
+        counted hit; otherwise nothing is counted and the terminal slot's
+        entry, usable or not, comes back for :meth:`_probe`.
+        """
         entry = self._exact.get(exact_key)
         if entry is not None:
             if len(self._exact) >= self._touch_floor:
                 self._touch(self._exact, exact_key)
-            self._record_hit(recorders, "exact_hits", entry.owner, session)
+            _record_hit(counters, "exact_hits", entry.owner, session)
             return (entry.actions, entry.env), None
-        terminal_key = (base, window_keys[0])
         entry = self._terminal.get(terminal_key)
-        if entry is not None and self._terminal_applies(entry, window_keys, budget):
+        if entry is not None and _terminal_applies(entry, window_keys, budget):
             if len(self._terminal) >= self._touch_floor:
                 self._touch(self._terminal, terminal_key)
-            self._record_hit(recorders, "prefix_hits", entry.owner, session)
-            return (entry.actions, entry.env), None
-        if self._backend is None:
-            for recorder in recorders:
-                recorder.misses += 1
-            return None, None
-        return None, self._probe(base, window_keys, budget, entry)
+            _record_hit(counters, "prefix_hits", entry.owner, session)
+            return (entry.actions, entry.env), entry
+        return None, entry
 
     def _probe(
         self,
@@ -372,7 +510,7 @@ class _Shard:
         window_keys: tuple[int, ...],
         budget: int,
         terminal: Optional[_Entry],
-    ) -> "_BackendProbe":
+    ) -> _BackendProbe:
         """The backend follow-up of a full in-memory miss.
 
         The backend may hold either kind from a prior process.  An
@@ -381,7 +519,7 @@ class _Shard:
         persisted exact entry for this very window may still exist, so
         only the terminal probe is skipped in that case.  Digests are
         computed here, under the lock, because the base-digest memo is
-        shard state.
+        cache state.
         """
         return _BackendProbe(
             window_keys,
@@ -392,30 +530,18 @@ class _Shard:
             None if terminal is not None else self._store_digest("terminal", base, window_keys[0]),
         )
 
-    def peek_probe(
-        self, base: tuple, window_keys: tuple[int, ...], budget: int
-    ) -> Optional["_BackendProbe"]:
-        """The probe :meth:`lookup_memory` would return now, or ``None``
-        when memory answers; counts nothing, touches nothing."""
-        if self._backend is None or (base, window_keys, budget) in self._exact:
-            return None
-        entry = self._terminal.get((base, window_keys[0]))
-        if entry is not None and self._terminal_applies(entry, window_keys, budget):
-            return None
-        return self._probe(base, window_keys, budget, entry)
-
-    def probe_backend(
-        self, probe: "_BackendProbe", fetched: Optional[dict] = None
+    def _probe_backend(
+        self, probe: _BackendProbe, fetched: Optional[dict]
     ) -> tuple:
         """Phase 2a (no lock): read the store for a phase-1 miss.
 
         Touches only the backend (which synchronizes itself), never the
-        tables — safe to run while other threads hold the shard lock.
-        The exact and terminal rows go out in one backend batch (one
-        round trip on a networked tier), or come from ``fetched``
-        (:meth:`ExecutionCache.prefetch_entries`) when it holds them
-        all; an exact hit wins, exactly as if the terminal row had never
-        been read.  Returns ``(exact_payload, terminal_payload)``.
+        tables — safe to run while other threads hold the lock.  The
+        exact and terminal rows go out in one backend batch (one round
+        trip on a networked tier), or come from ``fetched``
+        (:meth:`prefetch_entries`) when it holds them all; an exact hit
+        wins, exactly as if the terminal row had never been read.
+        Returns ``(exact_payload, terminal_payload)``.
         """
         rows = [(_EXACT, probe.exact_digest)]
         if probe.terminal_digest is not None:
@@ -428,15 +554,15 @@ class _Shard:
             return loaded[0], None
         return None, loaded[1]
 
-    def promote_backend(
+    def _promote_backend(
         self,
-        probe: "_BackendProbe",
+        probe: _BackendProbe,
         exact_payload: Optional[tuple],
         terminal_payload: Optional[tuple],
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
+        counters: CacheCounters,
+        session: int,
     ) -> Optional[tuple[tuple, Env]]:
-        """Phase 2b (under the shard lock): promote and settle counting.
+        """Phase 2b (under the lock): promote and settle counting.
 
         Re-checks the in-memory tables first — while the lock was
         released another thread may have promoted (or recorded) the very
@@ -444,25 +570,20 @@ class _Shard:
         warm one.  Otherwise the probed payload is promoted exactly as a
         locked warm start would have, or the miss is finally counted.
         """
-        recorders = self._recorders(counters)
-        entry = self._exact.get(probe.exact_key)
-        if entry is not None:
-            if len(self._exact) >= self._touch_floor:
-                self._touch(self._exact, probe.exact_key)
-            self._record_hit(recorders, "exact_hits", entry.owner, session)
-            return entry.actions, entry.env
-        entry = self._terminal.get(probe.terminal_key)
-        if entry is not None and self._terminal_applies(
-            entry, probe.window_keys, probe.budget
-        ):
-            if len(self._terminal) >= self._touch_floor:
-                self._touch(self._terminal, probe.terminal_key)
-            self._record_hit(recorders, "prefix_hits", entry.owner, session)
-            return entry.actions, entry.env
+        result, _ = self._memory_hit(
+            probe.exact_key,
+            probe.terminal_key,
+            probe.window_keys,
+            probe.budget,
+            counters,
+            session,
+        )
+        if result is not None:
+            return result
         if exact_payload is not None:
             actions, env, _, _ = exact_payload
-            self._insert(self._exact, probe.exact_key, _Entry(actions, env, None), ())
-            self._record_hit(recorders, "exact_hits", 0, session, warm=True)
+            self._insert("exact", probe.exact_key, _Entry(actions, env, None), None)
+            _record_hit(counters, "exact_hits", 0, session, warm=True)
             _promotion_counter().labels(kind="exact").inc()
             return actions, env
         if terminal_payload is not None:
@@ -471,34 +592,13 @@ class _Shard:
                 promoted = _Entry(actions, env, examined, exact_budget_ok)
                 # promote even when unusable for *this* lookup: the entry
                 # is exactly what a local put would have recorded
-                self._insert(self._terminal, probe.terminal_key, promoted, ())
+                self._insert("terminal", probe.terminal_key, promoted, None)
                 _promotion_counter().labels(kind="terminal").inc()
-                if self._terminal_applies(promoted, probe.window_keys, probe.budget):
-                    self._record_hit(recorders, "prefix_hits", 0, session, warm=True)
+                if _terminal_applies(promoted, probe.window_keys, probe.budget):
+                    _record_hit(counters, "prefix_hits", 0, session, warm=True)
                     return actions, env
-        for recorder in recorders:
-            recorder.misses += 1
+        counters.misses += 1
         return None
-
-    @staticmethod
-    def _terminal_applies(
-        entry: _Entry, window_keys: tuple[int, ...], budget: int
-    ) -> bool:
-        # a budget exactly equal to the action count also replays
-        # identically — but only when the recorded run bound nothing
-        # after its last action (exact_budget_ok), since a capped run
-        # halts there and its final env is the last-action env.
-        # Continuation entries are not terminated runs — their recorded
-        # prefix is mid-loop, so they never answer a full-result lookup.
-        return (
-            entry.continuation is None
-            and len(entry.examined) <= len(window_keys)
-            and (
-                budget > len(entry.actions)
-                or (budget == len(entry.actions) and entry.exact_budget_ok)
-            )
-            and window_keys[: len(entry.examined)] == entry.examined
-        )
 
     def _store_digest(self, tag: str, base: tuple, *rest) -> bytes:
         """The backend address of a key, with the base digest memoized."""
@@ -509,22 +609,36 @@ class _Shard:
             base_digest = self._base_digests[base] = stable_digest(base)
         return stable_digest((tag, base_digest) + rest)
 
-    @staticmethod
-    def _record_hit(
-        recorders: tuple,
-        kind: str,
-        owner: int,
-        session: int,
-        warm: bool = False,
-    ) -> None:
-        cross = owner and owner != session
-        for recorder in recorders:
-            recorder.hits += 1
-            setattr(recorder, kind, getattr(recorder, kind) + 1)
-            if cross:
-                recorder.cross_session_hits += 1
-            if warm:
-                recorder.warm_hits += 1
+    def prefetch_entries(
+        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int]]
+    ) -> dict:
+        """Read the backend rows of upcoming :meth:`get` calls in one batch.
+
+        Each lookup is ``(base, window_keys, budget)``; one that memory
+        answers now reads nothing.  Returns ``{digest: payload or
+        None}`` for every row read (empty without a backend or with
+        nothing to read).  Counts nothing, touches nothing: each
+        :meth:`get` still settles its own hit or miss, in the caller's
+        order.
+        """
+        if self._backend is None:
+            return {}
+        rows: dict = {}
+        with self._lock:
+            for base, window_keys, budget in lookups:
+                if (base, window_keys, budget) in self._exact:
+                    continue
+                entry = self._terminal.get((base, window_keys[0]))
+                if entry is not None and _terminal_applies(entry, window_keys, budget):
+                    continue
+                probe = self._probe(base, window_keys, budget, entry)
+                rows[probe.exact_digest] = _EXACT
+                if probe.terminal_digest is not None:
+                    rows[probe.terminal_digest] = _TERMINAL
+        if not rows:
+            return {}
+        loaded = self._backend.load_entries([(kind, digest) for digest, kind in rows.items()])
+        return dict(zip(rows, loaded))
 
     def put(
         self,
@@ -533,9 +647,10 @@ class _Shard:
         budget: int,
         actions: tuple,
         env: Env,
-        exact_budget_ok: bool = False,
-        counters: Optional[CacheCounters] = None,
+        counters: CacheCounters,
         session: int = 0,
+        *,
+        exact_budget_ok: bool = False,
         continuation: Optional[tuple] = None,
         cost: Optional[int] = None,
     ) -> None:
@@ -558,68 +673,62 @@ class _Shard:
         (:meth:`~repro.service.backends.CacheBackend.should_persist`) —
         the in-memory tables always record.
         """
-        recorders = self._recorders(counters)
-        self._insert(
-            self._exact,
-            (base, window_keys, budget),
-            _Entry(actions, env, None, owner=session),
-            recorders,
-        )
-        if self._backend is not None and self._backend.should_persist(_EXACT, cost):
-            self._backend.store_entry(
-                _EXACT,
-                self._store_digest("exact", base, window_keys, budget),
-                actions,
-                env,
-                None,
-                False,
-            )
+        backend = self._backend
         count = len(actions)
-        if count < len(window_keys) and count < budget:
-            # terminated on its own terms: reusable on any extension of
-            # the examined prefix (consumed snapshots + the final head)
-            examined = window_keys[: count + 1]
+        # terminated on its own terms: reusable on any extension of the
+        # examined prefix (consumed snapshots + the final head)
+        terminated = count < len(window_keys) and count < budget
+        examined = window_keys[: count + 1] if terminated else None
+        writes = []
+        with self._lock:
             self._insert(
-                self._terminal,
-                (base, window_keys[0]),
-                _Entry(actions, env, examined, exact_budget_ok, owner=session),
-                recorders,
+                "exact",
+                (base, window_keys, budget),
+                _Entry(actions, env, None, owner=session),
+                counters,
             )
-            if self._backend is not None and self._backend.should_persist(_TERMINAL, None):
-                self._backend.store_entry(
-                    _TERMINAL,
-                    self._store_digest("terminal", base, window_keys[0]),
-                    actions,
-                    env,
-                    examined,
-                    exact_budget_ok,
+            if backend is not None and backend.should_persist(_EXACT, cost):
+                digest = self._store_digest("exact", base, window_keys, budget)
+                writes.append((_EXACT, digest, None, False))
+            if terminated:
+                self._insert(
+                    "terminal",
+                    (base, window_keys[0]),
+                    _Entry(actions, env, examined, exact_budget_ok, owner=session),
+                    counters,
                 )
-        elif continuation is not None and continuation[0] > 0:
-            # absorbed mid-loop: record the resume point.  In-memory
-            # only — the state tuple holds live Env/selector objects
-            # that value-addressed backends cannot round-trip.
-            consumed, cont_env, state = continuation
-            self._insert(
-                self._terminal,
-                (base, window_keys[0]),
-                _Entry(
-                    actions[:consumed],
-                    cont_env,
-                    window_keys[:consumed],
-                    owner=session,
-                    continuation=state,
-                ),
-                recorders,
-            )
+                if backend is not None and backend.should_persist(_TERMINAL, None):
+                    digest = self._store_digest("terminal", base, window_keys[0])
+                    writes.append((_TERMINAL, digest, examined, exact_budget_ok))
+            elif continuation is not None and continuation[0] > 0:
+                # absorbed mid-loop: record the resume point.  In-memory
+                # only — the state tuple holds live Env/selector objects
+                # that value-addressed backends cannot round-trip.
+                consumed, cont_env, state = continuation
+                self._insert(
+                    "terminal",
+                    (base, window_keys[0]),
+                    _Entry(
+                        actions[:consumed],
+                        cont_env,
+                        window_keys[:consumed],
+                        owner=session,
+                        continuation=state,
+                    ),
+                    counters,
+                )
+        # write through with no lock held: the backend synchronizes
+        # itself, and a full write buffer flushes over the network on a
+        # remote tier
+        for kind, digest, examined_keys, budget_ok in writes:
+            backend.store_entry(kind, digest, actions, env, examined_keys, budget_ok)
 
-    # ------------------------------------------------------------------
     def get_continuation(
         self,
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
+        counters: CacheCounters,
     ) -> Optional[tuple[tuple, Env, tuple]]:
         """The stored resume point for this base/window, if usable.
 
@@ -631,403 +740,74 @@ class _Shard:
         Probed only *after* a full-result lookup missed (the miss is
         counted there; a resume adds to ``resume_hits`` alone).
         """
-        entry = self._terminal.get((base, window_keys[0]))
-        if entry is None or entry.continuation is None:
-            return None
-        consumed = len(entry.actions)
-        if (
-            consumed >= budget
-            or len(window_keys) < consumed
-            or window_keys[:consumed] != entry.examined
-        ):
-            return None
-        if len(self._terminal) >= self._touch_floor:
-            self._touch(self._terminal, (base, window_keys[0]))
-        for recorder in self._recorders(counters):
-            recorder.resume_hits += 1
-        return entry.actions, entry.env, entry.continuation
+        key = (base, window_keys[0])
+        with self._lock:
+            entry = self._terminal.get(key)
+            if entry is None or entry.continuation is None:
+                return None
+            consumed = len(entry.actions)
+            if (
+                consumed >= budget
+                or len(window_keys) < consumed
+                or window_keys[:consumed] != entry.examined
+            ):
+                return None
+            if len(self._terminal) >= self._touch_floor:
+                self._touch(self._terminal, key)
+            counters.resume_hits += 1
+            return entry.actions, entry.env, entry.continuation
 
     # ------------------------------------------------------------------
-    def lookup_consistency_memory(
-        self,
-        key: tuple,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> tuple[Optional[int], bool]:
-        """Phase 1 of the consistency lookup (same contract as
-        :meth:`lookup_memory`): ``(value, backend read pending)``."""
-        recorders = self._recorders(counters)
-        hit = self._consistency.get(key)
-        if hit is None:
-            if self._backend is not None:
-                return None, True
-            for recorder in recorders:
-                recorder.misses += 1
-            return None, False
-        if len(self._consistency) >= self._touch_floor:
-            self._touch(self._consistency, key)
-        self._record_hit(recorders, "consistency_hits", hit[1], session)
-        return hit[0], False
-
-    def holds_consistency(self, key: tuple) -> bool:
-        """Whether memory holds ``key`` (no counting, no recency touch)."""
-        return key in self._consistency
-
-    def promote_consistency(
-        self,
-        key: tuple,
-        value: Optional[int],
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> Optional[int]:
-        """Phase 2 (under the shard lock): promote and settle counting."""
-        recorders = self._recorders(counters)
-        hit = self._consistency.get(key)
-        if hit is not None:  # promoted by a racing thread meanwhile
-            if len(self._consistency) >= self._touch_floor:
-                self._touch(self._consistency, key)
-            self._record_hit(recorders, "consistency_hits", hit[1], session)
-            return hit[0]
-        if value is not None:
-            self._insert_value("consistency", key, (value, 0), ())
-            self._record_hit(recorders, "consistency_hits", 0, session, warm=True)
-            return value
-        for recorder in recorders:
-            recorder.misses += 1
-        return None
-
-    def put_consistency(
-        self,
-        key: tuple,
-        value: int,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> None:
-        """Record one consistency-check outcome."""
-        self._insert_value(
-            "consistency", key, (value, session), self._recorders(counters)
-        )
-        if self._backend is not None:
-            self._backend.store_consistency(_consistency_digest(key), value)
-
+    # The consistency-check memo
     # ------------------------------------------------------------------
-    def _recorders(self, counters: Optional[CacheCounters]) -> tuple:
-        """The cache's own counters, plus the caller's when distinct."""
-        if counters is None or counters is self.counters:
-            return (self.counters,)
-        return (self.counters, counters)
-
-    @staticmethod
-    def _touch(table: dict, key: tuple) -> None:
-        table[key] = table.pop(key)
-
-    def _insert(
-        self, table: dict, key: tuple, entry: _Entry, recorders: tuple
-    ) -> None:
-        name = "exact" if table is self._exact else "terminal"
-        self._insert_value(name, key, entry, recorders)
-
-    def _insert_value(
-        self, name: str, key: tuple, value, recorders: Optional[tuple] = None
-    ) -> None:
-        # an explicitly empty recorder tuple (backend promotions) counts
-        # nothing: the entry was not this process's traffic
-        if recorders is None:
-            recorders = (self.counters,)
-        table = self._tables[name]
-        if key in table:
-            self.approx_bytes -= self._value_bytes(key, table.pop(key))
-        elif len(table) >= self.max_entries:
-            old_key = next(iter(table))
-            self.approx_bytes -= self._value_bytes(old_key, table.pop(old_key))
-            for recorder in recorders:
-                recorder.evictions += 1
-        table[key] = value
-        self.approx_bytes += self._value_bytes(key, value)
-        if self.max_bytes is not None and self.approx_bytes > self.max_bytes:
-            self._enforce_bytes(name, key, recorders)
-
-    def _enforce_bytes(self, fresh_name: str, fresh_key: tuple, recorders) -> None:
-        """Evict until the byte threshold is respected.
-
-        Deliberately per-table priority order, oldest within each: the
-        exact table drains first (its entries are the most redundant —
-        terminal entries cover their extensions), then terminal, then
-        the cheap-to-recompute consistency memos.  Cross-table age is
-        not tracked, so this is not a global LRU; under a byte budget
-        dominated by one table, the earlier tables bear the eviction
-        pressure first by design.
-
-        The just-inserted entry is never the victim: an entry larger
-        than the whole budget parks the cache one entry over threshold
-        until the next insert ages it out, instead of turning the cache
-        into a sieve that drops everything it is handed.
-        """
-        while self.approx_bytes > self.max_bytes:
-            victim = None
-            for name, table in self._tables.items():
-                for key in table:  # first = oldest inserted
-                    if name == fresh_name and key == fresh_key:
-                        continue  # spare the entry being inserted
-                    victim = (name, key)
-                    break
-                if victim is not None:
-                    break
-            if victim is None:
-                return  # only the fresh entry remains
-            name, key = victim
-            table = self._tables[name]
-            self.approx_bytes -= self._value_bytes(key, table.pop(key))
-            for recorder in recorders:
-                recorder.evictions += 1
-
-    @staticmethod
-    def _value_bytes(key: tuple, value) -> int:
-        if isinstance(value, _Entry):
-            return _entry_bytes(key, value)
-        return _consistency_bytes(key, value)
-
-
-
-#: Approximate bytes per interned DOM node: the node object, its attrs
-#: dict, text, child list slot, and its share of the snapshot's index
-#: buckets (interned snapshots and their indexes dominate the shared
-#: cache's resident footprint, so this coarse figure is what the
-#: eviction telemetry reports on).
-_NODE_BYTES = 320
-
-
-def _freeze_json(value) -> tuple:
-    """A hashable, exact canonical form of a JSON-like value."""
-    if isinstance(value, dict):
-        return ("d", tuple((key, _freeze_json(item)) for key, item in sorted(value.items())))
-    if isinstance(value, list):
-        return ("l", tuple(_freeze_json(item) for item in value))
-    return ("v", value)
-
-_session_tokens = itertools.count(1)
-
-
-
-
-class ExecutionCache:
-    """The execution cache every memoizing engine in a process joins.
-
-    The three memo tables are striped over ``shards`` independent
-    :class:`_Shard` slices, each behind its own lock; a key always
-    hashes to the same shard, so the per-table LRU discipline and byte
-    accounting hold per shard (``max_entries`` and ``max_bytes``, when
-    given, are split evenly across shards).  Value-addressed keys
-    (alpha-canonical statements, env fingerprints, snapshot content
-    digests) make entries session-agnostic — the only per-session piece
-    is telemetry: every lookup and insert takes the caller's
-    ``counters`` and ``session`` token (:func:`session_token`), and a
-    hit on an entry another session recorded counts as
-    ``cross_session_hits``.  An optional persistent ``backend`` is
-    shared by all shards, extending the same sharing across worker
-    processes; a non-persistent one is dropped, so the hot path never
-    computes store digests for nothing.
-
-    Backend reads are two-phase: the in-memory probe runs under the
-    shard lock, the store read and decode run with *no* lock held (so
-    cold-phase lookups on one shard overlap their I/O instead of
-    serializing behind it), and the promote step re-takes the lock,
-    re-checks memory (a racing thread may have promoted first) and
-    settles hit/miss counting exactly once per lookup.
-
-    Snapshot interning
-        :meth:`intern_snapshots` maps structurally equal snapshot roots
-        onto one canonical root per structure, so sessions recording the
-        same site share ``SnapshotIndex`` instances (with their
-        ``enum_memo``).  The interning table is keyed by
-        :meth:`repro.dom.node.DOMNode.content_key` — the same
-        value-addressed digest the execution keys use (collisions are
-        cryptographically negligible) — and a bounded LRU: evicting a
-        canonical root only forfeits future index sharing, since
-        execution entries reference snapshots by digest, never by
-        object.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 65536,
-        shards: int = 8,
-        max_snapshots: int = 512,
-        max_bytes: Optional[int] = None,
-        backend=None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("cache size must be positive")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("byte threshold must be positive")
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._backend = backend if backend is not None and backend.persistent else None
-        self.backend_name = backend.name if backend is not None else "memory"
-        self._shards = self._new_shards(shards)
-        self.max_snapshots = max_snapshots
-        self._intern_lock = threading.Lock()
-        # content key -> canonical root (insertion-ordered: an LRU)
-        self._canonical: dict[int, DOMNode] = {}
-        # id(root) -> (root pinned so its id stays valid, canonical);
-        # bounded separately — a fast path around re-keying structures
-        self._known: dict[int, tuple[DOMNode, DOMNode]] = {}
-        self._known_limit = max(64, 8 * max_snapshots)
-        self._node_counts: dict[int, int] = {}
-        # data-source interning (same discipline as snapshots): frozen
-        # JSON value -> canonical DataSource, plus an id fast path
-        self._data_canonical: dict[tuple, object] = {}
-        self._data_known: dict[int, tuple] = {}
-        #: Approximate bytes held by the interned (canonical) snapshots.
-        self.interned_bytes = 0
-        #: Interning calls answered with an *already canonical* root
-        #: recorded by some other snapshot object — cross-session reuse.
-        self.intern_hits = 0
-        #: Canonical snapshots dropped by the interning LRU.
-        self.snapshot_evictions = 0
-
-    def _new_shards(self, count: int) -> tuple[_Shard, ...]:
-        per_shard = max(1, self.max_entries // count)
-        per_shard_bytes = (
-            None if self.max_bytes is None else max(1, self.max_bytes // count)
-        )
-        return tuple(
-            _Shard(per_shard, per_shard_bytes, self._backend) for _ in range(count)
-        )
-
-    def _shard_for(self, key) -> _Shard:
-        """The shard of a lookup: execution entries pass their base,
-        consistency entries their key's first component (the produced
-        actions' digests) — equal keys still land together, and the
-        hash walks a third of the key's long digest tuples."""
-        return self._shards[hash(key) % len(self._shards)]
-
-    # ------------------------------------------------------------------
-    # Lookups and inserts
-    # ------------------------------------------------------------------
-    def get(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-        fetched: Optional[dict] = None,
-    ) -> Optional[tuple[tuple, Env]]:
-        """The memoized ``(actions, final env)``, or ``None`` on a miss.
-
-        ``fetched`` is a :meth:`prefetch_entries` result: a memory miss
-        whose backend rows it holds settles from it instead of reading
-        the backend again.
-        """
-        shard = self._shard_for(base)
-        with shard.lock:
-            result, probe = shard.lookup_memory(base, window_keys, budget, counters, session)
-        if result is not None or probe is None:
-            return result
-        exact_payload, terminal_payload = shard.probe_backend(probe, fetched)
-        with shard.lock:
-            return shard.promote_backend(
-                probe, exact_payload, terminal_payload, counters, session
-            )
-
-    def put(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-        actions: tuple,
-        env: Env,
-        exact_budget_ok: bool = False,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-        continuation: Optional[tuple] = None,
-        cost: Optional[int] = None,
-    ) -> None:
-        """Record one execution outcome (see :meth:`_Shard.put`)."""
-        shard = self._shard_for(base)
-        with shard.lock:
-            shard.put(
-                base,
-                window_keys,
-                budget,
-                actions,
-                env,
-                exact_budget_ok,
-                counters,
-                session,
-                continuation,
-                cost,
-            )
-
-    def get_continuation(
-        self,
-        base: tuple,
-        window_keys: tuple[int, ...],
-        budget: int,
-        counters: Optional[CacheCounters] = None,
-        session: int = 0,
-    ) -> Optional[tuple[tuple, Env, tuple]]:
-        """The stored resume point (see :meth:`_Shard.get_continuation`)."""
-        shard = self._shard_for(base)
-        with shard.lock:
-            return shard.get_continuation(base, window_keys, budget, counters, session)
-
-    def prefetch_entries(
-        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int]]
-    ) -> dict:
-        """Read the backend rows of upcoming :meth:`get` calls in one batch.
-
-        Each lookup is ``(base, window_keys, budget)``; one that memory
-        answers now reads nothing.  Returns ``{digest: payload or
-        None}`` for every row read (empty without a backend or with
-        nothing to read).  Counts nothing: each :meth:`get` still
-        settles its own hit or miss, in the caller's order.
-        """
-        if self._backend is None:
-            return {}
-        rows: dict = {}
-        for base, window_keys, budget in lookups:
-            shard = self._shard_for(base)
-            with shard.lock:
-                probe = shard.peek_probe(base, window_keys, budget)
-            if probe is None:
-                continue
-            rows[probe.exact_digest] = _EXACT
-            if probe.terminal_digest is not None:
-                rows[probe.terminal_digest] = _TERMINAL
-        if not rows:
-            return {}
-        loaded = self._backend.load_entries([(kind, digest) for digest, kind in rows.items()])
-        return dict(zip(rows, loaded))
-
     def get_consistency(
         self,
         key: tuple,
-        counters: Optional[CacheCounters] = None,
+        counters: CacheCounters,
         session: int = 0,
         fetched: Optional[dict] = None,
     ) -> Optional[int]:
         """Memoized ``consistent_prefix_length`` result, or ``None``.
 
-        ``fetched`` is a :meth:`prefetch_consistency` result: a memory
-        miss on one of its keys settles from it instead of reading the
-        backend again.
+        Same two-phase discipline as :meth:`get`.  ``fetched`` is a
+        :meth:`prefetch_consistency` result: a memory miss on one of its
+        keys settles from it instead of reading the backend again.
         """
-        shard = self._shard_for(key[0])
-        with shard.lock:
-            value, pending = shard.lookup_consistency_memory(key, counters, session)
-        if not pending:
-            return value
-        # same two-phase discipline as `get`: store I/O outside the lock
+        with self._lock:
+            value = self._consistency_hit(key, counters, session)
+            if value is not None:
+                return value
+            if self._backend is None:
+                counters.misses += 1
+                return None
         if fetched is not None and key in fetched:
             loaded = fetched[key]
         else:
             loaded = self._backend.load_consistencies([_consistency_digest(key)])[0]
-        with shard.lock:
-            return shard.promote_consistency(key, loaded, counters, session)
+        with self._lock:
+            # a racing thread may have promoted the key meanwhile
+            value = self._consistency_hit(key, counters, session)
+            if value is not None:
+                return value
+            if loaded is not None:
+                self._insert("consistency", key, (loaded, 0), None)
+                _record_hit(counters, "consistency_hits", 0, session, warm=True)
+                return loaded
+            counters.misses += 1
+            return None
+
+    def _consistency_hit(
+        self, key: tuple, counters: CacheCounters, session: int
+    ) -> Optional[int]:
+        """The in-memory consistency value, counted as a hit (under the
+        lock), or ``None`` with nothing counted."""
+        hit = self._consistency.get(key)
+        if hit is None:
+            return None
+        if len(self._consistency) >= self._touch_floor:
+            self._touch(self._consistency, key)
+        _record_hit(counters, "consistency_hits", hit[1], session)
+        return hit[0]
 
     def prefetch_consistency(self, checks: Sequence[Sequence[tuple]]) -> dict:
         """Read the backend rows of one or more consistency checks in
@@ -1043,12 +823,14 @@ class ExecutionCache:
         if self._backend is None:
             return {}
         missing: dict = {}
-        for keys in checks:
-            if self._holds_consistency(keys[0]):
-                continue
-            for key in keys:
-                if key not in missing and not self._holds_consistency(key):
-                    missing[key] = None
+        with self._lock:
+            held = self._consistency
+            for keys in checks:
+                if keys[0] in held:
+                    continue
+                for key in keys:
+                    if key not in missing and key not in held:
+                        missing[key] = None
         if not missing:
             return {}
         values = self._backend.load_consistencies(
@@ -1056,44 +838,92 @@ class ExecutionCache:
         )
         return dict(zip(missing, values))
 
-    def _holds_consistency(self, key: tuple) -> bool:
-        shard = self._shard_for(key[0])
-        with shard.lock:
-            return shard.holds_consistency(key)
-
     def put_consistency(
         self,
         key: tuple,
         value: int,
-        counters: Optional[CacheCounters] = None,
+        counters: CacheCounters,
         session: int = 0,
     ) -> None:
         """Record one consistency-check outcome."""
-        shard = self._shard_for(key[0])
-        with shard.lock:
-            shard.put_consistency(key, value, counters, session)
+        with self._lock:
+            self._insert("consistency", key, (value, session), counters)
+        if self._backend is not None:  # no lock held, as in put
+            self._backend.store_consistency(_consistency_digest(key), value)
 
     # ------------------------------------------------------------------
-    # Aggregate telemetry
+    # Table maintenance (under the lock)
     # ------------------------------------------------------------------
-    def counters(self) -> CacheCounters:
-        """Shard-level counters of all callers merged into one snapshot."""
-        merged = CacheCounters()
-        for shard in self._shards:
-            with shard.lock:
-                merged.merge(shard.counters)
-        return merged
+    @staticmethod
+    def _touch(table: dict, key: tuple) -> None:
+        table[key] = table.pop(key)
 
+    def _insert(
+        self, name: str, key: tuple, value, counters: Optional[CacheCounters]
+    ) -> None:
+        """Insert into one table, evicting by count and bytes.
+
+        ``counters`` is ``None`` for backend promotions: the entry was
+        not this process's traffic, so its evictions count nowhere.
+        """
+        table = self._tables[name]
+        if key in table:
+            self._table_bytes -= _value_bytes(key, table.pop(key))
+        elif len(table) >= self.max_entries:
+            old_key = next(iter(table))
+            self._table_bytes -= _value_bytes(old_key, table.pop(old_key))
+            if counters is not None:
+                counters.evictions += 1
+        table[key] = value
+        self._table_bytes += _value_bytes(key, value)
+        if self.max_bytes is not None and self._table_bytes > self.max_bytes:
+            self._enforce_bytes(name, key, counters)
+
+    def _enforce_bytes(
+        self, fresh_name: str, fresh_key: tuple, counters: Optional[CacheCounters]
+    ) -> None:
+        """Evict until the byte threshold is respected.
+
+        Deliberately per-table priority order, oldest within each: the
+        exact table drains first (its entries are the most redundant —
+        terminal entries cover their extensions), then terminal, then
+        the cheap-to-recompute consistency memos.  Cross-table age is
+        not tracked, so this is not a global LRU; under a byte budget
+        dominated by one table, the earlier tables bear the eviction
+        pressure first by design.
+
+        The just-inserted entry is never the victim: an entry larger
+        than the whole budget parks the cache one entry over threshold
+        until the next insert ages it out, instead of turning the cache
+        into a sieve that drops everything it is handed.
+        """
+        while self._table_bytes > self.max_bytes:
+            victim = None
+            for name, table in self._tables.items():
+                for key in table:  # first = oldest inserted
+                    if name == fresh_name and key == fresh_key:
+                        continue  # spare the entry being inserted
+                    victim = (name, key)
+                    break
+                if victim is not None:
+                    break
+            if victim is None:
+                return  # only the fresh entry remains
+            name, key = victim
+            self._table_bytes -= _value_bytes(key, self._tables[name].pop(key))
+            if counters is not None:
+                counters.evictions += 1
+
+    # ------------------------------------------------------------------
+    # Gauges
+    # ------------------------------------------------------------------
     @property
     def approx_bytes(self) -> int:
-        """Approximate bytes held by all shards' tables, plus the
-        enumeration memos pinned on the interned snapshots' indexes
-        (they are cache state with the same lifetime concerns, so they
-        count toward the same footprint)."""
-        return (
-            sum(shard.approx_bytes for shard in self._shards)
-            + self.enum_bytes
-        )
+        """Approximate bytes held by the tables, plus the enumeration
+        memos pinned on the interned snapshots' indexes (they are cache
+        state with the same lifetime concerns, so they count toward the
+        same footprint)."""
+        return self._table_bytes + self.enum_bytes
 
     @property
     def enum_bytes(self) -> int:
@@ -1109,7 +939,7 @@ class ExecutionCache:
 
     @property
     def backend(self):
-        """The persistent backend shared by the shards, if any."""
+        """The persistent backend behind the tables, if any."""
         return self._backend
 
     @property
@@ -1123,18 +953,19 @@ class ExecutionCache:
         return len(self._canonical)
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._exact) + len(self._terminal) + len(self._consistency)
 
     def clear(self) -> None:
-        """Drop every entry and interned snapshot (telemetry included)."""
-        # callers already inside an old shard finish against its tables
-        self._shards = self._new_shards(len(self._shards))
+        """Drop every entry and interned snapshot."""
+        with self._lock:
+            for table in self._tables.values():
+                table.clear()
+            self._table_bytes = 0
+            self._base_digests.clear()
         with self._intern_lock:
             self._canonical.clear()
-            self._known.clear()
             self._node_counts.clear()
             self._data_canonical.clear()
-            self._data_known.clear()
             self.interned_bytes = 0
             self.intern_hits = 0
             self.snapshot_evictions = 0
@@ -1152,10 +983,7 @@ class ExecutionCache:
         """
         if not root.frozen:
             return root
-        known = self._known.get(id(root))
-        if known is not None and known[0] is root:
-            return known[1]
-        key = root.content_key()  # pure; computed outside the lock
+        key = root.content_key()  # memoized on the root; computed outside the lock
         with self._intern_lock:
             canonical = self._canonical.get(key)
             if canonical is None:
@@ -1173,9 +1001,6 @@ class ExecutionCache:
                 self._canonical[key] = self._canonical.pop(key)  # LRU touch
                 if canonical is not root:
                     self.intern_hits += 1
-            if len(self._known) >= self._known_limit:
-                del self._known[next(iter(self._known))]
-            self._known[id(root)] = (root, canonical)
         return canonical
 
     def intern_snapshots(self, snapshots: Sequence[DOMNode]) -> list[DOMNode]:
@@ -1194,9 +1019,6 @@ class ExecutionCache:
         share one wrapper object (and its memoized digest) instead of
         keeping duplicates alive.
         """
-        known = self._data_known.get(id(source))
-        if known is not None and known[0] is source:
-            return known[1]
         key = _freeze_json(source.value)  # pure; computed outside the lock
         with self._intern_lock:
             canonical = self._data_canonical.get(key)
@@ -1205,9 +1027,6 @@ class ExecutionCache:
                     del self._data_canonical[next(iter(self._data_canonical))]
                 canonical = source
                 self._data_canonical[key] = canonical
-            if len(self._data_known) >= self._known_limit:
-                del self._data_known[next(iter(self._data_known))]
-            self._data_known[id(source)] = (source, canonical)
         return canonical
 
 
@@ -1232,9 +1051,9 @@ def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
     :func:`repro.service.backends.resolve_backend` (``None`` means
     ``REPRO_CACHE_BACKEND``), and every caller resolving to the same
     backend shares one instance.  Sized by the :class:`ExecutionCache`
-    defaults (65536 entries over 8 shards, 512 interned snapshots) plus
+    defaults (65536 entries per table, 512 interned snapshots) plus
     ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
-    shards; unset = count-bounded only).
+    tables; unset = count-bounded only).
     """
     from repro.service.backends import resolve_backend
 

@@ -30,7 +30,7 @@ binders.  A served environment therefore equals a fresh run of the
 caller's own statement.
 
 Thread-safety contract: one engine serves one session at a time, but
-engines on the shared (lock-striped) cache may run on different
+engines on the shared cache (one lock) may run on different
 threads — the engine-level memos (canonical statements, lazily filled
 snapshot-index layers) are id-keyed, idempotent writes of deterministic
 values, so a lost race recomputes but never corrupts.
@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.dom.xpath import ConcreteSelector, resolve as _resolve
-from repro.engine import index as dom_index
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
@@ -76,59 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel distinguishing "not memoized yet" from a memoized ``None``
 #: (= unbounded cost) in the tier-policy hint table.
 _COST_UNKNOWN = object()
-
-
-@dataclass(frozen=True)
-class EngineCounters:
-    """A point-in-time snapshot of one engine's telemetry.
-
-    ``hits == exact_hits + prefix_hits + consistency_hits`` — the full
-    breakdown is carried so downstream telemetry can reconcile the
-    aggregate.  ``cross_session_hits`` counts hits served from entries
-    another session recorded.  ``index_builds`` counts
-    process-wide snapshot-index constructions (indexes live on
-    snapshots, not engines); for attributing builds to one caller use
-    :func:`repro.engine.index.track_builds`, which the synthesizer
-    wraps around each call — raw deltas of this field misattribute
-    builds when two sessions interleave in one process.
-
-    ``warm_hits`` counts hits served from a *persistent backend* —
-    executions recorded by a prior process over the same store (always 0
-    for the default in-process backend); ``backend`` names the backend
-    behind the cache.
-
-    ``cache_bytes``, ``interned_snapshots``, ``interned_bytes`` and
-    ``persisted_bytes`` are *gauges*, not counters: the approximate byte
-    footprint of the backing cache's tables, its snapshot-interning
-    table, and the persistent store, all at snapshot time.  Deltas of gauges are meaningless —
-    report them as-is.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    exact_hits: int = 0
-    prefix_hits: int = 0
-    consistency_hits: int = 0
-    cross_session_hits: int = 0
-    warm_hits: int = 0
-    #: Executions answered by resuming a stored loop continuation over
-    #: the window suffix (resumable loops); counted alongside the miss
-    #: the preceding full-result probe recorded, so they are *not* part
-    #: of the ``hits`` reconciliation above.
-    resume_hits: int = 0
-    index_builds: int = 0
-    cache_bytes: int = 0
-    interned_snapshots: int = 0
-    interned_bytes: int = 0
-    persisted_bytes: int = 0
-    backend: str = "memory"
-
-    @property
-    def hit_rate(self) -> float:
-        """Cache hits over all lookups."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class ExecutionEngine:
@@ -207,27 +153,10 @@ class ExecutionEngine:
         """The execution cache behind this engine (``None`` when off)."""
         return self._cache
 
-    def counters(self) -> EngineCounters:
-        """Current telemetry (this session's counters + cache gauges)."""
-        counters = self._counters
-        cache = self._cache
-        return EngineCounters(
-            hits=counters.hits,
-            misses=counters.misses,
-            evictions=counters.evictions,
-            exact_hits=counters.exact_hits,
-            prefix_hits=counters.prefix_hits,
-            consistency_hits=counters.consistency_hits,
-            cross_session_hits=counters.cross_session_hits,
-            warm_hits=counters.warm_hits,
-            resume_hits=counters.resume_hits,
-            index_builds=dom_index.build_count(),
-            cache_bytes=cache.approx_bytes if cache is not None else 0,
-            interned_snapshots=cache.interned_snapshots if cache is not None else 0,
-            interned_bytes=cache.interned_bytes if cache is not None else 0,
-            persisted_bytes=cache.persisted_bytes if cache is not None else 0,
-            backend=cache.backend_name if cache is not None else "memory",
-        )
+    def counters(self) -> CacheCounters:
+        """A copy of this session's cache telemetry (hit/miss/eviction
+        counters; the cache's gauges live on :attr:`cache`)."""
+        return replace(self._counters)
 
     # ------------------------------------------------------------------
     # Simulated execution
@@ -287,7 +216,7 @@ class ExecutionEngine:
                 return EvalResult(list(actions), doms.window(len(actions)), final_env)
         resumable = resumable and len(statements) == 1
         if resumable:
-            cont = cache.get_continuation(base, window_keys, budget, counters, token)
+            cont = cache.get_continuation(base, window_keys, budget, counters)
             cont_env = None if cont is None else _from_slots(cont[1], binders, env)
             if cont_env is not None:
                 prefix_actions, _, state = cont
@@ -350,9 +279,9 @@ class ExecutionEngine:
             budget,
             tuple(result.actions),
             _to_slots(result.env, binders),
+            self._counters,
+            self._token,
             exact_budget_ok=result.env_at_last_action is result.env,
-            counters=self._counters,
-            session=self._token,
             continuation=continuation,
             cost=cost,
         )

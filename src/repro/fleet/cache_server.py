@@ -26,7 +26,9 @@ and environments:
 
 Data-plane requests and their 200 replies are in the store codec
 only; a body in any other format, or one that inflates past
-:data:`~repro.protocol.codec.MAX_DECODED_BYTES`, is a 400.  The control plane — ``/healthz``,
+:data:`~repro.protocol.codec.MAX_DECODED_BYTES`, is a 400, and one
+whose declared length exceeds that cap is a 413 answered without
+reading it (the connection then closes).  The control plane — ``/healthz``,
 ``/v1/stats`` and every error body — is always JSON, so operators and
 scrapers read it with any HTTP client.  Reads consult the store's
 write buffer first, so an entry put by one worker is visible to the
@@ -47,7 +49,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.obs import metrics as obs_metrics
-from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, Codec, ProtocolError
+from repro.protocol.codec import (
+    DEFAULT_CODEC,
+    STORE_CODEC,
+    BodyTooLarge,
+    Codec,
+    ProtocolError,
+    request_length,
+)
 from repro.service.backends import FileBackend, default_store_path
 
 #: Default cache-tier port — well clear of the workers' consecutive
@@ -121,6 +130,8 @@ class _CacheHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -131,7 +142,7 @@ class _CacheHandler(BaseHTTPRequestHandler):
         self._reply({"error": "bad_request", "message": message}, status)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+        length = request_length(self.headers)
         raw = self.rfile.read(length) if length > 0 else b""
         payload = STORE_CODEC.decode_payload(raw)
         if not isinstance(payload, dict):
@@ -180,6 +191,12 @@ class _CacheHandler(BaseHTTPRequestHandler):
             else:
                 self._error(op, f"no route {self.path}", 404)
                 return
+        except BodyTooLarge as exc:
+            # the body is still unread on the wire: never parse it as
+            # the next request
+            self.close_connection = True
+            self._error(op, str(exc), 413)
+            return
         except (ProtocolError, ValueError, TypeError, KeyError) as exc:
             self._error(op, str(exc))
             return

@@ -3,7 +3,7 @@
 :class:`RemoteBackend` implements the
 :class:`~repro.service.backends.CacheBackend` seam against a
 ``repro cache-serve`` process.  The engine's two-phase probe already
-runs backend lookups *outside* the shard locks
+runs backend lookups *outside* the cache lock
 (:meth:`repro.engine.cache.ExecutionCache.get`), so the
 network round trip here never stalls other sessions' in-memory hits.
 

@@ -150,6 +150,26 @@ _ZLIB_LEAD = b"\x78"
 MAX_DECODED_BYTES = 64 << 20
 
 
+class BodyTooLarge(ProtocolError):
+    """A request declared a body longer than :data:`MAX_DECODED_BYTES`.
+
+    Both HTTP servers answer it 413 without reading the body and close
+    the connection, so a client cannot make a handler buffer (or wait
+    for) an unbounded body.
+    """
+
+
+def request_length(headers) -> int:
+    """The declared ``Content-Length`` of a request, refused past
+    :data:`MAX_DECODED_BYTES` (:class:`BodyTooLarge`)."""
+    length = int(headers.get("Content-Length", "0"))
+    if length > MAX_DECODED_BYTES:
+        raise BodyTooLarge(
+            f"request body of {length} bytes exceeds {MAX_DECODED_BYTES}"
+        )
+    return length
+
+
 def _inflate(payload: bytes):
     """Decompress one zlib stream and parse its JSON, strictly.
 

@@ -5,7 +5,9 @@ behind a :class:`ThreadingHTTPServer` (no dependencies beyond the
 standard library).  Every body — request and response — is canonical
 JSON (:data:`repro.protocol.codec.DEFAULT_CODEC`).  Every POST body
 must be the typed protocol message of its route; anything else — a
-bare dict, the wrong message type, a binary body — is a 400.  Errors
+bare dict, the wrong message type, a binary body — is a 400, and a
+declared length past :data:`repro.protocol.codec.MAX_DECODED_BYTES`
+is a 413 answered without reading the body.  Errors
 are :class:`~repro.protocol.messages.ErrorEnvelope` objects, never
 bare strings.  Sessions are sticky to the worker that created them
 *until migrated*: ``POST /v1/sessions/<sid>/migrate`` serializes a session
@@ -56,7 +58,7 @@ from typing import Optional
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.protocol.codec import DEFAULT_CODEC
+from repro.protocol.codec import DEFAULT_CODEC, BodyTooLarge, request_length
 from repro.protocol.messages import (
     PROTOCOL_VERSION,
     Accept,
@@ -138,6 +140,8 @@ class _Handler(BaseHTTPRequestHandler):
         if ctx is not None:
             self.send_header(obs_context.HEADER, ctx.wire_value())
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -159,7 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(ErrorEnvelope(code=code, message=message, session=session), status)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
+        length = request_length(self.headers)
         return self.rfile.read(length) if length > 0 else b""
 
     @staticmethod
@@ -340,7 +344,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _handle_error(self, exc: Exception, sid: Optional[str]) -> None:
-        if isinstance(exc, UnknownSessionError):
+        if isinstance(exc, BodyTooLarge):
+            # the body is still unread on the wire: never parse it as
+            # the next request
+            self.close_connection = True
+            self._error("too_large", str(exc), 413, sid)
+        elif isinstance(exc, UnknownSessionError):
             self._error("unknown_session", str(exc), 404, sid)
         elif isinstance(exc, SessionClosedError):
             self._error("session_closed", str(exc), 409, sid)

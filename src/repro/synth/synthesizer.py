@@ -21,11 +21,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.engine import index as dom_index
+from repro.engine.cache import CacheCounters
 from repro.engine.engine import ExecutionEngine
 from repro.lang.actions import Action
 from repro.lang.ast import Program
@@ -321,8 +322,8 @@ class Synthesizer:
         if cache is not None:
             # structurally equal snapshots from other sessions over the
             # same site collapse onto one canonical root, so they share
-            # SnapshotIndexes; re-interning the same objects is an O(1)
-            # id lookup
+            # SnapshotIndexes; re-interning costs one memoized content
+            # key and one dict hit per snapshot
             snapshots = cache.intern_snapshots(snapshots)
         had_store = bool(self._store)
         self._actions = list(actions)
@@ -332,7 +333,7 @@ class Synthesizer:
         result = SynthesisResult(stats=stats)
         if trace_length == 0:
             return result
-        engine_before = self._engine.counters()
+        counters_before = self._engine.counters()
         enum_before = (self._search.enum_indexed, self._search.enum_fallback)
 
         with obs_tracing.span(
@@ -417,25 +418,17 @@ class Synthesizer:
             )
         stats.tuples = len(self._store)
         stats.elapsed = deadline.elapsed()
-        engine_after = self._engine.counters()
-        stats.cache_hits = engine_after.hits - engine_before.hits
-        stats.cache_misses = engine_after.misses - engine_before.misses
-        stats.cache_evictions = engine_after.evictions - engine_before.evictions
-        stats.cache_exact_hits = engine_after.exact_hits - engine_before.exact_hits
-        stats.cache_prefix_hits = engine_after.prefix_hits - engine_before.prefix_hits
-        stats.cache_consistency_hits = (
-            engine_after.consistency_hits - engine_before.consistency_hits
-        )
-        stats.cache_cross_session_hits = (
-            engine_after.cross_session_hits - engine_before.cross_session_hits
-        )
-        stats.cache_warm_hits = engine_after.warm_hits - engine_before.warm_hits
-        stats.cache_resume_hits = engine_after.resume_hits - engine_before.resume_hits
-        stats.cache_bytes = engine_after.cache_bytes
-        stats.interned_snapshots = engine_after.interned_snapshots
-        stats.interned_bytes = engine_after.interned_bytes
-        stats.persisted_bytes = engine_after.persisted_bytes
-        stats.cache_backend = engine_after.backend
+        counters_after = self._engine.counters()
+        for counter in fields(CacheCounters):
+            name = counter.name
+            delta = getattr(counters_after, name) - getattr(counters_before, name)
+            setattr(stats, f"cache_{name}", delta)
+        if cache is not None:
+            stats.cache_bytes = cache.approx_bytes
+            stats.interned_snapshots = cache.interned_snapshots
+            stats.interned_bytes = cache.interned_bytes
+            stats.persisted_bytes = cache.persisted_bytes
+            stats.cache_backend = cache.backend_name
         stats.index_builds = built.count
         stats.enum_indexed = self._search.enum_indexed - enum_before[0]
         stats.enum_fallback = self._search.enum_fallback - enum_before[1]

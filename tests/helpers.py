@@ -8,6 +8,8 @@ the snapshot it executed on, plus one trailing snapshot.
 from __future__ import annotations
 
 import functools
+import socket
+import time
 import zlib
 
 from hypothesis import strategies as st
@@ -96,6 +98,32 @@ def zlib_bomb() -> bytes:
     parts += [deflater.compress(chunk) for _ in range(MAX_DECODED_BYTES // len(chunk) + 1)]
     parts += [deflater.compress(b'"}'), deflater.flush()]
     return b"".join(parts)
+
+
+def post_unbounded_body(host: str, port: int, path: str):
+    """POST a request declaring a 1 TiB body and send none of it.
+
+    Reads the reply until the server closes the connection (a server
+    that kept it open, waiting for the body, fails the read's 10 s
+    timeout).  Returns ``(status, lowercased headers, body, seconds)``.
+    """
+    started = time.perf_counter()
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Length: 1099511627776\r\n\r\n".encode("ascii")
+        )
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    elapsed = time.perf_counter() - started
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body, elapsed
 
 
 def _session_outputs(synthesizer, actions, snapshots):

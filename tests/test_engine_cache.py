@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dom import E, page
-from repro.engine import ExecutionCache, ExecutionEngine
+from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
 from repro.lang import EMPTY_DATA, ForEachSelector, fresh_var
 from repro.lang.ast import (
     SCRAPE_TEXT,
@@ -89,7 +89,9 @@ class TestExecuteMemo:
         engine.execute([foreign], window, max_actions=4)
         stale = evaluator.execute([foreign], window, EMPTY_DATA)
         base = (engine._statements_key((foreign,)), (), 0)
-        engine.cache.put(base, window.value_key(), 4, tuple(stale.actions), stale.env)
+        engine.cache.put(
+            base, window.value_key(), 4, tuple(stale.actions), stale.env, CacheCounters()
+        )
         caller = card_loop()
         served = engine.execute([caller], window, max_actions=4)
         fresh = evaluator.execute([caller], window, EMPTY_DATA)
@@ -188,13 +190,14 @@ class TestExecuteMemo:
 
 class TestCacheBounds:
     def test_lru_eviction(self):
-        cache = ExecutionCache(max_entries=2, shards=1)
+        cache = ExecutionCache(max_entries=2)
+        counters = CacheCounters()
         for index in range(3):
             # one action over a one-snapshot window: exact-table only
-            cache.put(("base", index), (index,), 1, ("a",), None)
-        assert cache.counters().evictions == 1
-        assert cache.get(("base", 0), (0,), 1) is None  # oldest evicted
-        assert cache.get(("base", 2), (2,), 1) is not None
+            cache.put(("base", index), (index,), 1, ("a",), None, counters)
+        assert counters.evictions == 1
+        assert cache.get(("base", 0), (0,), 1, counters) is None  # oldest evicted
+        assert cache.get(("base", 2), (2,), 1, counters) is not None
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """The process-level execution cache (repro.engine.cache).
 
-Covers the concurrency surface: lock-striped shards, per-caller
+Covers the concurrency surface: one lock over the tables, per-caller
 counters with cross-session hit attribution, snapshot interning
-(including its race behaviour), byte accounting with LRU eviction, and
-the process-wide instances.
+(including its race behaviour and that it holds no non-canonical root),
+byte accounting with LRU eviction, and the process-wide instances.
 """
 
+import gc
 import threading
+import weakref
 from dataclasses import replace
 
 from repro.dom import E, page
+from repro.dom.node import DOMNode
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
@@ -28,6 +31,12 @@ from repro.synth.synthesizer import Synthesizer
 from helpers import cards_page, scrape_cards_trace
 
 
+class _WeakRoot(DOMNode):
+    """A snapshot root a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+
+
 class _Caller:
     """One caller of a shared cache, holding what an engine holds: its
     own session token and counters."""
@@ -42,8 +51,7 @@ class _Caller:
 
     def put(self, base, window_keys, budget, actions, env):
         self.cache.put(
-            base, window_keys, budget, actions, env,
-            counters=self.counters, session=self.token,
+            base, window_keys, budget, actions, env, self.counters, self.token
         )
 
     def get_consistency(self, key):
@@ -64,52 +72,25 @@ def shared_memory_config():
     return replace(DEFAULT_CONFIG, cache_backend="memory")
 
 
-class TestCounters:
-    def test_merge_sums_every_field(self):
-        left = CacheCounters(hits=3, misses=2, evictions=1, exact_hits=1,
-                             prefix_hits=1, consistency_hits=1, cross_session_hits=1)
-        right = CacheCounters(hits=5, misses=1, evictions=0, exact_hits=2,
-                              prefix_hits=2, consistency_hits=1, cross_session_hits=4)
-        left.merge(right)
-        assert left == CacheCounters(hits=8, misses=3, evictions=1, exact_hits=3,
-                                     prefix_hits=3, consistency_hits=2,
-                                     cross_session_hits=5)
-
-    def test_explicit_recorder_counts_alongside_the_cache_aggregate(self):
-        cache = ExecutionCache(8)
-        worker = CacheCounters()
-        cache.put(("base",), (1,), 1, ("a",), None, counters=worker)
-        assert cache.get(("base",), (1,), 1, counters=worker) is not None
-        assert cache.get(("other",), (1,), 1, counters=worker) is None
-        # the worker's private recorder and the cache's own (shard-level
-        # aggregate) counters both saw the traffic — merge-based
-        # accumulation never loses counts to either side
-        assert (worker.hits, worker.misses) == (1, 1)
-        assert (cache.counters().hits, cache.counters().misses) == (1, 1)
-        # traffic without an explicit recorder lands on the aggregate only
-        assert cache.get(("base",), (1,), 1) is not None
-        assert cache.counters().hits == 2
-        assert worker.hits == 1
-
-
 class TestByteAccounting:
     def test_bytes_grow_with_entries_and_shrink_on_eviction(self):
-        cache = ExecutionCache(max_entries=2, shards=1)
+        cache = ExecutionCache(max_entries=2)
+        caller = _Caller(cache)
         assert cache.approx_bytes == 0
-        cache.put(("a",), (1,), 1, ("x",), None)
+        caller.put(("a",), (1,), 1, ("x",), None)
         one_entry = cache.approx_bytes
         assert one_entry > 0
-        cache.put(("b",), (2,), 1, ("x", "y"), None)
+        caller.put(("b",), (2,), 1, ("x", "y"), None)
         two_entries = cache.approx_bytes
         assert two_entries > one_entry
         # third insert evicts the oldest: bytes stay bounded, counted
-        cache.put(("c",), (3,), 1, ("x",), None)
-        assert cache.counters().evictions == 1
+        caller.put(("c",), (3,), 1, ("x",), None)
+        assert caller.counters.evictions == 1
         assert cache.approx_bytes < two_entries + one_entry
         assert len(cache) <= 2
 
     def test_shared_cache_aggregates_shard_bytes(self):
-        shared = ExecutionCache(max_entries=64, shards=4)
+        shared = ExecutionCache(max_entries=64)
         session = _Caller(shared)
         for index in range(10):
             session.put((f"k{index}",), (index,), 1, ("a",), None)
@@ -122,7 +103,7 @@ class TestByteAccounting:
 
 class TestSessions:
     def test_sessions_share_entries_and_attribute_cross_hits(self):
-        shared = ExecutionCache(max_entries=64, shards=2)
+        shared = ExecutionCache(max_entries=64)
         writer, reader = _Caller(shared), _Caller(shared)
         writer.put(("base",), (1,), 1, ("a",), None)
         assert writer.get(("base",), (1,), 1) is not None
@@ -130,11 +111,11 @@ class TestSessions:
         assert reader.get(("base",), (1,), 1) is not None
         assert reader.counters.cross_session_hits == 1
         assert reader.counters.hits == 1
-        # shard-level (global) counters saw both hits
-        assert shared.counters().hits == 2
+        # each caller counted its own hit, nobody else's
+        assert writer.counters.hits == 1
 
     def test_consistency_memo_is_shared_too(self):
-        shared = ExecutionCache(max_entries=64, shards=2)
+        shared = ExecutionCache(max_entries=64)
         writer, reader = _Caller(shared), _Caller(shared)
         writer.put_consistency(("key",), 3)
         assert reader.get_consistency(("key",)) == 3
@@ -206,8 +187,8 @@ class TestInterning:
         assert all(result is canonical for result in results)
         assert shared.intern_hits == len(clones) - 1
 
-    def test_concurrent_shard_traffic_stays_consistent(self):
-        shared = ExecutionCache(max_entries=256, shards=4)
+    def test_concurrent_traffic_stays_consistent(self):
+        shared = ExecutionCache(max_entries=256)
         sessions = [_Caller(shared) for _ in range(4)]
         errors = []
 
@@ -229,9 +210,35 @@ class TestInterning:
         for thread in threads:
             thread.join()
         assert not errors
-        merged = shared.counters()
-        assert merged.hits + merged.misses == 4 * 200
-        assert merged.hits == merged.exact_hits + merged.prefix_hits + merged.consistency_hits
+        hits = sum(session.counters.hits for session in sessions)
+        misses = sum(session.counters.misses for session in sessions)
+        assert hits + misses == 4 * 200
+        for session in sessions:
+            counters = session.counters
+            assert counters.hits == (
+                counters.exact_hits + counters.prefix_hits + counters.consistency_hits
+            )
+
+
+    def test_interning_holds_no_non_canonical_root(self):
+        # only canonical roots are held: a structurally equal clone that
+        # was interned (and mapped onto the canonical root) must be
+        # collectable as soon as its caller drops it
+        shared = ExecutionCache()
+        canonical = cards_page(3)
+        clone = _WeakRoot(
+            canonical.tag,
+            canonical.attrs,
+            canonical.text,
+            [child.clone() for child in canonical.children],
+        ).freeze()
+        assert shared.intern_snapshot(canonical) is canonical
+        assert shared.intern_snapshot(clone) is canonical
+        clone_ref = weakref.ref(clone)
+        del clone
+        gc.collect()
+        assert clone_ref() is None
+        assert shared.interned_snapshots == 1
 
 
 class TestDataInterning:
@@ -247,7 +254,8 @@ class TestDataInterning:
     def test_sessions_with_separately_loaded_data_still_share(self):
         # each session 'loads' its own equal-content data source (the
         # repeated-CLI-invocation shape); execution keys address the
-        # source by id, so sharing depends on for_config interning it
+        # source by content digest, so the sessions share executions
+        # whether or not for_config interns the wrapper
         reset_process_cache()
         try:
             config = shared_memory_config()
@@ -329,35 +337,29 @@ class TestProcessCache:
 
 class TestByteThresholds:
     def test_byte_threshold_evicts_oldest_until_under(self):
-        cache = ExecutionCache(max_entries=1024, shards=1, max_bytes=2000)
+        cache = ExecutionCache(max_entries=1024, max_bytes=2000)
+        caller = _Caller(cache)
         for index in range(32):
-            cache.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
-        assert cache.counters().evictions > 0
+            caller.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
+        assert caller.counters.evictions > 0
         assert cache.approx_bytes <= 2000
         # the most recent entry always survives
-        assert cache.get(("k31",), (31,), 1) is not None
-        assert cache.get(("k0",), (0,), 1) is None
+        assert caller.get(("k31",), (31,), 1) is not None
+        assert caller.get(("k0",), (0,), 1) is None
 
     def test_single_oversized_entry_does_not_wedge_the_cache(self):
-        cache = ExecutionCache(max_entries=8, shards=1, max_bytes=250)
-        cache.put(("big",), tuple(range(64)), 64, ("a",) * 64, None)
+        cache = ExecutionCache(max_entries=8, max_bytes=250)
+        caller = _Caller(cache)
+        caller.put(("big",), tuple(range(64)), 64, ("a",) * 64, None)
         # larger than the whole budget: kept as the last entry standing
         assert len(cache) >= 1
-        assert cache.get(("big",), tuple(range(64)), 64) is not None
+        assert caller.get(("big",), tuple(range(64)), 64) is not None
 
     def test_rejects_non_positive_byte_threshold(self):
         import pytest
 
         with pytest.raises(ValueError):
             ExecutionCache(max_entries=8, max_bytes=0)
-
-    def test_shared_cache_splits_the_threshold_across_shards(self):
-        shared = ExecutionCache(max_entries=1024, shards=4, max_bytes=8000)
-        session = _Caller(shared)
-        for index in range(256):
-            session.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
-        assert shared.counters().evictions > 0
-        assert sum(s.approx_bytes for s in shared._shards) <= 8000
 
     def test_window_length_scales_the_terminal_entry_estimate(self):
         # the ROADMAP eviction-policy note: terminal entries for long
@@ -366,8 +368,8 @@ class TestByteThresholds:
         # undercounted (value keys already removed the snapshot pinning)
         small = ExecutionCache(max_entries=8)
         large = ExecutionCache(max_entries=8)
-        small.put(("b",), tuple(range(4)), 4, ("a",), None)
-        large.put(("b",), tuple(range(40)), 40, ("a",), None)
+        _Caller(small).put(("b",), tuple(range(4)), 4, ("a",), None)
+        _Caller(large).put(("b",), tuple(range(40)), 40, ("a",), None)
         assert large.approx_bytes > small.approx_bytes
 
 
@@ -505,17 +507,17 @@ class _StubBackend(CacheBackend):
 
 
 class TestTwoPhaseBackendLookup:
-    """ROADMAP follow-on (d): the store probe must not hold the shard lock."""
+    """The store probe must not hold the cache lock."""
 
     def test_cold_lookups_on_one_shard_overlap_their_backend_io(self):
         # Both threads miss in memory and fall through to the backend.
         # The barrier inside load_entry only releases when *both*
         # threads are inside a backend read at the same time — which is
-        # impossible if the read still happens under the (single) shard
-        # lock, so a regression deadlocks the barrier and fails fast.
+        # impossible if the read still happens under the cache lock, so
+        # a regression deadlocks the barrier and fails fast.
         barrier = threading.Barrier(2)
         stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
-        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        shared = ExecutionCache(max_entries=64, backend=stub)
         sessions = [_Caller(shared), _Caller(shared)]
         failures = []
 
@@ -532,15 +534,15 @@ class TestTwoPhaseBackendLookup:
         for thread in threads:
             thread.join()
         assert not failures
-        merged = shared.counters()
         # each lookup settled exactly once: a warm hit, never a miss
-        assert merged.hits == 2
-        assert merged.warm_hits == 2
-        assert merged.misses == 0
+        for session in sessions:
+            assert session.counters.hits == 1
+            assert session.counters.warm_hits == 1
+            assert session.counters.misses == 0
 
     def test_empty_store_misses_count_exactly_once_per_lookup(self):
         stub = _StubBackend(payload=None)
-        shared = ExecutionCache(max_entries=256, shards=1, backend=stub)
+        shared = ExecutionCache(max_entries=256, backend=stub)
         sessions = [_Caller(shared) for _ in range(4)]
         lookups_per_session = 8
 
@@ -559,13 +561,11 @@ class TestTwoPhaseBackendLookup:
         total = 4 * lookups_per_session
         assert sum(s.counters.misses for s in sessions) == total
         assert sum(s.counters.hits for s in sessions) == 0
-        merged = shared.counters()
-        assert (merged.hits, merged.misses) == (0, total)
 
     def test_racing_promotions_of_one_key_each_count_a_hit(self):
         barrier = threading.Barrier(2)
         stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
-        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        shared = ExecutionCache(max_entries=64, backend=stub)
         sessions = [_Caller(shared), _Caller(shared)]
         failures = []
 
@@ -581,17 +581,16 @@ class TestTwoPhaseBackendLookup:
         for thread in threads:
             thread.join()
         assert not failures
-        merged = shared.counters()
         # both probed before either promoted; the loser of the promote
         # race is served from memory by the re-check — still one hit
         # per lookup, one entry in the table
-        assert (merged.hits, merged.misses) == (2, 0)
-        assert 1 <= merged.warm_hits <= 2
+        assert [(s.counters.hits, s.counters.misses) for s in sessions] == [(1, 0)] * 2
+        assert 1 <= sum(s.counters.warm_hits for s in sessions) <= 2
         assert len(shared) == 1
 
     def test_warm_entry_is_promoted_once_then_served_from_memory(self):
         stub = _StubBackend(payload=(("a",), None, None, False))
-        shared = ExecutionCache(max_entries=64, shards=2, backend=stub)
+        shared = ExecutionCache(max_entries=64, backend=stub)
         session = _Caller(shared)
         assert session.get(("base",), (1,), 1) is not None
         loads_after_first = stub.loads
@@ -603,7 +602,7 @@ class TestTwoPhaseBackendLookup:
     def test_consistency_memo_rides_the_same_two_phase_path(self):
         stub = _StubBackend()
         stub.consistency = {}
-        shared = ExecutionCache(max_entries=64, shards=1, backend=stub)
+        shared = ExecutionCache(max_entries=64, backend=stub)
         writer, reader = _Caller(shared), _Caller(shared)
         writer.put_consistency(("key",), 5)
         # key is in memory: served without a store read

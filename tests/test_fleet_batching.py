@@ -27,7 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.dom import parse_selector
-from repro.engine import ExecutionCache, ExecutionEngine
+from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
 from repro.engine.cache import reset_process_cache
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
@@ -114,10 +114,11 @@ def _get_rows(outcome: str) -> int:
 class TestOneRequestPerProbe:
     def test_exact_miss_with_terminal_probe_is_one_request(self, cache):
         shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        assert shared.get(("base",), (1, 2, 3), 2) is None
+        counters = CacheCounters()
+        assert shared.get(("base",), (1, 2, 3), 2, counters) is None
         assert _get_requests() == 1
         assert _get_rows("miss") == 2  # the exact row and the terminal row
-        assert shared.counters().misses == 1
+        assert counters.misses == 1
 
     def test_consistency_lookback_walk_is_one_request(self, cache):
         dom = cards_page(4)
@@ -201,30 +202,31 @@ class TestPrefetch:
         fetched = shared.prefetch_entries(lookups)
         assert _get_requests() == 1
         assert _get_rows("miss") == 6  # an exact and a terminal row each
+        counters = CacheCounters()
         for base, window, budget in lookups:
-            assert shared.get(base, window, budget, fetched=fetched) is None
+            assert shared.get(base, window, budget, counters, fetched=fetched) is None
         assert _get_requests() == 1
-        assert shared.counters().misses == 3
+        assert counters.misses == 3
 
     def test_prefetched_rows_settle_warm_hits(self, cache):
         actions = (scrape_text(parse_selector("//h3[1]")),)
         lookups = [(("base", n), (1, 2, 3), 2) for n in range(2)]
         writer = ExecutionCache(backend=RemoteBackend(_url(cache)))
         for base, window, budget in lookups:
-            writer.put(base, window, budget, actions, Env(), cost=100)
+            writer.put(base, window, budget, actions, Env(), CacheCounters(), cost=100)
         writer.backend.flush()
         reader = ExecutionCache(backend=RemoteBackend(_url(cache)))
         fetched = reader.prefetch_entries(lookups)
         assert _get_requests() == 1
+        counters = CacheCounters()
         for base, window, budget in lookups:
-            assert reader.get(base, window, budget, fetched=fetched)[0] == actions
+            assert reader.get(base, window, budget, counters, fetched=fetched)[0] == actions
         assert _get_requests() == 1
-        counters = reader.counters()
         assert (counters.hits, counters.warm_hits, counters.misses) == (2, 2, 0)
 
     def test_a_lookup_memory_answers_reads_nothing(self, cache):
         shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        shared.put(("base",), (1, 2, 3), 2, ("a", "b"), None)
+        shared.put(("base",), (1, 2, 3), 2, ("a", "b"), None, CacheCounters())
         assert shared.prefetch_entries([(("base",), (1, 2, 3), 2)]) == {}
         assert _get_requests() == 0
 
@@ -361,8 +363,8 @@ register_backend_factory("per-key", _per_key_factory)
 
 
 def _session(backend_name: str):
-    """One incremental session: its programs per call and the cache's
-    merged counters."""
+    """One incremental session: its programs per call and its engine's
+    cache counters."""
     dom = cards_page(6)
     actions, snapshots = scrape_cards_trace(dom, 4)
     synthesizer = Synthesizer(EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name))
@@ -372,7 +374,7 @@ def _session(backend_name: str):
         result = synthesizer.synthesize(actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT)
         programs.append(tuple(format_program(program) for program in result.programs))
     flush_backends()
-    return programs, asdict(synthesizer.engine.cache.counters())
+    return programs, asdict(synthesizer.engine.counters())
 
 
 def _cold_then_warm(backend_name: str):

@@ -21,7 +21,7 @@ from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
 from repro.service.backends import EXACT
 
-from helpers import zlib_bomb
+from helpers import post_unbounded_body, zlib_bomb
 
 
 @pytest.fixture
@@ -211,6 +211,18 @@ class TestBadRequests:
         assert response.status == 200
         _, found = _get_entries(cache, [[EXACT, KEY.hex()]])
         assert found == {"e": [PAYLOAD]}
+
+    @pytest.mark.parametrize("path", ["/v1/cache/get", "/v1/cache/put"])
+    def test_unbounded_body_is_a_prompt_413_and_the_server_keeps_serving(self, cache, path):
+        host, port = cache.server_address[:2]
+        status, headers, body, elapsed = post_unbounded_body(host, port, path)
+        assert status == 413
+        assert elapsed < 5.0
+        assert headers["connection"] == "close"
+        assert JSON.decode_payload(body)["error"] == "bad_request"
+        response, body = _get(cache, "/healthz")
+        assert response.status == 200
+        assert JSON.decode_payload(body)["ok"] is True
 
 
 class TestOperationalRoutes:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.dom import E
 from repro.dom.xpath import parse_selector
-from repro.engine.cache import ExecutionCache
+from repro.engine.cache import CacheCounters, ExecutionCache
 from repro.engine.keys import stable_digest
 from repro.lang import X, click, enter_data, scrape_text, send_keys
 from repro.lang.ast import SEL_VAR, VAL_VAR, Var, ValuePath
@@ -212,21 +212,21 @@ class TestCacheWarmStart:
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
         actions, env = self._entry_values()
         writer = ExecutionCache(max_entries=16, backend=backend)
-        writer.put(("base",), (101, 102), 2, actions, env)
+        writer.put(("base",), (101, 102), 2, actions, env, CacheCounters())
         # a cold cache over the same store: in-memory miss, backend hit
         reader = ExecutionCache(max_entries=16, backend=backend)
-        hit = reader.get(("base",), (101, 102), 2)
+        counters = CacheCounters()
+        hit = reader.get(("base",), (101, 102), 2, counters)
         assert hit is not None
         assert hit[0] == actions
-        counters = reader.counters()
         assert counters.hits == counters.exact_hits == counters.warm_hits == 1
         assert counters.misses == 0
         assert counters.cross_session_hits == 0  # restored entries own no session
         # promoted: the second lookup is served from memory, not disk
         loads_before = backend.loads
-        assert reader.get(("base",), (101, 102), 2) is not None
+        assert reader.get(("base",), (101, 102), 2, counters) is not None
         assert backend.loads == loads_before
-        assert reader.counters().warm_hits == 1
+        assert counters.warm_hits == 1
         backend.close()
 
     def test_terminal_entries_warm_start_onto_extended_windows(self, tmp_path):
@@ -234,16 +234,20 @@ class TestCacheWarmStart:
         actions, env = self._entry_values()
         writer = ExecutionCache(max_entries=16, backend=backend)
         # one action, three snapshots, budget 3: terminal (examined 2)
-        writer.put(("base",), (101, 102, 103), 3, actions, env, exact_budget_ok=True)
+        writer.put(
+            ("base",), (101, 102, 103), 3, actions, env, CacheCounters(),
+            exact_budget_ok=True,
+        )
         reader = ExecutionCache(max_entries=16, backend=backend)
+        counters = CacheCounters()
         # an extended window sharing the examined prefix hits via disk
-        hit = reader.get(("base",), (101, 102, 104, 105), 4)
+        hit = reader.get(("base",), (101, 102, 104, 105), 4, counters)
         assert hit is not None
-        assert reader.counters().prefix_hits == 1
-        assert reader.counters().warm_hits == 1
+        assert counters.prefix_hits == 1
+        assert counters.warm_hits == 1
         # a window with a different examined prefix must miss
         fresh = ExecutionCache(max_entries=16, backend=backend)
-        assert fresh.get(("base",), (101, 999, 104), 3) is None
+        assert fresh.get(("base",), (101, 999, 104), 3, CacheCounters()) is None
         backend.close()
 
     def test_persisted_exact_entry_found_despite_inapplicable_terminal(self, tmp_path):
@@ -255,31 +259,37 @@ class TestCacheWarmStart:
         writer = ExecutionCache(max_entries=16, backend=backend)
         # a budget-capped exact outcome (1 action over budget 1): the
         # run did not terminate on its own terms, so no terminal entry
-        writer.put(("base",), (101, 102), 1, actions, env)
+        writer.put(("base",), (101, 102), 1, actions, env, CacheCounters())
         reader = ExecutionCache(max_entries=16, backend=backend)
+        counters = CacheCounters()
         # seed an in-memory terminal entry that does NOT apply to the
         # budget-1 lookup (budget == len(actions), exact_budget_ok False)
-        reader.put(("base",), (101, 102, 103), 3, actions, env, exact_budget_ok=False)
-        hit = reader.get(("base",), (101, 102), 1)
+        reader.put(
+            ("base",), (101, 102, 103), 3, actions, env, counters,
+            exact_budget_ok=False,
+        )
+        hit = reader.get(("base",), (101, 102), 1, counters)
         assert hit is not None
-        assert reader.counters().warm_hits == 1
-        assert reader.counters().exact_hits == 1
+        assert counters.warm_hits == 1
+        assert counters.exact_hits == 1
         backend.close()
 
     def test_consistency_memo_round_trips_through_the_store(self, tmp_path):
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
         writer = ExecutionCache(max_entries=16, backend=backend)
-        writer.put_consistency(((1, 2), (3, 4), (5,)), 2)
+        writer.put_consistency(((1, 2), (3, 4), (5,)), 2, CacheCounters())
         reader = ExecutionCache(max_entries=16, backend=backend)
-        assert reader.get_consistency(((1, 2), (3, 4), (5,))) == 2
-        assert reader.counters().consistency_hits == 1
-        assert reader.counters().warm_hits == 1
+        counters = CacheCounters()
+        assert reader.get_consistency(((1, 2), (3, 4), (5,)), counters) == 2
+        assert counters.consistency_hits == 1
+        assert counters.warm_hits == 1
         backend.close()
 
     def test_memory_backend_never_touches_digests(self):
         cache = ExecutionCache(max_entries=4, backend=InProcessBackend())
         assert cache.backend is None  # non-persistent: dropped entirely
         assert cache.backend_name == "memory"
-        cache.put(("base",), (1,), 1, ("a",), None)
-        assert cache.get(("base",), (1,), 1) is not None
-        assert cache.counters().warm_hits == 0
+        counters = CacheCounters()
+        cache.put(("base",), (1,), 1, ("a",), None, counters)
+        assert cache.get(("base",), (1,), 1, counters) is not None
+        assert counters.warm_hits == 0

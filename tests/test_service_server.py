@@ -31,7 +31,7 @@ from repro.synth.synthesizer import Synthesizer
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.server import make_server
 
-from helpers import cards_page, scrape_cards_trace
+from helpers import cards_page, post_unbounded_body, scrape_cards_trace
 
 
 def _boot():
@@ -401,6 +401,23 @@ class TestErrors:
         )
         assert status == 400
         assert envelope.code == "bad_request"
+        assert service.stats()["sessions"] == 0
+
+    def test_unbounded_body_is_a_prompt_413_and_the_server_keeps_serving(self, service):
+        from repro.protocol.codec import DEFAULT_CODEC
+        from repro.protocol.messages import ErrorEnvelope, from_wire
+
+        status, headers, body, elapsed = post_unbounded_body(
+            service.host, service.port, "/v1/sessions"
+        )
+        assert status == 413
+        assert elapsed < 5.0
+        assert headers["connection"] == "close"
+        envelope = from_wire(DEFAULT_CODEC.decode_payload(body))
+        assert isinstance(envelope, ErrorEnvelope)
+        assert envelope.code == "too_large"
+        response, _ = _raw_get(service, "/healthz")
+        assert response.status == 200
         assert service.stats()["sessions"] == 0
 
     def test_unroutable_path_is_a_404(self, service):
