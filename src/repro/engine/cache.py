@@ -58,14 +58,20 @@ level behind the in-memory tables: lookups that miss in memory consult
 the backend (a hit *warm-starts* the entry back into memory and counts
 as ``warm_hits``), and every recorded outcome is written through,
 addressed by the :func:`~repro.engine.keys.stable_digest` of its full
-value key.  The default in-process backend is a no-op; the file backend
-persists executions across process boundaries and restarts, and several
-worker processes pointing at one store share each other's work.  Each
-lookup reads its backend rows in one batch (``load_entries`` /
-``load_consistencies``): an execution miss its exact and terminal rows,
-a consistency check its full key and lookback prefixes
-(:meth:`ExecutionCache.prefetch_consistency`) — one round trip per
-probe on a networked tier.
+value key.  Without one (``memory``, the default) the cache computes no
+digests at all; the file backend persists executions across process
+boundaries and restarts, and several worker processes pointing at one
+store share each other's work.
+
+Backends keep payload rows (:mod:`repro.engine.rows`), and this cache
+is the one place where entries become rows and rows become entries,
+always with no lock held.  A row that does not decode is a miss; an
+entry that cannot become a row stays in memory only.  Each lookup reads
+its rows in one batch
+(:meth:`~repro.service.backends.CacheBackend.load_payloads`): an
+execution miss its exact and terminal rows, a consistency check its
+full key and lookback prefixes (:meth:`ExecutionCache.
+prefetch_consistency`) — one round trip per probe on a networked tier.
 """
 
 from __future__ import annotations
@@ -77,6 +83,15 @@ from typing import Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.engine.keys import stable_digest
+from repro.engine.rows import (
+    CONSISTENCY,
+    EXACT,
+    TERMINAL,
+    StepInterner,
+    decode_consistency,
+    decode_entry,
+    entry_to_payload,
+)
 from repro.obs import metrics as obs_metrics
 from repro.semantics.env import Env
 from repro.util.env import env_int
@@ -95,9 +110,6 @@ def _promotion_counter():
             ("kind",),
         )
     return _promotions
-
-#: Backend entry kinds (mirrors :mod:`repro.service.backends`).
-_EXACT, _TERMINAL, _CONSISTENCY = 0, 1, 2
 
 
 @dataclass
@@ -339,12 +351,12 @@ class ExecutionCache:
     (:func:`session_token`), and a hit on an entry another session
     recorded counts as ``cross_session_hits``.  An optional persistent
     ``backend`` extends the same sharing across worker processes: it is
-    consulted on in-memory misses and written through on every insert.
-    A non-persistent one is dropped, so the hot path never computes
-    store digests for nothing.
+    consulted on in-memory misses and written through on every insert;
+    ``None`` means no backend, and the hot path then computes no store
+    digests.
 
     Backend reads are two-phase: the in-memory probe runs under the
-    lock, the store read and decode run with *no* lock held (so cold
+    lock, the row read and decode run with *no* lock held (so cold
     lookups overlap their I/O instead of serializing behind it), and
     the promote step re-takes the lock, re-checks memory (a racing
     thread may have promoted first) and settles hit/miss counting
@@ -377,8 +389,10 @@ class ExecutionCache:
             raise ValueError("byte threshold must be positive")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._backend = backend if backend is not None and backend.persistent else None
+        self._backend = backend
         self.backend_name = backend.name if backend is not None else "memory"
+        # decodes the step rows of every payload this cache reads
+        self._interner = StepInterner()
         self._lock = threading.Lock()
         # recency reordering only pays off once a table could actually
         # evict something hot; below half capacity a hit is left in place
@@ -538,18 +552,18 @@ class ExecutionCache:
         Touches only the backend (which synchronizes itself), never the
         tables — safe to run while other threads hold the lock.  The
         exact and terminal rows go out in one backend batch (one round
-        trip on a networked tier), or come from ``fetched``
-        (:meth:`prefetch_entries`) when it holds them all; an exact hit
-        wins, exactly as if the terminal row had never been read.
-        Returns ``(exact_payload, terminal_payload)``.
+        trip on a networked tier) and are decoded here, or come decoded
+        from ``fetched`` (:meth:`prefetch_entries`) when it holds them
+        all; an exact hit wins, exactly as if the terminal row had never
+        been read.  Returns ``(exact_payload, terminal_payload)``.
         """
-        rows = [(_EXACT, probe.exact_digest)]
+        rows = [(EXACT, probe.exact_digest)]
         if probe.terminal_digest is not None:
-            rows.append((_TERMINAL, probe.terminal_digest))
+            rows.append((TERMINAL, probe.terminal_digest))
         if fetched is not None and all(digest in fetched for _, digest in rows):
             loaded = [fetched[digest] for _, digest in rows]
         else:
-            loaded = self._backend.load_entries(rows)
+            loaded = self._read_entries(rows)
         if loaded[0] is not None or len(loaded) == 1:
             return loaded[0], None
         return None, loaded[1]
@@ -600,6 +614,14 @@ class ExecutionCache:
         counters.misses += 1
         return None
 
+    def _read_entries(self, rows: list) -> list:
+        """Decoded entries for backend rows (no lock held); a missing,
+        corrupt or foreign row is ``None``."""
+        return [
+            decode_entry(payload, self._interner)
+            for payload in self._backend.load_payloads(rows)
+        ]
+
     def _store_digest(self, tag: str, base: tuple, *rest) -> bytes:
         """The backend address of a key, with the base digest memoized."""
         base_digest = self._base_digests.get(base)
@@ -615,7 +637,7 @@ class ExecutionCache:
         """Read the backend rows of upcoming :meth:`get` calls in one batch.
 
         Each lookup is ``(base, window_keys, budget)``; one that memory
-        answers now reads nothing.  Returns ``{digest: payload or
+        answers now reads nothing.  Returns ``{digest: decoded entry or
         None}`` for every row read (empty without a backend or with
         nothing to read).  Counts nothing, touches nothing: each
         :meth:`get` still settles its own hit or miss, in the caller's
@@ -632,12 +654,12 @@ class ExecutionCache:
                 if entry is not None and _terminal_applies(entry, window_keys, budget):
                     continue
                 probe = self._probe(base, window_keys, budget, entry)
-                rows[probe.exact_digest] = _EXACT
+                rows[probe.exact_digest] = EXACT
                 if probe.terminal_digest is not None:
-                    rows[probe.terminal_digest] = _TERMINAL
+                    rows[probe.terminal_digest] = TERMINAL
         if not rows:
             return {}
-        loaded = self._backend.load_entries([(kind, digest) for digest, kind in rows.items()])
+        loaded = self._read_entries([(kind, digest) for digest, kind in rows.items()])
         return dict(zip(rows, loaded))
 
     def put(
@@ -687,9 +709,9 @@ class ExecutionCache:
                 _Entry(actions, env, None, owner=session),
                 counters,
             )
-            if backend is not None and backend.should_persist(_EXACT, cost):
+            if backend is not None and backend.should_persist(EXACT, cost):
                 digest = self._store_digest("exact", base, window_keys, budget)
-                writes.append((_EXACT, digest, None, False))
+                writes.append((EXACT, digest, None, False))
             if terminated:
                 self._insert(
                     "terminal",
@@ -697,9 +719,9 @@ class ExecutionCache:
                     _Entry(actions, env, examined, exact_budget_ok, owner=session),
                     counters,
                 )
-                if backend is not None and backend.should_persist(_TERMINAL, None):
+                if backend is not None and backend.should_persist(TERMINAL, None):
                     digest = self._store_digest("terminal", base, window_keys[0])
-                    writes.append((_TERMINAL, digest, examined, exact_budget_ok))
+                    writes.append((TERMINAL, digest, examined, exact_budget_ok))
             elif continuation is not None and continuation[0] > 0:
                 # absorbed mid-loop: record the resume point.  In-memory
                 # only — the state tuple holds live Env/selector objects
@@ -717,11 +739,17 @@ class ExecutionCache:
                     ),
                     counters,
                 )
-        # write through with no lock held: the backend synchronizes
-        # itself, and a full write buffer flushes over the network on a
-        # remote tier
+        # encode and write through with no lock held: the backend
+        # synchronizes itself, and a full write buffer flushes over the
+        # network on a remote tier
         for kind, digest, examined_keys, budget_ok in writes:
-            backend.store_entry(kind, digest, actions, env, examined_keys, budget_ok)
+            try:
+                payload = entry_to_payload(actions, env, examined_keys, budget_ok)
+            except (TypeError, AttributeError, ValueError):
+                # values outside the row vocabulary (unit-test stubs,
+                # future extensions): the in-memory tables still hold them
+                continue
+            backend.store_payload(kind, digest, payload)
 
     def get_continuation(
         self,
@@ -783,7 +811,7 @@ class ExecutionCache:
         if fetched is not None and key in fetched:
             loaded = fetched[key]
         else:
-            loaded = self._backend.load_consistencies([_consistency_digest(key)])[0]
+            loaded = self._read_consistencies([key])[0]
         with self._lock:
             # a racing thread may have promoted the key meanwhile
             value = self._consistency_hit(key, counters, session)
@@ -833,10 +861,15 @@ class ExecutionCache:
                         missing[key] = None
         if not missing:
             return {}
-        values = self._backend.load_consistencies(
-            [_consistency_digest(key) for key in missing]
+        return dict(zip(missing, self._read_consistencies(missing)))
+
+    def _read_consistencies(self, keys) -> list:
+        """Stored consistency values for memo keys (no lock held); a
+        missing or malformed row is ``None``."""
+        payloads = self._backend.load_payloads(
+            [(CONSISTENCY, _consistency_digest(key)) for key in keys]
         )
-        return dict(zip(missing, values))
+        return [decode_consistency(payload) for payload in payloads]
 
     def put_consistency(
         self,
@@ -849,7 +882,9 @@ class ExecutionCache:
         with self._lock:
             self._insert("consistency", key, (value, session), counters)
         if self._backend is not None:  # no lock held, as in put
-            self._backend.store_consistency(_consistency_digest(key), value)
+            self._backend.store_payload(
+                CONSISTENCY, _consistency_digest(key), {"v": value}
+            )
 
     # ------------------------------------------------------------------
     # Table maintenance (under the lock)
@@ -1049,9 +1084,10 @@ def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
 
     ``backend_name`` is resolved by
     :func:`repro.service.backends.resolve_backend` (``None`` means
-    ``REPRO_CACHE_BACKEND``), and every caller resolving to the same
-    backend shares one instance.  Sized by the :class:`ExecutionCache`
-    defaults (65536 entries per table, 512 interned snapshots) plus
+    ``REPRO_CACHE_BACKEND``; ``memory`` resolves to no backend), and
+    every caller resolving to the same backend shares one instance.
+    Sized by the :class:`ExecutionCache` defaults (65536 entries per
+    table, 512 interned snapshots) plus
     ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
     tables; unset = count-bounded only).
     """

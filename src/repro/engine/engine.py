@@ -129,7 +129,8 @@ class ExecutionEngine:
         resolved ``cache_backend`` (:func:`repro.engine.cache.
         process_cache`).  The Table 1 "No incremental" ablation
         (``incremental=False``) instead gets a fresh cache over the same
-        backend, so every from-scratch call also starts cold.
+        backend (none for ``memory``), so every from-scratch call also
+        starts cold.
         """
         from repro.service.backends import resolve_backend
         from repro.synth.config import resolved_cache_backend

@@ -7,10 +7,9 @@ machines the way ``--backend file`` shares them across processes on one
 machine.
 
 The data plane is two POST routes carrying *store-codec payloads* —
-the same codec-ready dicts :func:`~repro.service.backends.entry_to_payload`
-produces, with digests hex-encoded, as zlib-compressed canonical JSON
-— so the server relays rows without ever decoding entries into actions
-and environments:
+the payload rows of :mod:`repro.engine.rows`, with digests
+hex-encoded, as zlib-compressed canonical JSON — so the server relays
+rows without ever decoding entries into actions and environments:
 
 ==============================  ========================================
 ``POST /v1/cache/get``          ``{"k": [[kind, key_hex], ...]}`` →
@@ -48,6 +47,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import (
     DEFAULT_CODEC,
@@ -63,8 +63,8 @@ from repro.service.backends import FileBackend, default_store_path
 #: block starting at the service's 8738.
 DEFAULT_CACHE_PORT = 8799
 
-#: Entry kinds a put may carry (EXACT / TERMINAL / CONSISTENCY).
-_VALID_KINDS = (0, 1, 2)
+#: Entry kinds a row may carry.
+_VALID_KINDS = (EXACT, TERMINAL, CONSISTENCY)
 
 #: Hard per-request row cap: a runaway batch degrades to 400, not OOM.
 MAX_BATCH = 4096
@@ -113,6 +113,8 @@ class CacheServer(ThreadingHTTPServer):
 class _CacheHandler(BaseHTTPRequestHandler):
     server_version = "repro-cache/1"
     protocol_version = "HTTP/1.1"
+    #: ``(op, start)`` of the POST whose latency is not yet published.
+    _timing: Optional[tuple[str, float]] = None
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -132,8 +134,20 @@ class _CacheHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
+        # publish before any byte of the reply leaves: a client that
+        # has read its reply then finds the request in /v1/metrics
+        self._publish()
         self.end_headers()
         self.wfile.write(body)
+
+    def _publish(self) -> None:
+        """Observe the pending POST's latency, once."""
+        timing, self._timing = self._timing, None
+        if timing is not None:
+            op, started = timing
+            _CacheServerMetrics.get().latency.labels(op=op).observe(
+                time.perf_counter() - started
+            )
 
     def _error(self, op: str, message: str, status: int = 400) -> None:
         _CacheServerMetrics.get().requests.labels(
@@ -179,10 +193,10 @@ class _CacheHandler(BaseHTTPRequestHandler):
             self._error("get", f"no route {self.path}", 404)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        started = time.perf_counter()
         # one label for the request counter and the latency histogram:
         # an unknown route is neither a get nor a put
         op = _POST_OPS.get(self.path, "post")
+        self._timing = (op, time.perf_counter())
         try:
             if op == "get":
                 self._get(self._body())
@@ -201,9 +215,7 @@ class _CacheHandler(BaseHTTPRequestHandler):
             self._error(op, str(exc))
             return
         finally:
-            _CacheServerMetrics.get().latency.labels(op=op).observe(
-                time.perf_counter() - started
-            )
+            self._publish()  # a request that never replied
 
     # ------------------------------------------------------------------
     def _get(self, payload: dict) -> None:
@@ -215,7 +227,7 @@ class _CacheHandler(BaseHTTPRequestHandler):
         entries = []
         for row in keys:
             kind, key = self._parse_key(row)
-            found = store.load_payload(key)
+            found = store.load_payload(kind, key)
             metrics.requests.labels(
                 op="get", outcome="hit" if found is not None else "miss"
             ).inc()

@@ -1,10 +1,13 @@
 """A process-wide keep-alive HTTP connection pool.
 
-Every HTTP hop in the fleet — :class:`~repro.service.client.ServiceClient`
-driving workers, :class:`~repro.fleet.remote.RemoteBackend` probing the
-cache tier, the rebalancer scraping metrics — goes through one shared
-pool: idle connections are parked per ``(host, port)`` and handed back
-out instead of paying a fresh TCP handshake per request.
+The fleet's request hops — :class:`~repro.service.client.ServiceClient`
+driving workers and :class:`~repro.fleet.remote.RemoteBackend` probing
+the cache tier — go through one shared pool: idle connections are
+parked per ``(host, port)`` and handed back out instead of paying a
+fresh TCP handshake per request.  Metric scrapes
+(:func:`repro.fleet.metrics.scrape_text`, which the rebalancer and
+``repro metrics --fleet`` use) open a connection of their own per
+scrape.
 
 The discipline is acquire / release / discard:
 

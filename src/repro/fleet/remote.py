@@ -1,9 +1,10 @@
 """``remote://host:port``: the execution cache over the fleet cache tier.
 
 :class:`RemoteBackend` implements the
-:class:`~repro.service.backends.CacheBackend` seam against a
-``repro cache-serve`` process.  The engine's two-phase probe already
-runs backend lookups *outside* the cache lock
+:class:`~repro.service.backends.CacheBackend` row seam against a
+``repro cache-serve`` process: payload rows in, payload rows out, the
+same rows the cache server relays.  The engine's two-phase probe
+already runs backend lookups *outside* the cache lock
 (:meth:`repro.engine.cache.ExecutionCache.get`), so the
 network round trip here never stalls other sessions' in-memory hits.
 
@@ -34,9 +35,8 @@ Writes buffer client-side (deduplicated by digest) and flush as one
 batched ``POST /v1/cache/put`` every ``flush_every`` distinct keys and
 on :meth:`RemoteBackend.flush` (the worker-exit and session-close
 paths), so the per-entry wire cost amortizes.  Reads are batched the
-same way: :meth:`RemoteBackend.load_entries` and
-:meth:`RemoteBackend.load_consistencies` serve the process's own
-pending writes directly and send every other row in one
+same way: :meth:`RemoteBackend.load_payloads` serves the process's own
+pending writes directly and sends every other row in one
 ``POST /v1/cache/get``.
 
 Telemetry: ``repro_remote_requests_total{op,outcome}``,
@@ -56,18 +56,14 @@ from http.client import HTTPException
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
+from repro.engine.rows import EXACT
+from repro.fleet.cache_server import DEFAULT_CACHE_PORT
 from repro.fleet.pool import pool
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError
 from repro.service.backends import (
-    CONSISTENCY,
     DEFAULT_TIER_COST,
-    EXACT,
     CacheBackend,
-    StepInterner,
-    decode_consistency,
-    decode_entry,
-    entry_to_payload,
     register_backend_factory,
     tiering_enabled,
 )
@@ -195,7 +191,6 @@ class RemoteBackend(CacheBackend):
     """The ``CacheBackend`` seam over a ``repro cache-serve`` tier."""
 
     name = "remote"
-    persistent = True
 
     def __init__(
         self,
@@ -211,7 +206,7 @@ class RemoteBackend(CacheBackend):
             raise ValueError(f"bad remote backend URL {url!r}")
         self.url = url
         self.host = parts.hostname
-        self.port = parts.port or 8799  # DEFAULT_CACHE_PORT (import cycle)
+        self.port = parts.port or DEFAULT_CACHE_PORT
         self.timeout = (
             env_float("REPRO_REMOTE_TIMEOUT", DEFAULT_TIMEOUT)
             if timeout is None
@@ -243,7 +238,6 @@ class RemoteBackend(CacheBackend):
         # store; the client just avoids shipping trivially-recomputable
         # rows over the wire)
         self.tier_cost = DEFAULT_TIER_COST if tiering_enabled() else -1
-        self.interner = StepInterner()
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by digest: kind + codec payload.
         self._pending: dict[bytes, tuple[int, dict]] = {}
@@ -251,7 +245,8 @@ class RemoteBackend(CacheBackend):
         self._remote_entries = 0
         self._remote_bytes = 0
         #: Telemetry (mirrors the FileBackend counter names so
-        #: ``/v1/stats`` and ``--stats`` need no special cases).
+        #: ``/v1/stats`` and ``--stats`` need no special cases):
+        #: ``load_hits`` counts rows found, as the file store does.
         self.loads = 0
         self.load_hits = 0
         self.stores = 0
@@ -330,18 +325,7 @@ class RemoteBackend(CacheBackend):
     # ------------------------------------------------------------------
     # The CacheBackend seam
     # ------------------------------------------------------------------
-    def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        return self.load_entries([(kind, key)])[0]
-
-    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
-        entries = [
-            decode_entry(payload, self.interner)
-            for payload in self._get_payloads(rows)
-        ]
-        self.load_hits += sum(1 for entry in entries if entry is not None)
-        return entries
-
-    def _get_payloads(self, rows: Sequence[tuple[int, bytes]]) -> list:
+    def load_payloads(self, rows: Sequence[tuple[int, bytes]]) -> list:
         """Payloads for ``(kind, key)`` rows, in order.
 
         Our own buffered writes are served locally; every other row goes
@@ -359,19 +343,18 @@ class RemoteBackend(CacheBackend):
                     payloads[index] = pending[1]
                 else:
                     remote.append(index)
-        if not remote:
-            return payloads
-        result = self._post(
-            "/v1/cache/get",
-            {"k": [[rows[index][0], rows[index][1].hex()] for index in remote]},
-            op="get",
-        )
-        entries = result.get("e") if result is not None else None
-        if not isinstance(entries, list) or len(entries) != len(remote):
-            return payloads
-        for index, payload in zip(remote, entries):
-            if isinstance(payload, dict):
-                payloads[index] = payload
+        if remote:
+            result = self._post(
+                "/v1/cache/get",
+                {"k": [[rows[index][0], rows[index][1].hex()] for index in remote]},
+                op="get",
+            )
+            entries = result.get("e") if result is not None else None
+            if isinstance(entries, list) and len(entries) == len(remote):
+                for index, payload in zip(remote, entries):
+                    if isinstance(payload, dict):
+                        payloads[index] = payload
+        self.load_hits += sum(1 for payload in payloads if payload is not None)
         return payloads
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
@@ -382,32 +365,8 @@ class RemoteBackend(CacheBackend):
         self.tier_skips += 1
         return False
 
-    def store_entry(
-        self, kind, key, actions, env, examined, exact_budget_ok
-    ) -> None:
-        try:
-            payload = entry_to_payload(actions, env, examined, exact_budget_ok)
-        except (TypeError, AttributeError, ValueError):
-            self.encode_errors += 1
-            return
-        self._buffer(kind, key, payload)
-
-    def load_consistency(self, key: bytes) -> Optional[int]:
-        return self.load_consistencies([key])[0]
-
-    def load_consistencies(self, keys: Sequence[bytes]) -> list:
-        values = [
-            decode_consistency(payload)
-            for payload in self._get_payloads([(CONSISTENCY, key) for key in keys])
-        ]
-        self.load_hits += sum(1 for value in values if value is not None)
-        return values
-
-    def store_consistency(self, key: bytes, value: int) -> None:
-        self._buffer(CONSISTENCY, key, {"v": value})
-
-    # ------------------------------------------------------------------
-    def _buffer(self, kind: int, key: bytes, payload: dict) -> None:
+    def store_payload(self, kind: int, key: bytes, payload: dict) -> None:
+        """Buffer one payload row; a full buffer flushes as one put."""
         with self._lock:
             self._pending[key] = (kind, payload)
             if len(self._pending) < self.flush_every:

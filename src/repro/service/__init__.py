@@ -4,8 +4,9 @@ This package turns the synthesizer into a servable, multi-process
 system:
 
 * :mod:`repro.service.backends` — the pluggable execution-cache
-  backends (in-process, file-backed persistent, shared across worker
-  processes) behind the value-addressed keys of
+  backends (a file-backed persistent store, shared across worker
+  processes, and the ``remote://`` fleet tier) that keep the cache's
+  payload rows under the value-addressed keys of
   :mod:`repro.engine.keys`.
 * :mod:`repro.service.sessions` — the session manager driving one
   incremental :class:`~repro.synth.synthesizer.Synthesizer` per
@@ -25,7 +26,6 @@ explicitly by their users.
 from repro.service.backends import (  # noqa: F401
     CacheBackend,
     FileBackend,
-    InProcessBackend,
     default_store_path,
     resolve_backend,
 )

@@ -8,12 +8,11 @@ seam that exploits this: the cache consults it on an in-memory miss and
 writes every new outcome through it, addressed by the
 :func:`~repro.engine.keys.stable_digest` of the full value key.
 
-Three backends:
-
-:class:`InProcessBackend`
-    The default: nothing beyond the in-memory tables — byte-for-byte
-    today's behavior.  ``persistent`` is False, so the cache skips
-    digest computation entirely.
+Backends store *payload rows* (:mod:`repro.engine.rows`): codec-ready
+dicts addressed by ``(kind, digest)``.  The cache turns entries into
+rows and rows back into entries; a backend only keeps rows.
+``memory`` (the default) resolves to no backend at all, and the cache
+then never computes a store digest.  The backends:
 
 :class:`FileBackend`
     A persistent store over one SQLite file (stdlib ``sqlite3``, WAL
@@ -21,12 +20,13 @@ Three backends:
     sessions — or prior *processes*.  Rows are written in the store
     codec (:mod:`repro.protocol.codec`: canonical JSON under zlib, ~10×
     smaller than plain JSON); reads sniff the codec per row, so stores
-    that still hold plain JSON rows keep serving.  The store is size-tiered: terminal/whole-program outcomes and
-    consistency memos always persist, while cheap exact interior
-    entries (bounded cost at or below the tier threshold) are
-    recomputed rather than stored.  Eviction is byte-accounted against
-    ``max_bytes``, incremental (running totals, no full-table scans)
-    and tier-aware: cheap tiers drop first.
+    that still hold plain JSON rows keep serving.  The store is
+    size-tiered: terminal/whole-program outcomes and consistency memos
+    always persist, while cheap exact interior entries (bounded cost at
+    or below the tier threshold) are recomputed rather than stored.
+    Eviction is byte-accounted against ``max_bytes``, incremental
+    (running totals, no full-table scans) and tier-aware: cheap tiers
+    drop first.
 
 Shared use
     Pointing several worker processes at one store *is* the shared
@@ -57,19 +57,10 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.dom.xpath import CHILD, DESC, ConcreteSelector, Predicate, Step, TokenPredicate
-from repro.lang.actions import Action
-from repro.lang.ast import SEL_VAR, ValuePath, Var
+from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
-from repro.semantics.env import Env
 from repro.util.env import env_int
-
-#: Entry kinds.  Stored in the ``kind`` column for store introspection
-#: and tier-aware eviction — lookups key on the digest alone, whose
-#: input already carries the kind tag, so kinds can never collide even
-#: without a column filter.
-EXACT, TERMINAL, CONSISTENCY = 0, 1, 2
 
 #: Default store eviction threshold: 256 MiB of payload bytes.
 DEFAULT_MAX_BYTES = 256 << 20
@@ -153,211 +144,30 @@ class _StoreMetrics:
 
 
 # ----------------------------------------------------------------------
-# Payload conversion (exact structural values — no string round-trips)
-# ----------------------------------------------------------------------
-class StepInterner:
-    """Payload rows for :class:`Step` objects, and a bounded memo back.
-
-    Encode side: :meth:`step_to_row` builds a step's six-field row.
-    Decode side: maps rows back to interned :class:`Step` objects,
-    skipping Predicate/Step re-construction — restored selectors repeat
-    the same few steps thousands of times (every card of a list page
-    shares most of its raw path).
-
-    The decode memo is bounded as an LRU (hits migrate to the back once
-    the table passes half capacity; the oldest entry drops when full),
-    owned per backend instance, so one backend's traffic can never
-    flush another's hot steps mid-decode.  Losing an entry only costs
-    reconstruction.
-    """
-
-    __slots__ = ("capacity", "_steps")
-
-    def __init__(self, capacity: int = 1 << 15) -> None:
-        self.capacity = capacity
-        self._steps: dict[tuple, Step] = {}
-
-    @staticmethod
-    def step_to_row(step: Step) -> list:
-        pred = step.pred
-        return [
-            step.axis == DESC,
-            pred.tag,
-            pred.attr,
-            pred.value,
-            type(pred) is TokenPredicate,
-            step.index,
-        ]
-
-    def row_to_step(self, row: list) -> Step:
-        key = tuple(row)
-        steps = self._steps
-        step = steps.get(key)
-        if step is None:
-            desc, tag, attr, value, token, index = key
-            pred_type = TokenPredicate if token else Predicate
-            step = Step(DESC if desc else CHILD, pred_type(tag, attr, value), index)
-            if len(steps) >= self.capacity:
-                del steps[next(iter(steps))]
-            steps[key] = step
-        elif len(steps) > (self.capacity >> 1):
-            steps[key] = steps.pop(key)
-        return step
-
-
-#: Fallback interner behind the module-level conversion functions
-#: (tests and tools call them without a backend).  Backends own their
-#: own instance.
-_DEFAULT_INTERNER = StepInterner()
-
-
-def _steps_to_payload(steps: tuple[Step, ...]) -> list:
-    row = StepInterner.step_to_row
-    return [row(step) for step in steps]
-
-
-def _steps_from_payload(payload: list, interner: StepInterner) -> tuple[Step, ...]:
-    step = interner.row_to_step
-    return tuple(step(item) for item in payload)
-
-
-def action_to_payload(action: Action) -> list:
-    """One action as a codec-ready value (structural, lossless)."""
-    selector = (
-        None if action.selector is None else _steps_to_payload(action.selector.steps)
-    )
-    path = None if action.path is None else list(action.path.accessors)
-    return [action.kind, selector, action.text, path]
-
-
-def action_from_payload(
-    payload: list, interner: Optional[StepInterner] = None
-) -> Action:
-    """Rebuild an action from :func:`action_to_payload` output."""
-    interner = interner or _DEFAULT_INTERNER
-    kind, selector, text, path = payload
-    return Action(
-        kind,
-        None
-        if selector is None
-        else ConcreteSelector(_steps_from_payload(selector, interner)),
-        text,
-        None if path is None else ValuePath(None, tuple(path)),
-    )
-
-
-def env_to_payload(env: Optional[Env]) -> Optional[list]:
-    """An environment's bindings as a codec-ready value."""
-    if env is None:
-        return None
-    bindings = []
-    for var, binding in env.fingerprint():
-        if isinstance(binding, ConcreteSelector):
-            bindings.append(
-                [var.kind, var.uid, _steps_to_payload(binding.steps)]
-            )
-        else:  # a concrete ValuePath
-            bindings.append([var.kind, var.uid, list(binding.accessors)])
-    return bindings
-
-
-def env_from_payload(
-    payload: Optional[list], interner: Optional[StepInterner] = None
-) -> Optional[Env]:
-    """Rebuild an environment from :func:`env_to_payload` output."""
-    if payload is None:
-        return None
-    interner = interner or _DEFAULT_INTERNER
-    bindings = {}
-    for kind, uid, value in payload:
-        var = Var(kind, uid)
-        if kind == SEL_VAR:
-            bindings[var] = ConcreteSelector(_steps_from_payload(value, interner))
-        else:
-            bindings[var] = ValuePath(None, tuple(value))
-    return Env(bindings)
-
-
-def entry_to_payload(
-    actions: tuple,
-    env: Env,
-    examined: Optional[tuple[int, ...]],
-    exact_budget_ok: bool,
-) -> dict:
-    """An execution-cache entry as a codec-ready dict."""
-    payload: dict = {
-        "a": [action_to_payload(action) for action in actions],
-        "e": env_to_payload(env),
-    }
-    if examined is not None:
-        payload["x"] = list(examined)
-    if exact_budget_ok:
-        payload["ok"] = True
-    return payload
-
-
-def entry_from_payload(
-    payload: dict, interner: Optional[StepInterner] = None
-) -> tuple:
-    """``(actions, env, examined, exact_budget_ok)`` back from a payload."""
-    interner = interner or _DEFAULT_INTERNER
-    actions = tuple(action_from_payload(item, interner) for item in payload["a"])
-    env = env_from_payload(payload["e"], interner)
-    examined = tuple(payload["x"]) if "x" in payload else None
-    return actions, env, examined, bool(payload.get("ok", False))
-
-
-def decode_entry(
-    payload: Optional[dict], interner: Optional[StepInterner] = None
-) -> Optional[tuple]:
-    """:func:`entry_from_payload`, with a missing, corrupt or foreign
-    payload read as a miss (``None``) instead of raising."""
-    if payload is None:
-        return None
-    try:
-        return entry_from_payload(payload, interner)
-    except (KeyError, TypeError, ValueError, IndexError):
-        return None
-
-
-def decode_consistency(payload: Optional[dict]) -> Optional[int]:
-    """The value of a consistency-memo payload, or ``None``."""
-    if payload is None or not isinstance(payload.get("v"), int):
-        return None
-    return payload["v"]
-
-
-# ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
 class CacheBackend:
     """The persistence seam behind the in-memory execution cache.
 
-    The cache addresses the store by the stable digest of a full value
-    key and speaks *decoded* entries — the codec is the backend's
-    business, so the engine layer never depends on a wire format.
-    ``persistent`` tells the cache whether computing those digests is
-    worth anything at all.
+    A backend keeps payload rows: ``kind`` is :data:`EXACT`,
+    :data:`TERMINAL` or :data:`CONSISTENCY`, ``digest`` the
+    :func:`~repro.engine.keys.stable_digest` of the full value key, and
+    the payload a codec-ready dict.  Turning entries into rows and back
+    is the cache's business, so the file store and the remote tier keep
+    the same rows the cache server relays.
     """
 
     #: Short name surfaced in telemetry (``repro synthesize --stats``).
     name: str = "backend"
-    #: Whether the backend can answer across processes/restarts.  False
-    #: lets the cache skip digest computation entirely.
-    persistent: bool = False
 
-    def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        """``(actions, env, examined, exact_budget_ok)`` or ``None``."""
+    def load_payloads(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        """One payload dict or ``None`` per ``(kind, digest)`` row, in
+        order — one batch, so one round trip on a networked tier."""
         raise NotImplementedError
 
-    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
-        """:meth:`load_entry` for each ``(kind, key)`` row, in order.
-
-        The cache reads through this batch form only; a store that
-        answers several rows in one round trip overrides it, and the
-        base loop serves every other backend.
-        """
-        return [self.load_entry(kind, key) for kind, key in rows]
+    def store_payload(self, kind: int, digest: bytes, payload: dict) -> None:
+        """Write one payload row through to the store (may buffer)."""
+        raise NotImplementedError
 
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         """Whether an entry of this kind and bounded cost is worth storing.
@@ -367,31 +177,6 @@ class CacheBackend:
         base policy persists everything; tiered backends override.
         """
         return True
-
-    def store_entry(
-        self,
-        kind: int,
-        key: bytes,
-        actions: tuple,
-        env: Optional[Env],
-        examined: Optional[tuple[int, ...]],
-        exact_budget_ok: bool,
-    ) -> None:
-        """Write one execution entry through to the store (may buffer)."""
-        raise NotImplementedError
-
-    def load_consistency(self, key: bytes) -> Optional[int]:
-        """A stored consistency-memo value, or ``None``."""
-        raise NotImplementedError
-
-    def load_consistencies(self, keys: Sequence[bytes]) -> list:
-        """:meth:`load_consistency` for each key, in order (batch form,
-        as :meth:`load_entries`)."""
-        return [self.load_consistency(key) for key in keys]
-
-    def store_consistency(self, key: bytes, value: int) -> None:
-        """Write one consistency-memo value through to the store."""
-        raise NotImplementedError
 
     def flush(self) -> None:
         """Make buffered writes visible to other processes."""
@@ -408,25 +193,6 @@ class CacheBackend:
     def entries(self) -> int:
         """Number of entries currently held by the store."""
         return 0
-
-
-class InProcessBackend(CacheBackend):
-    """Today's behavior: no second level, no digests, no I/O."""
-
-    name = "memory"
-    persistent = False
-
-    def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        return None
-
-    def store_entry(self, kind, key, actions, env, examined, exact_budget_ok) -> None:
-        pass
-
-    def load_consistency(self, key: bytes) -> Optional[int]:
-        return None
-
-    def store_consistency(self, key: bytes, value: int) -> None:
-        pass
 
 
 def tiering_enabled() -> bool:
@@ -473,7 +239,6 @@ class FileBackend(CacheBackend):
     """
 
     name = "file"
-    persistent = True
 
     def __init__(
         self,
@@ -500,15 +265,14 @@ class FileBackend(CacheBackend):
         #: past _TIER_COST_CAP pool in one overflow bucket).
         self._cost_counts: dict[int, int] = {}
         self._cost_samples = 0
-        self.interner = StepInterner()
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by key: a re-store of a pending
         #: key replaces the buffered row instead of appending a
         #: double-counted duplicate.
         self._pending: dict[bytes, tuple[int, bytes, int]] = {}
         self._pending_bytes = 0
-        #: Telemetry: loads answered / attempted, writes, evicted rows,
-        #: entries dropped because their values were not codec-encodable,
+        #: Telemetry: rows found / asked for, writes, evicted rows,
+        #: payloads dropped because the codec could not encode them,
         #: I/O errors degraded to misses, and writes the tier policy
         #: skipped.
         self.load_hits = 0
@@ -545,15 +309,6 @@ class FileBackend(CacheBackend):
         atexit.register(self.flush)
 
     # ------------------------------------------------------------------
-    def load_entry(self, kind: int, key: bytes) -> Optional[tuple]:
-        return self.load_entries([(kind, key)])[0]
-
-    def load_entries(self, rows: Sequence[tuple[int, bytes]]) -> list:
-        return [
-            decode_entry(payload, self.interner)
-            for payload in self.load_payloads([key for _, key in rows])
-        ]
-
     def should_persist(self, kind: int, cost: Optional[int]) -> bool:
         if kind != EXACT or self.tier_cost < 0:
             return True
@@ -599,41 +354,21 @@ class FileBackend(CacheBackend):
         self.tier_cost = max(TIER_COST_FLOOR, min(TIER_COST_CEIL, derived))
         _StoreMetrics.get().tier_cost.set(self.tier_cost)
 
-    def store_entry(
-        self, kind, key, actions, env, examined, exact_budget_ok
-    ) -> None:
-        try:
-            payload = entry_to_payload(actions, env, examined, exact_budget_ok)
-        except (TypeError, AttributeError, ValueError):
-            # values outside the codec vocabulary (unit-test stubs,
-            # future extensions): the in-memory tables still hold them
-            self.encode_errors += 1
-            return
-        self._store(kind, key, payload)
-
-    def load_consistency(self, key: bytes) -> Optional[int]:
-        return self.load_consistencies([key])[0]
-
-    def load_consistencies(self, keys: Sequence[bytes]) -> list:
-        return [decode_consistency(payload) for payload in self.load_payloads(keys)]
-
-    def store_consistency(self, key: bytes, value: int) -> None:
-        self._store(CONSISTENCY, key, {"v": value})
-
     # ------------------------------------------------------------------
-    # Raw payload access: the cache server's seam.  The fleet cache tier
-    # relays codec payload dicts verbatim — it never decodes entries into
-    # actions/envs, so a cache server can serve stores written by any
+    # Payload rows.  The store never decodes entries into actions and
+    # environments, so the cache server relays rows written by any
     # protocol-compatible worker.
     # ------------------------------------------------------------------
-    def load_payload(self, key: bytes) -> Optional[dict]:
-        """The codec payload stored under ``key`` (reads the write buffer
-        first, so a just-put entry is visible before the next flush)."""
-        return self.load_payloads([key])[0]
+    def load_payload(self, kind: int, key: bytes) -> Optional[dict]:
+        """The payload stored under ``key`` (reads the write buffer
+        first, so a just-put row is visible before the next flush)."""
+        return self.load_payloads([(kind, key)])[0]
 
-    def load_payloads(self, keys: Sequence[bytes]) -> list:
-        """:meth:`load_payload` for each key, in order: the write buffer
-        answers first, one ``SELECT … WHERE key IN (…)`` the rest."""
+    def load_payloads(self, rows: Sequence[tuple[int, bytes]]) -> list:
+        """The write buffer answers first, one ``SELECT … WHERE key IN
+        (…)`` the rest.  Lookups key on the digest alone: its input
+        already carries the kind tag."""
+        keys = [key for _, key in rows]
         self.loads += len(keys)
         blobs: dict[bytes, bytes] = {}
         with self._lock:
@@ -679,11 +414,7 @@ class FileBackend(CacheBackend):
         return payloads
 
     def store_payload(self, kind: int, key: bytes, payload: dict) -> None:
-        """Write one codec payload through the buffered store path."""
-        self._store(kind, key, payload)
-
-    # ------------------------------------------------------------------
-    def _store(self, kind: int, key: bytes, payload: dict) -> None:
+        """Encode one payload row into the deduplicated write buffer."""
         try:
             blob = STORE_CODEC.encode_payload(payload)
         except (ProtocolError, TypeError, ValueError):
@@ -819,7 +550,6 @@ class FileBackend(CacheBackend):
 # ----------------------------------------------------------------------
 # Resolution (one backend object per store per process)
 # ----------------------------------------------------------------------
-_MEMORY_BACKEND = InProcessBackend()
 _FILE_BACKENDS: dict[str, FileBackend] = {}
 #: URL-scheme backend factories: scheme -> factory(url) -> CacheBackend.
 #: ``remote`` registers itself on first resolution (lazy import keeps
@@ -852,8 +582,9 @@ def default_store_path() -> str:
 
 def resolve_backend(
     name: Optional[str] = None, path: Optional[str] = None
-) -> CacheBackend:
-    """The backend a name (default: ``REPRO_CACHE_BACKEND``) selects.
+) -> Optional[CacheBackend]:
+    """The backend a name (default: ``REPRO_CACHE_BACKEND``) selects;
+    ``None`` for ``memory``, which keeps only the in-memory tables.
 
     ``file`` backends are cached per resolved path, so every session in
     one process shares a single connection — and worker processes
@@ -862,7 +593,7 @@ def resolve_backend(
     if name is None:
         name = os.environ.get("REPRO_CACHE_BACKEND", "").strip()
     if name in ("", "memory"):
-        return _MEMORY_BACKEND
+        return None
     if name == "file":
         resolved = os.path.abspath(path or default_store_path())
         with _RESOLVE_LOCK:

@@ -126,6 +126,9 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/2"
     protocol_version = "HTTP/1.1"
+    #: ``(route, start)`` of the request whose metrics are not yet
+    #: published.
+    _timing: Optional[tuple[str, float]] = None
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -142,8 +145,22 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
+        # publish before any byte of the reply leaves: a client that
+        # has read its reply then finds the request in /v1/metrics
+        self._publish()
         self.end_headers()
         self.wfile.write(body)
+
+    def _publish(self) -> None:
+        """Record the pending request's route metrics, once."""
+        timing, self._timing = self._timing, None
+        if timing is not None:
+            route, started = timing
+            metrics = _HttpMetrics.get()
+            metrics.latency.labels(route=route).observe(
+                time.perf_counter() - started
+            )
+            metrics.requests.labels(route=route, code=str(self._status)).inc()
 
     def _reply(self, message, status: int = 200) -> None:
         """Encode one protocol message (or a plain gauge dict) and send."""
@@ -202,10 +219,11 @@ class _Handler(BaseHTTPRequestHandler):
         recorded while serving stitch under the caller's trace); a root
         context is minted otherwise.  Any trace noted by an envelope
         decode is cleared afterwards so it cannot leak into the next
-        keep-alive request on this thread.
+        keep-alive request on this thread.  The metrics publish as the
+        reply goes out (:meth:`_publish`), or here if none did.
         """
-        started = time.perf_counter()
         route = metric_route(self.path)
+        self._timing = (route, time.perf_counter())
         ctx = obs_context.parse(self.headers.get(obs_context.HEADER))
         if ctx is None:
             ctx = obs_context.new_root()
@@ -218,11 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
                     handler()
         finally:
             obs_context.take_received()
-            metrics = _HttpMetrics.get()
-            metrics.latency.labels(route=route).observe(
-                time.perf_counter() - started
-            )
-            metrics.requests.labels(route=route, code=str(self._status)).inc()
+            self._publish()
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._observe(self._do_get)

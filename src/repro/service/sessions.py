@@ -397,7 +397,7 @@ class SessionManager:
             "closed_sessions": closed,
             "sessions_evicted": evicted,
             "sessions_imported": imported,
-            "backend": backend.name,
-            "persisted_bytes": backend.persisted_bytes if backend.persistent else 0,
+            "backend": "memory" if backend is None else backend.name,
+            "persisted_bytes": 0 if backend is None else backend.persisted_bytes,
             "totals": totals.to_json(),
         }

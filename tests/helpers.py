@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import functools
 import socket
+import threading
 import time
 import zlib
 
 from hypothesis import strategies as st
 
 from repro.dom import DOMNode, E, page, raw_path, resolve, parse_selector
+from repro.engine.cache import CacheCounters, ExecutionCache
+from repro.engine.keys import stable_digest
 from repro.lang import Action, X, click, enter_data, scrape_text
 from repro.lang.ast import canonical_program
 from repro.protocol.codec import MAX_DECODED_BYTES
@@ -98,6 +101,64 @@ def zlib_bomb() -> bytes:
     parts += [deflater.compress(chunk) for _ in range(MAX_DECODED_BYTES // len(chunk) + 1)]
     parts += [deflater.compress(b'"}'), deflater.flush()]
     return b"".join(parts)
+
+
+#: Payload rows exactly as earlier builds wrote them, with the lookups
+#: that address them: an exact row, a terminal row (examined prefix and
+#: budget flag) and a consistency memo.  Stores outlive builds, so the
+#: row schema and its addressing are a compatibility contract.
+_LITERAL_ACTIONS = [["ScrapeText", [[True, "h3", None, None, False, 1]], None, None]]
+LITERAL_EXACT = (("base",), (101, 102), 1)
+LITERAL_TERMINAL = (("terminal-base",), (101, 102, 103), 3)
+LITERAL_CONSISTENCY = ((1, 2), (3, 4), (5,))
+
+
+def literal_rows() -> list:
+    """``[kind, digest, payload]`` for each literal row."""
+    base, window, budget = LITERAL_EXACT
+    exact = stable_digest(("exact", stable_digest(base), window, budget))
+    base, window, _ = LITERAL_TERMINAL
+    terminal = stable_digest(("terminal", stable_digest(base), window[0]))
+    consistency = stable_digest(("consistency", LITERAL_CONSISTENCY))
+    return [
+        [0, exact, {"a": _LITERAL_ACTIONS, "e": []}],
+        [1, terminal, {"a": _LITERAL_ACTIONS, "e": [], "x": [101, 102], "ok": True}],
+        [2, consistency, {"v": 3}],
+    ]
+
+
+def assert_serves_literal_rows(backend) -> None:
+    """A cold cache over ``backend`` serves every literal row as a warm hit."""
+    cache = ExecutionCache(backend=backend)
+    counters = CacheCounters()
+    expected = ((scrape_text(parse_selector("//h3[1]")),), ())
+    for lookup in (LITERAL_EXACT, LITERAL_TERMINAL):
+        actions, env = cache.get(*lookup, counters)
+        assert (actions, env.fingerprint()) == expected
+    assert cache.get_consistency(LITERAL_CONSISTENCY, counters) == 3
+    assert (counters.exact_hits, counters.prefix_hits, counters.consistency_hits) == (1, 1, 1)
+    assert (counters.warm_hits, counters.misses) == (3, 0)
+
+
+def hold_after_reply(monkeypatch, handler_cls, path: str):
+    """Park the server thread answering ``path`` right after its reply
+    is written, until the returned ``release`` event is set.
+
+    Returns ``(held, release)``: ``held`` is set once the thread is
+    parked, so whatever the handler still does after writing its reply
+    has not happened yet while the client reads that reply.
+    """
+    held, release = threading.Event(), threading.Event()
+    original = handler_cls._reply_bytes
+
+    def reply_then_hold(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self.path == path:
+            held.set()
+            release.wait(timeout=10.0)
+
+    monkeypatch.setattr(handler_cls, "_reply_bytes", reply_then_hold)
+    return held, release
 
 
 def post_unbounded_body(host: str, port: int, path: str):

@@ -16,7 +16,7 @@ bytes, which may differ between zlib builds.  A change to either must
 land as a deliberate ``format_version`` bump with regenerated fixtures.
 
 The back half covers the store-side machinery the codec feeds: the
-per-backend :class:`StepInterner` LRU, the size-tier persistence
+per-cache :class:`StepInterner` LRU, the size-tier persistence
 policy, and mixed-format stores (a store that still holds plain JSON
 rows from older writers keeps serving next to new rows, row by row,
 via the sniff; rows in the deleted 0xC3 format are misses).
@@ -32,8 +32,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dom.xpath import parse_selector
-from repro.engine.cache import reset_process_cache
+from repro.engine.cache import ExecutionCache, reset_process_cache
 from repro.engine.keys import stable_digest
+from repro.engine.rows import (
+    CONSISTENCY,
+    EXACT,
+    TERMINAL,
+    StepInterner,
+    decode_entry,
+    entry_from_payload,
+    entry_to_payload,
+)
 from repro.lang import X, click, enter_data, scrape_text, send_keys
 from repro.lang.ast import SEL_VAR, Var, canonical_program
 from repro.lang.data import EMPTY_DATA
@@ -41,17 +50,11 @@ from repro.protocol.codec import STORE_CODEC, BinaryCodec, JsonCodec, sniff_code
 from repro.protocol.messages import ProtocolError
 from repro.semantics.env import Env
 from repro.service.backends import (
-    CONSISTENCY,
-    EXACT,
-    TERMINAL,
     DEFAULT_TIER_COST,
     TIER_COST_CEIL,
     TIER_COST_FLOOR,
     TIER_RECALC_EVERY,
     FileBackend,
-    StepInterner,
-    entry_from_payload,
-    entry_to_payload,
     flush_backends,
     reset_backends,
 )
@@ -260,7 +263,7 @@ class TestCorruption:
         key = stable_digest(("exact", "flip"))
         bomb_key = stable_digest(("exact", "bomb"))
         actions = (scrape_text(parse_selector("//h3[1]")),)
-        writer.store_entry(EXACT, key, actions, Env(), None, True)
+        writer.store_payload(EXACT, key, entry_to_payload(actions, Env(), None, True))
         writer.flush()
 
         [(_, payload)] = _rows(path).values()
@@ -270,8 +273,8 @@ class TestCorruption:
         _insert_row(path, bomb_key, zlib_bomb())
 
         reader = FileBackend(path, tier_cost=-1)
-        assert reader.load_entry(EXACT, key) is None  # a miss, not a crash
-        assert reader.load_entry(EXACT, bomb_key) is None
+        # misses, not crashes
+        assert reader.load_payloads([(EXACT, key), (EXACT, bomb_key)]) == [None, None]
 
 
 class TestGoldenFixtures:
@@ -335,10 +338,11 @@ class TestStepInterner:
             interner.row_to_step(row)
         assert interner.row_to_step(rows[0]) is hot
 
-    def test_each_backend_owns_its_interner(self, tmp_path):
-        a = FileBackend(tmp_path / "a.sqlite")
-        b = FileBackend(tmp_path / "b.sqlite")
-        assert a.interner is not b.interner
+    def test_each_cache_owns_its_interner(self, tmp_path):
+        backend = FileBackend(tmp_path / "a.sqlite")
+        a = ExecutionCache(backend=backend)
+        b = ExecutionCache(backend=backend)
+        assert a._interner is not b._interner
 
 
 class TestTierPolicy:
@@ -455,23 +459,27 @@ class TestMixedCodecStores:
         binary = FileBackend(path, tier_cost=-1)
         new_key = stable_digest(("exact", "new"))
         new_actions = (scrape_text(parse_selector("//h2[1]")),)
-        binary.store_entry(EXACT, new_key, new_actions, Env(), None, True)
+        new_row = entry_to_payload(new_actions, Env(), None, True)
+        binary.store_payload(EXACT, new_key, new_row)
         binary.flush()
 
+        def actions_at(backend, key):
+            return decode_entry(backend.load_payload(EXACT, key))[0]
+
         reader = FileBackend(path, tier_cost=-1)
-        assert reader.load_entry(EXACT, old_key)[0] == old_actions
-        assert reader.load_entry(EXACT, new_key)[0] == new_actions
-        assert reader.load_entry(EXACT, legacy_key) is None  # a miss
+        assert actions_at(reader, old_key) == old_actions
+        assert actions_at(reader, new_key) == new_actions
+        assert reader.load_payload(EXACT, legacy_key) is None  # a miss
 
         # the recomputed entry overwrites the legacy row in the new format
-        reader.store_entry(EXACT, legacy_key, new_actions, Env(), None, True)
+        reader.store_payload(EXACT, legacy_key, new_row)
         reader.flush()
         rows = _rows(path)
         assert sniff_codec(rows[old_key][1]).name == "json"
         assert sniff_codec(rows[new_key][1]).name == "binary"
         assert sniff_codec(rows[legacy_key][1]).name == "binary"
         again = FileBackend(path, tier_cost=-1)
-        assert again.load_entry(EXACT, legacy_key)[0] == new_actions
+        assert actions_at(again, legacy_key) == new_actions
 
     def test_a_mixed_format_store_proposes_the_memory_backend_programs(
         self, tmp_path, monkeypatch

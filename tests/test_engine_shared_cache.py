@@ -21,6 +21,7 @@ from repro.engine.cache import (
     session_token,
 )
 from repro.engine.index import index_for
+from repro.engine.rows import CONSISTENCY
 from repro.lang import EMPTY_DATA
 from repro.lang.data import DataSource
 from repro.lang.ast import canonical_program
@@ -470,16 +471,19 @@ class TestWarmStartSynthesis:
                 os.environ["REPRO_CACHE_DIR"] = previous
 
 
-class _StubBackend(CacheBackend):
-    """A persistent-looking backend with scriptable loads.
+#: An exact-entry row with no actions and no environment.
+_EMPTY_ROW = {"a": [], "e": None}
 
-    ``payload`` is returned for *every* exact-entry load (None = empty
-    store); ``gate`` runs inside ``load_entry`` — the two-phase tests
-    use a barrier there to prove loads from different threads overlap.
+
+class _StubBackend(CacheBackend):
+    """A backend with scriptable row loads.
+
+    ``payload`` answers *every* execution row (None = empty store);
+    ``gate`` runs inside ``load_payloads`` — the two-phase tests use a
+    barrier there to prove loads from different threads overlap.
     """
 
     name = "stub"
-    persistent = True
 
     def __init__(self, payload=None, gate=None):
         self.payload = payload
@@ -487,23 +491,18 @@ class _StubBackend(CacheBackend):
         self.loads = 0
         self.consistency: dict = {}
 
-    def load_entry(self, kind, key):
+    def load_payloads(self, rows):
         self.loads += 1
         if self.gate is not None:
             self.gate()
-        return self.payload
+        return [
+            self.consistency.get(key) if kind == CONSISTENCY else self.payload
+            for kind, key in rows
+        ]
 
-    def store_entry(self, kind, key, actions, env, examined, exact_budget_ok):
-        pass
-
-    def load_consistency(self, key):
-        self.loads += 1
-        if self.gate is not None:
-            self.gate()
-        return self.consistency.get(key)
-
-    def store_consistency(self, key, value):
-        self.consistency[key] = value
+    def store_payload(self, kind, key, payload):
+        if kind == CONSISTENCY:
+            self.consistency[key] = payload
 
 
 class TestTwoPhaseBackendLookup:
@@ -511,12 +510,12 @@ class TestTwoPhaseBackendLookup:
 
     def test_cold_lookups_on_one_shard_overlap_their_backend_io(self):
         # Both threads miss in memory and fall through to the backend.
-        # The barrier inside load_entry only releases when *both*
+        # The barrier inside load_payloads only releases when *both*
         # threads are inside a backend read at the same time — which is
         # impossible if the read still happens under the cache lock, so
         # a regression deadlocks the barrier and fails fast.
         barrier = threading.Barrier(2)
-        stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
+        stub = _StubBackend(payload=_EMPTY_ROW, gate=lambda: barrier.wait(timeout=10))
         shared = ExecutionCache(max_entries=64, backend=stub)
         sessions = [_Caller(shared), _Caller(shared)]
         failures = []
@@ -564,7 +563,7 @@ class TestTwoPhaseBackendLookup:
 
     def test_racing_promotions_of_one_key_each_count_a_hit(self):
         barrier = threading.Barrier(2)
-        stub = _StubBackend(payload=(("a",), None, None, False), gate=lambda: barrier.wait(timeout=10))
+        stub = _StubBackend(payload=_EMPTY_ROW, gate=lambda: barrier.wait(timeout=10))
         shared = ExecutionCache(max_entries=64, backend=stub)
         sessions = [_Caller(shared), _Caller(shared)]
         failures = []
@@ -589,7 +588,7 @@ class TestTwoPhaseBackendLookup:
         assert len(shared) == 1
 
     def test_warm_entry_is_promoted_once_then_served_from_memory(self):
-        stub = _StubBackend(payload=(("a",), None, None, False))
+        stub = _StubBackend(payload=_EMPTY_ROW)
         shared = ExecutionCache(max_entries=64, backend=stub)
         session = _Caller(shared)
         assert session.get(("base",), (1,), 1) is not None

@@ -1,5 +1,4 @@
-"""Batched cache-tier reads (``CacheBackend.load_entries`` /
-``load_consistencies``).
+"""Batched cache-tier reads (``CacheBackend.load_payloads``).
 
 An execution-cache miss reads its exact and terminal rows in one
 backend batch, and a consistency check reads its full key and its
@@ -15,8 +14,8 @@ the server's own metrics:
 * a batch serves the worker's own pending writes locally and sends
   only the other rows;
 * a reply with the wrong number of slots is a miss for every row;
-* hit/miss counting is identical to a backend that only implements the
-  per-key loads (the base class's loops serve its batch forms).
+* hit/miss counting is identical to a backend that reads one row per
+  store read.
 """
 
 import contextlib
@@ -29,6 +28,7 @@ import pytest
 from repro.dom import parse_selector
 from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
 from repro.engine.cache import reset_process_cache
+from repro.engine.rows import CONSISTENCY
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
@@ -169,27 +169,31 @@ class TestOneRequestPerProbe:
         assert engine.counters().consistency_hits == 1
 
 
+def _rows(*keys):
+    return [(CONSISTENCY, key) for key in keys]
+
+
 class TestRemoteBatches:
     def test_pending_rows_are_served_locally_and_the_rest_sent(self, cache):
         backend = RemoteBackend(_url(cache), flush_every=1000)
-        backend.store_consistency(KEY_A, 5)
-        assert backend.load_consistencies([KEY_A, KEY_B]) == [5, None]
+        backend.store_payload(CONSISTENCY, KEY_A, {"v": 5})
+        assert backend.load_payloads(_rows(KEY_A, KEY_B)) == [{"v": 5}, None]
         assert _get_requests() == 1
         assert (_get_rows("hit"), _get_rows("miss")) == (0, 1)  # KEY_B only
 
     def test_an_all_pending_batch_sends_nothing(self, cache):
         backend = RemoteBackend(_url(cache), flush_every=1000)
-        backend.store_consistency(KEY_A, 5)
-        backend.store_consistency(KEY_B, 6)
-        assert backend.load_consistencies([KEY_B, KEY_A]) == [6, 5]
+        backend.store_payload(CONSISTENCY, KEY_A, {"v": 5})
+        backend.store_payload(CONSISTENCY, KEY_B, {"v": 6})
+        assert backend.load_payloads(_rows(KEY_B, KEY_A)) == [{"v": 6}, {"v": 5}]
         assert _get_requests() == 0
 
     def test_batch_answers_keep_row_order(self, cache):
         writer = RemoteBackend(_url(cache))
-        writer.store_consistency(KEY_B, 7)
+        writer.store_payload(CONSISTENCY, KEY_B, {"v": 7})
         writer.flush()
         reader = RemoteBackend(_url(cache))
-        assert reader.load_consistencies([KEY_A, KEY_B, KEY_A]) == [None, 7, None]
+        assert reader.load_payloads(_rows(KEY_A, KEY_B, KEY_A)) == [None, {"v": 7}, None]
         assert _get_requests() == 1
         assert reader.loads == 3
         assert reader.load_hits == 1
@@ -311,39 +315,31 @@ class TestMisshapenReplies:
     def test_wrong_slot_count_is_an_all_miss(self, fixed_reply, monkeypatch, slots, keys):
         monkeypatch.setattr(_FixedReply, "slots", slots)
         backend = RemoteBackend(f"remote://127.0.0.1:{fixed_reply.server_address[1]}")
-        assert backend.load_consistencies(keys) == [None] * len(keys)
+        assert backend.load_payloads(_rows(*keys)) == [None] * len(keys)
         assert backend.load_hits == 0
 
     def test_matching_slot_count_is_read(self, fixed_reply, monkeypatch):
         monkeypatch.setattr(_FixedReply, "slots", [{"v": 5}, None])
         backend = RemoteBackend(f"remote://127.0.0.1:{fixed_reply.server_address[1]}")
-        assert backend.load_consistencies([KEY_A, KEY_B]) == [5, None]
+        assert backend.load_payloads(_rows(KEY_A, KEY_B)) == [{"v": 5}, None]
 
 
 class _PerKey(CacheBackend):
-    """A backend with per-key loads only: the base class's loops serve
-    ``load_entries`` / ``load_consistencies``, one store read per row."""
+    """A backend that answers a batch one store read per row."""
 
     name = "per-key"
-    persistent = True
 
     def __init__(self, inner: CacheBackend) -> None:
         self.inner = inner
 
-    def load_entry(self, kind, key):
-        return self.inner.load_entry(kind, key)
-
-    def load_consistency(self, key):
-        return self.inner.load_consistency(key)
+    def load_payloads(self, rows):
+        return [self.inner.load_payloads([row])[0] for row in rows]
 
     def should_persist(self, kind, cost):
         return self.inner.should_persist(kind, cost)
 
-    def store_entry(self, kind, key, actions, env, examined, exact_budget_ok):
-        self.inner.store_entry(kind, key, actions, env, examined, exact_budget_ok)
-
-    def store_consistency(self, key, value):
-        self.inner.store_consistency(key, value)
+    def store_payload(self, kind, key, payload):
+        self.inner.store_payload(kind, key, payload)
 
     def flush(self):
         self.inner.flush()

@@ -14,14 +14,14 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.fleet.cache_server import make_cache_server
+from repro.fleet.cache_server import _CacheHandler, make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import ConnectionPool, pool, reset_pool
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
-from repro.service.backends import EXACT
+from repro.engine.rows import EXACT
 
-from helpers import post_unbounded_body, zlib_bomb
+from helpers import hold_after_reply, post_unbounded_body, zlib_bomb
 
 
 @pytest.fixture
@@ -251,6 +251,25 @@ class TestOperationalRoutes:
         text = body.decode("utf-8")
         assert 'repro_cache_server_requests_total{op="get",outcome="hit"}' in text
         assert 'repro_cache_server_requests_total{op="get",outcome="miss"}' in text
+
+    def test_metrics_publish_before_the_reply_leaves(self, cache, monkeypatch):
+        # a worker that has read its reply and then scrapes on another
+        # connection must find its own request, even while the server
+        # thread that answered it has not yet returned
+        obs_metrics.reset_registry()
+        held, release = hold_after_reply(monkeypatch, _CacheHandler, "/v1/cache/get")
+        try:
+            response, _ = _get_entries(cache, [[2, KEY.hex()]])
+            assert response.status == 200
+            assert held.wait(timeout=10.0)
+            _, body = _get(cache, "/v1/metrics")
+        finally:
+            release.set()
+        samples = parse_samples(body.decode("utf-8"))
+        assert sample_value(samples, "repro_cache_server_seconds_count", {"op": "get"}) == 1
+        assert sample_value(
+            samples, "repro_cache_server_requests_total", {"op": "get", "outcome": "miss"}
+        ) == 1
 
 
 class TestConnectionPool:

@@ -16,10 +16,12 @@ import socket
 import threading
 import time
 from dataclasses import replace
+from http.client import HTTPConnection
 
 import pytest
 
-from repro.engine.cache import reset_process_cache
+from repro.engine.cache import CacheCounters, ExecutionCache, reset_process_cache
+from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
@@ -31,15 +33,27 @@ from repro.fleet.remote import (
     RemoteBackend,
 )
 from repro.obs import metrics as obs_metrics
-from repro.service.backends import CONSISTENCY, EXACT, reset_backends, resolve_backend
+from repro.protocol.codec import STORE_CODEC
+from repro.service.backends import reset_backends, resolve_backend
 from repro.service.client import ServiceClient
 from repro.service.server import make_server
 from repro.service.sessions import SessionManager
 from repro.synth.config import DEFAULT_CONFIG
 
-from helpers import cards_page, scrape_cards_trace, zlib_bomb
+from helpers import (
+    LITERAL_CONSISTENCY,
+    LITERAL_EXACT,
+    LITERAL_TERMINAL,
+    assert_serves_literal_rows,
+    cards_page,
+    literal_rows,
+    scrape_cards_trace,
+    zlib_bomb,
+)
 
 KEY = b"\x07" * 16
+ROW = [(EXACT, KEY)]
+CONSISTENCY_ROW = [(CONSISTENCY, KEY)]
 
 
 @pytest.fixture(autouse=True)
@@ -136,8 +150,8 @@ class TestFaultInjection:
             retries=1,
             breaker_threshold=100,
         )
-        assert backend.load_entry(EXACT, KEY) is None
-        assert backend.load_entry(EXACT, KEY) is None
+        assert backend.load_payloads(ROW) == [None]
+        assert backend.load_payloads(ROW) == [None]
         assert backend.io_errors == 2  # retries do not double-count
 
     def test_writes_to_a_dead_tier_drop_not_raise(self):
@@ -147,9 +161,9 @@ class TestFaultInjection:
             retries=0,
             breaker_threshold=100,
         )
-        backend.store_consistency(KEY, 5)
+        backend.store_payload(CONSISTENCY, KEY, {"v": 5})
         # the buffered write still serves locally
-        assert backend.load_consistency(KEY) == 5
+        assert backend.load_payloads(CONSISTENCY_ROW) == [{"v": 5}]
         backend.flush()
         assert backend.dropped_writes == 1
         assert backend.entries == 0  # nothing acknowledged
@@ -167,7 +181,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_entry(EXACT, KEY) is None
+            assert backend.load_payloads(ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
@@ -191,7 +205,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_entry(EXACT, KEY) is None
+            assert backend.load_payloads(ROW) == [None]
         finally:
             server.close()
 
@@ -214,7 +228,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_consistency(KEY) is None
+            assert backend.load_payloads(CONSISTENCY_ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
@@ -239,7 +253,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_consistency(KEY) is None
+            assert backend.load_payloads(CONSISTENCY_ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
@@ -262,7 +276,7 @@ class TestFaultInjection:
                 breaker_threshold=100,
             )
             started = time.monotonic()
-            assert backend.load_entry(EXACT, KEY) is None
+            assert backend.load_payloads(ROW) == [None]
             assert time.monotonic() - started < 1.5
         finally:
             server.close()
@@ -283,20 +297,28 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_entry(EXACT, KEY) is None
+            assert backend.load_payloads(ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
 
     def test_corrupt_payloads_never_promote(self, cache):
-        # a foreign/corrupt row in the tier must read as a miss, never
-        # as a mangled entry handed to the engine
-        cache.store.store_payload(EXACT, KEY, {"junk": 1})
-        cache.store.store_payload(CONSISTENCY, b"\x08" * 16, {"v": "NaN"})
+        # a foreign/corrupt row in the tier is a row found, but the
+        # cache reads it as a counted miss, never as a mangled entry
+        # handed to the engine
+        exact, terminal, consistency = (digest for _, digest, _ in literal_rows())
+        cache.store.store_payload(EXACT, exact, {"junk": 1})
+        cache.store.store_payload(TERMINAL, terminal, {"a": "junk", "e": None})
+        cache.store.store_payload(CONSISTENCY, consistency, {"v": "NaN"})
         backend = RemoteBackend(_cache_url(cache))
-        assert backend.load_entry(EXACT, KEY) is None
-        assert backend.load_consistency(b"\x08" * 16) is None
-        assert backend.load_hits == 0
+        reader = ExecutionCache(backend=backend)
+        counters = CacheCounters()
+        assert reader.get(*LITERAL_EXACT, counters) is None
+        assert reader.get(*LITERAL_TERMINAL, counters) is None
+        assert reader.get_consistency(LITERAL_CONSISTENCY, counters) is None
+        assert (counters.misses, counters.hits, counters.warm_hits) == (3, 0, 0)
+        assert len(reader) == 0  # nothing promoted
+        assert backend.load_hits == 3
 
 
 class TestCircuitBreaker:
@@ -339,11 +361,11 @@ class TestCircuitBreaker:
             breaker_threshold=1,
             breaker_reset_s=60.0,
         )
-        assert backend.load_entry(EXACT, KEY) is None
+        assert backend.load_payloads(ROW) == [None]
         assert backend.io_errors == 1
         started = time.monotonic()
         for _ in range(20):
-            assert backend.load_entry(EXACT, KEY) is None
+            assert backend.load_payloads(ROW) == [None]
         # 20 skipped probes cost microseconds, not 20 connect timeouts
         assert time.monotonic() - started < 0.3
         assert backend.io_errors == 1
@@ -380,12 +402,28 @@ class TestWireRoundTrip:
         assert backend.load_hits > 0
         assert backend.io_errors == 0
 
+    def test_rows_earlier_builds_wrote_serve_warm_hits(self, cache):
+        # literal rows put over the wire, as an earlier worker sent them
+        host, port = cache.server_address[:2]
+        body = STORE_CODEC.encode_payload(
+            {"e": [[kind, digest.hex(), payload] for kind, digest, payload in literal_rows()]}
+        )
+        connection = HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.request("POST", "/v1/cache/put", body=body)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert STORE_CODEC.decode_payload(response.read())["stored"] == 3
+        finally:
+            connection.close()
+        assert_serves_literal_rows(RemoteBackend(_cache_url(cache)))
+
     def test_request_histogram_pairs_with_the_cache_server(self, cache):
         obs_metrics.reset_registry()
         backend = RemoteBackend(_cache_url(cache))
-        backend.store_consistency(KEY, 9)
+        backend.store_payload(CONSISTENCY, KEY, {"v": 9})
         backend.flush()
-        assert RemoteBackend(_cache_url(cache)).load_consistency(KEY) == 9
+        assert RemoteBackend(_cache_url(cache)).load_payloads(CONSISTENCY_ROW) == [{"v": 9}]
         text = obs_metrics.registry().render()
         assert "# TYPE repro_remote_request_seconds histogram" in text
         samples = parse_samples(text)
@@ -403,12 +441,11 @@ class TestWireRoundTrip:
 
     def test_stats_duck_type_like_the_file_backend(self, cache):
         backend = RemoteBackend(_cache_url(cache))
-        backend.store_consistency(KEY, 9)
+        backend.store_payload(CONSISTENCY, KEY, {"v": 9})
         backend.flush()
         assert backend.persisted_bytes > 0
         assert backend.entries == 1
         assert backend.name == "remote"
-        assert backend.persistent is True
 
 
 class TestMidLoadKill:

@@ -1,9 +1,10 @@
 """The persistent cache backends (repro.service.backends).
 
-Covers the codec (exact structural round-trips for actions and
+Covers the payload rows (exact structural round-trips for actions and
 environments), the SQLite file backend (cross-connection visibility,
 byte-accounted eviction, corruption tolerance), backend resolution, and
-the cache-level warm-start path the backends feed.
+the cache-level warm-start path the backends feed — including rows
+written in the literal format earlier builds stored.
 """
 
 import os
@@ -15,24 +16,24 @@ from repro.dom import E
 from repro.dom.xpath import parse_selector
 from repro.engine.cache import CacheCounters, ExecutionCache
 from repro.engine.keys import stable_digest
-from repro.lang import X, click, enter_data, scrape_text, send_keys
-from repro.lang.ast import SEL_VAR, VAL_VAR, Var, ValuePath
-from repro.semantics.env import Env
-from repro.service.backends import (
+from repro.engine.rows import (
     CONSISTENCY,
     EXACT,
     TERMINAL,
-    FileBackend,
-    InProcessBackend,
     action_from_payload,
     action_to_payload,
+    decode_entry,
     entry_from_payload,
     entry_to_payload,
     env_from_payload,
     env_to_payload,
-    resolve_backend,
-    reset_backends,
 )
+from repro.lang import X, click, enter_data, scrape_text, send_keys
+from repro.lang.ast import SEL_VAR, VAL_VAR, Var, ValuePath
+from repro.semantics.env import Env
+from repro.service.backends import FileBackend, resolve_backend, reset_backends
+
+from helpers import assert_serves_literal_rows, literal_rows
 
 
 class TestCodec:
@@ -79,21 +80,28 @@ class TestCodec:
         assert examined is None and ok is False
 
 
+def _row(actions, examined=None, exact_budget_ok=False) -> dict:
+    """An execution entry's payload row (empty environment)."""
+    return entry_to_payload(actions, Env(), examined, exact_budget_ok)
+
+
 class TestFileBackend:
     def test_entries_survive_a_new_connection(self, tmp_path):
         path = tmp_path / "store.sqlite"
         actions = (scrape_text(parse_selector("//h3[1]")),)
         writer = FileBackend(path, flush_every=1)
         key = stable_digest(("exact", "k"))
-        writer.store_entry(EXACT, key, actions, Env(), None, False)
-        writer.store_consistency(stable_digest(("consistency", "c")), 5)
+        consistency = stable_digest(("consistency", "c"))
+        writer.store_payload(EXACT, key, _row(actions))
+        writer.store_payload(CONSISTENCY, consistency, {"v": 5})
         writer.close()
         reader = FileBackend(path)  # a different process, morally
-        restored = reader.load_entry(EXACT, key)
-        assert restored is not None
-        assert restored[0] == actions
-        assert reader.load_consistency(stable_digest(("consistency", "c"))) == 5
-        assert reader.load_entry(EXACT, stable_digest(("exact", "other"))) is None
+        restored, value, absent = reader.load_payloads(
+            [(EXACT, key), (CONSISTENCY, consistency), (EXACT, stable_digest(("exact", "other")))]
+        )
+        assert decode_entry(restored)[0] == actions
+        assert value == {"v": 5}
+        assert absent is None
         assert reader.persisted_bytes > 0
         assert reader.entries == 2
         reader.close()
@@ -102,13 +110,13 @@ class TestFileBackend:
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=4)
         actions = (scrape_text(parse_selector("//h3[1]")),)
         key = stable_digest(("exact", 1))
-        backend.store_entry(EXACT, key, actions, Env(), None, False)
+        backend.store_payload(EXACT, key, _row(actions))
         with backend._lock:
             assert backend._pending  # still buffered
         backend.flush()
         with backend._lock:
             assert not backend._pending
-        assert backend.load_entry(EXACT, key) is not None
+        assert backend.load_payload(EXACT, key) == _row(actions)
         backend.close()
 
     def test_byte_accounted_eviction_drops_oldest(self, tmp_path):
@@ -119,18 +127,27 @@ class TestFileBackend:
         )
         keys = [stable_digest(("exact", index)) for index in range(40)]
         for key in keys:
-            backend.store_entry(EXACT, key, actions, Env(), None, False)
+            backend.store_payload(EXACT, key, _row(actions))
         assert backend.evictions > 0
         assert backend.persisted_bytes <= 4000
-        assert backend.load_entry(EXACT, keys[0]) is None  # oldest gone
-        assert backend.load_entry(EXACT, keys[-1]) is not None  # newest kept
+        assert backend.load_payload(EXACT, keys[0]) is None  # oldest gone
+        assert backend.load_payload(EXACT, keys[-1]) is not None  # newest kept
         backend.close()
 
     def test_uncodable_values_are_skipped_not_fatal(self, tmp_path):
+        # the cache turns entries into rows: one it cannot convert is
+        # never written, never raised, and still served from memory
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
-        backend.store_entry(EXACT, b"key", ("not an action",), None, None, False)
+        cache = ExecutionCache(max_entries=16, backend=backend)
+        counters = CacheCounters()
+        cache.put(("base",), (1, 2), 2, ("not an action",), None, counters, cost=100)
+        assert (backend.stores, backend.entries) == (0, 0)
+        assert cache.get(("base",), (1, 2), 2, counters) == (("not an action",), None)
+        assert (counters.exact_hits, counters.misses) == (1, 0)
+        # a payload the store codec cannot encode is dropped and counted
+        backend.store_payload(EXACT, b"key", {"a": object()})
         assert backend.encode_errors == 1
-        assert backend.load_entry(EXACT, b"key") is None
+        assert backend.load_payload(EXACT, b"key") is None
         backend.close()
 
     def test_corrupt_rows_degrade_to_misses(self, tmp_path):
@@ -138,12 +155,12 @@ class TestFileBackend:
         backend = FileBackend(path, flush_every=1)
         actions = (scrape_text(parse_selector("//h3[1]")),)
         key = stable_digest(("exact", "x"))
-        backend.store_entry(EXACT, key, actions, Env(), None, False)
+        backend.store_payload(EXACT, key, _row(actions))
         with backend._lock:
             backend._conn.execute(
                 "UPDATE entries SET payload = ?", (b"{not json",)
             )
-        assert backend.load_entry(EXACT, key) is None
+        assert backend.load_payload(EXACT, key) is None
         backend.close()
 
     def test_batch_reads_mix_the_buffer_and_the_store_in_order(self, tmp_path):
@@ -151,15 +168,11 @@ class TestFileBackend:
         stored, buffered, absent = (
             stable_digest(("consistency", name)) for name in "sba"
         )
-        backend.store_consistency(stored, 5)
+        backend.store_payload(CONSISTENCY, stored, {"v": 5})
         backend.flush()
-        backend.store_consistency(buffered, 6)
-        assert backend.load_consistencies([buffered, absent, stored, buffered]) == [
-            6,
-            None,
-            5,
-            6,
-        ]
+        backend.store_payload(CONSISTENCY, buffered, {"v": 6})
+        rows = [(CONSISTENCY, key) for key in (buffered, absent, stored, buffered)]
+        assert backend.load_payloads(rows) == [{"v": 6}, None, {"v": 5}, {"v": 6}]
         assert (backend.loads, backend.load_hits) == (4, 3)
         backend.close()
 
@@ -167,24 +180,19 @@ class TestFileBackend:
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
         actions = (scrape_text(parse_selector("//h3[1]")),)
         key = stable_digest(("terminal", "t"))
-        backend.store_entry(TERMINAL, key, actions, Env(), (7, 8), True)
-        _, _, examined, ok = backend.load_entry(TERMINAL, key)
+        backend.store_payload(TERMINAL, key, _row(actions, (7, 8), True))
+        _, _, examined, ok = decode_entry(backend.load_payload(TERMINAL, key))
         assert examined == (7, 8) and ok is True
         backend.close()
 
 
 class TestResolution:
     def test_memory_is_the_default_and_a_no_op(self, monkeypatch):
-        backend = resolve_backend("memory")
-        assert isinstance(backend, InProcessBackend)
-        assert not backend.persistent
-        assert backend.load_entry(EXACT, b"k") is None
-        assert backend.load_consistency(b"k") is None
-        backend.store_entry(EXACT, b"k", (), Env(), None, False)
-        backend.store_consistency(b"k", 1)
-        assert resolve_backend("") is backend
+        # memory is no backend at all: the cache keeps its tables only
+        assert resolve_backend("memory") is None
+        assert resolve_backend("") is None
         monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_backend(None) is backend
+        assert resolve_backend(None) is None
 
     def test_file_backends_are_shared_per_path(self, tmp_path):
         try:
@@ -286,10 +294,21 @@ class TestCacheWarmStart:
         backend.close()
 
     def test_memory_backend_never_touches_digests(self):
-        cache = ExecutionCache(max_entries=4, backend=InProcessBackend())
-        assert cache.backend is None  # non-persistent: dropped entirely
+        cache = ExecutionCache(max_entries=4, backend=resolve_backend("memory"))
+        assert cache.backend is None
         assert cache.backend_name == "memory"
         counters = CacheCounters()
         cache.put(("base",), (1,), 1, ("a",), None, counters)
         assert cache.get(("base",), (1,), 1, counters) is not None
         assert counters.warm_hits == 0
+        assert not cache._base_digests
+
+    def test_rows_earlier_builds_wrote_serve_warm_hits(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        writer = FileBackend(path)
+        for kind, digest, payload in literal_rows():
+            writer.store_payload(kind, digest, payload)
+        writer.close()
+        reader = FileBackend(path)
+        assert_serves_literal_rows(reader)
+        reader.close()

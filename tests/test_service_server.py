@@ -29,9 +29,9 @@ from repro.protocol.messages import SessionSnapshot
 from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.server import make_server
+from repro.service.server import _Handler, make_server
 
-from helpers import cards_page, post_unbounded_body, scrape_cards_trace
+from helpers import cards_page, hold_after_reply, post_unbounded_body, scrape_cards_trace
 
 
 def _boot():
@@ -198,6 +198,26 @@ class TestObservability:
         text = body.decode("utf-8")
         assert 'route="other",code="404"' in text
         assert "definitely" not in text
+
+    def test_metrics_publish_before_the_reply_leaves(self, service, monkeypatch):
+        # a client that has read its reply and then scrapes on another
+        # connection must find its own request, even while the server
+        # thread that answered it has not yet returned
+        obs_metrics.reset_registry()
+        held, release = hold_after_reply(monkeypatch, _Handler, "/v1/stats")
+        try:
+            response, _ = _raw_get(service, "/v1/stats")
+            assert response.status == 200
+            assert held.wait(timeout=10.0)
+            _, body = _raw_get(service, "/v1/metrics")
+        finally:
+            release.set()
+        samples = parse_samples(body.decode("utf-8"))
+        route = {"route": "/v1/stats"}
+        assert sample_value(
+            samples, "repro_http_requests_total", dict(route, code="200")
+        ) == 1
+        assert sample_value(samples, "repro_http_request_seconds_count", route) == 1
 
     def test_trace_header_is_adopted_and_echoed(self, service):
         root = obs_context.new_root()

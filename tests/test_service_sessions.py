@@ -269,7 +269,7 @@ class TestStats:
             assert stats["sessions"] == 1
             assert stats["closed_sessions"] == 1
             assert stats["sessions_evicted"] == 0
-            assert stats["backend"] == "memory"
+            assert (stats["backend"], stats["persisted_bytes"]) == ("memory", 0)
             assert stats["totals"]["calls"] == 2 * len(actions)
             # the second session reuses the first's executions through
             # the process-level shared cache
