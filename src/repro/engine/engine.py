@@ -372,7 +372,11 @@ class ExecutionEngine:
     def prefetching(self):
         """Scope for :meth:`prefetch_executions` and
         :meth:`prefetch_consistency`: rows read inside it serve the
-        lookups run inside it, then are dropped."""
+        lookups run inside it, then are dropped.  A nested scope shares
+        the enclosing scope's rows and leaves them in place on exit."""
+        if self._prefetched is not None:
+            yield
+            return
         self._prefetched = {}
         try:
             yield

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.benchmarks.suite import benchmark_by_id
+from repro.browser.recorder import Recording
 from repro.engine.cache import reset_process_cache
 from repro.harness.figures import horizontal_bars
 from repro.harness.report import fmt_ms, render_table
@@ -88,6 +89,7 @@ def run_scaling(
     timeout: float = 1.0,
     variants: Optional[Sequence[tuple[str, SynthesisConfig]]] = None,
     collect_programs: bool = False,
+    recording: Optional[Recording] = None,
 ) -> list[ScalingSeries]:
     """Measure per-call time vs. trace length for each variant.
 
@@ -96,9 +98,12 @@ def run_scaling(
     their own configuration pairs instead.  With ``collect_programs``
     every call's ranked program list is rendered into the series, so
     behaviour-preserving variants can be diffed byte-for-byte.
+    ``recording`` replaces the subject's cached recording, e.g. with a
+    copy whose snapshots carry no DOM index an earlier run built.
     """
     benchmark = benchmark_by_id(bid)
-    recording = benchmark.record()
+    if recording is None:
+        recording = benchmark.record()
     length = min(recording.length - 1, max_length)
     if variants is None:
         variants = [

@@ -38,7 +38,7 @@ from repro.synth.alternatives import SelectorSearch
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.synth.ranking import Candidate, rank
 from repro.synth.rewrite import RewriteTuple, extend_with_singletons, initial_tuple
-from repro.synth.scheduler import SerialScheduler
+from repro.synth.scheduler import PushFn, SerialScheduler
 from repro.synth.speculate import SpeculationContext, speculate
 from repro.util.errors import SynthesisError
 from repro.util.timer import Deadline
@@ -367,14 +367,7 @@ class Synthesizer:
             extend_started = time.perf_counter()
             with obs_tracing.span("extend", stored=len(self._store)):
                 if had_store:
-                    with self._engine.prefetching():
-                        self._prefetch_extension(old_length, trace_length)
-                        for stored in self._store.values():
-                            extended = self._extend(
-                                stored, old_length, trace_length, context
-                            )
-                            if extended is not None:
-                                push(extended)
+                    self._extend_store(old_length, trace_length, push)
                 else:
                     push(initial_tuple(self._actions))
             stats.extend_s += time.perf_counter() - extend_started
@@ -457,70 +450,113 @@ class Synthesizer:
     # ------------------------------------------------------------------
     # Extension across calls (§5.4)
     # ------------------------------------------------------------------
+    def _extend_store(self, old_length: int, new_length: int, push: PushFn) -> None:
+        """Re-fit every stored tuple to the grown trace and push it, in
+        store order.
+
+        Runs in phases inside one :meth:`ExecutionEngine.prefetching`
+        scope, so that over a persistent backend the step makes two reads
+        however many trailing loops the store holds: one for every
+        trailing loop's lookahead run, one for every consistency check
+        those runs lead to.  Each run is made once and handed to
+        :meth:`_extend`, so every lookup still counts exactly one hit or
+        miss.
+        """
+        stored_tuples = list(self._store.values())
+        with self._engine.prefetching():
+            if old_length == new_length:
+                for stored in stored_tuples:
+                    push(stored)
+                return
+            lookaheads = [
+                self._lookahead(stored, new_length) if stored.ends_with_loop() else None
+                for stored in stored_tuples
+            ]
+            self._engine.prefetch_executions(
+                ([stored.statements[-1]], lookahead, len(lookahead))
+                for stored, lookahead in zip(stored_tuples, lookaheads)
+                if lookahead is not None
+            )
+            aheads = [
+                None if lookahead is None else self._run_trailing_loop(stored, lookahead)
+                for stored, lookahead in zip(stored_tuples, lookaheads)
+            ]
+            checks = []
+            for stored, lookahead, ahead in zip(stored_tuples, lookaheads, aheads):
+                if ahead is None:
+                    continue
+                checks.append(self._extension_check(stored, ahead, new_length))
+                if len(ahead) == len(lookahead):
+                    # the loop absorbs every new action, so pushing the
+                    # extended tuple runs ``_try_generalize``'s check on
+                    # this same run
+                    checks.append(
+                        (ahead, self._actions[stored.bounds[-2] : new_length], lookahead)
+                    )
+            self._engine.prefetch_consistency(checks)
+            for stored, ahead in zip(stored_tuples, aheads):
+                extended = self._extend(stored, old_length, new_length, ahead)
+                if extended is not None:
+                    push(extended)
+
     def _lookahead(self, stored: RewriteTuple, new_length: int) -> DOMTrace:
-        """The window :meth:`_extend` runs a trailing loop over: its
-        slice plus one snapshot past the grown trace."""
+        """The window a trailing loop runs over: its slice plus one
+        snapshot past the grown trace."""
         return DOMTrace(self._snapshots, stored.bounds[-2], new_length + 1)
 
-    def _prefetch_extension(self, old_length: int, new_length: int) -> None:
-        """Read the backend rows of every trailing-loop run
-        :meth:`_extend` is about to make, in one batch."""
-        if old_length == new_length:
-            return
-        # a generator: without a persistent backend the engine returns
-        # before building any window
-        self._engine.prefetch_executions(
-            ([stored.statements[-1]], lookahead, len(lookahead))
-            for stored in self._store.values()
-            if stored.ends_with_loop()
-            for lookahead in (self._lookahead(stored, new_length),)
-        )
+    def _run_trailing_loop(
+        self, stored: RewriteTuple, lookahead: DOMTrace
+    ) -> list[Action]:
+        """The trailing loop's actions over its lookahead window.
+
+        Running one snapshot past the trace and truncating costs nothing
+        extra: when the loop consumes the whole extension window its
+        behaviour there is a prefix of this run, and ``_try_generalize``
+        on the extended tuple then reuses this execution from the engine
+        cache.
+        """
+        return self._engine.execute(
+            [stored.statements[-1]],
+            lookahead,
+            max_actions=len(lookahead),
+            resumable=True,
+        ).actions
+
+    def _extension_check(
+        self, stored: RewriteTuple, ahead: list[Action], new_length: int
+    ) -> tuple:
+        """The ``(produced, reference, window)`` consistency check that
+        decides how many new actions a trailing loop absorbs."""
+        slice_start = stored.bounds[-2]
+        window = DOMTrace(self._snapshots, slice_start, new_length)
+        produced = ahead[: len(window)]
+        reference = self._actions[slice_start : slice_start + len(produced)]
+        return produced, reference, window
 
     def _extend(
         self,
         stored: RewriteTuple,
         old_length: int,
         new_length: int,
-        context: SpeculationContext,
+        ahead: Optional[list[Action]],
     ) -> Optional[RewriteTuple]:
         """Re-fit a stored tuple to the grown trace.
 
-        A trailing loop absorbs exactly the actions its continued execution
-        reproduces; if it produces an action inconsistent with what the
-        user actually did, the tuple's program no longer satisfies the
-        trace and the tuple dies.  Remaining new actions are appended as
-        singleton statements.
+        A trailing loop absorbs exactly the actions its continued
+        execution reproduces — ``ahead`` is that run
+        (:meth:`_run_trailing_loop`), ``None`` for a tuple without one;
+        if it produces an action inconsistent with what the user actually
+        did, the tuple's program no longer satisfies the trace and the
+        tuple dies.  Remaining new actions are appended as singleton
+        statements.
         """
-        if old_length == new_length:
-            return stored
         absorbed_end = old_length
         base = stored
-        if stored.ends_with_loop():
+        if ahead is not None:
             slice_start = stored.bounds[-2]
-            window = DOMTrace(self._snapshots, slice_start, new_length)
-            # Execute over the generalization window (one snapshot past
-            # the trace) and truncate: when the loop consumes the whole
-            # extension window its behaviour there is a prefix of the
-            # lookahead run, and ``_try_generalize`` on the extended
-            # tuple then reuses this execution from the engine cache.
-            lookahead = self._lookahead(stored, new_length)
-            ahead = self._engine.execute(
-                [stored.statements[-1]],
-                lookahead,
-                max_actions=len(lookahead),
-                resumable=True,
-            ).actions
-            produced = ahead[: len(window)]
-            reference = self._actions[slice_start : slice_start + len(produced)]
-            checks = [(produced, reference, window)]
-            if len(ahead) > len(window):
-                # the loop absorbs every new action, so pushing the
-                # extended tuple runs ``_try_generalize``'s check on this
-                # same lookahead run: read both checks' rows together
-                checks.append(
-                    (ahead, self._actions[slice_start:new_length], lookahead)
-                )
-            self._engine.prefetch_consistency(checks)
+            produced, reference, window = self._extension_check(
+                stored, ahead, new_length
+            )
             consistent = self._engine.consistent_prefix_length(
                 produced, reference, window
             )

@@ -5,12 +5,15 @@ backend batch, and a consistency check reads its full key and its
 lookback prefix keys in one batch; over ``remote://`` each batch is one
 ``POST /v1/cache/get``.  Inside ``ExecutionEngine.prefetching`` several
 upcoming lookups share one batch: the synthesizer's extension step
-reads every trailing loop's execution rows together, then each loop's
-two consistency checks together.  Pinned here against an in-thread
-cache server, counting requests on the worker side and rows through
-the server's own metrics:
+reads every trailing loop's execution rows together, then every loop's
+consistency checks together, and a validation pop reads its
+candidates' validation and generalization runs together.  Pinned here
+against an in-thread cache server, counting requests on the worker
+side and rows through the server's own metrics:
 
 * each probe costs exactly one request, and a prefetch one for all;
+* an extension step costs two requests however many trailing loops
+  the store carries, and a validation pop one execution read;
 * a batch serves the worker's own pending writes locally and sends
   only the other rows;
 * a reply with the wrong number of slots is a miss for every row;
@@ -19,6 +22,7 @@ the server's own metrics:
 """
 
 import contextlib
+import itertools
 import threading
 from dataclasses import asdict, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,6 +52,7 @@ from repro.service.backends import (
     reset_backends,
 )
 from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.scheduler import SerialScheduler
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import TIMEOUT, cards_page, scrape_cards_trace
@@ -259,6 +264,20 @@ class TestPrefetch:
             getattr(control.counters(), name) for name in counted
         ]
 
+    def test_a_nested_scope_keeps_the_outer_rows(self, cache):
+        dom = cards_page(4)
+        actions, snapshots = scrape_cards_trace(dom, 3)
+        check = (actions, actions, DOMTrace(snapshots, 0, 6))
+        engine = ExecutionEngine(
+            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
+        )
+        with engine.prefetching():
+            engine.prefetch_consistency([check])
+            with engine.prefetching():
+                pass
+            assert engine.consistent_prefix_length(*check) == 6
+        assert _get_requests() == 1
+
     def test_prefetch_outside_the_scope_reads_nothing(self, cache):
         dom = cards_page(4)
         actions, snapshots = scrape_cards_trace(dom, 3)
@@ -406,10 +425,121 @@ def test_counters_match_a_per_key_backend(tier, tmp_path, monkeypatch):
     assert outcomes["batched"] == outcomes["per-key"]
 
 
-def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch):
-    """Incremental sessions with the extension step's prefetch and
-    without it: the same programs and counters, fewer requests."""
-    outcomes, requests = {}, {}
+class _Phases:
+    """Tags every ``remote://`` batch a session sends with the synthesis
+    phases it was sent from: a ``synthesize`` call, a validation pop
+    inside it, a ``_try_generalize`` inside that."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.stack: list = []
+        self.serial = itertools.count()
+        self.reads: list = []  # (phases on the stack, row kinds read)
+        self.store_loops: dict = {}  # call -> trailing loops in its store
+        self.validations: dict = {}  # pop -> validations it ran
+        load = RemoteBackend.load_payloads
+        synthesize = Synthesizer.synthesize
+        process_pop = SerialScheduler.process_pop
+        generalize = Synthesizer._try_generalize
+
+        def logged_load(backend, rows):
+            kinds = frozenset(
+                "consistency" if kind == CONSISTENCY else "execution" for kind, _ in rows
+            )
+            self.reads.append((tuple(self.stack), kinds))
+            return load(backend, rows)
+
+        def logged_synthesize(synthesizer, *args, **kwargs):
+            with self._phase("call") as call:
+                self.store_loops[call] = sum(
+                    stored.ends_with_loop() for stored in synthesizer._store.values()
+                )
+                return synthesize(synthesizer, *args, **kwargs)
+
+        def logged_pop(scheduler, current, candidates, context, deadline, stats, push):
+            before = stats.validations
+            with self._phase("pop") as pop:
+                process_pop(scheduler, current, candidates, context, deadline, stats, push)
+            self.validations[pop] = stats.validations - before
+
+        def logged_generalize(synthesizer, *args):
+            with self._phase("generalize"):
+                return generalize(synthesizer, *args)
+
+        monkeypatch.setattr(RemoteBackend, "load_payloads", logged_load)
+        monkeypatch.setattr(Synthesizer, "synthesize", logged_synthesize)
+        monkeypatch.setattr(SerialScheduler, "process_pop", logged_pop)
+        monkeypatch.setattr(Synthesizer, "_try_generalize", logged_generalize)
+
+    @contextlib.contextmanager
+    def _phase(self, name):
+        entry = (name, next(self.serial))
+        self.stack.append(entry)
+        try:
+            yield entry
+        finally:
+            self.stack.pop()
+
+    def extension_reads(self, call) -> list:
+        """Row kinds of each batch ``call`` sent outside its pops: its
+        extension step."""
+        return [
+            kinds
+            for stack, kinds in self.reads
+            if call in stack and not any(name == "pop" for name, _ in stack)
+        ]
+
+    def pop_reads(self, pop) -> list:
+        """``(inside _try_generalize, row kinds)`` of each batch ``pop``
+        sent."""
+        return [
+            (any(name == "generalize" for name, _ in stack), kinds)
+            for stack, kinds in self.reads
+            if pop in stack
+        ]
+
+
+@pytest.fixture
+def phases(monkeypatch):
+    return _Phases(monkeypatch)
+
+
+class TestSessionReads:
+    """Requests per synthesis phase in a cold incremental session."""
+
+    def test_an_extension_step_reads_twice_however_many_loops(self, cache, phases):
+        _session(_url(cache))
+        steps = [call for call, loops in phases.store_loops.items() if loops]
+        assert max(phases.store_loops[call] for call in steps) >= 2
+        for call in steps:
+            # one execution batch for every loop's run, then one
+            # consistency batch for every loop's checks
+            assert phases.extension_reads(call) == [
+                {"execution"},
+                {"consistency"},
+            ]
+
+    def test_a_validation_pop_reads_its_executions_once(self, cache, phases):
+        _session(_url(cache))
+        pops = [pop for pop, count in phases.validations.items() if count >= 2]
+        assert pops
+        generalizing = []
+        for pop in pops:
+            reads = phases.pop_reads(pop)
+            # the read-ahead comes first and is the pop's only execution
+            # read: no validation and no ``_try_generalize`` probes again
+            assert reads[0] == (False, {"execution"})
+            assert sum("execution" in kinds for _, kinds in reads) == 1
+            generalizing += [kinds for inside, kinds in reads if inside]
+        # rewrites that end the tuple reached the generalization check
+        assert generalizing
+        assert all(kinds == {"consistency"} for kinds in generalizing)
+
+
+def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch, phases):
+    """Incremental sessions with the extension step's and the
+    validation pops' prefetches and without them: the same programs
+    and counters, fewer requests."""
+    outcomes, requests, validating = {}, {}, {}
     for variant in ("prefetch", "per-lookup"):
         if variant == "per-lookup":
             monkeypatch.setattr(
@@ -422,5 +552,10 @@ def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch):
         finally:
             _stop_cache(server, thread)
         requests[variant] = _get_requests()
+        validating[variant] = sum(count > 0 for count in phases.validations.values())
+        phases.validations.clear()
+    # a cold and a warm session per variant, each with >= 2 pops that
+    # validated candidates
+    assert min(validating.values()) >= 4
     assert outcomes["prefetch"] == outcomes["per-lookup"]
     assert requests["prefetch"] < requests["per-lookup"]
