@@ -34,7 +34,9 @@ is what the persistent backends below and the multi-process service
 alpha-canonical, one entry serves every statement that differs only in
 its loop variables; the engine stores each env with the statement's
 binders renamed to slot variables and renames them back to the
-caller's on every hit (:mod:`repro.engine.engine`).  The tables are
+caller's on every hit (:mod:`repro.engine.engine`).  A third table
+memoizes consistency checks (:meth:`ExecutionCache.get_consistency`)
+for this process alone.  The tables are
 bounded LRUs with byte-accounted footprints and optional byte-based
 eviction thresholds; hit/miss/eviction counters feed
 :class:`repro.synth.synthesizer.SynthesisStats`.
@@ -66,12 +68,12 @@ store share each other's work.
 Backends keep payload rows (:mod:`repro.engine.rows`), and this cache
 is the one place where entries become rows and rows become entries,
 always with no lock held.  A row that does not decode is a miss; an
-entry that cannot become a row stays in memory only.  Each lookup reads
-its rows in one batch
-(:meth:`~repro.service.backends.CacheBackend.load_payloads`): an
-execution miss its exact and terminal rows, a consistency check its
-full key and lookback prefixes (:meth:`ExecutionCache.
-prefetch_consistency`) — one round trip per probe on a networked tier.
+entry that cannot become a row stays in memory only.  Only executions
+reach a backend: an execution miss reads its exact and terminal rows in
+one batch (:meth:`~repro.service.backends.CacheBackend.load_payloads`,
+one round trip on a networked tier).  Consistency memos are never read
+from or written to a backend — recomputing a check costs microseconds,
+far less than one row read.
 """
 
 from __future__ import annotations
@@ -84,11 +86,9 @@ from typing import Optional, Sequence
 from repro.dom.node import DOMNode
 from repro.engine.keys import stable_digest
 from repro.engine.rows import (
-    CONSISTENCY,
     EXACT,
     TERMINAL,
     StepInterner,
-    decode_consistency,
     decode_entry,
     entry_to_payload,
 )
@@ -120,11 +120,12 @@ class CacheCounters:
     two are execution lookups, the third is the consistency-check memo
     that rides the same cache.  ``cross_session_hits`` counts hits whose
     entry was recorded by a *different* session (caller token);
-    ``warm_hits`` counts hits served from a persistent backend —
-    entries recorded by a prior process (they are included in the
-    exact/prefix/consistency breakdown, never in
-    ``cross_session_hits``).  Each caller (engine) records into its
-    own instance; the cache keeps no aggregate.
+    ``warm_hits`` counts execution hits served from a persistent
+    backend — entries recorded by a prior process (they are included in
+    the exact/prefix breakdown, never in ``cross_session_hits``);
+    consistency memos never leave the process, so they are never warm.
+    Each caller (engine) records into its own instance; the cache keeps
+    no aggregate.
     """
 
     hits: int = 0
@@ -256,11 +257,6 @@ def _entry_bytes(key: tuple, entry: _Entry) -> int:
     return size
 
 
-def _consistency_digest(key: tuple) -> bytes:
-    """The backend address of a consistency-memo key."""
-    return stable_digest(("consistency", key))
-
-
 def _consistency_bytes(key: tuple, value: tuple) -> int:
     """Deterministic size estimate of one consistency-memo entry."""
     size = _ENTRY_OVERHEAD
@@ -353,7 +349,7 @@ class ExecutionCache:
     ``backend`` extends the same sharing across worker processes: it is
     consulted on in-memory misses and written through on every insert;
     ``None`` means no backend, and the hot path then computes no store
-    digests.
+    digests.  The consistency table never touches the backend.
 
     Backend reads are two-phase: the in-memory probe runs under the
     lock, the row read and decode run with *no* lock held (so cold
@@ -789,87 +785,19 @@ class ExecutionCache:
     # The consistency-check memo
     # ------------------------------------------------------------------
     def get_consistency(
-        self,
-        key: tuple,
-        counters: CacheCounters,
-        session: int = 0,
-        fetched: Optional[dict] = None,
+        self, key: tuple, counters: CacheCounters, session: int = 0
     ) -> Optional[int]:
-        """Memoized ``consistent_prefix_length`` result, or ``None``.
-
-        Same two-phase discipline as :meth:`get`.  ``fetched`` is a
-        :meth:`prefetch_consistency` result: a memory miss on one of its
-        keys settles from it instead of reading the backend again.
-        """
+        """Memoized ``consistent_prefix_length`` result, or ``None``
+        (a counted miss).  In-memory only, whatever the backend."""
         with self._lock:
-            value = self._consistency_hit(key, counters, session)
-            if value is not None:
-                return value
-            if self._backend is None:
+            hit = self._consistency.get(key)
+            if hit is None:
                 counters.misses += 1
                 return None
-        if fetched is not None and key in fetched:
-            loaded = fetched[key]
-        else:
-            loaded = self._read_consistencies([key])[0]
-        with self._lock:
-            # a racing thread may have promoted the key meanwhile
-            value = self._consistency_hit(key, counters, session)
-            if value is not None:
-                return value
-            if loaded is not None:
-                self._insert("consistency", key, (loaded, 0), None)
-                _record_hit(counters, "consistency_hits", 0, session, warm=True)
-                return loaded
-            counters.misses += 1
-            return None
-
-    def _consistency_hit(
-        self, key: tuple, counters: CacheCounters, session: int
-    ) -> Optional[int]:
-        """The in-memory consistency value, counted as a hit (under the
-        lock), or ``None`` with nothing counted."""
-        hit = self._consistency.get(key)
-        if hit is None:
-            return None
-        if len(self._consistency) >= self._touch_floor:
-            self._touch(self._consistency, key)
-        _record_hit(counters, "consistency_hits", hit[1], session)
-        return hit[0]
-
-    def prefetch_consistency(self, checks: Sequence[Sequence[tuple]]) -> dict:
-        """Read the backend rows of one or more consistency checks in
-        one batch.
-
-        Each check is its full key followed by the keys it may look up
-        next, should that one miss.  A check whose full key memory holds
-        reads nothing.  Returns ``{key: stored value or None}`` for every
-        key read (empty without a backend or with nothing to read).
-        Counts nothing: each :meth:`get_consistency` still settles its
-        own hit or miss, in the caller's order.
-        """
-        if self._backend is None:
-            return {}
-        missing: dict = {}
-        with self._lock:
-            held = self._consistency
-            for keys in checks:
-                if keys[0] in held:
-                    continue
-                for key in keys:
-                    if key not in missing and key not in held:
-                        missing[key] = None
-        if not missing:
-            return {}
-        return dict(zip(missing, self._read_consistencies(missing)))
-
-    def _read_consistencies(self, keys) -> list:
-        """Stored consistency values for memo keys (no lock held); a
-        missing or malformed row is ``None``."""
-        payloads = self._backend.load_payloads(
-            [(CONSISTENCY, _consistency_digest(key)) for key in keys]
-        )
-        return [decode_consistency(payload) for payload in payloads]
+            if len(self._consistency) >= self._touch_floor:
+                self._touch(self._consistency, key)
+            _record_hit(counters, "consistency_hits", hit[1], session)
+            return hit[0]
 
     def put_consistency(
         self,
@@ -878,13 +806,9 @@ class ExecutionCache:
         counters: CacheCounters,
         session: int = 0,
     ) -> None:
-        """Record one consistency-check outcome."""
+        """Record one consistency-check outcome (in memory only)."""
         with self._lock:
             self._insert("consistency", key, (value, session), counters)
-        if self._backend is not None:  # no lock held, as in put
-            self._backend.store_payload(
-                CONSISTENCY, _consistency_digest(key), {"v": value}
-            )
 
     # ------------------------------------------------------------------
     # Table maintenance (under the lock)

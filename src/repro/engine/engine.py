@@ -114,9 +114,8 @@ class ExecutionEngine:
         # statements' canonical key (a value, so collisions are
         # impossible); None = unbounded/unknown = always persist
         self._cost_hints: dict[tuple, Optional[int]] = {}
-        # backend rows read ahead inside :meth:`prefetching`: execution
-        # rows by store digest, consistency rows by memo key; None
-        # outside the scope
+        # execution rows read ahead inside :meth:`prefetching`, by store
+        # digest; None outside the scope
         self._prefetched: Optional[dict] = None
 
     @classmethod
@@ -332,48 +331,30 @@ class ExecutionEngine:
         Validation re-checks the same produced trace against the same
         recorded slice whenever the underlying execution repeats; the
         memo is keyed by the actions' content digests and the window's
-        snapshot digests — values, so equal checks from any session (or
-        any process, through a persistent backend) share one entry.
+        snapshot digests — values, so equal checks from any session in
+        this process share one entry.  It never reaches a persistent
+        backend: a check costs less to recompute than a row read.
         The digests themselves are id-memoized per action object
         (:meth:`action_key`), keeping the hot path a tuple of dict hits.
-
-        With a persistent backend, a memory miss on the full key reads
-        it and every lookback key (:meth:`_incremental_prefix_length`)
-        from the backend in one batch, unless :meth:`prefetch_consistency`
-        already read them; the lookups then settle from that batch in
-        their usual order.
         """
         if self._cache is None or not produced:
             return _consistent_prefix_length(produced, reference, doms)
         key = self._consistency_key(produced, reference, doms)
-        limit = min(len(produced), len(reference), len(doms))
-        fetched = None
-        if self._cache.backend is not None:
-            if self._prefetched is not None and key in self._prefetched:
-                fetched = self._prefetched
-            else:
-                fetched = self._cache.prefetch_consistency(
-                    [self._check_keys(key, limit)]
-                )
-        hit = self._cache.get_consistency(key, self._counters, self._token, fetched)
+        hit = self._cache.get_consistency(key, self._counters, self._token)
         if hit is not None:
             return hit
-        value = self._incremental_prefix_length(
-            key, produced, reference, doms, limit, fetched
-        )
+        value = self._incremental_prefix_length(key, produced, reference, doms)
         if value is None:
             value = _consistent_prefix_length(produced, reference, doms)
         self._cache.put_consistency(key, value, self._counters, self._token)
-        if self._prefetched is not None:
-            self._prefetched.pop(key, None)  # memory holds it now
         return value
 
     @contextmanager
     def prefetching(self):
-        """Scope for :meth:`prefetch_executions` and
-        :meth:`prefetch_consistency`: rows read inside it serve the
-        lookups run inside it, then are dropped.  A nested scope shares
-        the enclosing scope's rows and leaves them in place on exit."""
+        """Scope for :meth:`prefetch_executions`: rows read inside it
+        serve the lookups run inside it, then are dropped.  A nested
+        scope shares the enclosing scope's rows and leaves them in place
+        on exit."""
         if self._prefetched is not None:
             yield
             return
@@ -410,33 +391,6 @@ class ExecutionEngine:
             )
         self._prefetched.update(self._cache.prefetch_entries(lookups))
 
-    def prefetch_consistency(
-        self, checks: Sequence[tuple[Sequence[Action], Sequence[Action], DOMTrace]]
-    ) -> None:
-        """Read the backend rows of upcoming consistency checks in one batch.
-
-        Each ``(produced, reference, doms)`` check contributes its full
-        key and its lookback keys; a later
-        :meth:`consistent_prefix_length` on one of them settles from
-        this batch instead of reading the backend again.  Counts
-        nothing; does nothing outside :meth:`prefetching` or without a
-        persistent backend.
-        """
-        if self._prefetched is None or self._cache is None or self._cache.backend is None:
-            return
-        self._prefetched.update(
-            self._cache.prefetch_consistency(
-                [
-                    self._check_keys(
-                        self._consistency_key(produced, reference, doms),
-                        min(len(produced), len(reference), len(doms)),
-                    )
-                    for produced, reference, doms in checks
-                    if produced
-                ]
-            )
-        )
-
     def _consistency_key(self, produced, reference, doms: DOMTrace) -> tuple:
         return (
             tuple(self.action_key(action) for action in produced),
@@ -444,28 +398,14 @@ class ExecutionEngine:
             doms.value_key(),
         )
 
-    def _check_keys(self, key, limit: int) -> list:
-        """A check's full key, then every key its lookback may probe."""
-        return [key] + [prefix_key for _, prefix_key in self._lookback(key, limit)]
-
     #: How many trailing actions the incremental consistency path will
     #: look back over for a settled prefix entry (extension adds at most
     #: a handful of actions between checks; past that, rescanning whole
     #: is no worse than probing).
-    _CONSISTENCY_LOOKBACK = 4
-
-    def _lookback(self, key, limit: int) -> list:
-        """``(cut, prefix key)`` for each settled prefix
-        :meth:`_incremental_prefix_length` may probe, longest first."""
-        produced_keys, reference_keys, window_keys = key
-        floor = max(limit - self._CONSISTENCY_LOOKBACK, 1)
-        return [
-            (cut, (produced_keys[:cut], reference_keys[:cut], window_keys[:cut]))
-            for cut in range(limit - 1, floor - 1, -1)
-        ]
+    _PREFIX_LOOKBACK = 4
 
     def _incremental_prefix_length(
-        self, key, produced, reference, doms, limit: int, fetched: Optional[dict]
+        self, key, produced, reference, doms
     ) -> Optional[int]:
         """Extend a settled shorter check instead of rescanning.
 
@@ -477,10 +417,12 @@ class ExecutionEngine:
         cost stays O(new actions) on long demonstrations.  A settled
         prefix that was already inconsistent is the answer outright.
         """
-        for cut, prefix_key in self._lookback(key, limit):
-            prior = self._cache.get_consistency(
-                prefix_key, self._counters, self._token, fetched
-            )
+        produced_keys, reference_keys, window_keys = key
+        limit = min(len(produced), len(reference), len(doms))
+        floor = max(limit - self._PREFIX_LOOKBACK, 1)
+        for cut in range(limit - 1, floor - 1, -1):
+            prefix_key = (produced_keys[:cut], reference_keys[:cut], window_keys[:cut])
+            prior = self._cache.get_consistency(prefix_key, self._counters, self._token)
             if prior is None:
                 continue
             if prior < cut:

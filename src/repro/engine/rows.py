@@ -2,9 +2,8 @@
 
 A backend (:mod:`repro.service.backends`) keeps rows addressed by
 ``(kind, digest)``; :class:`~repro.engine.cache.ExecutionCache` is the
-one place that turns entries into rows (:func:`entry_to_payload`,
-``{"v": n}`` for a consistency memo) and rows back into entries
-(:func:`decode_entry`, :func:`decode_consistency`).  Rows are
+one place that turns entries into rows (:func:`entry_to_payload`) and
+rows back into entries (:func:`decode_entry`).  Rows are
 codec-ready values — lists, dicts, strings, ints, bools and ``None`` —
 so any store codec (:mod:`repro.protocol.codec`) can carry them, and
 the fleet cache server relays them without decoding.
@@ -13,8 +12,10 @@ Row schema: an execution entry is ``{"a": [action, ...], "e": env}``,
 plus ``"x"`` (the examined window prefix) on terminal entries and
 ``"ok": true`` when ``exact_budget_ok`` holds; an action is
 ``[kind, selector steps, text, value path]`` and a step the six-field
-row of :meth:`StepInterner.step_to_row`.  A consistency memo is
-``{"v": n}``.
+row of :meth:`StepInterner.step_to_row`.  Only executions become
+rows: a consistency check costs microseconds to recompute, so its memo
+stays in the process (kind 2, which earlier builds wrote for it, is
+never read again).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.semantics.env import Env
 #: and tier-aware eviction — lookups key on the digest alone, whose
 #: input already carries the kind tag, so kinds can never collide even
 #: without a column filter.
-EXACT, TERMINAL, CONSISTENCY = 0, 1, 2
+EXACT, TERMINAL = 0, 1
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +201,3 @@ def decode_entry(
     except (KeyError, TypeError, ValueError, IndexError):
         return None
 
-
-def decode_consistency(payload: Optional[dict]) -> Optional[int]:
-    """The value of a consistency-memo payload, or ``None``."""
-    if payload is None or not isinstance(payload.get("v"), int):
-        return None
-    return payload["v"]

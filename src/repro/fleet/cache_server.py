@@ -47,7 +47,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
+from repro.engine.rows import EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import (
     DEFAULT_CODEC,
@@ -63,8 +63,9 @@ from repro.service.backends import FileBackend, default_store_path
 #: block starting at the service's 8738.
 DEFAULT_CACHE_PORT = 8799
 
-#: Entry kinds a row may carry.
-_VALID_KINDS = (EXACT, TERMINAL, CONSISTENCY)
+#: Entry kinds a row may carry (kind 2, the consistency rows of earlier
+#: builds, is no longer one).
+_VALID_KINDS = (EXACT, TERMINAL)
 
 #: Hard per-request row cap: a runaway batch degrades to 400, not OOM.
 MAX_BATCH = 4096

@@ -5,8 +5,9 @@ key a *value* (content digests for snapshots and data, alpha-canonical
 forms for statements — see :mod:`repro.engine.keys`), so a memoized
 outcome is meaningful in any process.  A :class:`CacheBackend` is the
 seam that exploits this: the cache consults it on an in-memory miss and
-writes every new outcome through it, addressed by the
+writes every new execution outcome through it, addressed by the
 :func:`~repro.engine.keys.stable_digest` of the full value key.
+Consistency memos never reach a backend.
 
 Backends store *payload rows* (:mod:`repro.engine.rows`): codec-ready
 dicts addressed by ``(kind, digest)``.  The cache turns entries into
@@ -21,12 +22,12 @@ then never computes a store digest.  The backends:
     codec (:mod:`repro.protocol.codec`: canonical JSON under zlib, ~10×
     smaller than plain JSON); reads sniff the codec per row, so stores
     that still hold plain JSON rows keep serving.  The store is
-    size-tiered: terminal/whole-program outcomes and consistency memos
-    always persist, while cheap exact interior entries (bounded cost at
-    or below the tier threshold) are recomputed rather than stored.
-    Eviction is byte-accounted against ``max_bytes``, incremental
-    (running totals, no full-table scans) and tier-aware: cheap tiers
-    drop first.
+    size-tiered: terminal/whole-program outcomes always persist, while
+    cheap exact interior entries (bounded cost at or below the tier
+    threshold) are recomputed rather than stored.  Eviction is
+    byte-accounted against ``max_bytes``, incremental (running totals,
+    no full-table scans) and tier-aware: every non-terminal row drops
+    before any terminal one.
 
 Shared use
     Pointing several worker processes at one store *is* the shared
@@ -57,7 +58,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
+from repro.engine.rows import EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
 from repro.util.env import env_int
@@ -149,8 +150,8 @@ class _StoreMetrics:
 class CacheBackend:
     """The persistence seam behind the in-memory execution cache.
 
-    A backend keeps payload rows: ``kind`` is :data:`EXACT`,
-    :data:`TERMINAL` or :data:`CONSISTENCY`, ``digest`` the
+    A backend keeps payload rows: ``kind`` is :data:`EXACT` or
+    :data:`TERMINAL`, ``digest`` the
     :func:`~repro.engine.keys.stable_digest` of the full value key, and
     the payload a codec-ready dict.  Turning entries into rows and back
     is the cache's business, so the file store and the remote tier keep
@@ -219,10 +220,10 @@ class FileBackend(CacheBackend):
     (corrupt, or in a deleted format) is a miss, and the recomputed
     entry overwrites it.
 
-    The store is size-tiered: :data:`TERMINAL` outcomes and
-    :data:`CONSISTENCY` memos always persist, while :data:`EXACT`
-    interior entries whose recompute cost is bounded at or below
-    ``tier_cost`` are skipped (the in-memory tables still hold them).
+    The store is size-tiered: :data:`TERMINAL` outcomes always persist,
+    while :data:`EXACT` interior entries whose recompute cost is bounded
+    at or below ``tier_cost`` are skipped (the in-memory tables still
+    hold them).
     Unless pinned by the constructor argument, ``tier_cost`` is
     *derived*: the store tracks the distribution of
     bounded recompute costs it is asked about and re-sets the threshold
@@ -232,8 +233,9 @@ class FileBackend(CacheBackend):
     Eviction is byte-based and incremental — running totals maintained
     at flush time, no full-table ``SUM`` scans — and tier-aware: once
     the total exceeds ``max_bytes``, rows are dropped down to 90% of
-    the threshold cheapest-tier-first (EXACT, then CONSISTENCY, then
-    TERMINAL), oldest-written first within a tier.  Every SQLite error
+    the threshold, every non-TERMINAL row (EXACT, and kind-2 consistency
+    rows that earlier builds wrote) before any TERMINAL one,
+    oldest-written first within each tier.  Every SQLite error
     degrades to a miss or a dropped write — the store is a cache, not a
     ledger.
     """
@@ -487,21 +489,22 @@ class FileBackend(CacheBackend):
     def _evict_locked(self) -> None:
         """Drop rows until under the byte threshold — cheap tiers first.
 
-        EXACT interior entries (recomputable) go before CONSISTENCY
-        memos, which go before TERMINAL whole-program outcomes;
-        oldest-written first within each tier, in bounded batches.  The
-        running byte total replaces the old full-table ``SUM`` +
-        ``ORDER BY rowid`` scan per flush.
+        Every non-TERMINAL row goes before any TERMINAL whole-program
+        outcome: EXACT interior entries (recomputable), and any kind-2
+        consistency row an earlier build wrote (never read, so evicting
+        it first costs nothing).  Oldest-written first within each tier,
+        in bounded batches.  The running byte total replaces the old
+        full-table ``SUM`` + ``ORDER BY rowid`` scan per flush.
         """
         if self._db_bytes <= self.max_bytes:
             return
         target = int(self.max_bytes * 0.9)
-        for tier in (EXACT, CONSISTENCY, TERMINAL):
+        for tier in ("kind != ?", "kind = ?"):  # non-terminal, then terminal
             while self._db_bytes > target:
                 rows = self._conn.execute(
-                    "SELECT rowid, nbytes FROM entries WHERE kind = ?"
+                    f"SELECT rowid, nbytes FROM entries WHERE {tier}"
                     " ORDER BY rowid LIMIT ?",
-                    (tier, self._EVICT_BATCH),
+                    (TERMINAL, self._EVICT_BATCH),
                 ).fetchall()
                 if not rows:
                     break  # tier empty: move on to the next
@@ -515,8 +518,8 @@ class FileBackend(CacheBackend):
                     if self._db_bytes - freed <= target:
                         break
                 self._conn.execute(
-                    "DELETE FROM entries WHERE kind = ? AND rowid <= ?",
-                    (tier, cutoff),
+                    f"DELETE FROM entries WHERE {tier} AND rowid <= ?",
+                    (TERMINAL, cutoff),
                 )
                 self.evictions += dropped
                 _StoreMetrics.get().evictions.inc(dropped)

@@ -455,12 +455,11 @@ class Synthesizer:
         store order.
 
         Runs in phases inside one :meth:`ExecutionEngine.prefetching`
-        scope, so that over a persistent backend the step makes two reads
-        however many trailing loops the store holds: one for every
-        trailing loop's lookahead run, one for every consistency check
-        those runs lead to.  Each run is made once and handed to
-        :meth:`_extend`, so every lookup still counts exactly one hit or
-        miss.
+        scope, so that over a persistent backend the step makes one read
+        however many trailing loops the store holds: every trailing
+        loop's lookahead run, in one batch.  Each run is made once and
+        handed to :meth:`_extend`, so every lookup still counts exactly
+        one hit or miss.
         """
         stored_tuples = list(self._store.values())
         with self._engine.prefetching():
@@ -481,19 +480,6 @@ class Synthesizer:
                 None if lookahead is None else self._run_trailing_loop(stored, lookahead)
                 for stored, lookahead in zip(stored_tuples, lookaheads)
             ]
-            checks = []
-            for stored, lookahead, ahead in zip(stored_tuples, lookaheads, aheads):
-                if ahead is None:
-                    continue
-                checks.append(self._extension_check(stored, ahead, new_length))
-                if len(ahead) == len(lookahead):
-                    # the loop absorbs every new action, so pushing the
-                    # extended tuple runs ``_try_generalize``'s check on
-                    # this same run
-                    checks.append(
-                        (ahead, self._actions[stored.bounds[-2] : new_length], lookahead)
-                    )
-            self._engine.prefetch_consistency(checks)
             for stored, ahead in zip(stored_tuples, aheads):
                 extended = self._extend(stored, old_length, new_length, ahead)
                 if extended is not None:
@@ -522,17 +508,6 @@ class Synthesizer:
             resumable=True,
         ).actions
 
-    def _extension_check(
-        self, stored: RewriteTuple, ahead: list[Action], new_length: int
-    ) -> tuple:
-        """The ``(produced, reference, window)`` consistency check that
-        decides how many new actions a trailing loop absorbs."""
-        slice_start = stored.bounds[-2]
-        window = DOMTrace(self._snapshots, slice_start, new_length)
-        produced = ahead[: len(window)]
-        reference = self._actions[slice_start : slice_start + len(produced)]
-        return produced, reference, window
-
     def _extend(
         self,
         stored: RewriteTuple,
@@ -554,9 +529,9 @@ class Synthesizer:
         base = stored
         if ahead is not None:
             slice_start = stored.bounds[-2]
-            produced, reference, window = self._extension_check(
-                stored, ahead, new_length
-            )
+            window = DOMTrace(self._snapshots, slice_start, new_length)
+            produced = ahead[: len(window)]
+            reference = self._actions[slice_start : slice_start + len(produced)]
             consistent = self._engine.consistent_prefix_length(
                 produced, reference, window
             )

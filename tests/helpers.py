@@ -104,13 +104,17 @@ def zlib_bomb() -> bytes:
 
 
 #: Payload rows exactly as earlier builds wrote them, with the lookups
-#: that address them: an exact row, a terminal row (examined prefix and
-#: budget flag) and a consistency memo.  Stores outlive builds, so the
-#: row schema and its addressing are a compatibility contract.
+#: that address them: an exact row and a terminal row (examined prefix
+#: and budget flag).  Stores outlive builds, so the row schema and its
+#: addressing are a compatibility contract.
 _LITERAL_ACTIONS = [["ScrapeText", [[True, "h3", None, None, False, 1]], None, None]]
 LITERAL_EXACT = (("base",), (101, 102), 1)
 LITERAL_TERMINAL = (("terminal-base",), (101, 102, 103), 3)
-LITERAL_CONSISTENCY = ((1, 2), (3, 4), (5,))
+#: A consistency memo as earlier builds wrote it (kind 2): the memo key
+#: it addressed, and its row.  Stores may still hold such rows; they are
+#: never read again.
+LEGACY_CONSISTENCY_KEY = ((1, 2), (3, 4), (5,))
+LEGACY_CONSISTENCY_ROW = [2, stable_digest(("consistency", LEGACY_CONSISTENCY_KEY)), {"v": 3}]
 
 
 def literal_rows() -> list:
@@ -119,11 +123,9 @@ def literal_rows() -> list:
     exact = stable_digest(("exact", stable_digest(base), window, budget))
     base, window, _ = LITERAL_TERMINAL
     terminal = stable_digest(("terminal", stable_digest(base), window[0]))
-    consistency = stable_digest(("consistency", LITERAL_CONSISTENCY))
     return [
         [0, exact, {"a": _LITERAL_ACTIONS, "e": []}],
         [1, terminal, {"a": _LITERAL_ACTIONS, "e": [], "x": [101, 102], "ok": True}],
-        [2, consistency, {"v": 3}],
     ]
 
 
@@ -135,9 +137,8 @@ def assert_serves_literal_rows(backend) -> None:
     for lookup in (LITERAL_EXACT, LITERAL_TERMINAL):
         actions, env = cache.get(*lookup, counters)
         assert (actions, env.fingerprint()) == expected
-    assert cache.get_consistency(LITERAL_CONSISTENCY, counters) == 3
-    assert (counters.exact_hits, counters.prefix_hits, counters.consistency_hits) == (1, 1, 1)
-    assert (counters.warm_hits, counters.misses) == (3, 0)
+    assert (counters.exact_hits, counters.prefix_hits) == (1, 1)
+    assert (counters.warm_hits, counters.misses) == (2, 0)
 
 
 def hold_after_reply(monkeypatch, handler_cls, path: str):

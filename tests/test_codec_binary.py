@@ -35,7 +35,6 @@ from repro.dom.xpath import parse_selector
 from repro.engine.cache import ExecutionCache, reset_process_cache
 from repro.engine.keys import stable_digest
 from repro.engine.rows import (
-    CONSISTENCY,
     EXACT,
     TERMINAL,
     StepInterner,
@@ -346,10 +345,10 @@ class TestStepInterner:
 
 
 class TestTierPolicy:
-    def test_terminal_and_consistency_always_persist(self, tmp_path):
+    def test_terminal_rows_always_persist(self, tmp_path):
         backend = FileBackend(tmp_path / "s.sqlite", tier_cost=5)
         assert backend.should_persist(TERMINAL, 0)
-        assert backend.should_persist(CONSISTENCY, 0)
+        assert backend.should_persist(TERMINAL, None)
         assert backend.tier_skips == 0
 
     def test_cheap_exact_entries_are_skipped(self, tmp_path):

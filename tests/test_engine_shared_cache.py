@@ -21,7 +21,6 @@ from repro.engine.cache import (
     session_token,
 )
 from repro.engine.index import index_for
-from repro.engine.rows import CONSISTENCY
 from repro.lang import EMPTY_DATA
 from repro.lang.data import DataSource
 from repro.lang.ast import canonical_program
@@ -424,8 +423,20 @@ class TestWarmStartSynthesis:
         monkeypatch.setenv("REPRO_STORE_TIERING", "0")
         from repro.service.backends import reset_backends
 
-        store = str(tmp_path / "store.sqlite")
+        # consistency checks never reach the store: a fresh process
+        # recomputes each one, and those are its only misses
+        check_misses = []
+        get_consistency = ExecutionCache.get_consistency
+
+        def counting_get(cache, *args, **kwargs):
+            value = get_consistency(cache, *args, **kwargs)
+            check_misses.append(value is None)
+            return value
+
+        monkeypatch.setattr(ExecutionCache, "get_consistency", counting_get)
+
         def run_once():
+            check_misses.clear()
             config = replace(DEFAULT_CONFIG, cache_backend="file")
             actions, snapshots = scrape_cards_trace(cards_page(5), 4)
             synthesizer = Synthesizer(EMPTY_DATA, config)
@@ -443,7 +454,7 @@ class TestWarmStartSynthesis:
             from repro.service.backends import flush_backends
 
             flush_backends()
-            return warm, misses, programs
+            return warm, misses - sum(check_misses), programs
 
         import os
 
@@ -455,12 +466,14 @@ class TestWarmStartSynthesis:
             cold_warm, cold_misses, cold_programs = run_once()
             assert cold_warm == 0
             assert cold_misses > 0
+            assert any(check_misses)
             # "new process": all in-process state dropped, store kept
             reset_process_cache()
             reset_backends()
             warm_warm, warm_misses, warm_programs = run_once()
             assert warm_warm > 0
-            assert warm_misses == 0
+            assert warm_misses == 0  # no execution missed
+            assert any(check_misses)
             assert warm_programs == cold_programs
         finally:
             reset_process_cache()
@@ -478,9 +491,10 @@ _EMPTY_ROW = {"a": [], "e": None}
 class _StubBackend(CacheBackend):
     """A backend with scriptable row loads.
 
-    ``payload`` answers *every* execution row (None = empty store);
-    ``gate`` runs inside ``load_payloads`` — the two-phase tests use a
-    barrier there to prove loads from different threads overlap.
+    ``payload`` answers *every* row (None = empty store); ``gate`` runs
+    inside ``load_payloads`` — the two-phase tests use a barrier there
+    to prove loads from different threads overlap.  ``stored`` records
+    the kind of every row written.
     """
 
     name = "stub"
@@ -489,20 +503,16 @@ class _StubBackend(CacheBackend):
         self.payload = payload
         self.gate = gate
         self.loads = 0
-        self.consistency: dict = {}
+        self.stored: list = []
 
     def load_payloads(self, rows):
         self.loads += 1
         if self.gate is not None:
             self.gate()
-        return [
-            self.consistency.get(key) if kind == CONSISTENCY else self.payload
-            for kind, key in rows
-        ]
+        return [self.payload for _ in rows]
 
     def store_payload(self, kind, key, payload):
-        if kind == CONSISTENCY:
-            self.consistency[key] = payload
+        self.stored.append(kind)
 
 
 class TestTwoPhaseBackendLookup:
@@ -598,16 +608,15 @@ class TestTwoPhaseBackendLookup:
         assert session.counters.warm_hits == 1
         assert session.counters.hits == 2
 
-    def test_consistency_memo_rides_the_same_two_phase_path(self):
-        stub = _StubBackend()
-        stub.consistency = {}
+    def test_consistency_memo_skips_the_backend(self):
+        # a store answering every row would warm-start any lookup that
+        # consulted it; the consistency memo never does
+        stub = _StubBackend(payload={"v": 5})
         shared = ExecutionCache(max_entries=64, backend=stub)
         writer, reader = _Caller(shared), _Caller(shared)
         writer.put_consistency(("key",), 5)
-        # key is in memory: served without a store read
-        loads_before = stub.loads
         assert reader.get_consistency(("key",)) == 5
-        assert stub.loads == loads_before
-        # a cold key probes the store outside the lock and misses
         assert reader.get_consistency(("cold",)) is None
-        assert reader.counters.misses == 1
+        assert (reader.counters.hits, reader.counters.misses) == (1, 1)
+        assert reader.counters.warm_hits == 0
+        assert (stub.loads, stub.stored) == (0, [])

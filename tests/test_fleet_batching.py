@@ -1,19 +1,19 @@
 """Batched cache-tier reads (``CacheBackend.load_payloads``).
 
 An execution-cache miss reads its exact and terminal rows in one
-backend batch, and a consistency check reads its full key and its
-lookback prefix keys in one batch; over ``remote://`` each batch is one
-``POST /v1/cache/get``.  Inside ``ExecutionEngine.prefetching`` several
-upcoming lookups share one batch: the synthesizer's extension step
-reads every trailing loop's execution rows together, then every loop's
-consistency checks together, and a validation pop reads its
-candidates' validation and generalization runs together.  Pinned here
-against an in-thread cache server, counting requests on the worker
-side and rows through the server's own metrics:
+backend batch; over ``remote://`` each batch is one
+``POST /v1/cache/get``.  Consistency checks never reach a backend.
+Inside ``ExecutionEngine.prefetching`` several upcoming lookups share
+one batch: the synthesizer's extension step reads every trailing loop's
+execution rows together, and a validation pop reads its candidates'
+validation and generalization runs together.  Pinned here against an
+in-thread cache server, counting requests on the worker side and rows
+through the server's own metrics:
 
 * each probe costs exactly one request, and a prefetch one for all;
-* an extension step costs two requests however many trailing loops
-  the store carries, and a validation pop one execution read;
+* an extension step costs one request however many trailing loops the
+  store carries, and a validation pop one;
+* no consistency row (kind 2) is read or written, cold or warm;
 * a batch serves the worker's own pending writes locally and sends
   only the other rows;
 * a reply with the wrong number of slots is a miss for every row;
@@ -32,12 +32,13 @@ import pytest
 from repro.dom import parse_selector
 from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
 from repro.engine.cache import reset_process_cache
-from repro.engine.rows import CONSISTENCY
+from repro.engine.rows import EXACT
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
 from repro.fleet.remote import RemoteBackend
 from repro.lang import EMPTY_DATA, scrape_text
+from repro.lang.ast import SCRAPE_TEXT, ActionStmt, Selector
 from repro.lang.pretty import format_program
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC
@@ -125,41 +126,6 @@ class TestOneRequestPerProbe:
         assert _get_rows("miss") == 2  # the exact row and the terminal row
         assert counters.misses == 1
 
-    def test_consistency_lookback_walk_is_one_request(self, cache):
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        window = DOMTrace(snapshots, 0, 6)
-        engine = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
-        )
-        assert engine.consistent_prefix_length(actions, actions, window) == 6
-        assert _get_requests() == 1
-        # the full key plus its four lookback prefixes, all misses
-        assert _get_rows("miss") == 5
-        counters = engine.counters()
-        assert (counters.hits, counters.misses) == (0, 5)
-
-    def test_lookback_settles_from_the_batch_in_order(self, cache):
-        # a "prior process" settled the five-action prefix; the next
-        # process's six-action check reads it back in the same single
-        # request and counts one miss (the full key) then one warm hit
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        url = _url(cache)
-        writer = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(url))
-        )
-        writer.consistent_prefix_length(actions[:5], actions[:5], DOMTrace(snapshots, 0, 5))
-        writer.cache.backend.flush()
-        before = _get_requests()
-        reader = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(url))
-        )
-        assert reader.consistent_prefix_length(actions, actions, DOMTrace(snapshots, 0, 6)) == 6
-        assert _get_requests() == before + 1
-        counters = reader.counters()
-        assert (counters.misses, counters.consistency_hits, counters.warm_hits) == (1, 1, 1)
-
     def test_memory_hit_on_the_full_key_reads_nothing(self, cache):
         dom = cards_page(4)
         actions, snapshots = scrape_cards_trace(dom, 3)
@@ -168,34 +134,34 @@ class TestOneRequestPerProbe:
             EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
         )
         engine.consistent_prefix_length(actions, actions, window)
-        before = _get_requests()
         assert engine.consistent_prefix_length(actions, actions, window) == 6
-        assert _get_requests() == before
+        # the miss was recomputed in process: no check reads the tier
+        assert _get_requests() == 0
         assert engine.counters().consistency_hits == 1
 
 
 def _rows(*keys):
-    return [(CONSISTENCY, key) for key in keys]
+    return [(EXACT, key) for key in keys]
 
 
 class TestRemoteBatches:
     def test_pending_rows_are_served_locally_and_the_rest_sent(self, cache):
         backend = RemoteBackend(_url(cache), flush_every=1000)
-        backend.store_payload(CONSISTENCY, KEY_A, {"v": 5})
+        backend.store_payload(EXACT, KEY_A, {"v": 5})
         assert backend.load_payloads(_rows(KEY_A, KEY_B)) == [{"v": 5}, None]
         assert _get_requests() == 1
         assert (_get_rows("hit"), _get_rows("miss")) == (0, 1)  # KEY_B only
 
     def test_an_all_pending_batch_sends_nothing(self, cache):
         backend = RemoteBackend(_url(cache), flush_every=1000)
-        backend.store_payload(CONSISTENCY, KEY_A, {"v": 5})
-        backend.store_payload(CONSISTENCY, KEY_B, {"v": 6})
+        backend.store_payload(EXACT, KEY_A, {"v": 5})
+        backend.store_payload(EXACT, KEY_B, {"v": 6})
         assert backend.load_payloads(_rows(KEY_B, KEY_A)) == [{"v": 6}, {"v": 5}]
         assert _get_requests() == 0
 
     def test_batch_answers_keep_row_order(self, cache):
         writer = RemoteBackend(_url(cache))
-        writer.store_payload(CONSISTENCY, KEY_B, {"v": 7})
+        writer.store_payload(EXACT, KEY_B, {"v": 7})
         writer.flush()
         reader = RemoteBackend(_url(cache))
         assert reader.load_payloads(_rows(KEY_A, KEY_B, KEY_A)) == [None, {"v": 7}, None]
@@ -239,53 +205,32 @@ class TestPrefetch:
         assert shared.prefetch_entries([(("base",), (1, 2, 3), 2)]) == {}
         assert _get_requests() == 0
 
-    def test_consistency_checks_share_one_request(self, cache, tmp_path):
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        checks = [
-            (actions[:n], actions[:n], DOMTrace(snapshots, 0, n)) for n in (5, 6)
-        ]
-        engine = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
-        )
-        with engine.prefetching():
-            engine.prefetch_consistency(checks)
-            assert _get_requests() == 1
-            values = [engine.consistent_prefix_length(*check) for check in checks]
-        assert _get_requests() == 1
-        # the same checks, unbatched, over an empty store of their own
-        control = ExecutionEngine(
-            EMPTY_DATA,
-            cache=ExecutionCache(backend=FileBackend(tmp_path / "control.sqlite")),
-        )
-        assert values == [control.consistent_prefix_length(*check) for check in checks]
-        counted = ("hits", "misses", "consistency_hits", "warm_hits")
-        assert [getattr(engine.counters(), name) for name in counted] == [
-            getattr(control.counters(), name) for name in counted
-        ]
-
     def test_a_nested_scope_keeps_the_outer_rows(self, cache):
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        check = (actions, actions, DOMTrace(snapshots, 0, 6))
         engine = ExecutionEngine(
             EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
         )
+        statements, window, budget = _scrape_run()
         with engine.prefetching():
-            engine.prefetch_consistency([check])
+            engine.prefetch_executions([(statements, window, budget)])
             with engine.prefetching():
                 pass
-            assert engine.consistent_prefix_length(*check) == 6
+            assert len(engine.execute(statements, window, max_actions=budget).actions) == 1
         assert _get_requests() == 1
 
     def test_prefetch_outside_the_scope_reads_nothing(self, cache):
-        dom = cards_page(4)
-        actions, snapshots = scrape_cards_trace(dom, 3)
         engine = ExecutionEngine(
             EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
         )
-        engine.prefetch_consistency([(actions, actions, DOMTrace(snapshots, 0, 6))])
+        engine.prefetch_executions([_scrape_run()])
         assert _get_requests() == 0
+
+
+def _scrape_run():
+    """One ``(statements, window, budget)`` execution: scrape the first
+    card's title."""
+    _, snapshots = scrape_cards_trace(cards_page(4), 3)
+    scrape = ActionStmt(SCRAPE_TEXT, Selector(None, parse_selector("//h3[1]").steps))
+    return [scrape], DOMTrace(snapshots, 0, 2), 2
 
 
 class _FixedReply(BaseHTTPRequestHandler):
@@ -379,9 +324,11 @@ register_backend_factory("per-key", _per_key_factory)
 
 def _session(backend_name: str):
     """One incremental session: its programs per call and its engine's
-    cache counters."""
-    dom = cards_page(6)
-    actions, snapshots = scrape_cards_trace(dom, 4)
+    cache counters.  Every card is scraped, so the session writes
+    execution rows (a shorter demonstration's are all cheap to
+    recompute, and none persist)."""
+    dom = cards_page(8)
+    actions, snapshots = scrape_cards_trace(dom, 8)
     synthesizer = Synthesizer(EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name))
     programs = []
     for cut in range(1, len(actions) + 1):
@@ -425,6 +372,41 @@ def test_counters_match_a_per_key_backend(tier, tmp_path, monkeypatch):
     assert outcomes["batched"] == outcomes["per-key"]
 
 
+@pytest.mark.parametrize("tier", ["file", "remote"])
+def test_no_consistency_row_reaches_a_backend(tier, tmp_path, monkeypatch):
+    """Cold then warm, every row a worker or the cache server reads or
+    writes is an execution row: consistency checks stay in process."""
+    kinds = []
+    for cls in (FileBackend, RemoteBackend):
+        load, store = cls.load_payloads, cls.store_payload
+
+        def spy_load(backend, rows, load=load):
+            kinds.extend(kind for kind, _ in rows)
+            return load(backend, rows)
+
+        def spy_store(backend, kind, key, payload, store=store):
+            kinds.append(kind)
+            store(backend, kind, key, payload)
+
+        monkeypatch.setattr(cls, "load_payloads", spy_load)
+        monkeypatch.setattr(cls, "store_payload", spy_store)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    server = thread = None
+    name = "file"
+    if tier == "remote":
+        server, thread = _start_cache(tmp_path / "tier.sqlite")
+        name = _url(server)
+    try:
+        cold, warm = _cold_then_warm(name)
+    finally:
+        if server is not None:
+            _stop_cache(server, thread)
+    assert warm[0] == cold[0]
+    assert warm[1]["warm_hits"] > 0
+    assert kinds
+    assert set(kinds) <= {0, 1}
+
+
 class _Phases:
     """Tags every ``remote://`` batch a session sends with the synthesis
     phases it was sent from: a ``synthesize`` call, a validation pop
@@ -433,7 +415,8 @@ class _Phases:
     def __init__(self, monkeypatch) -> None:
         self.stack: list = []
         self.serial = itertools.count()
-        self.reads: list = []  # (phases on the stack, row kinds read)
+        self.reads: list = []  # phases on the stack at each read
+        self.generalized: list = []  # phases on the stack at each check
         self.store_loops: dict = {}  # call -> trailing loops in its store
         self.validations: dict = {}  # pop -> validations it ran
         load = RemoteBackend.load_payloads
@@ -442,10 +425,7 @@ class _Phases:
         generalize = Synthesizer._try_generalize
 
         def logged_load(backend, rows):
-            kinds = frozenset(
-                "consistency" if kind == CONSISTENCY else "execution" for kind, _ in rows
-            )
-            self.reads.append((tuple(self.stack), kinds))
+            self.reads.append(tuple(self.stack))
             return load(backend, rows)
 
         def logged_synthesize(synthesizer, *args, **kwargs):
@@ -462,6 +442,7 @@ class _Phases:
             self.validations[pop] = stats.validations - before
 
         def logged_generalize(synthesizer, *args):
+            self.generalized.append(tuple(self.stack))
             with self._phase("generalize"):
                 return generalize(synthesizer, *args)
 
@@ -479,21 +460,19 @@ class _Phases:
         finally:
             self.stack.pop()
 
-    def extension_reads(self, call) -> list:
-        """Row kinds of each batch ``call`` sent outside its pops: its
-        extension step."""
-        return [
-            kinds
-            for stack, kinds in self.reads
-            if call in stack and not any(name == "pop" for name, _ in stack)
-        ]
+    def extension_reads(self, call) -> int:
+        """Batches ``call`` sent outside its pops: its extension step."""
+        return sum(
+            call in stack and not any(name == "pop" for name, _ in stack)
+            for stack in self.reads
+        )
 
     def pop_reads(self, pop) -> list:
-        """``(inside _try_generalize, row kinds)`` of each batch ``pop``
-        sent."""
+        """Whether each batch ``pop`` sent came from inside
+        ``_try_generalize``."""
         return [
-            (any(name == "generalize" for name, _ in stack), kinds)
-            for stack, kinds in self.reads
+            any(name == "generalize" for name, _ in stack)
+            for stack in self.reads
             if pop in stack
         ]
 
@@ -506,33 +485,26 @@ def phases(monkeypatch):
 class TestSessionReads:
     """Requests per synthesis phase in a cold incremental session."""
 
-    def test_an_extension_step_reads_twice_however_many_loops(self, cache, phases):
+    def test_an_extension_step_reads_once_however_many_loops(self, cache, phases):
         _session(_url(cache))
         steps = [call for call, loops in phases.store_loops.items() if loops]
         assert max(phases.store_loops[call] for call in steps) >= 2
         for call in steps:
-            # one execution batch for every loop's run, then one
-            # consistency batch for every loop's checks
-            assert phases.extension_reads(call) == [
-                {"execution"},
-                {"consistency"},
-            ]
+            # one execution batch for every loop's run
+            assert phases.extension_reads(call) == 1
 
     def test_a_validation_pop_reads_its_executions_once(self, cache, phases):
         _session(_url(cache))
         pops = [pop for pop, count in phases.validations.items() if count >= 2]
         assert pops
-        generalizing = []
         for pop in pops:
-            reads = phases.pop_reads(pop)
-            # the read-ahead comes first and is the pop's only execution
-            # read: no validation and no ``_try_generalize`` probes again
-            assert reads[0] == (False, {"execution"})
-            assert sum("execution" in kinds for _, kinds in reads) == 1
-            generalizing += [kinds for inside, kinds in reads if inside]
+            # the read-ahead is the pop's only read: no validation and
+            # no ``_try_generalize`` probes again
+            assert phases.pop_reads(pop) == [False]
         # rewrites that end the tuple reached the generalization check
-        assert generalizing
-        assert all(kinds == {"consistency"} for kinds in generalizing)
+        assert any(
+            pop in stack for stack in phases.generalized for pop in pops
+        )
 
 
 def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch, phases):

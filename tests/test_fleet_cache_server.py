@@ -75,20 +75,20 @@ PAYLOAD = {"v": 42}
 class TestWireProtocol:
     def test_put_then_get_round_trips(self, cache):
         response, body = _post(
-            cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]}
+            cache, "/v1/cache/put", {"e": [[0, KEY.hex(), PAYLOAD]]}
         )
         assert response.status == 200
         assert response.getheader("Content-Type") == BINARY.content_type
         ack = BINARY.decode_payload(body)
         assert ack["stored"] == 1
-        response, body = _get_entries(cache, [[2, KEY.hex()]])
+        response, body = _get_entries(cache, [[0, KEY.hex()]])
         assert response.status == 200
         assert body["e"] == [PAYLOAD]
 
     def test_get_misses_are_nulls_in_order(self, cache):
-        _post(cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]})
+        _post(cache, "/v1/cache/put", {"e": [[0, KEY.hex(), PAYLOAD]]})
         response, body = _get_entries(
-            cache, [[2, (b"\x02" * 16).hex()], [2, KEY.hex()]]
+            cache, [[0, (b"\x02" * 16).hex()], [0, KEY.hex()]]
         )
         assert response.status == 200
         assert body["e"] == [None, PAYLOAD]
@@ -105,7 +105,7 @@ class TestWireProtocol:
         _, body = _post(
             cache,
             "/v1/cache/put",
-            {"e": [[2, KEY.hex(), PAYLOAD], [2, (b"\x02" * 16).hex(), PAYLOAD]]},
+            {"e": [[0, KEY.hex(), PAYLOAD], [0, (b"\x02" * 16).hex(), PAYLOAD]]},
         )
         ack = BINARY.decode_payload(body)
         assert ack["entries"] == 2
@@ -113,8 +113,8 @@ class TestWireProtocol:
 
     def test_json_data_plane_bodies_are_400(self, cache):
         for path, payload in (
-            ("/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]}),
-            ("/v1/cache/get", {"k": [[2, KEY.hex()]]}),
+            ("/v1/cache/put", {"e": [[0, KEY.hex(), PAYLOAD]]}),
+            ("/v1/cache/get", {"k": [[0, KEY.hex()]]}),
         ):
             response, body = _post(cache, path, payload, codec=JSON)
             assert response.status == 400
@@ -139,6 +139,7 @@ class TestBadRequests:
             {"k": [[0, "zz"]]},  # not hex
             {"k": [[0, ""]]},  # empty key
             {"k": [[0]]},  # short row
+            {"k": [[2, KEY.hex()]]},  # the retired consistency kind
         ],
     )
     def test_malformed_get_is_400(self, cache, payload):
@@ -147,10 +148,12 @@ class TestBadRequests:
         assert JSON.decode_payload(body)["error"] == "bad_request"
 
     def test_malformed_put_row_is_400(self, cache):
-        response, _ = _post(
-            cache, "/v1/cache/put", {"e": [[EXACT, KEY.hex(), "not a dict"]]}
-        )
-        assert response.status == 400
+        for row in ([EXACT, KEY.hex(), "not a dict"], [2, KEY.hex(), PAYLOAD]):
+            response, _ = _post(cache, "/v1/cache/put", {"e": [row]})
+            assert response.status == 400
+        # a rejected row is never stored, and the server keeps serving
+        response, body = _get_entries(cache, [[EXACT, KEY.hex()]])
+        assert (response.status, body["e"]) == (200, [None])
 
     def test_unknown_routes_are_404(self, cache):
         response, _ = _get(cache, "/nope")
@@ -234,8 +237,8 @@ class TestOperationalRoutes:
         assert health["role"] == "cache"
 
     def test_stats_reflect_traffic(self, cache):
-        _post(cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]})
-        _get_entries(cache, [[2, KEY.hex()]])
+        _post(cache, "/v1/cache/put", {"e": [[0, KEY.hex(), PAYLOAD]]})
+        _get_entries(cache, [[0, KEY.hex()]])
         response, body = _get(cache, "/v1/stats")
         assert response.getheader("Content-Type") == JSON.content_type
         stats = JSON.decode_payload(body)
@@ -244,8 +247,8 @@ class TestOperationalRoutes:
         assert stats["loads"] >= 1
 
     def test_metrics_route_counts_hits_and_misses(self, cache):
-        _post(cache, "/v1/cache/put", {"e": [[2, KEY.hex(), PAYLOAD]]})
-        _get_entries(cache, [[2, KEY.hex()], [2, (b"\x03" * 16).hex()]])
+        _post(cache, "/v1/cache/put", {"e": [[0, KEY.hex(), PAYLOAD]]})
+        _get_entries(cache, [[0, KEY.hex()], [0, (b"\x03" * 16).hex()]])
         response, body = _get(cache, "/v1/metrics")
         assert response.status == 200
         text = body.decode("utf-8")
@@ -259,7 +262,7 @@ class TestOperationalRoutes:
         obs_metrics.reset_registry()
         held, release = hold_after_reply(monkeypatch, _CacheHandler, "/v1/cache/get")
         try:
-            response, _ = _get_entries(cache, [[2, KEY.hex()]])
+            response, _ = _get_entries(cache, [[0, KEY.hex()]])
             assert response.status == 200
             assert held.wait(timeout=10.0)
             _, body = _get(cache, "/v1/metrics")

@@ -21,7 +21,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.engine.cache import CacheCounters, ExecutionCache, reset_process_cache
-from repro.engine.rows import CONSISTENCY, EXACT, TERMINAL
+from repro.engine.rows import EXACT, TERMINAL
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
@@ -41,7 +41,6 @@ from repro.service.sessions import SessionManager
 from repro.synth.config import DEFAULT_CONFIG
 
 from helpers import (
-    LITERAL_CONSISTENCY,
     LITERAL_EXACT,
     LITERAL_TERMINAL,
     assert_serves_literal_rows,
@@ -53,7 +52,6 @@ from helpers import (
 
 KEY = b"\x07" * 16
 ROW = [(EXACT, KEY)]
-CONSISTENCY_ROW = [(CONSISTENCY, KEY)]
 
 
 @pytest.fixture(autouse=True)
@@ -161,9 +159,9 @@ class TestFaultInjection:
             retries=0,
             breaker_threshold=100,
         )
-        backend.store_payload(CONSISTENCY, KEY, {"v": 5})
+        backend.store_payload(EXACT, KEY, {"v": 5})
         # the buffered write still serves locally
-        assert backend.load_payloads(CONSISTENCY_ROW) == [{"v": 5}]
+        assert backend.load_payloads(ROW) == [{"v": 5}]
         backend.flush()
         assert backend.dropped_writes == 1
         assert backend.entries == 0  # nothing acknowledged
@@ -228,7 +226,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_payloads(CONSISTENCY_ROW) == [None]
+            assert backend.load_payloads(ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
@@ -253,7 +251,7 @@ class TestFaultInjection:
                 retries=0,
                 breaker_threshold=100,
             )
-            assert backend.load_payloads(CONSISTENCY_ROW) == [None]
+            assert backend.load_payloads(ROW) == [None]
             assert backend.io_errors == 1
         finally:
             server.close()
@@ -306,19 +304,17 @@ class TestFaultInjection:
         # a foreign/corrupt row in the tier is a row found, but the
         # cache reads it as a counted miss, never as a mangled entry
         # handed to the engine
-        exact, terminal, consistency = (digest for _, digest, _ in literal_rows())
+        exact, terminal = (digest for _, digest, _ in literal_rows())
         cache.store.store_payload(EXACT, exact, {"junk": 1})
         cache.store.store_payload(TERMINAL, terminal, {"a": "junk", "e": None})
-        cache.store.store_payload(CONSISTENCY, consistency, {"v": "NaN"})
         backend = RemoteBackend(_cache_url(cache))
         reader = ExecutionCache(backend=backend)
         counters = CacheCounters()
         assert reader.get(*LITERAL_EXACT, counters) is None
         assert reader.get(*LITERAL_TERMINAL, counters) is None
-        assert reader.get_consistency(LITERAL_CONSISTENCY, counters) is None
-        assert (counters.misses, counters.hits, counters.warm_hits) == (3, 0, 0)
+        assert (counters.misses, counters.hits, counters.warm_hits) == (2, 0, 0)
         assert len(reader) == 0  # nothing promoted
-        assert backend.load_hits == 3
+        assert backend.load_hits == 2
 
 
 class TestCircuitBreaker:
@@ -374,8 +370,10 @@ class TestCircuitBreaker:
 class TestWireRoundTrip:
     def test_warm_start_crosses_worker_processes(self, cache):
         url = _cache_url(cache)
-        dom = cards_page(5)
-        actions, snapshots = scrape_cards_trace(dom, 4)
+        # every card scraped: the session writes execution rows (a
+        # shorter demonstration's rows are all cheap to recompute)
+        dom = cards_page(8)
+        actions, snapshots = scrape_cards_trace(dom, 8)
 
         def drive():
             manager = SessionManager(
@@ -413,7 +411,7 @@ class TestWireRoundTrip:
             connection.request("POST", "/v1/cache/put", body=body)
             response = connection.getresponse()
             assert response.status == 200
-            assert STORE_CODEC.decode_payload(response.read())["stored"] == 3
+            assert STORE_CODEC.decode_payload(response.read())["stored"] == 2
         finally:
             connection.close()
         assert_serves_literal_rows(RemoteBackend(_cache_url(cache)))
@@ -421,9 +419,9 @@ class TestWireRoundTrip:
     def test_request_histogram_pairs_with_the_cache_server(self, cache):
         obs_metrics.reset_registry()
         backend = RemoteBackend(_cache_url(cache))
-        backend.store_payload(CONSISTENCY, KEY, {"v": 9})
+        backend.store_payload(EXACT, KEY, {"v": 9})
         backend.flush()
-        assert RemoteBackend(_cache_url(cache)).load_payloads(CONSISTENCY_ROW) == [{"v": 9}]
+        assert RemoteBackend(_cache_url(cache)).load_payloads(ROW) == [{"v": 9}]
         text = obs_metrics.registry().render()
         assert "# TYPE repro_remote_request_seconds histogram" in text
         samples = parse_samples(text)
@@ -441,7 +439,7 @@ class TestWireRoundTrip:
 
     def test_stats_duck_type_like_the_file_backend(self, cache):
         backend = RemoteBackend(_cache_url(cache))
-        backend.store_payload(CONSISTENCY, KEY, {"v": 9})
+        backend.store_payload(EXACT, KEY, {"v": 9})
         backend.flush()
         assert backend.persisted_bytes > 0
         assert backend.entries == 1
@@ -472,8 +470,10 @@ class TestMidLoadKill:
         threading.Thread(target=worker.serve_forever, daemon=True).start()
         client = ServiceClient(f"http://127.0.0.1:{worker.server_address[1]}")
         try:
-            dom = cards_page(6)
-            actions, snapshots = scrape_cards_trace(dom, 5)
+            # every card scraped: the demonstration's last calls write
+            # terminal rows, so the revived tier receives some
+            dom = cards_page(4)
+            actions, snapshots = scrape_cards_trace(dom, 4)
             sid = client.create_session(snapshots[0])
             client.record_action(sid, actions[0], snapshots[1])
 
@@ -498,11 +498,13 @@ class TestMidLoadKill:
             threading.Thread(target=revived.serve_forever, daemon=True).start()
             try:
                 time.sleep(0.25)
-                for position in (3, 4):
-                    proposed = client.record_action(
-                        sid, actions[position], snapshots[position + 1]
-                    )
-                assert proposed.programs > 0  # the session still converges
+                proposals = [
+                    client.record_action(sid, actions[position], snapshots[position + 1])
+                    for position in range(3, len(actions))
+                ]
+                # the session still converges (the last call, at the end
+                # of the list, has nothing left to predict)
+                assert all(proposed.programs > 0 for proposed in proposals[:-1])
                 client.close_session(sid)  # close flushes to the tier
                 assert backend.breaker.state == CLOSED
                 assert revived.store.entries > 0

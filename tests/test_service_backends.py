@@ -4,20 +4,22 @@ Covers the payload rows (exact structural round-trips for actions and
 environments), the SQLite file backend (cross-connection visibility,
 byte-accounted eviction, corruption tolerance), backend resolution, and
 the cache-level warm-start path the backends feed — including rows
-written in the literal format earlier builds stored.
+written in the literal format earlier builds stored, and the consistency
+rows (kind 2) they wrote, which are never read and evict first.
 """
 
 import os
 import sqlite3
+from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
 from repro.dom import E
 from repro.dom.xpath import parse_selector
-from repro.engine.cache import CacheCounters, ExecutionCache
+from repro.engine.cache import CacheCounters, ExecutionCache, reset_process_cache
 from repro.engine.keys import stable_digest
 from repro.engine.rows import (
-    CONSISTENCY,
     EXACT,
     TERMINAL,
     action_from_payload,
@@ -28,12 +30,28 @@ from repro.engine.rows import (
     env_from_payload,
     env_to_payload,
 )
-from repro.lang import X, click, enter_data, scrape_text, send_keys
+from repro.lang import EMPTY_DATA, X, click, enter_data, scrape_text, send_keys
 from repro.lang.ast import SEL_VAR, VAL_VAR, Var, ValuePath
 from repro.semantics.env import Env
-from repro.service.backends import FileBackend, resolve_backend, reset_backends
+from repro.service.backends import (
+    FileBackend,
+    default_store_path,
+    flush_backends,
+    resolve_backend,
+    reset_backends,
+)
+from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.synthesizer import Synthesizer
 
-from helpers import assert_serves_literal_rows, literal_rows
+from helpers import (
+    LEGACY_CONSISTENCY_KEY,
+    LEGACY_CONSISTENCY_ROW,
+    _session_outputs,
+    assert_serves_literal_rows,
+    cards_page,
+    literal_rows,
+    scrape_cards_trace,
+)
 
 
 class TestCodec:
@@ -91,16 +109,16 @@ class TestFileBackend:
         actions = (scrape_text(parse_selector("//h3[1]")),)
         writer = FileBackend(path, flush_every=1)
         key = stable_digest(("exact", "k"))
-        consistency = stable_digest(("consistency", "c"))
+        terminal = stable_digest(("terminal", "t"))
         writer.store_payload(EXACT, key, _row(actions))
-        writer.store_payload(CONSISTENCY, consistency, {"v": 5})
+        writer.store_payload(TERMINAL, terminal, _row(actions, (7, 8)))
         writer.close()
         reader = FileBackend(path)  # a different process, morally
-        restored, value, absent = reader.load_payloads(
-            [(EXACT, key), (CONSISTENCY, consistency), (EXACT, stable_digest(("exact", "other")))]
+        restored, restored_terminal, absent = reader.load_payloads(
+            [(EXACT, key), (TERMINAL, terminal), (EXACT, stable_digest(("exact", "other")))]
         )
         assert decode_entry(restored)[0] == actions
-        assert value == {"v": 5}
+        assert decode_entry(restored_terminal)[2] == (7, 8)
         assert absent is None
         assert reader.persisted_bytes > 0
         assert reader.entries == 2
@@ -165,13 +183,11 @@ class TestFileBackend:
 
     def test_batch_reads_mix_the_buffer_and_the_store_in_order(self, tmp_path):
         backend = FileBackend(tmp_path / "store.sqlite", flush_every=1000)
-        stored, buffered, absent = (
-            stable_digest(("consistency", name)) for name in "sba"
-        )
-        backend.store_payload(CONSISTENCY, stored, {"v": 5})
+        stored, buffered, absent = (stable_digest(("exact", name)) for name in "sba")
+        backend.store_payload(EXACT, stored, {"v": 5})
         backend.flush()
-        backend.store_payload(CONSISTENCY, buffered, {"v": 6})
-        rows = [(CONSISTENCY, key) for key in (buffered, absent, stored, buffered)]
+        backend.store_payload(EXACT, buffered, {"v": 6})
+        rows = [(EXACT, key) for key in (buffered, absent, stored, buffered)]
         assert backend.load_payloads(rows) == [{"v": 6}, None, {"v": 5}, {"v": 6}]
         assert (backend.loads, backend.load_hits) == (4, 3)
         backend.close()
@@ -282,17 +298,6 @@ class TestCacheWarmStart:
         assert counters.exact_hits == 1
         backend.close()
 
-    def test_consistency_memo_round_trips_through_the_store(self, tmp_path):
-        backend = FileBackend(tmp_path / "store.sqlite", flush_every=1)
-        writer = ExecutionCache(max_entries=16, backend=backend)
-        writer.put_consistency(((1, 2), (3, 4), (5,)), 2, CacheCounters())
-        reader = ExecutionCache(max_entries=16, backend=backend)
-        counters = CacheCounters()
-        assert reader.get_consistency(((1, 2), (3, 4), (5,)), counters) == 2
-        assert counters.consistency_hits == 1
-        assert counters.warm_hits == 1
-        backend.close()
-
     def test_memory_backend_never_touches_digests(self):
         cache = ExecutionCache(max_entries=4, backend=resolve_backend("memory"))
         assert cache.backend is None
@@ -306,9 +311,103 @@ class TestCacheWarmStart:
     def test_rows_earlier_builds_wrote_serve_warm_hits(self, tmp_path):
         path = tmp_path / "store.sqlite"
         writer = FileBackend(path)
-        for kind, digest, payload in literal_rows():
+        for kind, digest, payload in literal_rows() + [LEGACY_CONSISTENCY_ROW]:
             writer.store_payload(kind, digest, payload)
         writer.close()
         reader = FileBackend(path)
         assert_serves_literal_rows(reader)
+        # the consistency memo's row is never read: its check misses
+        counters = CacheCounters()
+        cache = ExecutionCache(backend=reader)
+        assert cache.get_consistency(LEGACY_CONSISTENCY_KEY, counters) is None
+        assert (counters.misses, counters.warm_hits) == (1, 0)
         reader.close()
+
+
+def _store_rows(path) -> dict:
+    """``{kind: set of keys}`` over every row of a store file."""
+    rows: dict = {}
+    with closing(sqlite3.connect(path)) as connection:
+        for kind, key in connection.execute("SELECT kind, key FROM entries"):
+            rows.setdefault(kind, set()).add(bytes(key))
+    return rows
+
+
+def _store_bytes(path, kind: int) -> int:
+    with closing(sqlite3.connect(path)) as connection:
+        (total,) = connection.execute(
+            "SELECT COALESCE(SUM(nbytes), 0) FROM entries WHERE kind = ?", (kind,)
+        ).fetchone()
+    return total
+
+
+class TestLegacyConsistencyRows:
+    """Stores that earlier builds filled still hold their consistency
+    rows (kind 2): the cache never reads them, and eviction drops them
+    before any terminal row."""
+
+    def test_never_read_and_evicted_first(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+        # every card scraped: the session writes exact and terminal rows
+        dom = cards_page(8)
+        actions, snapshots = scrape_cards_trace(dom, 8)
+        config = replace(DEFAULT_CONFIG, cache_backend="file")
+        checks = set()
+        put_consistency = ExecutionCache.put_consistency
+
+        def recording_put(cache, key, *args, **kwargs):
+            checks.add(key)
+            put_consistency(cache, key, *args, **kwargs)
+
+        requested = []
+        load_payloads = FileBackend.load_payloads
+
+        def recording_load(backend, rows):
+            requested.extend(rows)
+            return load_payloads(backend, rows)
+
+        monkeypatch.setattr(ExecutionCache, "put_consistency", recording_put)
+        monkeypatch.setattr(FileBackend, "load_payloads", recording_load)
+
+        def session():
+            """One incremental session in a "new process"."""
+            reset_backends()
+            reset_process_cache()
+            try:
+                return _session_outputs(Synthesizer(EMPTY_DATA, config), actions, snapshots)
+            finally:
+                flush_backends()
+                reset_backends()
+                reset_process_cache()
+
+        cold = session()
+        assert checks
+        # the rows an earlier build wrote for these very checks, each
+        # with a wrong value: reading any of them would change programs
+        path = default_store_path()
+        legacy = {stable_digest(("consistency", key)) for key in checks}
+        writer = FileBackend(path)
+        for digest in legacy:
+            writer.store_payload(2, digest, {"v": 0})
+        writer.close()
+        requested.clear()
+        assert session() == cold
+        assert requested
+        assert {kind for kind, _ in requested} <= {EXACT, TERMINAL}
+        assert not legacy & {digest for _, digest in requested}
+
+        # a threshold whose 90% target sits just above the terminal
+        # rows: every non-terminal row must go, and no terminal one
+        before = _store_rows(path)
+        assert before[2] == legacy
+        assert before[EXACT] and before[TERMINAL]
+        terminal_bytes = _store_bytes(path, TERMINAL)
+        evictor = FileBackend(path, max_bytes=(terminal_bytes + 2) * 10 // 9 + 1, flush_every=1)
+        evictor.store_payload(EXACT, stable_digest(("exact", "trigger")), _row(()))
+        assert evictor.evictions >= len(legacy)
+        evictor.close()
+        after = _store_rows(path)
+        assert set(after) == {TERMINAL}
+        assert after[TERMINAL] == before[TERMINAL]
+        assert session() == cold
