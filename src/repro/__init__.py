@@ -19,66 +19,45 @@ See ``examples/`` for complete end-to-end scenarios and ``DESIGN.md`` for
 the paper-to-module map.
 """
 
-from repro.browser import (
-    Browser,
-    Recording,
-    RepairingReplayer,
-    Replayer,
-    VirtualWebsite,
-    record_ground_truth,
-)
-from repro.engine import ExecutionEngine
-from repro.export import export_program
-from repro.interact import InteractiveSession, NoisyUser, OracleUser, SessionReport
-from repro.lang import (
-    Action,
-    DataSource,
-    Program,
-    format_program,
-    parse_program,
-)
-from repro.lang.check import assert_well_formed, check_program
-from repro.lang.lint import LintFinding, lint_program
-from repro.synth import (
-    DEFAULT_CONFIG,
-    SynthesisConfig,
-    SynthesisProblem,
-    SynthesisResult,
-    Synthesizer,
-    generalizes,
-    satisfies,
-)
+from repro.util.lazy import lazy_exports
+
+#: Each public name and the module that defines it.  None is imported
+#: here: a name is resolved on first access (PEP 562), so a process that
+#: imports one subpackage — the fleet cache server, say — never loads
+#: the synthesizer through this package.
+_EXPORTS = {
+    "ExecutionEngine": "repro.engine.engine",
+    "Browser": "repro.browser.virtual",
+    "Recording": "repro.browser.recorder",
+    "record_ground_truth": "repro.browser.recorder",
+    "Replayer": "repro.browser.replayer",
+    "RepairingReplayer": "repro.browser.repair",
+    "VirtualWebsite": "repro.browser.virtual",
+    "InteractiveSession": "repro.interact.session",
+    "SessionReport": "repro.interact.session",
+    "NoisyUser": "repro.interact.user",
+    "OracleUser": "repro.interact.user",
+    "Action": "repro.lang.actions",
+    "DataSource": "repro.lang.data",
+    "Program": "repro.lang.ast",
+    "format_program": "repro.lang.pretty",
+    "parse_program": "repro.lang.parser",
+    "export_program": "repro.export",
+    "check_program": "repro.lang.check",
+    "assert_well_formed": "repro.lang.check",
+    "LintFinding": "repro.lang.lint",
+    "lint_program": "repro.lang.lint",
+    "DEFAULT_CONFIG": "repro.synth.config",
+    "SynthesisConfig": "repro.synth.config",
+    "SynthesisProblem": "repro.synth.problem",
+    "SynthesisResult": "repro.synth.synthesizer",
+    "Synthesizer": "repro.synth.synthesizer",
+    "generalizes": "repro.synth.problem",
+    "satisfies": "repro.synth.problem",
+}
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ExecutionEngine",
-    "Browser",
-    "Recording",
-    "Replayer",
-    "VirtualWebsite",
-    "record_ground_truth",
-    "InteractiveSession",
-    "NoisyUser",
-    "OracleUser",
-    "SessionReport",
-    "Action",
-    "DataSource",
-    "Program",
-    "format_program",
-    "parse_program",
-    "export_program",
-    "check_program",
-    "assert_well_formed",
-    "LintFinding",
-    "lint_program",
-    "RepairingReplayer",
-    "DEFAULT_CONFIG",
-    "SynthesisConfig",
-    "SynthesisProblem",
-    "SynthesisResult",
-    "Synthesizer",
-    "generalizes",
-    "satisfies",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

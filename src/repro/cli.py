@@ -73,6 +73,9 @@ differing only in the ``tool`` tag and the rules that can appear.
 ``drift``
     Run the drift-robustness study (raw paths vs. synthesized
     programs, plain vs. repaired replay).
+
+Each command imports what it runs, inside its handler: ``cache-serve``
+never loads the synthesizer, and ``serve`` loads it before its banner.
 """
 
 from __future__ import annotations
@@ -81,15 +84,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro import io as repro_io
-from repro.benchmarks.suite import all_benchmarks, benchmark_by_id
-from repro.browser.replayer import Replayer
-from repro.lang.data import DataSource, EMPTY_DATA
-from repro.lang.pretty import format_program
-from repro.synth.config import DEFAULT_CONFIG
-from repro.synth.synthesizer import Synthesizer
+if TYPE_CHECKING:
+    from repro.lang.data import DataSource
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,6 +251,9 @@ def _cmd_stats() -> int:
 
 
 def _cmd_record(bid: str, output: Optional[str], max_actions: int) -> int:
+    from repro import io as repro_io
+    from repro.benchmarks.suite import all_benchmarks, benchmark_by_id
+
     try:
         benchmark = benchmark_by_id(bid)
     except KeyError:
@@ -272,16 +273,18 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
                     timeout: float, show_stats: bool = False,
                     backend: Optional[str] = None,
                     trace_out: Optional[str] = None) -> int:
+    from repro import io as repro_io
+    from repro.lang.pretty import format_program
+    from repro.synth.config import DEFAULT_CONFIG
+    from repro.synth.synthesizer import Synthesizer
+
     if trace_out is not None:
         from repro.obs import tracing as obs_tracing
 
         obs_tracing.enable(path=trace_out)
     with open(path, encoding="utf-8") as handle:
         recording = repro_io.load(handle)
-    data = EMPTY_DATA
-    if data_path is not None:
-        with open(data_path, encoding="utf-8") as handle:
-            data = DataSource(json.load(handle))
+    data = _load_data(data_path)
     prefix = cut if cut is not None else recording.length - 1
     prefix = max(1, min(prefix, recording.length - 1))
     actions, snapshots = recording.prefix(prefix)
@@ -364,6 +367,7 @@ def _cmd_serve(arguments) -> int:
     from dataclasses import replace
 
     from repro.service.server import DEFAULT_PORT, serve
+    from repro.synth.config import DEFAULT_CONFIG
 
     if arguments.cache_dir is not None:
         # resolve_backend reads this when building the store path
@@ -416,6 +420,10 @@ def _cmd_rebalance(arguments) -> int:
 
 
 def _cmd_replay(program_path: str, bid: str) -> int:
+    from repro import io as repro_io
+    from repro.benchmarks.suite import benchmark_by_id
+    from repro.browser.replayer import Replayer
+
     with open(program_path, encoding="utf-8") as handle:
         program = repro_io.load(handle)
     benchmark = benchmark_by_id(bid)
@@ -430,6 +438,8 @@ def _cmd_replay(program_path: str, bid: str) -> int:
 
 
 def _load_data(data_path: Optional[str]) -> DataSource:
+    from repro.lang.data import EMPTY_DATA, DataSource
+
     if data_path is None:
         return EMPTY_DATA
     with open(data_path, encoding="utf-8") as handle:
@@ -437,6 +447,8 @@ def _load_data(data_path: Optional[str]) -> DataSource:
 
 
 def _load_program(path: str):
+    from repro import io as repro_io
+
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = repro_io.load(handle)
@@ -500,6 +512,7 @@ def _cmd_lint(program_path: str, disable: str, as_json: bool = False) -> int:
 
 def _cmd_analyze(program_path: str, recording_path: Optional[str],
                  data_path: Optional[str], as_json: bool = False) -> int:
+    from repro import io as repro_io
     from repro.analysis.report import ERROR, analyze_program, findings_payload
 
     program = _load_program(program_path)
@@ -554,6 +567,7 @@ def _cmd_export(program_path: str, target: str, start_url: str,
 
 def _cmd_explain(program_path: str, recording_path: str,
                  data_path: Optional[str], summary: bool) -> int:
+    from repro import io as repro_io
     from repro.semantics.provenance import explain, render_explanation, render_summary
     from repro.semantics.trace import DOMTrace
 

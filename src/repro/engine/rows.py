@@ -26,12 +26,7 @@ from repro.dom.xpath import CHILD, DESC, ConcreteSelector, Predicate, Step, Toke
 from repro.lang.actions import Action
 from repro.lang.ast import SEL_VAR, ValuePath, Var
 from repro.semantics.env import Env
-
-#: Entry kinds.  Stored in the ``kind`` column for store introspection
-#: and tier-aware eviction — lookups key on the digest alone, whose
-#: input already carries the kind tag, so kinds can never collide even
-#: without a column filter.
-EXACT, TERMINAL = 0, 1
+from repro.util.rowkinds import EXACT, TERMINAL  # noqa: F401 - re-exported
 
 
 # ----------------------------------------------------------------------

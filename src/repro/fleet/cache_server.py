@@ -37,7 +37,14 @@ Storage policy is entirely the ``FileBackend``'s: byte-accounted
 tier-aware eviction, codec-sniffed rows, I/O failures degraded to
 misses.  The server adds only batching, counters
 (``repro_cache_server_requests_total{op,outcome}``) and a per-op
-latency histogram (``repro_cache_server_seconds{op}``).
+latency histogram (``repro_cache_server_seconds{op}``).  A batch is
+validated whole before any row is read, stored or counted, so a
+rejected request leaves the store and the counters as it found them.
+
+The process never loads the synthesizer: it imports the store, the
+leaf codec and the row kinds (:mod:`repro.util.rowkinds`), not the
+engine that encodes rows nor the protocol's message layer, so
+``repro cache-serve`` boots in a fraction of a worker's time.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.engine.rows import EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import (
     DEFAULT_CODEC,
@@ -58,6 +64,7 @@ from repro.protocol.codec import (
     request_length,
 )
 from repro.service.backends import FileBackend, default_store_path
+from repro.util.rowkinds import EXACT, TERMINAL
 
 #: Default cache-tier port — well clear of the workers' consecutive
 #: block starting at the service's 8738.
@@ -223,11 +230,13 @@ class _CacheHandler(BaseHTTPRequestHandler):
         keys = payload.get("k")
         if not isinstance(keys, list) or len(keys) > MAX_BATCH:
             raise ProtocolError("'k' must be a list of [kind, key_hex] rows")
+        # the whole batch parses before any row is read or counted: a
+        # rejected request leaves the counters as it found them
+        parsed = [self._parse_key(row) for row in keys]
         store = self.server.store
         metrics = _CacheServerMetrics.get()
         entries = []
-        for row in keys:
-            kind, key = self._parse_key(row)
+        for kind, key in parsed:
             found = store.load_payload(kind, key)
             metrics.requests.labels(
                 op="get", outcome="hit" if found is not None else "miss"
@@ -241,22 +250,25 @@ class _CacheHandler(BaseHTTPRequestHandler):
             raise ProtocolError(
                 "'e' must be a list of [kind, key_hex, payload] rows"
             )
-        store = self.server.store
-        stored = 0
+        # the whole batch validates before any row is stored: a rejected
+        # put writes nothing
+        parsed = []
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
                 raise ProtocolError("each put row is [kind, key_hex, payload]")
             kind, key = self._parse_key(row[:2])
             if not isinstance(row[2], dict):
                 raise ProtocolError("row payload must be an object")
-            store.store_payload(kind, key, row[2])
-            stored += 1
+            parsed.append((kind, key, row[2]))
+        store = self.server.store
+        for kind, key, value in parsed:
+            store.store_payload(kind, key, value)
         _CacheServerMetrics.get().requests.labels(op="put", outcome="stored").inc(
-            stored
+            len(parsed)
         )
         self._reply(
             {
-                "stored": stored,
+                "stored": len(parsed),
                 "entries": store.entries,
                 "bytes": store.persisted_bytes,
             },

@@ -56,7 +56,6 @@ from http.client import HTTPException
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
-from repro.engine.rows import EXACT
 from repro.fleet.cache_server import DEFAULT_CACHE_PORT
 from repro.fleet.pool import pool
 from repro.obs import metrics as obs_metrics
@@ -68,6 +67,7 @@ from repro.service.backends import (
     tiering_enabled,
 )
 from repro.util.env import env_float, env_int
+from repro.util.rowkinds import EXACT
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1

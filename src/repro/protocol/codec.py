@@ -21,6 +21,12 @@ Each hop uses exactly one of two implementations:
 Payloads are self-describing: every zlib stream this codec writes
 starts with 0x78, which no JSON document can, so :func:`sniff_codec`
 reads stores that still hold plain JSON rows.
+
+The module is a leaf: :class:`ProtocolError` lives here, and the
+message layer (:mod:`repro.protocol.messages`, which loads the DOM and
+action types) is imported only inside the message ``encode``/``decode``
+methods.  A process that moves payloads only — the store and the
+fleet cache server — never loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ import json
 import zlib
 
 from repro.obs import metrics as obs_metrics
-from repro.protocol.messages import ProtocolError, from_wire, to_wire
+from repro.util.errors import ReproError
+
+
+class ProtocolError(ReproError):
+    """A malformed, unknown, or version-incompatible wire message."""
+
 
 _codec_ops = None
 _codec_bytes = None
@@ -121,11 +132,15 @@ class JsonCodec(Codec):
     content_type = "application/json"
 
     def encode(self, message) -> bytes:
+        from repro.protocol.messages import to_wire
+
         raw = _canonical(to_wire(message))
         _publish("json", "encode", len(raw))
         return raw
 
     def decode(self, payload: bytes):
+        from repro.protocol.messages import from_wire
+
         wire = _parse(payload)
         _publish("json", "decode", len(payload))
         return from_wire(wire)
@@ -204,11 +219,15 @@ class BinaryCodec(Codec):
     content_type = "application/x-repro-binary"
 
     def encode(self, message) -> bytes:
+        from repro.protocol.messages import to_wire
+
         raw = zlib.compress(_canonical(to_wire(message)))
         _publish("binary", "encode", len(raw))
         return raw
 
     def decode(self, payload: bytes):
+        from repro.protocol.messages import from_wire
+
         wire = _inflate(payload)
         _publish("binary", "decode", len(payload))
         return from_wire(wire)

@@ -21,7 +21,8 @@ recording.
 
 Versioning policy: ``PROTOCOL_VERSION`` is a single integer; a decoder
 accepts exactly its own version and rejects everything else with
-:class:`ProtocolError` — version negotiation is the client's job (the
+:class:`ProtocolError` (defined in the leaf :mod:`repro.protocol.codec`
+and re-exported here) — version negotiation is the client's job (the
 server advertises its version on ``/healthz``).  Any field addition,
 removal, or retyping bumps the version and must land together with a
 regenerated ``schema.json`` (the ``protocol-compat`` CI step diffs it).
@@ -36,14 +37,11 @@ from repro import io as repro_io
 from repro.dom.node import DOMNode
 from repro.lang.actions import Action
 from repro.obs import context as obs_context
-from repro.util.errors import ParseError, ReproError
+from repro.protocol.codec import ProtocolError  # noqa: F401 - re-exported
+from repro.util.errors import ParseError
 
 #: The wire version every message carries.  Bump on any wire change.
 PROTOCOL_VERSION = 3
-
-
-class ProtocolError(ReproError):
-    """A malformed, unknown, or version-incompatible wire message."""
 
 
 # ----------------------------------------------------------------------

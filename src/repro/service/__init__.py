@@ -18,9 +18,12 @@ system:
   stdlib HTTP (``repro serve``, ``/v1/...`` routes) and the typed
   client that speaks it.
 
-Only the dependency-light backends module is imported here; the session
-and server modules pull in the whole synthesizer stack and are imported
-explicitly by their users.
+Only the backends module is imported here.  It loads no synthesizer:
+its imports are the leaf store codec (:mod:`repro.protocol.codec`), the
+row kinds (:mod:`repro.util.rowkinds`) and :mod:`repro.obs`, so the
+fleet cache server runs on it alone.  The session and server modules
+pull in the whole synthesizer stack and are imported explicitly by
+their users.
 """
 
 from repro.service.backends import (  # noqa: F401

@@ -58,10 +58,10 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.engine.rows import EXACT, TERMINAL
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
 from repro.util.env import env_int
+from repro.util.rowkinds import EXACT, TERMINAL
 
 #: Default store eviction threshold: 256 MiB of payload bytes.
 DEFAULT_MAX_BYTES = 256 << 20

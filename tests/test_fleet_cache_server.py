@@ -155,6 +155,39 @@ class TestBadRequests:
         response, body = _get_entries(cache, [[EXACT, KEY.hex()]])
         assert (response.status, body["e"]) == (200, [None])
 
+    def test_put_with_a_bad_row_stores_none_of_the_batch(self, cache):
+        obs_metrics.reset_registry()
+        batch = [[EXACT, KEY.hex(), PAYLOAD], [EXACT, "zz", PAYLOAD]]
+        response, body = _post(cache, "/v1/cache/put", {"e": batch})
+        assert response.status == 400
+        assert "malformed key 'zz'" in JSON.decode_payload(body)["message"]
+        assert cache.store.entries == 0
+        samples = parse_samples(obs_metrics.registry().render())
+        assert sample_value(
+            samples, "repro_cache_server_requests_total", {"op": "put", "outcome": "stored"}
+        ) is None
+        # the valid row ahead of the bad one was not written either
+        response, body = _get_entries(cache, [[EXACT, KEY.hex()]])
+        assert (response.status, body["e"]) == (200, [None])
+
+    def test_get_with_a_bad_row_reads_and_counts_nothing(self, cache):
+        _post(cache, "/v1/cache/put", {"e": [[EXACT, KEY.hex(), PAYLOAD]]})
+        obs_metrics.reset_registry()
+        loads = cache.store.loads
+        response, _ = _post(
+            cache, "/v1/cache/get", {"k": [[EXACT, KEY.hex()], [EXACT, "zz"]]}
+        )
+        assert response.status == 400
+        assert cache.store.loads == loads
+        samples = parse_samples(obs_metrics.registry().render())
+        for outcome in ("hit", "miss"):
+            assert sample_value(
+                samples, "repro_cache_server_requests_total", {"op": "get", "outcome": outcome}
+            ) is None
+        assert sample_value(
+            samples, "repro_cache_server_requests_total", {"op": "get", "outcome": "bad_request"}
+        ) == 1
+
     def test_unknown_routes_are_404(self, cache):
         response, _ = _get(cache, "/nope")
         assert response.status == 404
