@@ -13,9 +13,11 @@ budget would clip both variants to the same ceiling on long traces.
 
 Each variant is timed as the best of three alternating passes (cached,
 uncached, cached, ...), so one slow pass on a shared box does not
-decide the ratio.  A pass runs both variants cold on its own fresh
-copy of the recording, the cached one first, so no pass inherits the
-DOM indexes or node memos another pass built.
+decide the ratio.  A pass runs both variants cold, the cached one
+first, and each variant of each pass gets its own fresh deep copy of
+the recording, so no leg inherits the DOM indexes or node memos
+another leg built (snapshot-level caches live on the recording's DOM
+nodes).
 
 ``REPRO_CACHE_BENCH`` picks the subject benchmark;
 ``REPRO_CACHE_LEN`` bounds the trace length;
@@ -38,13 +40,13 @@ PASSES = 3
 
 
 def _run_pass(bid: str, max_length: int) -> tuple[ScalingSeries, ScalingSeries]:
-    recording = copy.deepcopy(benchmark_by_id(bid).record())
+    recording = benchmark_by_id(bid).record()
     cached = run_scaling(
         bid,
         max_length,
         timeout=10.0,
         variants=[("cache on", DEFAULT_CONFIG)],
-        recording=recording,
+        recording=copy.deepcopy(recording),
     )[0]
     previous = dom_index.set_dom_indexes(False)
     try:
@@ -53,7 +55,7 @@ def _run_pass(bid: str, max_length: int) -> tuple[ScalingSeries, ScalingSeries]:
             max_length,
             timeout=10.0,
             variants=[("cache off", no_execution_cache_config())],
-            recording=recording,
+            recording=copy.deepcopy(recording),
         )[0]
     finally:
         dom_index.set_dom_indexes(previous)

@@ -21,12 +21,6 @@ executing it.  Four abstract domains, one per module:
     Symbolic cost intervals: min/max emitted actions as a function of
     loop bounds.
 
-:mod:`repro.analysis.feasibility` is the synthesis-hot-path client: a
-statically sound refutation of speculated candidates (can this
-statement's emission language possibly reproduce the recorded slice it
-must cover?), used by :mod:`repro.synth.scheduler` to drop candidates
-before validation ever executes them.
-
 :mod:`repro.analysis.report` aggregates the domains into one
 :class:`~repro.analysis.report.ProgramAnalysis` with unified findings —
 the same machine-readable shape ``repro check`` / ``repro lint`` /

@@ -65,6 +65,7 @@ from repro.protocol.codec import (
 )
 from repro.service.backends import FileBackend, default_store_path
 from repro.util.rowkinds import EXACT, TERMINAL
+from repro.util.signals import interruptible
 
 #: Default cache-tier port — well clear of the workers' consecutive
 #: block starting at the service's 8738.
@@ -312,6 +313,7 @@ def make_cache_server(
     return CacheServer((host, port), store, quiet=quiet)
 
 
+@interruptible()
 def serve_cache(
     host: str = "127.0.0.1",
     port: int = DEFAULT_CACHE_PORT,
@@ -319,11 +321,13 @@ def serve_cache(
     max_bytes: Optional[int] = None,
     quiet: bool = True,
 ) -> int:
-    """Run the cache tier until interrupted; returns the exit code."""
+    """Run the cache tier until SIGINT, even one the process inherited
+    ignored (:func:`repro.util.signals.interruptible`); returns the
+    exit code."""
     server = make_cache_server(host, port, path, max_bytes, quiet)
     bound_host, bound_port = server.server_address[:2]
-    print(f"repro-cache listening on http://{bound_host}:{bound_port}", flush=True)
     try:
+        print(f"repro-cache listening on http://{bound_host}:{bound_port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - signal path
         pass

@@ -72,7 +72,6 @@ def render_synthesis_stats(stats) -> str:
         ["trace length", stats.trace_length],
         ["worklist pops", stats.pops],
         ["speculated", stats.speculated],
-        ["statically pruned", stats.pruned],
         ["validations run", stats.validations],
         ["validated", stats.validated],
         ["store tuples", stats.tuples],

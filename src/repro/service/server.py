@@ -79,6 +79,7 @@ from repro.service.client import ServiceClient, ServiceClientError, metric_route
 from repro.service.sessions import SessionError, SessionManager
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.util.errors import ParseError, ReproError
+from repro.util.signals import interruptible
 
 #: Default service port (consecutive ports for extra workers).
 DEFAULT_PORT = 8738
@@ -401,6 +402,7 @@ def _announce(server: ServiceServer) -> None:
     sys.stdout.flush()
 
 
+@interruptible()
 def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
@@ -410,7 +412,7 @@ def serve(
     quiet: bool = True,
     max_idle_s: Optional[float] = None,
 ) -> int:
-    """Run the service until interrupted; returns the exit code.
+    """Run the service until SIGINT; returns the exit code.
 
     ``workers > 1`` forks ``workers - 1`` children on consecutive ports
     (``port+1``, ``port+2``, ...), each with its own session manager —
@@ -418,6 +420,11 @@ def serve(
     the persistent backend (and can trade sessions via the migrate
     endpoint).  With ``port=0`` the OS picks each worker's port; every
     worker announces its own URL on stdout.
+
+    SIGINT stops the service even when the process inherited it
+    ignored (:func:`repro.util.signals.interruptible`); the parent
+    forwards it to each worker, and every process closes its sessions
+    and flushes its cache backends before it exits.
     """
     # bind the parent first: a bad host/port fails fast, before any
     # worker is forked (a bind failure after forking would orphan them)
@@ -432,8 +439,8 @@ def serve(
             if pid == 0:
                 server.server_close()  # the parent's socket is not ours
                 child = make_server(host, worker_port, config, timeout, quiet, max_idle_s)
-                _announce(child)
                 try:
+                    _announce(child)
                     child.serve_forever()
                 except KeyboardInterrupt:  # pragma: no cover - signal path
                     pass

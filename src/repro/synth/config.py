@@ -79,15 +79,6 @@ class SynthesisConfig:
         joins the process-level cache of its resolved backend.
         Behaviour-preserving: the cache keys are value-addressed end to
         end, and hits replay recorded outcomes verbatim.
-    static_prune:
-        Statically refute speculated candidates before dispatching
-        validation (:mod:`repro.analysis.feasibility`): a candidate
-        whose emission NFA cannot prefix-match the recorded slice it
-        must reproduce is dropped without an engine execution.  The
-        refutation only fires where Algorithm 3 would certainly
-        reject, so synthesized programs are byte-identical either way
-        (``benchmarks/bench_static_prune.py`` pins identity and
-        measures the saved executions).
     """
 
     timeout: float = 1.0
@@ -98,7 +89,6 @@ class SynthesisConfig:
     use_execution_cache: bool = True
     use_index_enumeration: bool = True
     cache_backend: Optional[str] = None
-    static_prune: bool = True
 
 
 #: The full-fledged configuration (Table 1 row 1).
@@ -145,11 +135,6 @@ def resolved_cache_backend(config: SynthesisConfig) -> str:
     if config.cache_backend is not None:
         return config.cache_backend
     return os.environ.get("REPRO_CACHE_BACKEND", "").strip() or "memory"
-
-
-def no_static_prune_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Static candidate refutation off (ablation/bench baseline)."""
-    return replace(base, static_prune=False)
 
 
 def file_backend_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:

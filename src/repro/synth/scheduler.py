@@ -2,9 +2,10 @@
 
 Algorithm 1's inner loop pops a worklist tuple, speculates candidate
 rewrites, validates each against the trace, and pushes the survivors.
-:class:`SerialScheduler` is the validation half: it statically prunes
-the candidates, ranks them, and validates them in rank order under the
-per-span rewrite cap.  The synthesizer owns the worklist and the
+:class:`SerialScheduler` is the validation half: it ranks the
+candidates and validates them in rank order under the per-span rewrite
+cap.  Executing validation (Algorithm 3) is the only check a candidate
+passes through.  The synthesizer owns the worklist and the
 speculation half (:mod:`repro.synth.synthesizer`).
 
 Validation stays on the calling thread: under the GIL, threads here
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.analysis.feasibility import infeasible
 from repro.semantics.trace import DOMTrace
 from repro.synth.rewrite import RewriteTuple
 from repro.synth.speculate import SpeculationContext, SRewrite
@@ -30,54 +30,6 @@ PushFn = Callable[[RewriteTuple], None]
 #: Per popped tuple, keep only this many validated rewrites covering the
 #: same trace slice (smallest statements win).
 MAX_REWRITES_PER_SPAN = 3
-
-
-def _static_prune(
-    current: RewriteTuple,
-    candidates: list[SRewrite],
-    context: SpeculationContext,
-    stats,
-) -> None:
-    """Drop candidates Algorithm 3 provably rejects, before validation.
-
-    Two sound refutations (see :mod:`repro.analysis.feasibility`): the
-    tuple has no statement boundary ``>= end + 2`` for the matched
-    slice to end on, or the candidate's emission NFA cannot
-    prefix-match the ``bounds[end + 2] - bounds[start]`` recorded
-    actions a successful validation must reproduce.  Both only fire
-    where ``validate`` would certainly return ``None``, so the pushed
-    tuples — and the synthesized programs — are byte-identical with
-    pruning on or off; only the engine executions saved differ
-    (``stats.pruned`` counts them).
-
-    Runs in place, before ranking — a pruned candidate costs no rank
-    key.
-    """
-    if not candidates or not context.config.static_prune:
-        return
-    bounds = current.bounds
-    last = len(bounds) - 1
-    kept: list[SRewrite] = []
-    for candidate in candidates:
-        boundary = candidate.end + 2
-        if boundary > last:
-            stats.pruned += 1
-            continue
-        start_action = bounds[candidate.start]
-        min_count = bounds[boundary] - start_action
-        if infeasible(
-            candidate.stmt,
-            context.actions,
-            context.snapshots,
-            context.data,
-            start_action,
-            min_count,
-        ):
-            stats.pruned += 1
-            continue
-        kept.append(candidate)
-    if len(kept) != len(candidates):
-        candidates[:] = kept
 
 
 def _rank_order(candidates: list[SRewrite], context: SpeculationContext) -> None:
@@ -132,7 +84,7 @@ class SerialScheduler:
     ) -> None:
         """Validate ``candidates`` against ``current``; push survivors.
 
-        Mutates ``stats`` (``validated``, ``validations``, ``pruned``,
+        Mutates ``stats`` (``validated``, ``validations``,
         ``timed_out``).  The deadline is checked between candidates, so
         a call overruns its budget by at most one validation.
 
@@ -140,7 +92,6 @@ class SerialScheduler:
         make are read ahead in one batch (:func:`_read_ahead`); each
         still counts its own hit or miss where it runs.
         """
-        _static_prune(current, candidates, context, stats)
         _rank_order(candidates, context)
         engine = context.engine
         with engine.prefetching():

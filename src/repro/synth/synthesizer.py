@@ -84,10 +84,6 @@ class _SynthMetrics:
         self.validated = registry.counter(
             "repro_synth_validated_total", "Candidates that passed validation."
         )
-        self.pruned = registry.counter(
-            "repro_synth_pruned_total",
-            "Speculated candidates refuted statically before dispatch.",
-        )
         self.phase_seconds = registry.histogram(
             "repro_synth_phase_seconds",
             "Per-call wall clock by synthesis phase.",
@@ -131,7 +127,6 @@ class _SynthMetrics:
         self.speculated.inc(stats.speculated)
         self.validations.inc(stats.validations)
         self.validated.inc(stats.validated)
-        self.pruned.inc(stats.pruned)
         self.phase_seconds.labels(phase="speculate").observe(stats.speculate_s)
         self.phase_seconds.labels(phase="validate").observe(stats.validate_s)
         self.phase_seconds.labels(phase="extend").observe(stats.extend_s)
@@ -180,17 +175,12 @@ class SynthesisStats:
     speculated: int = 0
     validated: int = 0
     #: Engine validation executions actually run (Algorithm 3 calls) —
-    #: ``validated`` counts only the successes.  ``pruned`` counts the
-    #: speculated candidates the static feasibility analysis
-    #: (:mod:`repro.analysis.feasibility`) refuted before dispatch;
-    #: every pruned candidate is a validation execution saved.
+    #: ``validated`` counts only the successes.
     validations: int = 0
-    pruned: int = 0
     tuples: int = 0
     elapsed: float = 0.0
     #: Phase timings (seconds).  ``speculate_s`` covers Algorithm 2
-    #: runs; ``validate_s`` covers each pop's validation — pruning,
-    #: ranking, cap accounting, and the pushes' generalization checks;
+    #: runs; ``validate_s`` covers each pop's validation — ranking, cap accounting, and the pushes' generalization checks;
     #: ``extend_s`` covers the cross-call store extension (§5.4).
     speculate_s: float = 0.0
     validate_s: float = 0.0

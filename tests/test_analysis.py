@@ -4,8 +4,8 @@ Each domain is checked on hand-built programs with known answers:
 effect summaries and the mutating > navigating > read-only
 classification; termination verdicts per loop form; symbolic cost
 intervals (including data-sharpened value loops); selector fragility
-scores and the resolve check; the candidate-feasibility NFA; and the
-aggregated :func:`analyze_program` report with its unified findings.
+scores and the resolve check; and the aggregated
+:func:`analyze_program` report with its unified findings.
 """
 
 from repro.analysis import (
@@ -22,12 +22,11 @@ from repro.analysis import (
     selector_fragility,
     termination_of_program,
 )
-from repro.analysis.feasibility import infeasible
 from repro.dom import parse_selector
 from repro.lang import parse_program
-from repro.lang.data import DataSource, EMPTY_DATA
+from repro.lang.data import DataSource
 
-from helpers import cards_page, scrape_cards_trace
+from helpers import cards_page
 
 
 SCRAPE_LOOP = (
@@ -146,42 +145,6 @@ class TestFragility:
         roles = {r.role: r.resolves for r in reports}
         assert roles["target"] is None  # mentions the loop variable
         assert roles["collection"] is True
-
-
-class TestFeasibility:
-    def test_raw_selector_loop_body_is_refuted(self):
-        # a loop body that kept the raw first-card selector re-resolves
-        # to card 1 at iteration 2 while the reference moved to card 2
-        dom = cards_page(3).freeze()
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        stmt = parse_program(
-            "foreach i in Children(/html[1]/body[1], div) do\n"
-            "  ScrapeText(/html[1]/body[1]/div[2]/h3[1])\n"
-            "  ScrapeText(/html[1]/body[1]/div[2]/div[1])"
-        ).statements[0]
-        assert infeasible(stmt, actions, snapshots, EMPTY_DATA, 0, 4)
-
-    def test_parametrized_loop_body_is_not_refuted(self):
-        dom = cards_page(3).freeze()
-        actions, snapshots = scrape_cards_trace(dom, 3)
-        stmt = parse_program(
-            "foreach i in Children(/html[1]/body[1], div) do\n"
-            "  ScrapeText(i/h3[1])\n"
-            "  ScrapeText(i/div[1])"
-        ).statements[0]
-        assert not infeasible(stmt, actions, snapshots, EMPTY_DATA, 0, 4)
-
-    def test_kind_mismatch_is_refuted_immediately(self):
-        dom = cards_page(2).freeze()
-        actions, snapshots = scrape_cards_trace(dom, 2)
-        stmt = parse_program("Click(//div[@class='card'][1]/h3[1])").statements[0]
-        assert infeasible(stmt, actions, snapshots, EMPTY_DATA, 0, 1)
-
-    def test_zero_requirement_never_refutes(self):
-        dom = cards_page(2).freeze()
-        actions, snapshots = scrape_cards_trace(dom, 2)
-        stmt = parse_program("Click(//a[1])").statements[0]
-        assert not infeasible(stmt, actions, snapshots, EMPTY_DATA, 0, 0)
 
 
 class TestAnalyzeProgram:

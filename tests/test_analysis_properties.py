@@ -7,14 +7,8 @@ The analyzer's verdicts must never contradict concrete execution:
   read-only-classified program never emits a DOM-mutating (or even
   navigating) action;
 * **cost** — the measured action count of a complete concrete replay
-  falls inside the statically computed cost interval;
-* **pruning** — synthesis with the static candidate filter on and off
-  produces byte-identical programs on randomly parameterized
-  recordings, with the filter never increasing the engine validation
-  count.
+  falls inside the statically computed cost interval.
 """
-
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,10 +18,7 @@ from repro.benchmarks.sites.plain_lists import NestedListSite, PlainListSite
 from repro.benchmarks.sites.store_locator import StoreLocatorSite
 from repro.browser import record_ground_truth
 from repro.lang import EMPTY_DATA, Program, action_to_statement, parse_program
-from repro.lang.pretty import format_program
 from repro.semantics import DOMTrace, execute
-from repro.synth.config import no_execution_cache_config
-from repro.synth.synthesizer import Synthesizer
 
 FLAT_GT = parse_program(
     "foreach i in Children(/html[1]/body[1]/ul[1], li) do\n"
@@ -131,24 +122,3 @@ class TestCostSoundness:
         produced = execute(program, DOMTrace(recording.snapshots, 0, cut), data).actions
         assert cost.hi is None or len(produced) <= cost.hi
 
-
-class TestPruneParity:
-    @given(recordings())
-    @settings(max_examples=8, deadline=None)
-    def test_pruning_never_changes_synthesized_programs(self, payload):
-        recording, _, data = payload
-        length = recording.length - 1
-        if length < 2:
-            return
-        actions, snapshots = recording.prefix(length)
-        outcomes = {}
-        for flag in (False, True):
-            config = replace(no_execution_cache_config(), static_prune=flag)
-            synthesizer = Synthesizer(data, config)
-            result = synthesizer.synthesize(actions, snapshots, timeout=10.0)
-            outcomes[flag] = (
-                [format_program(p) for p in result.programs],
-                result.stats.validations,
-            )
-        assert outcomes[True][0] == outcomes[False][0]
-        assert outcomes[True][1] <= outcomes[False][1]
