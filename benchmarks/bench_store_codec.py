@@ -8,8 +8,9 @@ every measurement starts cold:
 
 * **memory** — the in-process backend: the cold baseline every
   persistent run has to beat;
-* **file / binary, untiered** — everything persisted: the baseline of
-  the tier-policy footprint comparison;
+* **file / binary, untiered** — everything persisted (the child sets
+  ``repro.engine.cache.TIER_COST`` to -1): the baseline of the
+  tier-policy footprint comparison;
 * **file / binary, tiered** (the default config) — cheap exact
   interior entries are recomputed instead of stored: the tier-policy
   footprint comparison;
@@ -113,31 +114,35 @@ def _drive_sessions(backend, subjects, sessions):
     }
 
 
-def _child(backend, store_dir, env, spec, sessions, pipe):
-    """Child-process entry: isolate caches and env, drive, ship results."""
-    os.environ["REPRO_CACHE_DIR"] = store_dir
-    os.environ.update(env)
-    from repro.engine.cache import reset_process_cache
-    from repro.service.backends import flush_backends, resolve_backend, reset_backends
+def _child(backend, store_dir, untiered, spec, sessions, pipe):
+    """Child-process entry: isolate caches and env, drive, ship results.
 
-    reset_process_cache()
+    ``untiered`` sets the cache's tier threshold to -1 in this process,
+    so every exact row persists."""
+    os.environ["REPRO_CACHE_DIR"] = store_dir
+    from repro.engine import cache as cache_module
+    from repro.service.backends import flush_backends, reset_backends
+
+    if untiered:
+        cache_module.TIER_COST = -1
+    cache_module.reset_process_cache()
     reset_backends()
     try:
         result = _drive_sessions(backend, _subjects(spec), sessions)
         if backend == "file":
-            result["tier_skips"] = resolve_backend("file").tier_skips
+            result["tier_skips"] = cache_module.process_cache("file").tier_skips
         flush_backends()  # os._exit skips atexit: push buffered entries out
         pipe.send(result)
     finally:
         pipe.close()
 
 
-def _run_child(backend, store_dir, env, spec, sessions):
+def _run_child(backend, store_dir, spec, sessions, untiered=False):
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe()
     process = context.Process(
         target=_child,
-        args=(backend, store_dir, env, spec, sessions, child_end),
+        args=(backend, store_dir, untiered, spec, sessions, child_end),
     )
     process.start()
     child_end.close()
@@ -218,17 +223,15 @@ def test_store_codec(benchmark, quick):
     max_cpu_ratio = float(os.environ.get("REPRO_STORE_BENCH_MAX_CPU_RATIO", "3.0"))
     subjects = _subjects(spec)  # validates the spec before forking
 
-    untiered = {"REPRO_STORE_TIERING": "0"}
-    tiered = {"REPRO_STORE_TIERING": "1"}
     with tempfile.TemporaryDirectory(prefix="repro-codec-bench-") as root:
         dir_full = os.path.join(root, "binary-full")
         dir_tiered = os.path.join(root, "binary-tiered")
 
         def run_legs():
-            memory = _run_child("memory", root, {}, spec, sessions)
-            bin_full = _run_child("file", dir_full, untiered, spec, sessions)
-            bin_tiered = _run_child("file", dir_tiered, tiered, spec, sessions)
-            bin_warm = _run_child("file", dir_tiered, tiered, spec, sessions)
+            memory = _run_child("memory", root, spec, sessions)
+            bin_full = _run_child("file", dir_full, spec, sessions, untiered=True)
+            bin_tiered = _run_child("file", dir_tiered, spec, sessions)
+            bin_warm = _run_child("file", dir_tiered, spec, sessions)
             return memory, bin_full, bin_tiered, bin_warm
 
         memory, bin_full, bin_tiered, bin_warm = benchmark.pedantic(

@@ -74,6 +74,18 @@ one batch (:meth:`~repro.service.backends.CacheBackend.load_payloads`,
 one round trip on a networked tier).  Consistency memos are never read
 from or written to a backend — recomputing a check costs microseconds,
 far less than one row read.
+
+The tier policy
+---------------
+This cache alone decides which rows a backend holds.  Every lookup and
+insert may carry ``cost``, an upper bound on the simulated actions
+needed to recompute the outcome (``None`` = unknown).  An exact row
+whose bound is at most :data:`TIER_COST` is recomputed rather than
+persisted, and for the same reason never read: a lookup with such a
+bound probes only its terminal row, and a probe left with no row makes
+no backend call.  Terminal rows are always written.  The engine bounds
+a write by the recorded action count and a read by the action budget,
+which caps that count, so no row this policy writes is ever skipped.
 """
 
 from __future__ import annotations
@@ -95,6 +107,11 @@ from repro.engine.rows import (
 from repro.obs import metrics as obs_metrics
 from repro.semantics.env import Env
 from repro.util.env import env_int
+
+#: The tier threshold (module docstring): just above the short interior
+#: prefixes the synthesis worklist re-probes constantly, below the long
+#: whole-trace executions that dominate wall-clock.
+TIER_COST = 12
 
 _promotions = None
 
@@ -198,7 +215,8 @@ class _BackendProbe:
     Carries everything phase 2 needs so the backend read can run with
     no lock held: the lookup coordinates for the in-memory re-check and
     the store digests (computed under the lock — the base-digest memo
-    is cache state).  ``terminal_digest`` is ``None`` when an
+    is cache state).  ``exact_digest`` is ``None`` when the tier policy
+    never writes the exact row; ``terminal_digest`` is ``None`` when an
     inapplicable in-memory terminal entry already rules the store's
     terminal copy out.
     """
@@ -218,7 +236,7 @@ class _BackendProbe:
         budget: int,
         exact_key: tuple,
         terminal_key: tuple,
-        exact_digest: bytes,
+        exact_digest: Optional[bytes],
         terminal_digest: Optional[bytes],
     ) -> None:
         self.window_keys = window_keys
@@ -227,6 +245,14 @@ class _BackendProbe:
         self.terminal_key = terminal_key
         self.exact_digest = exact_digest
         self.terminal_digest = terminal_digest
+
+    def rows(self) -> list:
+        """The ``(kind, digest)`` backend rows this probe reads."""
+        return [
+            (kind, digest)
+            for kind, digest in ((EXACT, self.exact_digest), (TERMINAL, self.terminal_digest))
+            if digest is not None
+        ]
 
 
 #: Fixed per-entry overhead estimate: the ``_Entry`` object, its dict
@@ -289,6 +315,12 @@ def _terminal_applies(
     )
 
 
+def _tiered_out(cost: Optional[int]) -> bool:
+    """Whether the tier policy keeps an exact row of this cost bound
+    out of the backend (cheaper to recompute than to read back)."""
+    return cost is not None and cost <= TIER_COST
+
+
 def _record_hit(
     counters: CacheCounters, kind: str, owner: int, session: int, warm: bool = False
 ) -> None:
@@ -349,7 +381,9 @@ class ExecutionCache:
     ``backend`` extends the same sharing across worker processes: it is
     consulted on in-memory misses and written through on every insert;
     ``None`` means no backend, and the hot path then computes no store
-    digests.  The consistency table never touches the backend.
+    digests.  The consistency table never touches the backend, and the
+    tier policy (module docstring) decides which execution rows do;
+    ``tier_skips`` counts the exact-row writes it skipped.
 
     Backend reads are two-phase: the in-memory probe runs under the
     lock, the row read and decode run with *no* lock held (so cold
@@ -424,6 +458,8 @@ class ExecutionCache:
         self.intern_hits = 0
         #: Canonical snapshots dropped by the interning LRU.
         self.snapshot_evictions = 0
+        #: Exact-row writes the tier policy skipped.
+        self.tier_skips = 0
 
     # ------------------------------------------------------------------
     # Execution lookups and inserts
@@ -436,15 +472,19 @@ class ExecutionCache:
         counters: CacheCounters,
         session: int = 0,
         fetched: Optional[dict] = None,
+        cost: Optional[int] = None,
     ) -> Optional[tuple[tuple, Env]]:
         """The memoized ``(actions, final env)``, or ``None`` on a miss.
 
         ``fetched`` is a :meth:`prefetch_entries` result: a memory miss
         whose backend rows it holds settles from it instead of reading
-        the backend again.
+        the backend again.  ``cost`` bounds the lookup's recompute cost
+        for the tier policy (the module docstring).
         """
         with self._lock:
-            result, probe = self._lookup_memory(base, window_keys, budget, counters, session)
+            result, probe = self._lookup_memory(
+                base, window_keys, budget, cost, counters, session
+            )
         if result is not None or probe is None:
             return result
         exact_payload, terminal_payload = self._probe_backend(probe, fetched)
@@ -458,6 +498,7 @@ class ExecutionCache:
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
+        cost: Optional[int],
         counters: CacheCounters,
         session: int,
     ) -> tuple[Optional[tuple[tuple, Env]], Optional[_BackendProbe]]:
@@ -468,7 +509,7 @@ class ExecutionCache:
         still be consulted — the miss is *not* counted yet, that is
         :meth:`_promote_backend`'s job, so each lookup counts exactly
         one hit or one miss whichever phase settles it.  Both ``None``
-        is a counted miss (no backend).
+        is a counted miss (no backend, or no row it could hold).
         """
         result, terminal = self._memory_hit(
             (base, window_keys, budget),
@@ -480,10 +521,12 @@ class ExecutionCache:
         )
         if result is not None:
             return result, None
-        if self._backend is None:
+        probe = None
+        if self._backend is not None:
+            probe = self._probe(base, window_keys, budget, cost, terminal)
+        if probe is None:
             counters.misses += 1
-            return None, None
-        return None, self._probe(base, window_keys, budget, terminal)
+        return None, probe
 
     def _memory_hit(
         self,
@@ -519,25 +562,35 @@ class ExecutionCache:
         base: tuple,
         window_keys: tuple[int, ...],
         budget: int,
+        cost: Optional[int],
         terminal: Optional[_Entry],
-    ) -> _BackendProbe:
-        """The backend follow-up of a full in-memory miss.
+    ) -> Optional[_BackendProbe]:
+        """The backend follow-up of a full in-memory miss, or ``None``
+        when the backend can hold no row for it.
 
         The backend may hold either kind from a prior process.  An
         *inapplicable* in-memory ``terminal`` entry only rules out the
         store's terminal copy (write-through keeps them equal) — a
         persisted exact entry for this very window may still exist, so
-        only the terminal probe is skipped in that case.  Digests are
-        computed here, under the lock, because the base-digest memo is
-        cache state.
+        only the terminal probe is skipped in that case.  The exact
+        probe is skipped when the tier policy never writes that row.
+        Digests are computed here, under the lock, because the
+        base-digest memo is cache state.
         """
+        exact_digest = terminal_digest = None
+        if not _tiered_out(cost):
+            exact_digest = self._store_digest("exact", base, window_keys, budget)
+        if terminal is None:
+            terminal_digest = self._store_digest("terminal", base, window_keys[0])
+        if exact_digest is None and terminal_digest is None:
+            return None
         return _BackendProbe(
             window_keys,
             budget,
             (base, window_keys, budget),
             (base, window_keys[0]),
-            self._store_digest("exact", base, window_keys, budget),
-            None if terminal is not None else self._store_digest("terminal", base, window_keys[0]),
+            exact_digest,
+            terminal_digest,
         )
 
     def _probe_backend(
@@ -553,16 +606,15 @@ class ExecutionCache:
         all; an exact hit wins, exactly as if the terminal row had never
         been read.  Returns ``(exact_payload, terminal_payload)``.
         """
-        rows = [(EXACT, probe.exact_digest)]
-        if probe.terminal_digest is not None:
-            rows.append((TERMINAL, probe.terminal_digest))
+        rows = probe.rows()
         if fetched is not None and all(digest in fetched for _, digest in rows):
             loaded = [fetched[digest] for _, digest in rows]
         else:
             loaded = self._read_entries(rows)
-        if loaded[0] is not None or len(loaded) == 1:
-            return loaded[0], None
-        return None, loaded[1]
+        payloads = dict(zip((kind for kind, _ in rows), loaded))
+        if payloads.get(EXACT) is not None:
+            return payloads[EXACT], None
+        return None, payloads.get(TERMINAL)
 
     def _promote_backend(
         self,
@@ -628,31 +680,31 @@ class ExecutionCache:
         return stable_digest((tag, base_digest) + rest)
 
     def prefetch_entries(
-        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int]]
+        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int, Optional[int]]]
     ) -> dict:
         """Read the backend rows of upcoming :meth:`get` calls in one batch.
 
-        Each lookup is ``(base, window_keys, budget)``; one that memory
-        answers now reads nothing.  Returns ``{digest: decoded entry or
-        None}`` for every row read (empty without a backend or with
-        nothing to read).  Counts nothing, touches nothing: each
-        :meth:`get` still settles its own hit or miss, in the caller's
-        order.
+        Each lookup is ``(base, window_keys, budget, cost)``, as
+        :meth:`get` takes them; one that memory answers now, or whose
+        rows the tier policy rules out, reads nothing.  Returns
+        ``{digest: decoded entry or None}`` for every row read (empty
+        without a backend or with nothing to read).  Counts nothing,
+        touches nothing: each :meth:`get` still settles its own hit or
+        miss, in the caller's order.
         """
         if self._backend is None:
             return {}
         rows: dict = {}
         with self._lock:
-            for base, window_keys, budget in lookups:
+            for base, window_keys, budget, cost in lookups:
                 if (base, window_keys, budget) in self._exact:
                     continue
                 entry = self._terminal.get((base, window_keys[0]))
                 if entry is not None and _terminal_applies(entry, window_keys, budget):
                     continue
-                probe = self._probe(base, window_keys, budget, entry)
-                rows[probe.exact_digest] = EXACT
-                if probe.terminal_digest is not None:
-                    rows[probe.terminal_digest] = TERMINAL
+                probe = self._probe(base, window_keys, budget, cost, entry)
+                if probe is not None:
+                    rows.update((digest, kind) for kind, digest in probe.rows())
         if not rows:
             return {}
         loaded = self._read_entries([(kind, digest) for digest, kind in rows.items()])
@@ -687,9 +739,8 @@ class ExecutionCache:
 
         ``cost`` is an upper bound on the simulated actions needed to
         recompute this outcome (``None`` = unbounded/unknown).  It only
-        feeds the backend's tier policy
-        (:meth:`~repro.service.backends.CacheBackend.should_persist`) —
-        the in-memory tables always record.
+        feeds the tier policy (the module docstring) — the in-memory
+        tables always record.
         """
         backend = self._backend
         count = len(actions)
@@ -705,9 +756,12 @@ class ExecutionCache:
                 _Entry(actions, env, None, owner=session),
                 counters,
             )
-            if backend is not None and backend.should_persist(EXACT, cost):
-                digest = self._store_digest("exact", base, window_keys, budget)
-                writes.append((EXACT, digest, None, False))
+            if backend is not None:
+                if _tiered_out(cost):
+                    self.tier_skips += 1
+                else:
+                    digest = self._store_digest("exact", base, window_keys, budget)
+                    writes.append((EXACT, digest, None, False))
             if terminated:
                 self._insert(
                     "terminal",
@@ -715,7 +769,7 @@ class ExecutionCache:
                     _Entry(actions, env, examined, exact_budget_ok, owner=session),
                     counters,
                 )
-                if backend is not None and backend.should_persist(TERMINAL, None):
+                if backend is not None:
                     digest = self._store_digest("terminal", base, window_keys[0])
                     writes.append((TERMINAL, digest, examined, exact_budget_ok))
             elif continuation is not None and continuation[0] > 0:

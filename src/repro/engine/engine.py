@@ -110,9 +110,9 @@ class ExecutionEngine:
         # keeps memoized ids valid)
         self._action_keys: dict[int, int] = {}
         self._action_pins: list[Action] = []
-        # recompute-cost hints for the store tier policy, keyed by the
+        # recompute-cost hints for the cache's tier policy, keyed by the
         # statements' canonical key (a value, so collisions are
-        # impossible); None = unbounded/unknown = always persist
+        # impossible); None = unbounded/unknown
         self._cost_hints: dict[tuple, Optional[int]] = {}
         # execution rows read ahead inside :meth:`prefetching`, by store
         # digest; None outside the scope
@@ -208,7 +208,8 @@ class ExecutionEngine:
         base = self._base_key(statements, env, source)
         window_keys = doms.value_key()
         cache, counters, token = self._cache, self._counters, self._token
-        hit = cache.get(base, window_keys, budget, counters, token, self._prefetched)
+        cost = self._cost_bound(base[0], statements, budget)
+        hit = cache.get(base, window_keys, budget, counters, token, self._prefetched, cost)
         if hit is not None:
             actions, stored_env = hit
             final_env = _from_slots(stored_env, binders, env)
@@ -263,12 +264,6 @@ class ExecutionEngine:
         statements: tuple,
         binders: tuple[Var, ...],
     ) -> None:
-        cost = self._cost_hint(base[0], statements)
-        if cost is None:
-            # the static bound is unbounded (a loop) — but the entry is
-            # value-addressed to these exact snapshots, so its recompute
-            # cost is exactly the execution it records
-            cost = len(result.actions)
         continuation = result.continuation
         if continuation is not None and binders:
             consumed, cont_env, state = continuation
@@ -283,19 +278,33 @@ class ExecutionEngine:
             self._token,
             exact_budget_ok=result.env_at_last_action is result.env,
             continuation=continuation,
-            cost=cost,
+            cost=self._cost_bound(base[0], statements, len(result.actions)),
         )
+
+    def _cost_bound(
+        self, statements_key: tuple, statements: tuple, ran: int
+    ) -> Optional[int]:
+        """The recompute-cost bound the cache's tier policy reads
+        (:mod:`repro.engine.cache`); ``None`` without a backend, where
+        no policy applies.
+
+        :meth:`_cost_hint` when that is bounded, else ``ran``: the
+        recorded action count on a write (exact, since the entry is
+        value-addressed to its snapshots) and the action budget on a
+        read, which caps that count — so a read never skips a row a
+        write kept.
+        """
+        if self._cache.backend is None:
+            return None
+        hint = self._cost_hint(statements_key, statements)
+        return ran if hint is None else hint
 
     def _cost_hint(self, statements_key: tuple, statements: tuple) -> Optional[int]:
         """A static upper bound on this fragment's recompute cost.
 
-        Feeds the store tier policy: a *bounded* cheap cost means the
-        entry is faster to re-simulate than to read back, so the file
-        backend may skip persisting it.  Computed with ``data=None``
-        (loops stay unbounded; :meth:`_record_result` then falls back
-        to the entry's recorded action count, which is exact for a
-        value-addressed entry) and memoized per canonical statements
-        key.
+        Computed with ``data=None`` (loops stay unbounded, and
+        :meth:`_cost_bound` falls back to the run's own length) and
+        memoized per canonical statements key.
         """
         hint = self._cost_hints.get(statements_key, _COST_UNKNOWN)
         if hint is not _COST_UNKNOWN:
@@ -386,9 +395,9 @@ class ExecutionEngine:
             binders = _binders(statements)
             if budget <= 0 or (binders and not _slots_apply(binders, None)):
                 continue  # execute runs these unmemoized
-            lookups.append(
-                (self._base_key(statements, None, self.data), doms.value_key(), budget)
-            )
+            base = self._base_key(statements, None, self.data)
+            cost = self._cost_bound(base[0], statements, budget)
+            lookups.append((base, doms.value_key(), budget, cost))
         self._prefetched.update(self._cache.prefetch_entries(lookups))
 
     def _consistency_key(self, produced, reference, doms: DOMTrace) -> tuple:

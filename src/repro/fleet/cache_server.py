@@ -33,9 +33,10 @@ scrapers read it with any HTTP client.  Reads consult the store's
 write buffer first, so an entry put by one worker is visible to the
 next get even before the SQLite flush.
 
-Storage policy is entirely the ``FileBackend``'s: byte-accounted
-tier-aware eviction, codec-sniffed rows, I/O failures degraded to
-misses.  The server adds only batching, counters
+Storage policy is the ``FileBackend``'s: byte-accounted tier-aware
+eviction, codec-sniffed rows, I/O failures degraded to misses.  Which
+rows arrive, and which are asked for, is the workers' execution-cache
+tier policy (:data:`repro.engine.cache.TIER_COST`).  The server adds only batching, counters
 (``repro_cache_server_requests_total{op,outcome}``) and a per-op
 latency histogram (``repro_cache_server_seconds{op}``).  A batch is
 validated whole before any row is read, stored or counted, so a
@@ -189,7 +190,6 @@ class _CacheHandler(BaseHTTPRequestHandler):
                     "stores": store.stores,
                     "evictions": store.evictions,
                     "io_errors": store.io_errors,
-                    "tier_cost": store.tier_cost,
                 }
             )
         elif self.path == "/v1/metrics":

@@ -60,14 +60,8 @@ from repro.fleet.cache_server import DEFAULT_CACHE_PORT
 from repro.fleet.pool import pool
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError
-from repro.service.backends import (
-    DEFAULT_TIER_COST,
-    CacheBackend,
-    register_backend_factory,
-    tiering_enabled,
-)
+from repro.service.backends import CacheBackend, register_backend_factory
 from repro.util.env import env_float, env_int
-from repro.util.rowkinds import EXACT
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1
@@ -233,11 +227,6 @@ class RemoteBackend(CacheBackend):
                 else breaker_reset_s
             ),
         )
-        # the same fixed tier policy as the file store (minus adaptation:
-        # the observed-cost distribution lives with the cache server's
-        # store; the client just avoids shipping trivially-recomputable
-        # rows over the wire)
-        self.tier_cost = DEFAULT_TIER_COST if tiering_enabled() else -1
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by digest: kind + codec payload.
         self._pending: dict[bytes, tuple[int, dict]] = {}
@@ -253,7 +242,6 @@ class RemoteBackend(CacheBackend):
         self.io_errors = 0
         self.encode_errors = 0
         self.dropped_writes = 0
-        self.tier_skips = 0
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -356,14 +344,6 @@ class RemoteBackend(CacheBackend):
                         payloads[index] = payload
         self.load_hits += sum(1 for payload in payloads if payload is not None)
         return payloads
-
-    def should_persist(self, kind: int, cost: Optional[int]) -> bool:
-        if kind != EXACT or self.tier_cost < 0 or cost is None:
-            return True
-        if cost > self.tier_cost:
-            return True
-        self.tier_skips += 1
-        return False
 
     def store_payload(self, kind: int, key: bytes, payload: dict) -> None:
         """Buffer one payload row; a full buffer flushes as one put."""

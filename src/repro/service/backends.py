@@ -11,7 +11,10 @@ Consistency memos never reach a backend.
 
 Backends store *payload rows* (:mod:`repro.engine.rows`): codec-ready
 dicts addressed by ``(kind, digest)``.  The cache turns entries into
-rows and rows back into entries; a backend only keeps rows.
+rows and rows back into entries; a backend only keeps rows.  Which
+rows reach a backend, and which a lookup asks for, is the cache's tier
+policy (:data:`repro.engine.cache.TIER_COST`); a backend stores what
+it is handed.
 ``memory`` (the default) resolves to no backend at all, and the cache
 then never computes a store digest.  The backends:
 
@@ -21,10 +24,7 @@ then never computes a store digest.  The backends:
     sessions — or prior *processes*.  Rows are written in the store
     codec (:mod:`repro.protocol.codec`: canonical JSON under zlib, ~10×
     smaller than plain JSON); reads sniff the codec per row, so stores
-    that still hold plain JSON rows keep serving.  The store is
-    size-tiered: terminal/whole-program outcomes always persist, while
-    cheap exact interior entries (bounded cost at or below the tier
-    threshold) are recomputed rather than stored.  Eviction is
+    that still hold plain JSON rows keep serving.  Eviction is
     byte-accounted against ``max_bytes``, incremental (running totals,
     no full-table scans) and tier-aware: every non-terminal row drops
     before any terminal one.
@@ -44,9 +44,8 @@ Shared use
 
 ``REPRO_CACHE_BACKEND`` selects the backend (``memory`` | ``file`` |
 ``remote://host:port``),
-``REPRO_CACHE_DIR`` the store directory, ``REPRO_CACHE_MAX_BYTES`` the
-store's eviction threshold, and ``REPRO_STORE_TIERING=0`` turns the
-persistence tier policy off.
+``REPRO_CACHE_DIR`` the store directory, and ``REPRO_CACHE_MAX_BYTES``
+the store's eviction threshold.
 """
 
 from __future__ import annotations
@@ -61,39 +60,10 @@ from typing import Optional, Sequence
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
 from repro.util.env import env_int
-from repro.util.rowkinds import EXACT, TERMINAL
+from repro.util.rowkinds import TERMINAL
 
 #: Default store eviction threshold: 256 MiB of payload bytes.
 DEFAULT_MAX_BYTES = 256 << 20
-
-#: Default tier threshold: exact interior entries whose recompute cost
-#: (the static bound when the analysis can close it, else the entry's
-#: own recorded action count — exact, since entries are value-addressed
-#: to their snapshots) is at or below this many simulated actions are
-#: recomputed rather than persisted.  12 sits just above the short
-#: interior prefixes the synthesis worklist re-probes constantly and
-#: below the long whole-trace executions that dominate wall-clock.
-#: This is only the *seed*: unless the ``tier_cost`` constructor
-#: argument pins an explicit value, each store derives its threshold
-#: from the recompute costs it actually observes (see
-#: ``FileBackend._recalc_tier_cost_locked``).
-DEFAULT_TIER_COST = 12
-
-#: Adaptive tiering: re-derive the threshold every this many observed
-#: bounded EXACT costs.
-TIER_RECALC_EVERY = 128
-
-#: Adaptive tiering: skip the cheapest ~75% of bounded exact entries.
-TIER_PERCENTILE = 0.75
-
-#: Clamp for the derived threshold — never tier away everything (ceil)
-#: and never degenerate into persisting every two-action prefix (floor).
-TIER_COST_FLOOR = 4
-TIER_COST_CEIL = 64
-
-#: Costs above this all land in one overflow bucket of the observed
-#: distribution (they are never near the derived percentile anyway).
-_TIER_COST_CAP = 256
 
 #: Keys per ``WHERE key IN (…)`` statement (under SQLite's host
 #: parameter limit).
@@ -119,10 +89,6 @@ class _StoreMetrics:
         self.evictions = registry.counter(
             "repro_store_evictions_total", "Rows dropped by byte-based eviction."
         )
-        self.tier_skips = registry.counter(
-            "repro_store_tier_skips_total",
-            "Writes skipped by the persistence tier policy.",
-        )
         self.io_errors = registry.counter(
             "repro_store_io_errors_total", "SQLite errors degraded to misses."
         )
@@ -131,10 +97,6 @@ class _StoreMetrics:
         )
         self.entries = registry.gauge(
             "repro_store_entries", "Rows currently on disk."
-        )
-        self.tier_cost = registry.gauge(
-            "repro_store_tier_cost",
-            "Effective tier threshold (derived unless pinned; -1 = tiering off).",
         )
 
     @classmethod
@@ -150,7 +112,7 @@ class _StoreMetrics:
 class CacheBackend:
     """The persistence seam behind the in-memory execution cache.
 
-    A backend keeps payload rows: ``kind`` is :data:`EXACT` or
+    A backend keeps payload rows: ``kind`` is ``EXACT`` or
     :data:`TERMINAL`, ``digest`` the
     :func:`~repro.engine.keys.stable_digest` of the full value key, and
     the payload a codec-ready dict.  Turning entries into rows and back
@@ -170,15 +132,6 @@ class CacheBackend:
         """Write one payload row through to the store (may buffer)."""
         raise NotImplementedError
 
-    def should_persist(self, kind: int, cost: Optional[int]) -> bool:
-        """Whether an entry of this kind and bounded cost is worth storing.
-
-        ``cost`` is an upper bound on the simulated actions needed to
-        recompute the entry, or ``None`` when unbounded/unknown.  The
-        base policy persists everything; tiered backends override.
-        """
-        return True
-
     def flush(self) -> None:
         """Make buffered writes visible to other processes."""
 
@@ -194,13 +147,6 @@ class CacheBackend:
     def entries(self) -> int:
         """Number of entries currently held by the store."""
         return 0
-
-
-def tiering_enabled() -> bool:
-    """Whether the store tier policy is on (``REPRO_STORE_TIERING=0``
-    turns it off: every entry persists)."""
-    toggle = os.environ.get("REPRO_STORE_TIERING", "1").strip().lower()
-    return toggle not in ("0", "off", "false", "no")
 
 
 class FileBackend(CacheBackend):
@@ -220,16 +166,6 @@ class FileBackend(CacheBackend):
     (corrupt, or in a deleted format) is a miss, and the recomputed
     entry overwrites it.
 
-    The store is size-tiered: :data:`TERMINAL` outcomes always persist,
-    while :data:`EXACT` interior entries whose recompute cost is bounded
-    at or below ``tier_cost`` are skipped (the in-memory tables still
-    hold them).
-    Unless pinned by the constructor argument, ``tier_cost`` is
-    *derived*: the store tracks the distribution of
-    bounded recompute costs it is asked about and re-sets the threshold
-    to its :data:`TIER_PERCENTILE` every :data:`TIER_RECALC_EVERY`
-    observations, clamped to [:data:`TIER_COST_FLOOR`,
-    :data:`TIER_COST_CEIL`].
     Eviction is byte-based and incremental — running totals maintained
     at flush time, no full-table ``SUM`` scans — and tier-aware: once
     the total exceeds ``max_bytes``, rows are dropped down to 90% of
@@ -247,26 +183,12 @@ class FileBackend(CacheBackend):
         path: str | Path,
         max_bytes: Optional[int] = None,
         flush_every: int = 64,
-        tier_cost: Optional[int] = None,
     ) -> None:
         self.path = str(path)
         if max_bytes is None:
             max_bytes = env_int("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
         self.flush_every = max(1, flush_every)
-        #: Tier threshold for :meth:`should_persist`; -1 disables tiering.
-        #: An explicit constructor argument pins the value; otherwise it
-        #: seeds at :data:`DEFAULT_TIER_COST` and tracks the
-        #: :data:`TIER_PERCENTILE` of the bounded recompute costs this
-        #: store actually observes.
-        if tier_cost is None and not tiering_enabled():
-            tier_cost = -1
-        self.tier_adaptive = tier_cost is None
-        self.tier_cost = DEFAULT_TIER_COST if tier_cost is None else tier_cost
-        #: Observed bounded-EXACT recompute costs: cost -> count (costs
-        #: past _TIER_COST_CAP pool in one overflow bucket).
-        self._cost_counts: dict[int, int] = {}
-        self._cost_samples = 0
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by key: a re-store of a pending
         #: key replaces the buffered row instead of appending a
@@ -275,15 +197,13 @@ class FileBackend(CacheBackend):
         self._pending_bytes = 0
         #: Telemetry: rows found / asked for, writes, evicted rows,
         #: payloads dropped because the codec could not encode them,
-        #: I/O errors degraded to misses, and writes the tier policy
-        #: skipped.
+        #: and I/O errors degraded to misses.
         self.load_hits = 0
         self.loads = 0
         self.stores = 0
         self.evictions = 0
         self.encode_errors = 0
         self.io_errors = 0
-        self.tier_skips = 0
         Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(
             self.path, check_same_thread=False, timeout=30.0, isolation_level=None
@@ -307,54 +227,7 @@ class FileBackend(CacheBackend):
                 self._resync_totals_locked()
             except sqlite3.Error:
                 self.io_errors += 1
-        _StoreMetrics.get().tier_cost.set(self.tier_cost)
         atexit.register(self.flush)
-
-    # ------------------------------------------------------------------
-    def should_persist(self, kind: int, cost: Optional[int]) -> bool:
-        if kind != EXACT or self.tier_cost < 0:
-            return True
-        if cost is None:
-            return True
-        if self.tier_adaptive:
-            with self._lock:
-                self._observe_cost_locked(cost)
-        if cost > self.tier_cost:
-            return True
-        self.tier_skips += 1
-        _StoreMetrics.get().tier_skips.inc()
-        return False
-
-    def _observe_cost_locked(self, cost: int) -> None:
-        bucket = cost if cost < _TIER_COST_CAP else _TIER_COST_CAP
-        counts = self._cost_counts
-        counts[bucket] = counts.get(bucket, 0) + 1
-        self._cost_samples += 1
-        if self._cost_samples % TIER_RECALC_EVERY == 0:
-            self._recalc_tier_cost_locked()
-
-    def _recalc_tier_cost_locked(self) -> None:
-        """Re-derive ``tier_cost`` as the :data:`TIER_PERCENTILE` of the
-        observed bounded recompute costs, clamped to
-        [:data:`TIER_COST_FLOOR`, :data:`TIER_COST_CEIL`].
-
-        The observed distribution is exactly the population the policy
-        splits: entries whose cost the tier decision already had in
-        hand.  A store dominated by short interior prefixes pushes the
-        threshold up (skip more, they are cheap to recompute); a store
-        of long bounded executions pulls it down toward the floor so
-        genuinely expensive entries keep persisting.
-        """
-        target = self._cost_samples * TIER_PERCENTILE
-        cumulative = 0
-        derived = TIER_COST_FLOOR
-        for bucket in sorted(self._cost_counts):
-            cumulative += self._cost_counts[bucket]
-            if cumulative >= target:
-                derived = bucket
-                break
-        self.tier_cost = max(TIER_COST_FLOOR, min(TIER_COST_CEIL, derived))
-        _StoreMetrics.get().tier_cost.set(self.tier_cost)
 
     # ------------------------------------------------------------------
     # Payload rows.  The store never decodes entries into actions and

@@ -16,7 +16,7 @@ bytes, which may differ between zlib builds.  A change to either must
 land as a deliberate ``format_version`` bump with regenerated fixtures.
 
 The back half covers the store-side machinery the codec feeds: the
-per-cache :class:`StepInterner` LRU, the size-tier persistence
+per-cache :class:`StepInterner` LRU, the execution cache's tier
 policy, and mixed-format stores (a store that still holds plain JSON
 rows from older writers keeps serving next to new rows, row by row,
 via the sniff; rows in the deleted 0xC3 format are misses).
@@ -32,7 +32,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dom.xpath import parse_selector
-from repro.engine.cache import ExecutionCache, reset_process_cache
+from repro.engine import cache as cache_module
+from repro.engine.cache import (
+    TIER_COST,
+    CacheCounters,
+    ExecutionCache,
+    reset_process_cache,
+)
 from repro.engine.keys import stable_digest
 from repro.engine.rows import (
     EXACT,
@@ -49,10 +55,7 @@ from repro.protocol.codec import STORE_CODEC, BinaryCodec, JsonCodec, sniff_code
 from repro.protocol.messages import ProtocolError
 from repro.semantics.env import Env
 from repro.service.backends import (
-    DEFAULT_TIER_COST,
-    TIER_COST_CEIL,
-    TIER_COST_FLOOR,
-    TIER_RECALC_EVERY,
+    CacheBackend,
     FileBackend,
     flush_backends,
     reset_backends,
@@ -258,7 +261,7 @@ class TestCorruption:
 
     def test_corrupt_store_rows_degrade_to_misses(self, tmp_path):
         path = tmp_path / "store.sqlite"
-        writer = FileBackend(path, tier_cost=-1)
+        writer = FileBackend(path, )
         key = stable_digest(("exact", "flip"))
         bomb_key = stable_digest(("exact", "bomb"))
         actions = (scrape_text(parse_selector("//h3[1]")),)
@@ -271,7 +274,7 @@ class TestCorruption:
         _insert_row(path, key, bytes(mutated))
         _insert_row(path, bomb_key, zlib_bomb())
 
-        reader = FileBackend(path, tier_cost=-1)
+        reader = FileBackend(path, )
         # misses, not crashes
         assert reader.load_payloads([(EXACT, key), (EXACT, bomb_key)]) == [None, None]
 
@@ -344,97 +347,90 @@ class TestStepInterner:
         assert a._interner is not b._interner
 
 
+class _Recorder(CacheBackend):
+    """An empty store that records every row asked for and written."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.reads: list = []
+        self.writes: list = []
+
+    def load_payloads(self, rows):
+        self.reads.append(list(rows))
+        return [None] * len(rows)
+
+    def store_payload(self, kind, digest, payload):
+        self.writes.append(kind)
+
+
 class TestTierPolicy:
-    def test_terminal_rows_always_persist(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite", tier_cost=5)
-        assert backend.should_persist(TERMINAL, 0)
-        assert backend.should_persist(TERMINAL, None)
-        assert backend.tier_skips == 0
+    """The execution cache's one tier rule, on writes and on reads."""
 
-    def test_cheap_exact_entries_are_skipped(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite", tier_cost=5)
-        assert not backend.should_persist(EXACT, 5)
-        assert not backend.should_persist(EXACT, 0)
-        assert backend.tier_skips == 2
+    ACTIONS = (scrape_text(parse_selector("//h3[1]")),)
 
-    def test_expensive_and_unbounded_exact_entries_persist(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite", tier_cost=5)
-        assert backend.should_persist(EXACT, 6)
-        assert backend.should_persist(EXACT, None)
-        assert backend.tier_skips == 0
+    def _put(self, cache, cost, window=(1, 2, 3), budget=2):
+        counters = CacheCounters()
+        cache.put(("base", cost), window, budget, self.ACTIONS, Env(), counters, cost=cost)
 
-    def test_negative_threshold_disables_tiering(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite", tier_cost=-1)
-        assert backend.should_persist(EXACT, 0)
-        assert backend.tier_skips == 0
+    def test_terminal_rows_always_persist(self):
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        self._put(cache, 0)  # one action, budget to spare: terminated
+        assert backend.writes == [TERMINAL]
+        assert cache.tier_skips == 1
 
-    def test_environment_selects_the_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_TIERING", "off")
-        assert FileBackend(tmp_path / "b.sqlite").tier_cost == -1
-        monkeypatch.delenv("REPRO_STORE_TIERING")
-        assert FileBackend(tmp_path / "c.sqlite").tier_cost == DEFAULT_TIER_COST
+    def test_cheap_exact_entries_are_skipped(self):
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        for cost in (0, TIER_COST):
+            self._put(cache, cost, window=(1,), budget=1)  # absorbed: exact only
+        assert backend.writes == []
+        assert cache.tier_skips == 2
 
-    def test_default_threshold_is_the_environment_default(self, tmp_path):
-        assert FileBackend(tmp_path / "s.sqlite").tier_cost == DEFAULT_TIER_COST
+    def test_expensive_and_unbounded_exact_entries_persist(self):
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        for cost in (TIER_COST + 1, None):
+            self._put(cache, cost, window=(1,), budget=1)
+        assert backend.writes == [EXACT, EXACT]
+        assert cache.tier_skips == 0
 
+    def test_negative_threshold_disables_tiering(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "TIER_COST", -1)
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        self._put(cache, 0)
+        assert backend.writes == [EXACT, TERMINAL]
+        assert cache.tier_skips == 0
 
-class TestAdaptiveTierCost:
-    """Unpinned stores derive ``tier_cost`` from observed recompute costs."""
+    def test_a_cheap_lookup_reads_only_its_terminal_row(self):
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        counters = CacheCounters()
+        assert cache.get(("base",), (1, 2, 3), 2, counters, cost=TIER_COST) is None
+        assert [[kind for kind, _ in rows] for rows in backend.reads] == [[TERMINAL]]
+        assert cache.get(("other",), (1, 2, 3), 2, counters, cost=TIER_COST + 1) is None
+        assert [kind for kind, _ in backend.reads[-1]] == [EXACT, TERMINAL]
+        assert counters.misses == 2
 
-    def _observe(self, backend, cost, count):
-        for _ in range(count):
-            backend.should_persist(EXACT, cost)
+    def test_a_probe_with_no_row_left_reads_nothing(self):
+        backend = _Recorder()
+        cache = ExecutionCache(backend=backend)
+        self._put(cache, 0)  # an in-memory terminal entry of (1, 2, 3)
+        counters = CacheCounters()
+        # a budget equal to its action count: the terminal entry does
+        # not apply, so only an exact row could answer — and a cheap
+        # one is never written
+        assert cache.get(("base", 0), (1, 2, 3), 1, counters, cost=0) is None
+        assert cache.prefetch_entries([(("base", 0), (1, 2, 3), 1, 0)]) == {}
+        assert backend.reads == []
+        assert counters.misses == 1
 
-    def test_unpinned_stores_adapt_pinned_stores_do_not(self, tmp_path):
-        adaptive = FileBackend(tmp_path / "a.sqlite")
-        assert adaptive.tier_adaptive
-        assert adaptive.tier_cost == DEFAULT_TIER_COST  # the seed
-        pinned = FileBackend(tmp_path / "b.sqlite", tier_cost=5)
-        assert not pinned.tier_adaptive
-        self._observe(pinned, 200, TIER_RECALC_EVERY)
-        assert pinned.tier_cost == 5
-
-    def test_expensive_population_raises_the_threshold(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite")
-        self._observe(backend, 40, TIER_RECALC_EVERY)
-        # p75 of an all-40 population is 40: cheap-relative-to-the-store
-        # entries below it stop persisting
-        assert backend.tier_cost == 40
-        assert backend.should_persist(EXACT, 41)
-        assert not backend.should_persist(EXACT, 13)
-
-    def test_derived_threshold_is_clamped(self, tmp_path):
-        cheap = FileBackend(tmp_path / "cheap.sqlite")
-        self._observe(cheap, 1, TIER_RECALC_EVERY)
-        assert cheap.tier_cost == TIER_COST_FLOOR
-        dear = FileBackend(tmp_path / "dear.sqlite")
-        # pools in the overflow bucket, then clamps to the ceiling —
-        # genuinely expensive entries must keep persisting
-        self._observe(dear, 100_000, TIER_RECALC_EVERY)
-        assert dear.tier_cost == TIER_COST_CEIL
-        assert dear.should_persist(EXACT, TIER_COST_CEIL + 1)
-
-    def test_mixed_population_takes_the_percentile(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite")
-        # 96 cheap + 32 expensive = 128 samples; p75 lands on the cheap
-        # bucket's cumulative edge
-        self._observe(backend, 5, 96)
-        self._observe(backend, 200, 32)
-        assert backend.tier_cost == 5
-
-    def test_recalc_happens_every_batch_not_every_call(self, tmp_path):
-        backend = FileBackend(tmp_path / "s.sqlite")
-        self._observe(backend, 2, TIER_RECALC_EVERY - 1)
-        assert backend.tier_cost == DEFAULT_TIER_COST  # still the seed
-        backend.should_persist(EXACT, 2)
-        assert backend.tier_cost == TIER_COST_FLOOR
-
-    def test_disabled_tiering_never_observes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_TIERING", "off")
-        backend = FileBackend(tmp_path / "s.sqlite")
-        self._observe(backend, 2, TIER_RECALC_EVERY)
-        assert backend.tier_cost == -1
-        assert backend.tier_skips == 0
+    def test_the_memory_backend_counts_no_skips(self):
+        cache = ExecutionCache()
+        self._put(cache, 0)
+        assert cache.tier_skips == 0
 
 
 class TestMixedCodecStores:
@@ -442,7 +438,7 @@ class TestMixedCodecStores:
         path = tmp_path / "store.sqlite"
         # a plain JSON row as older writers stored it, and a row in the
         # deleted 0xC3 format, written straight into the table
-        FileBackend(path, tier_cost=-1).close()
+        FileBackend(path, ).close()
         old_key = stable_digest(("exact", "old"))
         legacy_key = stable_digest(("exact", "legacy"))
         old_actions = (click(parse_selector("//a[1]")),)
@@ -455,7 +451,7 @@ class TestMixedCodecStores:
         )
         _insert_row(path, legacy_key, LEGACY_BINARY_ROW)
 
-        binary = FileBackend(path, tier_cost=-1)
+        binary = FileBackend(path, )
         new_key = stable_digest(("exact", "new"))
         new_actions = (scrape_text(parse_selector("//h2[1]")),)
         new_row = entry_to_payload(new_actions, Env(), None, True)
@@ -465,7 +461,7 @@ class TestMixedCodecStores:
         def actions_at(backend, key):
             return decode_entry(backend.load_payload(EXACT, key))[0]
 
-        reader = FileBackend(path, tier_cost=-1)
+        reader = FileBackend(path, )
         assert actions_at(reader, old_key) == old_actions
         assert actions_at(reader, new_key) == new_actions
         assert reader.load_payload(EXACT, legacy_key) is None  # a miss
@@ -477,7 +473,7 @@ class TestMixedCodecStores:
         assert sniff_codec(rows[old_key][1]).name == "json"
         assert sniff_codec(rows[new_key][1]).name == "binary"
         assert sniff_codec(rows[legacy_key][1]).name == "binary"
-        again = FileBackend(path, tier_cost=-1)
+        again = FileBackend(path, )
         assert actions_at(again, legacy_key) == new_actions
 
     def test_a_mixed_format_store_proposes_the_memory_backend_programs(
@@ -485,7 +481,7 @@ class TestMixedCodecStores:
     ):
         # tiering off so every entry persists and all three row formats
         # meet the warm run's probes
-        monkeypatch.setenv("REPRO_STORE_TIERING", "0")
+        monkeypatch.setattr(cache_module, "TIER_COST", -1)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         actions, snapshots = scrape_cards_trace(cards_page(5), 4)
 

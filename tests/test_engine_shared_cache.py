@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from repro.dom import E, page
 from repro.dom.node import DOMNode
+from repro.engine import cache as cache_module
 from repro.engine.cache import (
     CacheCounters,
     ExecutionCache,
@@ -420,7 +421,7 @@ class TestWarmStartSynthesis:
         # warm-start plumbing itself, so every entry must persist — the
         # tier policy's deliberate recompute-misses are covered by
         # test_codec_binary and the store-codec bench.
-        monkeypatch.setenv("REPRO_STORE_TIERING", "0")
+        monkeypatch.setattr(cache_module, "TIER_COST", -1)
         from repro.service.backends import reset_backends
 
         # consistency checks never reach the store: a fresh process

@@ -10,9 +10,10 @@ validation and generalization runs together.  Pinned here against an
 in-thread cache server, counting requests on the worker side and rows
 through the server's own metrics:
 
-* each probe costs exactly one request, and a prefetch one for all;
-* an extension step costs one request however many trailing loops the
-  store carries, and a validation pop one;
+* each probe costs at most one request, and a prefetch one for all;
+* an extension step costs at most one request however many trailing
+  loops the store carries, and none when no row could have been
+  written; a validation pop costs one;
 * no consistency row (kind 2) is read or written, cold or warm;
 * a batch serves the worker's own pending writes locally and sends
   only the other rows;
@@ -31,7 +32,8 @@ import pytest
 
 from repro.dom import parse_selector
 from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
-from repro.engine.cache import reset_process_cache
+from repro.engine import cache as cache_module
+from repro.engine.cache import TIER_COST, reset_process_cache
 from repro.engine.rows import EXACT
 from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
@@ -173,36 +175,37 @@ class TestRemoteBatches:
 class TestPrefetch:
     def test_execution_rows_of_several_lookups_are_one_request(self, cache):
         shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        lookups = [(("base", n), (1, 2, 3), 2) for n in range(3)]
+        lookups = [(("base", n), (1, 2, 3), 2, None) for n in range(3)]
         fetched = shared.prefetch_entries(lookups)
         assert _get_requests() == 1
         assert _get_rows("miss") == 6  # an exact and a terminal row each
         counters = CacheCounters()
-        for base, window, budget in lookups:
-            assert shared.get(base, window, budget, counters, fetched=fetched) is None
+        for base, window, budget, cost in lookups:
+            assert shared.get(base, window, budget, counters, fetched=fetched, cost=cost) is None
         assert _get_requests() == 1
         assert counters.misses == 3
 
     def test_prefetched_rows_settle_warm_hits(self, cache):
         actions = (scrape_text(parse_selector("//h3[1]")),)
-        lookups = [(("base", n), (1, 2, 3), 2) for n in range(2)]
+        lookups = [(("base", n), (1, 2, 3), 2, 100) for n in range(2)]
         writer = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        for base, window, budget in lookups:
-            writer.put(base, window, budget, actions, Env(), CacheCounters(), cost=100)
+        for base, window, budget, cost in lookups:
+            writer.put(base, window, budget, actions, Env(), CacheCounters(), cost=cost)
         writer.backend.flush()
         reader = ExecutionCache(backend=RemoteBackend(_url(cache)))
         fetched = reader.prefetch_entries(lookups)
         assert _get_requests() == 1
         counters = CacheCounters()
-        for base, window, budget in lookups:
-            assert reader.get(base, window, budget, counters, fetched=fetched)[0] == actions
+        for base, window, budget, cost in lookups:
+            hit = reader.get(base, window, budget, counters, fetched=fetched, cost=cost)
+            assert hit[0] == actions
         assert _get_requests() == 1
         assert (counters.hits, counters.warm_hits, counters.misses) == (2, 2, 0)
 
     def test_a_lookup_memory_answers_reads_nothing(self, cache):
         shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
         shared.put(("base",), (1, 2, 3), 2, ("a", "b"), None, CacheCounters())
-        assert shared.prefetch_entries([(("base",), (1, 2, 3), 2)]) == {}
+        assert shared.prefetch_entries([(("base",), (1, 2, 3), 2, None)]) == {}
         assert _get_requests() == 0
 
     def test_a_nested_scope_keeps_the_outer_rows(self, cache):
@@ -299,9 +302,6 @@ class _PerKey(CacheBackend):
     def load_payloads(self, rows):
         return [self.inner.load_payloads([row])[0] for row in rows]
 
-    def should_persist(self, kind, cost):
-        return self.inner.should_persist(kind, cost)
-
     def store_payload(self, kind, key, payload):
         self.inner.store_payload(kind, key, payload)
 
@@ -323,10 +323,10 @@ register_backend_factory("per-key", _per_key_factory)
 
 
 def _session(backend_name: str):
-    """One incremental session: its programs per call and its engine's
-    cache counters.  Every card is scraped, so the session writes
-    execution rows (a shorter demonstration's are all cheap to
-    recompute, and none persist)."""
+    """One incremental session: its candidates and predictions per call
+    and its engine's cache counters.  Every card is scraped, so the
+    session writes execution rows (a shorter demonstration's are all
+    cheap to recompute, and none persist)."""
     dom = cards_page(8)
     actions, snapshots = scrape_cards_trace(dom, 8)
     synthesizer = Synthesizer(EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name))
@@ -334,7 +334,12 @@ def _session(backend_name: str):
     for cut in range(1, len(actions) + 1):
         # a generous deadline: a timed-out call would differ by timing alone
         result = synthesizer.synthesize(actions[:cut], snapshots[: cut + 1], timeout=TIMEOUT)
-        programs.append(tuple(format_program(program) for program in result.programs))
+        programs.append(
+            (
+                tuple(format_program(program) for program in result.programs),
+                tuple(result.predictions),
+            )
+        )
     flush_backends()
     return programs, asdict(synthesizer.engine.counters())
 
@@ -407,6 +412,80 @@ def test_no_consistency_row_reaches_a_backend(tier, tmp_path, monkeypatch):
     assert set(kinds) <= {0, 1}
 
 
+def _exact_bounds(monkeypatch) -> dict:
+    """Spy on every execution lookup an engine makes over a backend:
+    exact-row digest -> recompute bound (the static cost hint when it
+    is bounded, else the action budget)."""
+    bounds = {}
+
+    def note(engine, statements, doms, env, max_actions, data):
+        budget = len(doms) if max_actions is None else min(max_actions, len(doms))
+        if engine.cache is None or engine.cache.backend is None or budget <= 0:
+            return
+        statements = tuple(statements)
+        base = engine._base_key(statements, env, engine.data if data is None else data)
+        hint = engine._cost_hint(base[0], statements)
+        digest = engine.cache._store_digest("exact", base, doms.value_key(), budget)
+        bounds[digest] = budget if hint is None else hint
+
+    execute, prefetch = ExecutionEngine.execute, ExecutionEngine.prefetch_executions
+
+    def spy_execute(engine, program, doms, env=None, max_actions=None, data=None, **kwargs):
+        note(engine, program, doms, env, max_actions, data)
+        return execute(engine, program, doms, env, max_actions, data, **kwargs)
+
+    def spy_prefetch(engine, runs):
+        runs = list(runs)
+        for statements, doms, max_actions in runs:
+            note(engine, statements, doms, None, max_actions, None)
+        return prefetch(engine, runs)
+
+    monkeypatch.setattr(ExecutionEngine, "execute", spy_execute)
+    monkeypatch.setattr(ExecutionEngine, "prefetch_executions", spy_prefetch)
+    return bounds
+
+
+@pytest.mark.parametrize("tier", ["file", "remote"])
+def test_a_store_holding_every_exact_row_serves_under_the_tier_policy(
+    tier, tmp_path, monkeypatch
+):
+    """A store written with every exact row persisted, as untiered and
+    adaptive-threshold stores of earlier builds are, serves a reader
+    under the tier policy: the memory backend's candidates and
+    predictions on every call, warm hits, and no request for an exact
+    row whose bound is at most ``TIER_COST``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    expected = _session("memory")[0]
+    server = thread = None
+    name = "file"
+    if tier == "remote":
+        server, thread = _start_cache(tmp_path / "tier.sqlite")
+        name = _url(server)
+    try:
+        with monkeypatch.context() as writer:
+            writer.setattr(cache_module, "TIER_COST", -1)
+            _session(name)
+        reset_backends()  # a new process: fresh backends and memory
+        requested = []
+        for cls in (FileBackend, RemoteBackend):
+
+            def spy_load(backend, rows, load=cls.load_payloads):
+                requested.extend(digest for kind, digest in rows if kind == EXACT)
+                return load(backend, rows)
+
+            monkeypatch.setattr(cls, "load_payloads", spy_load)
+        bounds = _exact_bounds(monkeypatch)
+        programs, counters = _session(name)
+    finally:
+        if server is not None:
+            _stop_cache(server, thread)
+    assert programs == expected
+    assert counters["warm_hits"] > 0
+    assert requested  # the expensive exact rows are still read
+    assert set(requested) <= set(bounds)
+    assert all(bounds[digest] > TIER_COST for digest in requested)
+
+
 class _Phases:
     """Tags every ``remote://`` batch a session sends with the synthesis
     phases it was sent from: a ``synthesize`` call, a validation pop
@@ -418,6 +497,7 @@ class _Phases:
         self.reads: list = []  # phases on the stack at each read
         self.generalized: list = []  # phases on the stack at each check
         self.store_loops: dict = {}  # call -> trailing loops in its store
+        self.snapshots: dict = {}  # call -> snapshots it was given
         self.validations: dict = {}  # pop -> validations it ran
         load = RemoteBackend.load_payloads
         synthesize = Synthesizer.synthesize
@@ -428,12 +508,13 @@ class _Phases:
             self.reads.append(tuple(self.stack))
             return load(backend, rows)
 
-        def logged_synthesize(synthesizer, *args, **kwargs):
+        def logged_synthesize(synthesizer, actions, snapshots, *args, **kwargs):
             with self._phase("call") as call:
                 self.store_loops[call] = sum(
                     stored.ends_with_loop() for stored in synthesizer._store.values()
                 )
-                return synthesize(synthesizer, *args, **kwargs)
+                self.snapshots[call] = len(snapshots)
+                return synthesize(synthesizer, actions, snapshots, *args, **kwargs)
 
         def logged_pop(scheduler, current, candidates, context, deadline, stats, push):
             before = stats.validations
@@ -485,13 +566,20 @@ def phases(monkeypatch):
 class TestSessionReads:
     """Requests per synthesis phase in a cold incremental session."""
 
-    def test_an_extension_step_reads_once_however_many_loops(self, cache, phases):
+    def test_an_extension_step_reads_at_most_once(self, cache, phases):
         _session(_url(cache))
         steps = [call for call, loops in phases.store_loops.items() if loops]
         assert max(phases.store_loops[call] for call in steps) >= 2
+        reads = {call: phases.extension_reads(call) for call in steps}
         for call in steps:
-            # one execution batch for every loop's run
-            assert phases.extension_reads(call) == 1
+            # one execution batch for every loop's run, however many
+            # loops; none while no run can emit more than TIER_COST
+            # actions, since then no exact row could have been written
+            # and the loops' terminal rows are this process's own
+            assert reads[call] <= 1
+            if phases.snapshots[call] <= TIER_COST:
+                assert reads[call] == 0
+        assert set(reads.values()) == {0, 1}
 
     def test_a_validation_pop_reads_its_executions_once(self, cache, phases):
         _session(_url(cache))
