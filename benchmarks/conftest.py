@@ -15,7 +15,7 @@ Environment knobs honoured across benches:
 * ``REPRO_Q4_TIMEOUT``   — per-run baseline budget (default 60 s)
 
 Every other bench reads only its own sizing and floor overrides
-(``REPRO_EXT_*``, ``REPRO_CACHE_*``, ``REPRO_SPEC_*``, ...), listed in
+(``REPRO_EXT_*``, ``REPRO_CACHE_*``, ...), listed in
 its module docstring.
 
 ``--quick`` shrinks the perf benches (fewer sessions, shorter traces,

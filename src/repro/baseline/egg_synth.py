@@ -43,8 +43,8 @@ from repro.lang.ast import (
     canonical_statement,
     program_size,
 )
+from repro.synth.alternatives import SelectorSearch
 from repro.synth.anti_unify import anti_unify_statements
-from repro.synth.config import no_selector_config
 from repro.synth.parametrize import parametrize_statement
 
 ItemList = tuple[Statement, ...]
@@ -111,7 +111,9 @@ class _Reroller:
     def __init__(self, dom: DOMNode, deadline: float) -> None:
         self.dom = dom
         self.deadline = deadline
-        self.config = no_selector_config()
+        # raw selectors only, like the paper's baseline; one search per
+        # run, so its memos serve every reroll attempt
+        self.search = SelectorSearch(use_alternatives=False)
         self._cache: dict[tuple, Optional[Statement]] = {}
 
     def _check_time(self) -> None:
@@ -147,7 +149,7 @@ class _Reroller:
         second = items[body_len : 2 * body_len]
         for pivot in range(body_len):
             unified = anti_unify_statements(
-                first[pivot], self.dom, second[pivot], self.dom, self.config
+                first[pivot], self.dom, second[pivot], self.dom, self.search
             )
             for candidate in unified:
                 body: list[Statement] = []
@@ -161,7 +163,7 @@ class _Reroller:
                         candidate.var,
                         candidate.first,
                         self.dom,
-                        self.config,
+                        self.search,
                     )
                     # correct-by-construction: take the parametrized form
                     # whose unrolling will be verified below; raw-only mode

@@ -28,7 +28,6 @@ from repro.engine.engine import ExecutionEngine
 from repro.engine.index import (
     SnapshotIndex,
     build_count,
-    dom_indexes_enabled,
     index_for,
     set_dom_indexes,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "build_count",
     "data_key",
     "digest_int",
-    "dom_indexes_enabled",
     "index_for",
     "process_cache",
     "reset_process_cache",

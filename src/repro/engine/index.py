@@ -28,15 +28,19 @@ On top of the point lookups, the index carries the *bucket enumeration*
 layer the selector search runs on: memoized raw paths, per-node
 predicate families, per-parent child-rank maps, and per-element
 decomposition plans (every ``prefix / step(φ, k)`` reading of one
-element, in the exact order the legacy ancestor walk emits them).  See
-:mod:`repro.synth.alternatives` for the consumers.
+element, in the exact order the ancestor walk emits them).  The
+selector search in :mod:`repro.synth.alternatives` reads this layer
+whenever :func:`index_for` returns an index, and walks ancestors
+otherwise.
 
 Indexes attach to the snapshot root (``DOMNode._snapshot_index``), the
 same lifetime discipline as the resolve memo; :func:`build_count` feeds
 the engine's telemetry and :func:`track_builds` scopes build attribution
 to one caller (thread-local, so concurrent synthesizers do not steal
-each other's builds).  :func:`set_dom_indexes` disables the machinery
-for A/B measurements.
+each other's builds).  :func:`set_dom_indexes` is the one switch: off,
+selector steps walk subtrees and the selector search walks ancestors,
+which is the simplest configuration the engine-cache bench and the
+enumeration parity tests compare against.
 """
 
 from __future__ import annotations
@@ -85,11 +89,6 @@ def set_dom_indexes(enabled: bool) -> bool:
     previous = _ENABLED
     _ENABLED = enabled
     return previous
-
-
-def dom_indexes_enabled() -> bool:
-    """Whether snapshot indexes are consulted at all."""
-    return _ENABLED
 
 
 def build_count() -> int:
@@ -372,10 +371,6 @@ class SnapshotIndex:
     # ------------------------------------------------------------------
     # Bucket enumeration (the selector-search layer)
     # ------------------------------------------------------------------
-    def contains(self, node: DOMNode) -> bool:
-        """Whether ``node`` belongs to the indexed snapshot."""
-        return id(node) in self._pre
-
     def raw_path_of(self, node: DOMNode) -> ConcreteSelector:
         """Memoized :func:`repro.dom.xpath.raw_path` of an indexed node.
 
@@ -406,7 +401,7 @@ class SnapshotIndex:
         """The child-axis steps from ``base`` down to ``target``.
 
         With both raw paths memoized, the chain is a tuple slice — the
-        ancestor walk of the legacy ``_raw_chain`` disappears.
+        ancestor walk of ``_raw_chain`` disappears.
         """
         return self.raw_path_of(target).steps[len(self.raw_path_of(base).steps):]
 
@@ -463,7 +458,7 @@ class SnapshotIndex:
         """Every ``(prefix, axis, pred, index)`` element-step reading.
 
         This is the per-element invariant part of a decomposition — what
-        the legacy ancestor walk recomputes per suffix — in the exact
+        the ancestor walk recomputes per suffix — in the exact
         order that walk emits: child axis from the parent prefix, then
         descendant axis anchored at the document, then at the parent.
         Cached per element, so it is shared across every target that has

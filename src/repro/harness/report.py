@@ -91,8 +91,6 @@ def render_synthesis_stats(stats) -> str:
         ["interned snapshots", stats.interned_snapshots],
         ["interned bytes", fmt_bytes(stats.interned_bytes)],
         ["DOM index builds", stats.index_builds],
-        ["indexed enumerations", stats.enum_indexed],
-        ["fallback enumerations", stats.enum_fallback],
         ["speculate time", fmt_ms(stats.speculate_s)],
         ["validate time", fmt_ms(stats.validate_s)],
         ["extend time", fmt_ms(stats.extend_s)],

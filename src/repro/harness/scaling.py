@@ -55,8 +55,6 @@ class ScalingSeries:
     warm_hits: int = 0
     cache_bytes: int = 0
     index_builds: int = 0
-    enum_indexed: int = 0
-    enum_fallback: int = 0
     programs: list[tuple[str, ...]] = field(default_factory=list)
 
     @property
@@ -94,8 +92,8 @@ def run_scaling(
     """Measure per-call time vs. trace length for each variant.
 
     The default variant pair is the incremental-vs-from-scratch
-    comparison; the engine-cache and speculation-index benches pass
-    their own configuration pairs instead.  With ``collect_programs``
+    comparison; the engine-cache bench passes its own configuration
+    pair instead.  With ``collect_programs``
     every call's ranked program list is rendered into the series, so
     behaviour-preserving variants can be diffed byte-for-byte.
     ``recording`` replaces the subject's cached recording, e.g. with a
@@ -127,8 +125,6 @@ def run_scaling(
             current.warm_hits += result.stats.cache_warm_hits
             current.cache_bytes = result.stats.cache_bytes  # end-of-run gauge
             current.index_builds += result.stats.index_builds
-            current.enum_indexed += result.stats.enum_indexed
-            current.enum_fallback += result.stats.enum_fallback
             if collect_programs:
                 current.programs.append(
                     tuple(format_program(program) for program in result.programs)

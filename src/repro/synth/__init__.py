@@ -16,6 +16,7 @@ from repro.synth.problem import (
 )
 from repro.synth.alternatives import (
     Decomposition,
+    SelectorSearch,
     alternative_selectors,
     common_alternatives,
     decompositions,
@@ -60,6 +61,7 @@ __all__ = [
     "produced_actions",
     "satisfies",
     "Decomposition",
+    "SelectorSearch",
     "alternative_selectors",
     "common_alternatives",
     "decompositions",

@@ -16,17 +16,17 @@ with bounds, the alternative ways a node can be addressed:
 With ``use_alternatives=False`` every function degenerates to the raw
 child-axis forms only, which is exactly Table 1's "No selector" ablation.
 
-Enumeration runs in one of two modes.  With ``use_index_enumeration``
-(the default, gated by
-:attr:`repro.synth.config.SynthesisConfig.use_index_enumeration`) and a
-frozen snapshot, candidates are read off the per-snapshot bucket layer
-of :class:`repro.engine.index.SnapshotIndex` — memoized raw paths,
+Whenever :func:`repro.engine.index.index_for` returns an index — every
+frozen snapshot, which is what the recorder, the virtual browser,
+``repro.io`` and the protocol wire all produce — candidates are read off
+the per-snapshot bucket layer of
+:class:`repro.engine.index.SnapshotIndex` (memoized raw paths,
 predicate families, child-rank maps, and per-element decomposition
-plans — instead of re-walking ancestor chains and sibling lists per
-query.  The legacy ancestor-walk path is kept verbatim (flag off, or
-unindexed snapshots) and both paths produce identical candidate lists
-in identical order; ``tests/test_synth_index_enumeration.py`` holds the
-parity property tests.
+plans) instead of re-walking ancestor chains and sibling lists per
+query.  The ancestor walk answers mutable DOMs and runs with
+:func:`repro.engine.index.set_dom_indexes` off.  Both paths produce
+identical candidate lists in identical order;
+``tests/test_synth_index_enumeration.py`` holds the parity tests.
 """
 
 from __future__ import annotations
@@ -47,12 +47,7 @@ from repro.dom.xpath import (
     raw_path,
     resolve,
 )
-from repro.engine.index import (
-    UNSUPPORTED,
-    SnapshotIndex,
-    dom_indexes_enabled,
-    index_for,
-)
+from repro.engine.index import UNSUPPORTED, SnapshotIndex, index_for
 from repro.synth.config import SynthesisConfig
 
 #: Cap on selector decompositions considered per concrete selector.
@@ -135,7 +130,6 @@ def relative_step_candidates(
     target: DOMNode,
     use_alternatives: bool = True,
     token_predicates: bool = False,
-    use_index_enumeration: bool = True,
 ) -> list[tuple[Step, ...]]:
     """Bounded step sequences that reach ``target`` from ``base``.
 
@@ -149,9 +143,7 @@ def relative_step_candidates(
     if not (base.is_ancestor_of(target)):
         return []
     root = base.root()
-    index = index_for(root) if use_index_enumeration else None
-    if index is not None and not (index.contains(base) and index.contains(target)):
-        index = None  # foreign nodes: take the ancestor-walk path
+    index = index_for(root)
     if index is not None:
         memo_key = (
             "rel",
@@ -215,7 +207,6 @@ def decompositions(
     use_alternatives: bool = True,
     max_results: int = 128,
     token_predicates: bool = False,
-    use_index_enumeration: bool = True,
 ) -> list[Decomposition]:
     """All bounded ``prefix/step/suffix`` readings of ``selector`` on ``dom``.
 
@@ -227,11 +218,7 @@ def decompositions(
     target = resolve(selector, dom)
     if target is None:
         return []
-    index = (
-        index_for(dom)
-        if use_index_enumeration and dom.parent is None
-        else None
-    )
+    index = index_for(dom) if dom.parent is None else None
     if index is not None:
         return _decompositions_indexed(
             index,
@@ -245,11 +232,7 @@ def decompositions(
     element: DOMNode | None = target
     while element is not None and len(results) < max_results:
         suffixes = relative_step_candidates(
-            element,
-            target,
-            use_alternatives,
-            token_predicates,
-            use_index_enumeration=False,
+            element, target, use_alternatives, token_predicates
         )
         for suffix in suffixes:
             preds = node_predicates(element, use_alternatives, token_predicates)
@@ -297,8 +280,8 @@ def _decompositions_indexed(
     parent raw path, child ranks, descendant ranks — is invariant across
     suffixes and across targets sharing the ancestor, so it is read off
     the snapshot index's cached *element plan* and only the cross
-    product with the suffixes is materialised here, in the legacy
-    emission order.  Whole results are memoized on the index (they
+    product with the suffixes is materialised here, in the ancestor
+    walk's emission order.  Whole results are memoized on the index (they
     depend only on the target node and the bounds), which is what lets
     a second session over the same snapshot enumerate for free.
     """
@@ -316,11 +299,7 @@ def _decompositions_indexed(
     element: DOMNode | None = target
     while element is not None and len(results) < max_results:
         suffixes = relative_step_candidates(
-            element,
-            target,
-            use_alternatives,
-            token_predicates,
-            use_index_enumeration=True,
+            element, target, use_alternatives, token_predicates
         )
         plan = index.element_plan(element, use_alternatives, token_predicates)
         for suffix in suffixes:
@@ -339,7 +318,6 @@ def alternative_selectors(
     dom: DOMNode,
     use_alternatives: bool = True,
     max_results: int = 24,
-    use_index_enumeration: bool = True,
 ) -> list[ConcreteSelector]:
     """Whole-selector alternatives denoting the same node on ``dom``.
 
@@ -357,9 +335,7 @@ def alternative_selectors(
     seen = {raw, selector}
     if selector != raw:
         results.insert(0, selector)
-    for decomposition in decompositions(
-        selector, dom, use_alternatives=True, use_index_enumeration=use_index_enumeration
-    ):
+    for decomposition in decompositions(selector, dom, use_alternatives=True):
         candidate = decomposition.assemble()
         if candidate in seen:
             continue
@@ -378,7 +354,6 @@ def common_alternatives(
     dom_b: DOMNode,
     use_alternatives: bool = True,
     max_results: int = 8,
-    use_index_enumeration: bool = True,
 ) -> list[ConcreteSelector]:
     """Selectors that address both recorded nodes on their own snapshots.
 
@@ -386,14 +361,8 @@ def common_alternatives(
     "next page" button on *every* page, so candidate selectors must at
     least work for the two exhibited iterations.
     """
-    options_a = alternative_selectors(
-        selector_a, dom_a, use_alternatives, use_index_enumeration=use_index_enumeration
-    )
-    options_b = set(
-        alternative_selectors(
-            selector_b, dom_b, use_alternatives, use_index_enumeration=use_index_enumeration
-        )
-    )
+    options_a = alternative_selectors(selector_a, dom_a, use_alternatives)
+    options_b = set(alternative_selectors(selector_b, dom_b, use_alternatives))
     shared = [candidate for candidate in options_a if candidate in options_b]
     return shared[:max_results]
 
@@ -406,28 +375,23 @@ class SelectorSearch:
     Snapshots are immutable, so caching by ``(selector, id(snapshot))`` is
     sound as long as the snapshots are kept alive — which this object does
     by holding references in its keys' companion sets.
-
-    ``enum_indexed`` / ``enum_fallback`` count the *uncached* enumeration
-    queries by the path that answered them (bucket-driven vs ancestor
-    walk); the synthesizer surfaces per-call deltas through
-    :class:`repro.synth.synthesizer.SynthesisStats`.
     """
 
     def __init__(
-        self,
-        use_alternatives: bool = True,
-        token_predicates: bool = False,
-        use_index_enumeration: bool = True,
+        self, use_alternatives: bool = True, token_predicates: bool = False
     ) -> None:
         self.use_alternatives = use_alternatives
         self.token_predicates = token_predicates
-        self.use_index_enumeration = use_index_enumeration
-        self.enum_indexed = 0
-        self.enum_fallback = 0
         self._decomp_cache: dict[tuple, list[Decomposition]] = {}
         self._relative_cache: dict[tuple, list[tuple[Step, ...]]] = {}
         self._alternatives_cache: dict[tuple, list[ConcreteSelector]] = {}
         self._pairing_cache: dict[tuple, object] = {}
+        #: Statement-level memos of :class:`repro.synth.speculate.SpeculationContext`
+        #: (anti-unify, parametrize, canonical-statement, statement-size).
+        #: Statement objects are shared between a tuple and its
+        #: extensions, so id-keyed caching hits across spans and across
+        #: incremental calls; :meth:`_pin` keeps the referents alive.
+        self.stmt_caches: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
         self._pins: list = []  # keeps cached DOMs alive so ids stay valid
 
     @classmethod
@@ -436,43 +400,22 @@ class SelectorSearch:
         return cls(
             use_alternatives=config.use_alternative_selectors,
             token_predicates=config.use_token_predicates,
-            use_index_enumeration=config.use_index_enumeration,
         )
 
     def _pin(self, *objects) -> None:
         self._pins.append(objects)
-
-    def _count_enumeration(self, root: DOMNode) -> None:
-        """Classify one uncached query by the path eligible to answer it.
-
-        Mirrors the guards of :func:`index_for` / the raw functions
-        without calling them — classification must not force an index
-        build the query itself would never perform (e.g. a selector that
-        does not resolve).
-        """
-        if (
-            self.use_index_enumeration
-            and root.parent is None
-            and root.frozen
-            and dom_indexes_enabled()
-        ):
-            self.enum_indexed += 1
-        else:
-            self.enum_fallback += 1
 
     def decompositions(self, selector: ConcreteSelector, dom: DOMNode) -> list[Decomposition]:
         """Memoised :func:`decompositions`."""
         key = (selector, id(dom))
         hit = self._decomp_cache.get(key)
         if hit is None:
-            self._count_enumeration(dom)
             hit = decompositions(
                 selector,
                 dom,
                 use_alternatives=self.use_alternatives,
                 max_results=MAX_DECOMPOSITIONS,
                 token_predicates=self.token_predicates,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._decomp_cache[key] = hit
             self._pin(dom)
@@ -483,13 +426,11 @@ class SelectorSearch:
         key = (id(base), id(target))
         hit = self._relative_cache.get(key)
         if hit is None:
-            self._count_enumeration(base.root())
             hit = relative_step_candidates(
                 base,
                 target,
                 use_alternatives=self.use_alternatives,
                 token_predicates=self.token_predicates,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._relative_cache[key] = hit
             self._pin(base, target)
@@ -502,13 +443,11 @@ class SelectorSearch:
         key = (selector, id(dom), max_results)
         hit = self._alternatives_cache.get(key)
         if hit is None:
-            self._count_enumeration(dom)
             hit = alternative_selectors(
                 selector,
                 dom,
                 use_alternatives=self.use_alternatives,
                 max_results=max_results,
-                use_index_enumeration=self.use_index_enumeration,
             )
             self._alternatives_cache[key] = hit
             self._pin(dom)

@@ -43,8 +43,7 @@ from repro.lang.ast import (
     fresh_var,
     selector_of,
 )
-from repro.synth.alternatives import SelectorSearch, decompositions
-from repro.synth.config import SynthesisConfig
+from repro.synth.alternatives import SelectorSearch
 
 Accessors = tuple[Union[str, int], ...]
 
@@ -83,8 +82,7 @@ def anti_unify_selectors(
     first_dom: DOMNode,
     second_sel: ConcreteSelector,
     second_dom: DOMNode,
-    config: SynthesisConfig,
-    search: Optional["SelectorSearch"] = None,
+    search: SelectorSearch,
 ) -> list[SelectorAU]:
     """All loop readings of two selectors at collection indices 1 and 2.
 
@@ -93,8 +91,6 @@ def anti_unify_selectors(
     indices 1 and 2 respectively.  Fresh loop variables are allocated per
     call, so results are never shared between spans.
     """
-    if search is None:
-        search = SelectorSearch.for_config(config)
     pairings = search.loop_pairings(
         first_sel, first_dom, second_sel, second_dom, MAX_PIVOT_UNIFICATIONS
     )
@@ -144,8 +140,7 @@ def _anti_unify_actions(
     first_dom: DOMNode,
     second_stmt: ActionStmt,
     second_dom: DOMNode,
-    config: SynthesisConfig,
-    search: Optional[SelectorSearch] = None,
+    search: SelectorSearch,
 ) -> list[StatementAU]:
     if first_stmt.kind != second_stmt.kind:
         return []
@@ -174,7 +169,7 @@ def _anti_unify_actions(
     # arguments must agree across the two iterations.
     if first_stmt.text == second_stmt.text and first_stmt.value == second_stmt.value:
         for unified in anti_unify_selectors(
-            first_target, first_dom, second_target, second_dom, config, search
+            first_target, first_dom, second_target, second_dom, search
         ):
             stmt = ActionStmt(
                 first_stmt.kind,
@@ -193,8 +188,7 @@ def _anti_unify_selector_loops(
     first_dom: DOMNode,
     second_loop: ForEachSelector,
     second_dom: DOMNode,
-    config: SynthesisConfig,
-    search: Optional[SelectorSearch] = None,
+    search: SelectorSearch,
 ) -> list[StatementAU]:
     """Rule (2): lift two sibling loops by anti-unifying their bases."""
     if type(first_loop.collection) is not type(second_loop.collection):
@@ -214,7 +208,6 @@ def _anti_unify_selector_loops(
         first_dom,
         ConcreteSelector(base_b.steps),
         second_dom,
-        config,
         search,
     ):
         collection_type = type(first_loop.collection)
@@ -261,8 +254,7 @@ def anti_unify_statements(
     first_dom: DOMNode,
     second_stmt: Statement,
     second_dom: DOMNode,
-    config: SynthesisConfig,
-    search: Optional[SelectorSearch] = None,
+    search: SelectorSearch,
 ) -> list[StatementAU]:
     """Anti-unify a conjectured (first-iteration, second-iteration) pair.
 
@@ -272,11 +264,11 @@ def anti_unify_statements(
     """
     if isinstance(first_stmt, ActionStmt) and isinstance(second_stmt, ActionStmt):
         return _anti_unify_actions(
-            first_stmt, first_dom, second_stmt, second_dom, config, search
+            first_stmt, first_dom, second_stmt, second_dom, search
         )
     if isinstance(first_stmt, ForEachSelector) and isinstance(second_stmt, ForEachSelector):
         return _anti_unify_selector_loops(
-            first_stmt, first_dom, second_stmt, second_dom, config, search
+            first_stmt, first_dom, second_stmt, second_dom, search
         )
     if isinstance(first_stmt, ForEachValue) and isinstance(second_stmt, ForEachValue):
         return _anti_unify_value_loops(first_stmt, second_stmt)

@@ -25,7 +25,10 @@ class SynthesisConfig:
     :data:`~repro.synth.scheduler.MAX_REWRITES_PER_SPAN`,
     :data:`~repro.synth.synthesizer.MAX_STORE_TUPLES`, and
     :data:`~repro.synth.alternatives.MAX_DECOMPOSITIONS` /
-    :data:`~repro.synth.alternatives.MAX_SUFFIX_CHILD_STEPS`.
+    :data:`~repro.synth.alternatives.MAX_SUFFIX_CHILD_STEPS`.  Selector
+    enumeration reads the per-snapshot DOM index whenever the snapshot
+    has one; :func:`repro.engine.index.set_dom_indexes` is the only
+    switch between it and the ancestor walk, and no field selects it.
 
     Attributes
     ----------
@@ -60,15 +63,6 @@ class SynthesisConfig:
         per-call extension cost becomes O(new actions), the §5.4
         interactivity requirement.  Behaviour-preserving; the
         engine-cache and incremental-pipeline benches measure it.
-    use_index_enumeration:
-        Enumerate selector decompositions from the per-snapshot DOM
-        index's bucket layer (:mod:`repro.engine.index`) instead of
-        re-walking ancestor chains and sibling lists per query.
-        Behaviour-preserving — both paths produce identical candidate
-        lists in identical order (the parity property tests pin this)
-        — so this is an ablation knob, not a semantics knob; off
-        reproduces the legacy ancestor-walk enumeration exactly.  The
-        speculation-index bench measures the speedup.
     cache_backend:
         Name of the execution-cache persistence backend
         (:mod:`repro.service.backends`): ``"memory"`` keeps today's
@@ -87,7 +81,6 @@ class SynthesisConfig:
     use_numbered_pagination: bool = False
     incremental: bool = True
     use_execution_cache: bool = True
-    use_index_enumeration: bool = True
     cache_backend: Optional[str] = None
 
 
@@ -118,11 +111,6 @@ def no_incremental_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisCo
 def no_execution_cache_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
     """Execution memoization off: every simulated run recomputed."""
     return replace(base, use_execution_cache=False)
-
-
-def no_index_enumeration_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """Legacy ancestor-walk candidate enumeration (ablation baseline)."""
-    return replace(base, use_index_enumeration=False)
 
 
 def resolved_cache_backend(config: SynthesisConfig) -> str:

@@ -19,7 +19,7 @@ that do use the loop variable are far more likely to validate.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.dom.node import DOMNode
 from repro.dom.xpath import ConcreteSelector, resolve
@@ -36,8 +36,7 @@ from repro.lang.ast import (
     Var,
     WhileLoop,
 )
-from repro.synth.alternatives import SelectorSearch, relative_step_candidates
-from repro.synth.config import SynthesisConfig
+from repro.synth.alternatives import SelectorSearch
 
 Binding = Union[ConcreteSelector, ValuePath]
 
@@ -51,8 +50,7 @@ def parametrize_statement(
     var: Var,
     first_binding: Binding,
     dom: DOMNode,
-    config: SynthesisConfig,
-    search: Optional[SelectorSearch] = None,
+    search: SelectorSearch,
 ) -> list[Statement]:
     """All parametrizations of ``stmt`` under ``var ↦ first_binding``.
 
@@ -61,11 +59,9 @@ def parametrize_statement(
     with the unchanged statement (rule (1)) and is capped at
     :data:`MAX_PARAMETRIZE_VARIANTS` entries.
     """
-    if search is None:
-        search = SelectorSearch.for_config(config)
     if var.kind == SEL_VAR:
         assert isinstance(first_binding, ConcreteSelector)
-        variants = _parametrize_selector(stmt, var, first_binding, dom, config, search)
+        variants = _parametrize_selector(stmt, var, first_binding, dom, search)
     else:
         assert isinstance(first_binding, ValuePath)
         variants = _parametrize_value(stmt, var, first_binding)
@@ -100,7 +96,6 @@ def _parametrize_selector(
     var: Var,
     binding: ConcreteSelector,
     dom: DOMNode,
-    config: SynthesisConfig,
     search: SelectorSearch,
 ) -> list[Statement]:
     if isinstance(stmt, ActionStmt):

@@ -78,7 +78,9 @@ class SpeculationContext:
     its selectors are decomposed and resolved.  ``engine`` is the
     memoizing :class:`~repro.engine.engine.ExecutionEngine` validation
     executes through — the only simulated-execution entry point for the
-    whole synthesis stack.
+    whole synthesis stack.  ``search`` is the synthesizer's
+    :class:`~repro.synth.alternatives.SelectorSearch`; its memos and the
+    statement-level memos on it outlive the call.
     """
 
     def __init__(
@@ -87,7 +89,7 @@ class SpeculationContext:
         snapshots: Sequence[DOMNode],
         data: DataSource,
         config: SynthesisConfig,
-        search: "SelectorSearch | None" = None,
+        search: SelectorSearch,
         engine: "ExecutionEngine | None" = None,
     ) -> None:
         self.actions = actions
@@ -95,13 +97,7 @@ class SpeculationContext:
         self.data = data
         self.config = config
         self.engine = engine or ExecutionEngine.for_config(data, config)
-        self.search = search or SelectorSearch.for_config(config)
-        # Statement-level memos.  Statement objects are shared between a
-        # tuple and its extensions, so id-keyed caching hits across spans
-        # and across incremental calls; the search object pins referents.
-        if not hasattr(self.search, "stmt_caches"):
-            # (anti-unify, parametrize, canonical-statement, statement-size)
-            self.search.stmt_caches = ({}, {}, {}, {})
+        self.search = search
 
     def context_dom(self, tuple_: RewriteTuple, stmt_index: int) -> DOMNode:
         """The snapshot the statement's first action executed on."""
@@ -121,7 +117,7 @@ class SpeculationContext:
         hit = cache.get(key)
         if hit is None:
             hit = anti_unify_statements(
-                first, first_dom, second, second_dom, self.config, self.search
+                first, first_dom, second, second_dom, self.search
             )
             cache[key] = hit
             self.search._pin(first, first_dom, second, second_dom)
@@ -181,7 +177,7 @@ class SpeculationContext:
         hit = cache.get(key)
         if hit is None:
             hit = parametrize_statement(
-                stmt, candidate.var, candidate.first, dom, self.config, self.search
+                stmt, candidate.var, candidate.first, dom, self.search
             )
             cache[key] = hit
             self.search._pin(stmt, candidate, dom)

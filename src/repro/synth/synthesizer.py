@@ -155,9 +155,7 @@ class SynthesisStats:
     cache_consistency_hits``.  ``index_builds`` counts the per-snapshot
     DOM indexes *this* call forced to be built (scoped via
     :func:`repro.engine.index.track_builds`, so interleaved sessions do
-    not steal each other's builds).  ``enum_indexed`` / ``enum_fallback``
-    are the selector-search enumeration queries answered by the
-    bucket-driven path vs the legacy ancestor walk.
+    not steal each other's builds).
 
     Sharing telemetry: ``cache_cross_session_hits`` is the per-call
     delta of hits served from entries *other* sessions recorded;
@@ -204,8 +202,6 @@ class SynthesisStats:
     persisted_bytes: int = 0
     cache_backend: str = "memory"
     index_builds: int = 0
-    enum_indexed: int = 0
-    enum_fallback: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -324,7 +320,6 @@ class Synthesizer:
         if trace_length == 0:
             return result
         counters_before = self._engine.counters()
-        enum_before = (self._search.enum_indexed, self._search.enum_fallback)
 
         with obs_tracing.span(
             "synthesize", actions=trace_length
@@ -413,8 +408,6 @@ class Synthesizer:
             stats.persisted_bytes = cache.persisted_bytes
             stats.cache_backend = cache.backend_name
         stats.index_builds = built.count
-        stats.enum_indexed = self._search.enum_indexed - enum_before[0]
-        stats.enum_fallback = self._search.enum_fallback - enum_before[1]
         _SynthMetrics.get().publish(stats)
         return result
 

@@ -212,12 +212,6 @@ class TestBucketEnumeration:
                 plan = index.element_plan(element, use_alternatives, False)
                 assert list(plan) == expected
 
-    def test_contains(self, dom):
-        index = index_for(dom)
-        assert index.contains(dom)
-        assert index.contains(node_at(dom, "//h3[2]"))
-        assert not index.contains(cards_page(2))
-
 
 class TestBuildTracking:
     def test_scope_counts_only_builds_inside_it(self):

@@ -15,7 +15,8 @@ from repro.lang import parse_program
 from repro.lang.ast import SEL_VAR, fresh_var
 from repro.lang.data import DataSource
 from repro.synth import (
-    SpeculationContext,
+    SelectorSearch,
+    Synthesizer,
     alternative_selectors,
     anti_unify_selectors,
     common_alternatives,
@@ -206,9 +207,9 @@ class TestCommonAlternatives:
 
 
 class TestSelectorSearchForConfig:
-    def test_fallback_searches_honour_token_predicates(self):
-        # every entry point that builds its own search must read the
-        # config's token-predicate switch, not just the synthesizer's
+    def test_one_search_honours_token_predicates(self):
+        # the synthesizer builds the one search every entry point
+        # queries, and it must read the config's token-predicate switch
         config = token_predicate_config()
         dom = page(
             E("div", {"class": "match first"}, E("span", {"class": "price big"})),
@@ -218,10 +219,12 @@ class TestSelectorSearchForConfig:
         first = raw_path(node_at(dom, "/html[1]/body[1]/div[1]"))
         third = raw_path(node_at(dom, "/html[1]/body[1]/div[3]"))
 
-        assert SpeculationContext([], [], DataSource({}), config).search.token_predicates
+        search = Synthesizer(DataSource({}), config)._search
+        assert search.token_predicates
+        assert SelectorSearch.for_config(config).token_predicates
         # divs 1 and 3 are items 1 and 2 only under the `match` token
-        readings = anti_unify_selectors(first, dom, third, dom, config)
+        readings = anti_unify_selectors(first, dom, third, dom, search)
         assert any("~='match'" in str(item.collection) for item in readings)
         (stmt,) = parse_program(f"ScrapeText({first}/span[1])").statements
-        variants = parametrize_statement(stmt, fresh_var(SEL_VAR), first, dom, config)
+        variants = parametrize_statement(stmt, fresh_var(SEL_VAR), first, dom, search)
         assert any("~='price'" in str(variant) for variant in variants)

@@ -19,11 +19,10 @@ from repro.lang import (
     selector_of,
 )
 from repro.synth import (
-    DEFAULT_CONFIG,
+    SelectorSearch,
     anti_unify_accessors,
     anti_unify_selectors,
     anti_unify_statements,
-    no_selector_config,
 )
 
 from helpers import cards_page, node_at, plain_list_page, raw_action
@@ -59,7 +58,7 @@ class TestAntiUnifySelectors:
         dom = cards_page(3)
         first = raw_path(node_at(dom, "//div[@class='card'][1]/h3[1]"))
         second = raw_path(node_at(dom, "//div[@class='card'][2]/h3[1]"))
-        results = anti_unify_selectors(first, dom, second, dom, DEFAULT_CONFIG)
+        results = anti_unify_selectors(first, dom, second, dom, SelectorSearch())
         assert results
         collections = {str(r.collection) for r in results}
         assert "Dscts(/, div[@class='card'])" in collections
@@ -71,7 +70,7 @@ class TestAntiUnifySelectors:
         first = raw_path(node_at(dom, "//li[1]/span[1]"))
         second = raw_path(node_at(dom, "//li[2]/span[1]"))
         results = anti_unify_selectors(
-            first, dom, second, dom, no_selector_config()
+            first, dom, second, dom, SelectorSearch(use_alternatives=False)
         )
         assert results
         assert any(
@@ -83,13 +82,13 @@ class TestAntiUnifySelectors:
     def test_same_selector_cannot_pivot(self):
         dom = cards_page(2)
         sel = raw_path(node_at(dom, "//div[@class='card'][1]/h3[1]"))
-        assert anti_unify_selectors(sel, dom, sel, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_selectors(sel, dom, sel, dom, SelectorSearch()) == []
 
     def test_non_consecutive_indices_rejected(self):
         dom = cards_page(4)
         first = raw_path(node_at(dom, "//div[@class='card'][1]/h3[1]"))
         third = raw_path(node_at(dom, "//div[@class='card'][3]/h3[1]"))
-        assert anti_unify_selectors(first, dom, third, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_selectors(first, dom, third, dom, SelectorSearch()) == []
 
     def test_trace_starting_at_second_card_rejected(self):
         # Loops iterate from index 1; a demonstration starting at card 2
@@ -97,13 +96,13 @@ class TestAntiUnifySelectors:
         dom = cards_page(4)
         second = raw_path(node_at(dom, "//div[@class='card'][2]/h3[1]"))
         third = raw_path(node_at(dom, "//div[@class='card'][3]/h3[1]"))
-        assert anti_unify_selectors(second, dom, third, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_selectors(second, dom, third, dom, SelectorSearch()) == []
 
     def test_general_selector_uses_variable(self):
         dom = cards_page(2)
         first = raw_path(node_at(dom, "//div[@class='card'][1]/h3[1]"))
         second = raw_path(node_at(dom, "//div[@class='card'][2]/h3[1]"))
-        for result in anti_unify_selectors(first, dom, second, dom, DEFAULT_CONFIG):
+        for result in anti_unify_selectors(first, dom, second, dom, SelectorSearch()):
             assert result.general.base == result.var
 
 
@@ -116,7 +115,7 @@ class TestAntiUnifyActionStatements:
         second = action_to_statement(
             raw_action(scrape_text, dom, "//div[@class='card'][2]/h3[1]")
         )
-        results = anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG)
+        results = anti_unify_statements(first, dom, second, dom, SelectorSearch())
         assert results
         assert all(isinstance(r.stmt, ActionStmt) for r in results)
         assert all(r.stmt.kind == "ScrapeText" for r in results)
@@ -132,21 +131,21 @@ class TestAntiUnifyActionStatements:
         second = action_to_statement(
             raw_action(click, dom, "//div[@class='card'][2]/h3[1]")
         )
-        assert anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_statements(first, dom, second, dom, SelectorSearch()) == []
 
     def test_parameterless_rejected(self):
         from repro.lang import go_back
 
         dom = cards_page(1)
         stmt = action_to_statement(go_back())
-        assert anti_unify_statements(stmt, dom, stmt, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_statements(stmt, dom, stmt, dom, SelectorSearch()) == []
 
     def test_enter_data_value_pivot(self):
         dom = cards_page(1)
         sel = selector_of(raw_path(node_at(dom, "//h3[1]")))
         first = ActionStmt("EnterData", sel, value=X.extend("zips").extend(1))
         second = ActionStmt("EnterData", sel, value=X.extend("zips").extend(2))
-        results = anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG)
+        results = anti_unify_statements(first, dom, second, dom, SelectorSearch())
         value_pivots = [r for r in results if r.var.kind == VAL_VAR]
         assert len(value_pivots) == 1
         pivot = value_pivots[0]
@@ -161,7 +160,7 @@ class TestAntiUnifyActionStatements:
         sel2 = selector_of(raw_path(node_at(dom, "//div[@class='card'][2]/h3[1]")))
         first = ActionStmt("SendKeys", sel1, text="a")
         second = ActionStmt("SendKeys", sel2, text="b")
-        assert anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_statements(first, dom, second, dom, SelectorSearch()) == []
 
     def test_send_keys_same_text_selector_pivot(self):
         dom = cards_page(2)
@@ -169,7 +168,7 @@ class TestAntiUnifyActionStatements:
         sel2 = selector_of(raw_path(node_at(dom, "//div[@class='card'][2]/h3[1]")))
         first = ActionStmt("SendKeys", sel1, text="a")
         second = ActionStmt("SendKeys", sel2, text="a")
-        results = anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG)
+        results = anti_unify_statements(first, dom, second, dom, SelectorSearch())
         assert results and all(r.stmt.text == "a" for r in results)
 
 
@@ -188,7 +187,7 @@ class TestAntiUnifyLoops:
         dom = cards_page(3)
         first = self._inner_loop(dom, 1)
         second = self._inner_loop(dom, 2)
-        results = anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG)
+        results = anti_unify_statements(first, dom, second, dom, SelectorSearch())
         assert results
         lifted = results[0]
         assert isinstance(lifted.stmt, ForEachSelector)
@@ -206,7 +205,7 @@ class TestAntiUnifyLoops:
             ),
             (ActionStmt("ScrapeLink", Selector(var, ())),),
         )
-        assert anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_statements(first, dom, second, dom, SelectorSearch()) == []
 
     def test_different_predicates_rejected(self):
         dom = cards_page(3)
@@ -220,7 +219,7 @@ class TestAntiUnifyLoops:
             ),
             (ActionStmt("ScrapeText", Selector(var, ())),),
         )
-        assert anti_unify_statements(first, dom, second, dom, DEFAULT_CONFIG) == []
+        assert anti_unify_statements(first, dom, second, dom, SelectorSearch()) == []
 
     def test_value_loops_lift(self):
         dom = cards_page(1)
@@ -235,7 +234,7 @@ class TestAntiUnifyLoops:
             )
 
         results = anti_unify_statements(
-            value_loop(1), dom, value_loop(2), dom, DEFAULT_CONFIG
+            value_loop(1), dom, value_loop(2), dom, SelectorSearch()
         )
         assert len(results) == 1
         lifted = results[0]

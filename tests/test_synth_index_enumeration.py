@@ -1,27 +1,40 @@
-"""Parity of index-backed vs legacy ancestor-walk candidate enumeration.
+"""Parity of index-backed vs ancestor-walk candidate enumeration.
 
-The ``use_index_enumeration`` flag must be behaviour-preserving: both
-paths have to produce the *same* candidate lists in the *same* order —
-anything else would change speculation order and, through the per-span
-caps, the synthesized programs.  These tests pin that contract three
-ways: exhaustively over the generated benchmark sites, property-based
-over random DOMs, and end-to-end over incremental synthesis sessions.
+Selector search reads the per-snapshot DOM index whenever
+:func:`repro.engine.index.index_for` returns one, and walks ancestor
+chains otherwise (mutable DOMs, or indexes switched off with
+:func:`repro.engine.index.set_dom_indexes`).  Both paths have to
+produce the *same* candidate lists in the *same* order — anything else
+would change speculation order and, through the per-span caps, the
+synthesized programs.  These tests pin that contract three ways:
+exhaustively over the generated benchmark sites, property-based over
+random DOMs, and end-to-end over incremental synthesis sessions, each
+against the ancestor walk under ``set_dom_indexes(False)``.  They also
+pin that every snapshot producer hands out indexable snapshots, so the
+indexed path is the one production actually takes.
 """
+
+import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import io as repro_io
 from repro.benchmarks.suite import benchmark_by_id
 from repro.dom import E, raw_path, resolve
 from repro.engine.cache import reset_process_cache
+from repro.engine.index import index_for, set_dom_indexes
 from repro.lang import EMPTY_DATA
 from repro.lang.ast import canonical_program
+from repro.protocol import DEFAULT_CODEC
+from repro.protocol.messages import CreateSession
 from repro.synth.alternatives import (
     alternative_selectors,
     decompositions,
     relative_step_candidates,
 )
-from repro.synth.config import DEFAULT_CONFIG, no_index_enumeration_config
+from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.synthesizer import Synthesizer
 
 from helpers import cards_page, scrape_cards_trace
@@ -31,6 +44,24 @@ from helpers import cards_page, scrape_cards_trace
 #: store) — the generated sites whose selector shapes the enumeration
 #: actually sees.
 FAMILY_SAMPLE = ("b1", "b6", "b11", "b9", "b12", "b16", "b38", "b41", "b50", "b33")
+
+
+@contextmanager
+def ancestor_walk():
+    """Snapshot indexes off: selector search takes the ancestor walk."""
+    previous = set_dom_indexes(False)
+    try:
+        yield
+    finally:
+        set_dom_indexes(previous)
+
+
+def both_paths(query):
+    """``query()`` answered by the snapshot index, then by the walk."""
+    indexed = query()
+    with ancestor_walk():
+        walked = query()
+    return indexed, walked
 
 
 def recorded_queries(bid):
@@ -52,27 +83,21 @@ def recorded_queries(bid):
 @pytest.mark.parametrize("use_alternatives", [True, False])
 def test_benchmark_parity(bid, use_alternatives):
     for selector, dom in recorded_queries(bid):
+        assert index_for(dom) is not None
         for token_predicates in (False, True):
-            indexed = decompositions(
-                selector,
-                dom,
-                use_alternatives=use_alternatives,
-                token_predicates=token_predicates,
-                use_index_enumeration=True,
+            indexed, walked = both_paths(
+                lambda: decompositions(
+                    selector,
+                    dom,
+                    use_alternatives=use_alternatives,
+                    token_predicates=token_predicates,
+                )
             )
-            legacy = decompositions(
-                selector,
-                dom,
-                use_alternatives=use_alternatives,
-                token_predicates=token_predicates,
-                use_index_enumeration=False,
-            )
-            assert indexed == legacy  # same set AND same ranking order
-        assert alternative_selectors(
-            selector, dom, use_alternatives, use_index_enumeration=True
-        ) == alternative_selectors(
-            selector, dom, use_alternatives, use_index_enumeration=False
+            assert indexed == walked  # same set AND same ranking order
+        indexed, walked = both_paths(
+            lambda: alternative_selectors(selector, dom, use_alternatives)
         )
+        assert indexed == walked
 
 
 @pytest.mark.parametrize("bid", FAMILY_SAMPLE[:4])
@@ -85,17 +110,12 @@ def test_benchmark_relative_parity(bid):
         while base is not None:
             if base is not target:
                 for token_predicates in (False, True):
-                    assert relative_step_candidates(
-                        base,
-                        target,
-                        token_predicates=token_predicates,
-                        use_index_enumeration=True,
-                    ) == relative_step_candidates(
-                        base,
-                        target,
-                        token_predicates=token_predicates,
-                        use_index_enumeration=False,
+                    indexed, walked = both_paths(
+                        lambda: relative_step_candidates(
+                            base, target, token_predicates=token_predicates
+                        )
                     )
+                    assert indexed == walked
             base = base.parent
 
 
@@ -129,21 +149,15 @@ class TestRandomDomParity:
     ):
         for node in root.iter_subtree():
             selector = raw_path(node)
-            indexed = decompositions(
-                selector,
-                root,
-                use_alternatives=use_alternatives,
-                token_predicates=token_predicates,
-                use_index_enumeration=True,
+            indexed, walked = both_paths(
+                lambda: decompositions(
+                    selector,
+                    root,
+                    use_alternatives=use_alternatives,
+                    token_predicates=token_predicates,
+                )
             )
-            legacy = decompositions(
-                selector,
-                root,
-                use_alternatives=use_alternatives,
-                token_predicates=token_predicates,
-                use_index_enumeration=False,
-            )
-            assert indexed == legacy
+            assert indexed == walked
 
     @given(dom_trees(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -151,31 +165,57 @@ class TestRandomDomParity:
         for node in root.iter_subtree():
             if node is root:
                 continue
-            assert relative_step_candidates(
-                root, node, token_predicates=token_predicates, use_index_enumeration=True
-            ) == relative_step_candidates(
-                root, node, token_predicates=token_predicates, use_index_enumeration=False
+            indexed, walked = both_paths(
+                lambda: relative_step_candidates(
+                    root, node, token_predicates=token_predicates
+                )
             )
+            assert indexed == walked
+
+
+#: Sites whose recordings the producer check samples: news, numbered
+#: jobs, nested lists and a fixed store.
+PRODUCER_SAMPLE = ("b1", "b9", "b12", "b33")
+
+
+def assert_indexable(snapshots):
+    for snapshot in {id(item): item for item in snapshots}.values():
+        assert snapshot.frozen
+        assert index_for(snapshot) is not None
+
+
+@pytest.mark.parametrize("bid", PRODUCER_SAMPLE)
+def test_produced_snapshots_take_the_indexed_path(bid):
+    # enumeration reads the index only when index_for answers, so a
+    # producer that started emitting mutable snapshots would silently
+    # send every query to the ancestor walk
+    recording = benchmark_by_id(bid).record()
+    assert_indexable(recording.snapshots)
+    document = json.loads(json.dumps(repro_io.recording_to_json(recording)))
+    assert_indexable(repro_io.recording_from_json(document).snapshots)
+    assert_indexable(
+        DEFAULT_CODEC.decode(DEFAULT_CODEC.encode(CreateSession(snapshot))).snapshot
+        for snapshot in recording.snapshots[:3]
+    )
 
 
 class TestSynthesizerParity:
     def test_sessions_agree_program_for_program(self):
         dom = cards_page(6)
         actions, snapshots = scrape_cards_trace(dom, 4)
+        assert_indexable(snapshots)
         indexed = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
-        legacy = Synthesizer(EMPTY_DATA, no_index_enumeration_config())
+        walked = Synthesizer(EMPTY_DATA, DEFAULT_CONFIG)
         for cut in range(1, len(actions) + 1):
             r_indexed = indexed.synthesize(actions[:cut], snapshots[: cut + 1])
-            r_legacy = legacy.synthesize(actions[:cut], snapshots[: cut + 1])
+            with ancestor_walk():
+                r_walked = walked.synthesize(actions[:cut], snapshots[: cut + 1])
             assert [canonical_program(p) for p in r_indexed.programs] == [
-                canonical_program(p) for p in r_legacy.programs
+                canonical_program(p) for p in r_walked.programs
             ]
             assert [str(a) for a in r_indexed.predictions] == [
-                str(a) for a in r_legacy.predictions
+                str(a) for a in r_walked.predictions
             ]
-        assert r_indexed.stats.enum_indexed > 0
-        assert r_indexed.stats.enum_fallback == 0
-        assert r_legacy.stats.enum_indexed == 0
 
     def test_interleaved_sessions_attribute_their_own_index_builds(self):
         # two sessions over different sites, alternating calls: each

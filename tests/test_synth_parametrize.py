@@ -16,7 +16,7 @@ from repro.lang import (
     fresh_var,
     selector_of,
 )
-from repro.synth import DEFAULT_CONFIG, no_selector_config, parametrize_statement
+from repro.synth import SelectorSearch, parametrize_statement
 
 from helpers import cards_page, node_at
 
@@ -35,7 +35,7 @@ class TestSelectorParametrize:
             selector_of(raw_path(node_at(dom, "//div[@class='card'][1]/div[@class='phone'][1]"))),
         )
         variants = parametrize_statement(
-            stmt, var, first_card_binding(dom), dom, DEFAULT_CONFIG
+            stmt, var, first_card_binding(dom), dom, SelectorSearch()
         )
         # The unchanged statement is always last (rule (1)).
         assert variants[-1] == stmt
@@ -51,7 +51,7 @@ class TestSelectorParametrize:
             selector_of(raw_path(node_at(dom, "//div[@class='sidebar'][1]"))),
         )
         variants = parametrize_statement(
-            stmt, var, first_card_binding(dom), dom, DEFAULT_CONFIG
+            stmt, var, first_card_binding(dom), dom, SelectorSearch()
         )
         assert variants == [stmt]
 
@@ -62,7 +62,7 @@ class TestSelectorParametrize:
             "ScrapeText", selector_of(raw_path(node_at(dom, "//div[@class='card'][1]")))
         )
         variants = parametrize_statement(
-            stmt, var, first_card_binding(dom), dom, DEFAULT_CONFIG
+            stmt, var, first_card_binding(dom), dom, SelectorSearch()
         )
         assert any(v.target == Selector(var, ()) for v in variants)
 
@@ -71,7 +71,7 @@ class TestSelectorParametrize:
         var = fresh_var(SEL_VAR)
         stmt = ActionStmt("ScrapeText", selector_of(raw_path(node_at(dom, "//h3[1]"))))
         missing = parse_selector("//nav[7]")
-        assert parametrize_statement(stmt, var, missing, dom, DEFAULT_CONFIG) == [stmt]
+        assert parametrize_statement(stmt, var, missing, dom, SelectorSearch()) == [stmt]
 
     def test_nested_loop_base_parametrized(self):
         dom = cards_page(2)
@@ -86,7 +86,7 @@ class TestSelectorParametrize:
             (ActionStmt("ScrapeText", Selector(inner_var, ())),),
         )
         variants = parametrize_statement(
-            loop, outer_var, first_card_binding(dom), dom, DEFAULT_CONFIG
+            loop, outer_var, first_card_binding(dom), dom, SelectorSearch()
         )
         parametrized = [v for v in variants if v != loop]
         assert parametrized
@@ -101,7 +101,7 @@ class TestSelectorParametrize:
         var = fresh_var(SEL_VAR)
         stmt = ActionStmt("GoBack")
         assert parametrize_statement(
-            stmt, var, first_card_binding(dom), dom, DEFAULT_CONFIG
+            stmt, var, first_card_binding(dom), dom, SelectorSearch()
         ) == [stmt]
 
     def test_raw_only_uses_raw_suffix(self):
@@ -113,7 +113,7 @@ class TestSelectorParametrize:
         )
         binding = raw_path(node_at(dom, "//div[@class='card'][1]"))
         variants = parametrize_statement(
-            stmt, var, binding, dom, no_selector_config()
+            stmt, var, binding, dom, SelectorSearch(use_alternatives=False)
         )
         assert len(variants) == 2  # one raw suffix variant + original
         assert str(variants[0].target) == f"{var}/div[1]"
@@ -126,7 +126,7 @@ class TestValueParametrize:
         sel = selector_of(raw_path(node_at(dom, "//h3[1]")))
         stmt = ActionStmt("EnterData", sel, value=X.extend("rows").extend(1).extend("q"))
         binding = ValuePath(None, ("rows", 1))
-        variants = parametrize_statement(stmt, var, binding, dom, DEFAULT_CONFIG)
+        variants = parametrize_statement(stmt, var, binding, dom, SelectorSearch())
         assert variants[0].value == ValuePath(var, ("q",))
         assert variants[-1] == stmt
 
@@ -136,14 +136,14 @@ class TestValueParametrize:
         sel = selector_of(raw_path(node_at(dom, "//h3[1]")))
         stmt = ActionStmt("EnterData", sel, value=X.extend("other").extend(1))
         binding = ValuePath(None, ("rows", 1))
-        assert parametrize_statement(stmt, var, binding, dom, DEFAULT_CONFIG) == [stmt]
+        assert parametrize_statement(stmt, var, binding, dom, SelectorSearch()) == [stmt]
 
     def test_click_unchanged_under_value_binding(self):
         dom = cards_page(1)
         var = fresh_var(VAL_VAR)
         stmt = ActionStmt("Click", selector_of(raw_path(node_at(dom, "//h3[1]"))))
         binding = ValuePath(None, ("rows", 1))
-        assert parametrize_statement(stmt, var, binding, dom, DEFAULT_CONFIG) == [stmt]
+        assert parametrize_statement(stmt, var, binding, dom, SelectorSearch()) == [stmt]
 
     def test_nested_value_loop_rewritten(self):
         dom = cards_page(1)
@@ -156,6 +156,6 @@ class TestValueParametrize:
             (ActionStmt("EnterData", sel, value=ValuePath(inner, ())),),
         )
         binding = ValuePath(None, ("rows", 1))
-        variants = parametrize_statement(loop, outer, binding, dom, DEFAULT_CONFIG)
+        variants = parametrize_statement(loop, outer, binding, dom, SelectorSearch())
         assert variants[0].collection.path == ValuePath(outer, ("cells",))
         assert variants[-1] == loop

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dom import E, page
 from repro.lang import parse_program
-from repro.synth import DEFAULT_CONFIG, anti_unify_statements, statement_shape
+from repro.synth import SelectorSearch, anti_unify_statements, statement_shape
 
 
 def stmts(text: str):
@@ -91,7 +91,7 @@ class TestPivotGateSoundness:
         (a,) = stmts(text_a)
         (b,) = stmts(text_b)
         if statement_shape(a) != statement_shape(b):
-            assert anti_unify_statements(a, DOM, b, DOM, DEFAULT_CONFIG) == []
+            assert anti_unify_statements(a, DOM, b, DOM, SelectorSearch()) == []
 
     def test_enterdata_value_pivot_not_gated(self):
         # the rule-(3) pivot pair must share a shape or the gate would
@@ -101,5 +101,5 @@ class TestPivotGateSoundness:
         )
         assert statement_shape(a) == statement_shape(b)
         dom = page(E("input", {"name": "q"}))
-        results = anti_unify_statements(a, dom, b, dom, DEFAULT_CONFIG)
+        results = anti_unify_statements(a, dom, b, dom, SelectorSearch())
         assert results  # rule (3) fires

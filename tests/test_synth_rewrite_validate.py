@@ -15,6 +15,7 @@ from repro.lang import (
 from repro.lang.ast import SEL_VAR
 from repro.synth import (
     DEFAULT_CONFIG,
+    SelectorSearch,
     SpeculationContext,
     SRewrite,
     extend_with_singletons,
@@ -28,7 +29,9 @@ from helpers import cards_page, scrape_cards_trace
 
 
 def make_context(actions, snapshots):
-    return SpeculationContext(actions, snapshots, EMPTY_DATA, DEFAULT_CONFIG)
+    return SpeculationContext(
+        actions, snapshots, EMPTY_DATA, DEFAULT_CONFIG, SelectorSearch()
+    )
 
 
 class TestRewriteTuple:
