@@ -21,9 +21,10 @@ nodes).
 
 ``REPRO_CACHE_BENCH`` picks the subject benchmark;
 ``REPRO_CACHE_LEN`` bounds the trace length;
-``REPRO_CACHE_MIN_SPEEDUP`` adjusts the asserted floor (default 1.5).
-``--quick`` halves the trace bound and relaxes the floor to 1.3 for
-the CI smoke tier (shared runners are noisy; full runs keep 1.5).
+the asserted floor is :data:`MIN_SPEEDUP` (1.5).  ``--quick`` halves
+the trace bound and relaxes the floor to :data:`QUICK_MIN_SPEEDUP`
+(1.3) for the CI smoke tier (shared runners are noisy; full runs keep
+1.5).
 """
 
 import copy
@@ -37,6 +38,10 @@ from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 
 #: Passes per variant; each variant keeps its fastest.
 PASSES = 3
+
+#: Floor: uncached over cached wall time (full run / ``--quick``).
+MIN_SPEEDUP = 1.5
+QUICK_MIN_SPEEDUP = 1.3
 
 
 def _run_pass(bid: str, max_length: int) -> tuple[ScalingSeries, ScalingSeries]:
@@ -70,9 +75,7 @@ def _run_variants(bid: str, max_length: int) -> list[ScalingSeries]:
 def test_engine_cache_speedup(benchmark, quick):
     bid = os.environ.get("REPRO_CACHE_BENCH", DEFAULT_BENCHMARK)
     max_length = int(os.environ.get("REPRO_CACHE_LEN", "40" if quick else "80"))
-    min_speedup = float(
-        os.environ.get("REPRO_CACHE_MIN_SPEEDUP", "1.3" if quick else "1.5")
-    )
+    min_speedup = QUICK_MIN_SPEEDUP if quick else MIN_SPEEDUP
     series = benchmark.pedantic(
         _run_variants, args=(bid, max_length), rounds=1, iterations=1
     )

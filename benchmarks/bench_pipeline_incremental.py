@@ -15,13 +15,13 @@ Two assertions gate the result:
 * the synthesized program lists of every call are byte-identical to
   the reference's (resuming changes the cost, never the output);
 * latency stays *flat* as the demonstration grows: the median of the
-  last ten calls is within the flatness factor (default 2×) of the
+  last ten calls is within :data:`MAX_LATE_RATIO` (2×) of the
   early-call median.
 
 ``REPRO_PIPE_CARDS`` sets the demonstration width (two actions per
-card); ``REPRO_PIPE_MAX_LATE_RATIO`` adjusts the asserted factor.
-``--quick`` shrinks the trace and relaxes the factor for the CI smoke
-tier; the full run is the source of record.
+card).  ``--quick`` shrinks the trace and relaxes the factor to
+:data:`QUICK_MAX_LATE_RATIO` (3×) for the CI smoke tier; the full run
+is the source of record.
 """
 
 import os
@@ -42,6 +42,10 @@ from repro.synth.config import (  # noqa: E402
     no_execution_cache_config,
 )
 from repro.synth.synthesizer import Synthesizer  # noqa: E402
+
+#: Ceiling: late-call over early-call median latency (full / ``--quick``).
+MAX_LATE_RATIO = 2.0
+QUICK_MAX_LATE_RATIO = 3.0
 
 
 def _drive_session(config, actions, snapshots):
@@ -77,9 +81,7 @@ def _latency_profile(latencies):
 
 def test_pipeline_incremental_streaming(benchmark, quick):
     cards = int(os.environ.get("REPRO_PIPE_CARDS", "40" if quick else "50"))
-    max_late_ratio = float(
-        os.environ.get("REPRO_PIPE_MAX_LATE_RATIO", "3.0" if quick else "2.0")
-    )
+    max_late_ratio = QUICK_MAX_LATE_RATIO if quick else MAX_LATE_RATIO
     dom = cards_page(cards)
     actions, snapshots = scrape_cards_trace(dom, cards)
 

@@ -23,8 +23,8 @@ Assertions (correctness gates, not tolerances):
   the migration design (the rewrite store is value-addressed end to
   end, so replay reconstructs it exactly);
 * the import replay cost stays proportional: resuming is bounded by
-  ``REPRO_MIG_MAX_RESUME_RATIO`` × the source's cost of reaching the
-  same prefix (default 3× — replay re-pays the incremental calls, it
+  :data:`MAX_RESUME_RATIO` × the source's cost of reaching the
+  same prefix (3× — replay re-pays the incremental calls, it
   must not blow up asymptotically).
 
 Reported: snapshot wire bytes per subject, export / import / continue
@@ -43,6 +43,9 @@ from repro.harness.report import fmt_ms, render_table
 from repro.synth.config import DEFAULT_CONFIG
 
 DEFAULT_BIDS = "b1+,b5+,b15,b73"
+
+#: Ceiling: import replay over the source's cost of the same prefix.
+MAX_RESUME_RATIO = 3.0
 
 
 def _subjects(spec):
@@ -166,7 +169,7 @@ def _run_child(target, args):
 def test_session_migration_round_trip(benchmark, quick):
     spec = os.environ.get("REPRO_MIG_BIDS", "b1+,b15" if quick else DEFAULT_BIDS)
     cut_fraction = float(os.environ.get("REPRO_MIG_CUT_FRACTION", "0.6"))
-    max_resume_ratio = float(os.environ.get("REPRO_MIG_MAX_RESUME_RATIO", "3.0"))
+    max_resume_ratio = MAX_RESUME_RATIO
     subjects = _subjects(spec)  # validates the spec before forking
 
     def run_pair():

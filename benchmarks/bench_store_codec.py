@@ -1,37 +1,41 @@
-"""Store codec bench: compressed payloads + tiered persistence, gated.
+"""Store codec bench: compressed payload rows in the fleet's cache tier, gated.
 
-Drives the multi-session service workload (the same create /
-record-action / close loop as ``bench_service_sessions``) through the
-persistent :class:`~repro.service.backends.FileBackend` (zlib-compressed JSON rows)
-under both tier policies, each run in a **fresh child process** so
-every measurement starts cold:
+Drives the multi-session service workload (a
+:class:`~repro.service.sessions.SessionManager` creating sessions,
+feeding them action by action and closing them, as ``repro serve``
+does per request) through the cache tier.  Every leg runs in a **fresh
+child process** so it starts cold; a tier leg starts an in-process
+cache server (:func:`~repro.fleet.cache_server.make_cache_server`) over
+the leg's store file and points its sessions at it over
+``remote://``:
 
-* **memory** — the in-process backend: the cold baseline every
-  persistent run has to beat;
-* **file / binary, untiered** — everything persisted (the child sets
+* **memory** — no tier: the programs every tier leg must reproduce;
+* **tier, untiered** — every row persisted (the child sets
   ``repro.engine.cache.TIER_COST`` to -1): the baseline of the
   tier-policy footprint comparison;
-* **file / binary, tiered** (the default config) — cheap exact
-  interior entries are recomputed instead of stored: the tier-policy
-  footprint comparison;
-* **file / binary, warm** — a new process over the tiered store: the
-  restart case the store exists for.
+* **tier, tiered** (the default config) — cheap exact interior entries
+  are recomputed instead of stored: the tier-policy footprint
+  comparison;
+* **tier, restarted** — a new process and a new cache server over the
+  tiered store: the ``repro cache-serve`` restart shape.
 
-Assertions (floors env-overridable, see below):
+Assertions (the floors are the module constants below):
 
 * the synthesized program lists of every call of every session are
-  **byte-identical** across all four runs — neither the store nor the
-  tier policy may change synthesis output;
-* tiering cuts the untiered binary footprint by ≥ 1.5×;
-* the warm file-backend run beats the cold in-memory baseline
-  (speedup ≥ 1.0× **or** cross-process hit rate ≥ 50%, the same
-  escape hatch as the service bench: the rate is the architectural
-  claim, the wall-clock depends on how execution-bound the box is);
+  **byte-identical** across all four runs — neither the tier, its store
+  nor the tier policy may change synthesis output — and the restarted
+  tier serves warm hits;
+* tiering cuts the untiered store's footprint by ≥
+  :data:`MIN_FOOTPRINT`;
 * a codec microbenchmark over the store's own payload corpus (the
   decoded rows of the untiered store): both codecs decode to equal
-  values, the store codec is ≥ 4× smaller (the size claim the
-  compressed store rests on), and its encode+decode round-trip stays
-  within a bounded CPU factor of plain JSON.
+  values, the store codec is ≥ :data:`MIN_SIZE_RATIO` smaller (the size
+  claim the compressed store rests on), and its encode+decode
+  round-trip stays within :data:`MAX_CPU_RATIO` of plain JSON's CPU.
+
+No leg's wall time is gated.  Execution here is simulated at ~0.5 ms
+per action, less than one tier read costs, so a restarted tier does not
+beat a cold in-memory run; the timings are printed for the record.
 
 The store codec is canonical JSON under the stdlib's C zlib, so the
 win is **bytes** — ~10× smaller rows and cache-tier frames — at about
@@ -41,9 +45,6 @@ here is a *regression* gate, not a speed claim.
 
 ``REPRO_STORE_BENCH_BIDS`` picks the subjects (``+`` suffix = scaled
 instance); ``REPRO_STORE_BENCH_SESSIONS`` the sessions per subject;
-``REPRO_STORE_BENCH_MIN_SPEEDUP`` / ``REPRO_STORE_BENCH_MIN_RATE`` /
-``REPRO_STORE_BENCH_MIN_FOOTPRINT`` / ``REPRO_STORE_BENCH_MIN_SIZE_RATIO``
-/ ``REPRO_STORE_BENCH_MAX_CPU_RATIO`` the floors and ceiling;
 ``REPRO_STORE_BENCH_REPS`` the microbench repetitions (min-of-N, codecs
 interleaved per rep).  ``--quick`` shrinks the workload for the CI
 smoke tier.
@@ -52,18 +53,37 @@ smoke tier.
 import multiprocessing
 import os
 import sqlite3
+import sys
 import tempfile
 import time
 from dataclasses import replace
 
-from repro.benchmarks.suite import benchmark_by_id
-from repro.harness.report import fmt_bytes, fmt_ms, fmt_pct, render_table
-from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, sniff_codec
-from repro.synth.config import DEFAULT_CONFIG
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from helpers import cache_tier  # noqa: E402
+
+from repro.benchmarks.suite import benchmark_by_id  # noqa: E402
+from repro.harness.report import fmt_bytes, fmt_ms, render_table  # noqa: E402
+from repro.protocol.codec import DEFAULT_CODEC, STORE_CODEC, sniff_codec  # noqa: E402
+from repro.synth.config import DEFAULT_CONFIG  # noqa: E402
 
 #: Loop-heavy, execution-dominated subjects — the entries the store
 #: actually holds are dominated by their loop-body executions.
 DEFAULT_BIDS = "b1+,b2+,b15,b73"
+
+#: Floor: the tier policy cuts the untiered store's bytes by this factor.
+MIN_FOOTPRINT = 1.5
+#: Floor: store-codec rows are this many times smaller than plain JSON.
+MIN_SIZE_RATIO = 4.0
+#: Ceiling: store-codec round-trip CPU over plain JSON's.
+MAX_CPU_RATIO = 3.0
+
+#: The store file a cache server keeps in its ``--cache-dir``.
+STORE_FILE = "execution-cache.sqlite"
+
+#: Per-call deadline, generous on purpose: every tier read waits out
+#: the ~40 ms reply stall, so a b15 call over the tier can pass 10 s,
+#: and a call cut by its deadline could differ by timing alone.
+CALL_TIMEOUT = 600.0
 
 
 def _subjects(spec):
@@ -84,7 +104,7 @@ def _drive_sessions(backend, subjects, sessions):
     from repro.service.sessions import SessionManager
 
     config = replace(DEFAULT_CONFIG, cache_backend=backend)
-    manager = SessionManager(config, timeout=10.0)
+    manager = SessionManager(config, timeout=CALL_TIMEOUT)
     programs = []
     elapsed = 0.0
     for _ in range(sessions):
@@ -104,45 +124,48 @@ def _drive_sessions(backend, subjects, sessions):
             manager.close(sid)
             elapsed += time.perf_counter() - started
             programs.append(per_call)
-    stats = manager.stats()
-    totals = stats["totals"]
+    totals = manager.stats()["totals"]
     return {
         "elapsed": elapsed,
         "programs": programs,
         "warm_hits": totals["warm_start_hits"],
-        "misses": totals["cache_misses"],
+        "timed_out": totals["timed_out_calls"],
     }
 
 
-def _child(backend, store_dir, untiered, spec, sessions, pipe):
-    """Child-process entry: isolate caches and env, drive, ship results.
+def _child(store_path, untiered, spec, sessions, pipe):
+    """Child-process entry: isolate caches, drive, ship results.
 
-    ``untiered`` sets the cache's tier threshold to -1 in this process,
-    so every exact row persists."""
-    os.environ["REPRO_CACHE_DIR"] = store_dir
+    ``store_path`` ``None`` runs on ``memory``; otherwise the sessions
+    run over a cache server on that store, serving in a thread of this
+    process (:func:`helpers.cache_tier`).  ``untiered`` sets the
+    cache's tier threshold to -1 in this process, so every exact row
+    persists."""
     from repro.engine import cache as cache_module
     from repro.service.backends import flush_backends, reset_backends
 
     if untiered:
         cache_module.TIER_COST = -1
-    cache_module.reset_process_cache()
     reset_backends()
     try:
-        result = _drive_sessions(backend, _subjects(spec), sessions)
-        if backend == "file":
-            result["tier_skips"] = cache_module.process_cache("file").tier_skips
-        flush_backends()  # os._exit skips atexit: push buffered entries out
+        subjects = _subjects(spec)
+        if store_path is None:
+            result = _drive_sessions("memory", subjects, sessions)
+        else:
+            with cache_tier(store_path) as name:
+                result = _drive_sessions(name, subjects, sessions)
+                result["tier_skips"] = cache_module.process_cache(name).tier_skips
+                flush_backends()  # push buffered rows before the server stops
         pipe.send(result)
     finally:
         pipe.close()
 
 
-def _run_child(backend, store_dir, spec, sessions, untiered=False):
+def _run_child(store_path, spec, sessions, untiered=False):
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe()
     process = context.Process(
-        target=_child,
-        args=(backend, store_dir, untiered, spec, sessions, child_end),
+        target=_child, args=(store_path, untiered, spec, sessions, child_end)
     )
     process.start()
     child_end.close()
@@ -150,13 +173,13 @@ def _run_child(backend, store_dir, spec, sessions, untiered=False):
         result = parent_end.recv()
     finally:
         process.join()
-    assert process.exitcode == 0, f"{backend} child exited {process.exitcode}"
+    assert process.exitcode == 0, f"child over {store_path} exited {process.exitcode}"
     return result
 
 
-def _store_rows(store_dir):
+def _store_rows(store_path):
     """Every ``(kind, payload-blob)`` row of a store, plus byte totals."""
-    connection = sqlite3.connect(os.path.join(store_dir, "execution-cache.sqlite"))
+    connection = sqlite3.connect(store_path)
     try:
         rows = [
             (kind, bytes(blob))
@@ -214,55 +237,44 @@ def test_store_codec(benchmark, quick):
         os.environ.get("REPRO_STORE_BENCH_SESSIONS", "1" if quick else "2")
     )
     reps = int(os.environ.get("REPRO_STORE_BENCH_REPS", "5" if quick else "9"))
-    min_speedup = float(os.environ.get("REPRO_STORE_BENCH_MIN_SPEEDUP", "1.0"))
-    min_rate = float(os.environ.get("REPRO_STORE_BENCH_MIN_RATE", "0.5"))
-    min_footprint = float(os.environ.get("REPRO_STORE_BENCH_MIN_FOOTPRINT", "1.5"))
-    min_size_ratio = float(
-        os.environ.get("REPRO_STORE_BENCH_MIN_SIZE_RATIO", "4.0")
-    )
-    max_cpu_ratio = float(os.environ.get("REPRO_STORE_BENCH_MAX_CPU_RATIO", "3.0"))
     subjects = _subjects(spec)  # validates the spec before forking
 
     with tempfile.TemporaryDirectory(prefix="repro-codec-bench-") as root:
-        dir_full = os.path.join(root, "binary-full")
-        dir_tiered = os.path.join(root, "binary-tiered")
+        store_full = os.path.join(root, "untiered", STORE_FILE)
+        store_tiered = os.path.join(root, "tiered", STORE_FILE)
 
         def run_legs():
-            memory = _run_child("memory", root, spec, sessions)
-            bin_full = _run_child("file", dir_full, spec, sessions, untiered=True)
-            bin_tiered = _run_child("file", dir_tiered, spec, sessions)
-            bin_warm = _run_child("file", dir_tiered, spec, sessions)
-            return memory, bin_full, bin_tiered, bin_warm
+            memory = _run_child(None, spec, sessions)
+            full = _run_child(store_full, spec, sessions, untiered=True)
+            tiered = _run_child(store_tiered, spec, sessions)
+            restarted = _run_child(store_tiered, spec, sessions)
+            return memory, full, tiered, restarted
 
-        memory, bin_full, bin_tiered, bin_warm = benchmark.pedantic(
+        memory, full, tiered, restarted = benchmark.pedantic(
             run_legs, rounds=1, iterations=1
         )
 
-        # correctness first: neither the store nor the tier policy may
-        # change what gets synthesized
+        # correctness first: neither the tier nor the tier policy may
+        # change what gets synthesized, on calls that all ran to the end
+        for label, run in (("memory", memory), ("untiered", full),
+                           ("tiered", tiered), ("restarted", restarted)):
+            assert run["timed_out"] == 0, f"{label}: a call hit its deadline"
         for label, run in (
-            ("binary untiered", bin_full),
-            ("binary tiered", bin_tiered),
-            ("binary warm", bin_warm),
+            ("untiered", full),
+            ("tiered", tiered),
+            ("restarted", restarted),
         ):
             assert memory["programs"] == run["programs"], (
-                f"the {label} run changed the synthesized programs"
+                f"the {label} tier run changed the synthesized programs"
             )
         assert memory["warm_hits"] == 0, "memory backend cannot warm-start"
-        assert bin_tiered["warm_hits"] == 0, "an empty store cannot warm-start"
-        assert bin_warm["warm_hits"] > 0, "the warm store never served a hit"
+        assert tiered["warm_hits"] == 0, "an empty store cannot warm-start"
+        assert restarted["warm_hits"] > 0, "the restarted tier never served a hit"
 
         # footprint: the tier cut (full vs tiered) over identical workloads
-        full_rows, full_entries, full_bytes = _store_rows(dir_full)
-        _, tiered_entries, tiered_bytes = _store_rows(dir_tiered)
+        full_rows, full_entries, full_bytes = _store_rows(store_full)
+        _, tiered_entries, tiered_bytes = _store_rows(store_tiered)
         tier_ratio = full_bytes / tiered_bytes if tiered_bytes else 0.0
-
-        # warm start vs the cold in-memory baseline
-        lookups = bin_warm["warm_hits"] + bin_warm["misses"]
-        rate = bin_warm["warm_hits"] / lookups if lookups else 0.0
-        speedup = (
-            memory["elapsed"] / bin_warm["elapsed"] if bin_warm["elapsed"] else 0.0
-        )
 
         # codec microbench over the store's own payloads
         micro = _measure_codecs(_corpus(full_rows), reps)
@@ -278,43 +290,41 @@ def test_store_codec(benchmark, quick):
             subjects=spec,
             sessions=sessions,
             memory_seconds=round(memory["elapsed"], 4),
-            warm_seconds=round(bin_warm["elapsed"], 4),
-            speedup=round(speedup, 2),
-            warm_rate=round(rate, 3),
-            binary_store_bytes=full_bytes,
+            restarted_seconds=round(restarted["elapsed"], 4),
+            restarted_warm_hits=restarted["warm_hits"],
+            untiered_store_bytes=full_bytes,
             tiered_store_bytes=tiered_bytes,
             tier_ratio=round(tier_ratio, 2),
-            tier_skips=bin_tiered.get("tier_skips", 0),
+            tier_skips=tiered.get("tier_skips", 0),
             micro_size_ratio=round(micro_size, 2),
             micro_cpu_ratio=round(cpu_ratio, 2),
         )
         print()
         print(
             f"Store codec on {len(subjects)} subjects × {sessions} sessions "
-            f"(fresh process per leg)"
+            f"(fresh process per leg; tier legs over remote://)"
         )
         print(
             render_table(
                 ["leg", "total", "warm hits", "store entries", "store bytes"],
                 [
-                    ["memory (cold baseline)", fmt_ms(memory["elapsed"]),
+                    ["memory (no tier)", fmt_ms(memory["elapsed"]),
                      memory["warm_hits"], "-", "-"],
-                    ["file binary, untiered", fmt_ms(bin_full["elapsed"]),
-                     bin_full["warm_hits"], full_entries, fmt_bytes(full_bytes)],
-                    ["file binary, tiered", fmt_ms(bin_tiered["elapsed"]),
-                     bin_tiered["warm_hits"], tiered_entries,
+                    ["tier, untiered", fmt_ms(full["elapsed"]),
+                     full["warm_hits"], full_entries, fmt_bytes(full_bytes)],
+                    ["tier, tiered", fmt_ms(tiered["elapsed"]),
+                     tiered["warm_hits"], tiered_entries,
                      fmt_bytes(tiered_bytes)],
-                    ["file binary, warm store", fmt_ms(bin_warm["elapsed"]),
-                     bin_warm["warm_hits"], tiered_entries,
+                    ["tier, restarted", fmt_ms(restarted["elapsed"]),
+                     restarted["warm_hits"], tiered_entries,
                      fmt_bytes(tiered_bytes)],
                 ],
             )
         )
         print(
             f"tiering: {tier_ratio:.2f}x smaller store "
-            f"({bin_tiered.get('tier_skips', 0)} writes skipped)"
+            f"({tiered.get('tier_skips', 0)} writes skipped)"
         )
-        print(f"warm start: {fmt_pct(rate)} hit rate, {speedup:.2f}x vs cold memory")
         print(
             f"codec micro ({len(full_rows)} payloads, min of {reps}): "
             f"binary {micro_size:.2f}x smaller, round-trip CPU "
@@ -323,23 +333,19 @@ def test_store_codec(benchmark, quick):
             f"decode {bin_micro['decode'] / json_micro['decode']:.2f}x)"
         )
 
-        assert tier_ratio >= min_footprint, (
+        assert tier_ratio >= MIN_FOOTPRINT, (
             f"tiering cut the store only {tier_ratio:.2f}x "
-            f"(< {min_footprint}x): {full_bytes}B -> {tiered_bytes}B"
+            f"(< {MIN_FOOTPRINT}x): {full_bytes}B -> {tiered_bytes}B"
         )
-        assert bin_tiered.get("tier_skips", 0) > 0, (
+        assert tiered.get("tier_skips", 0) > 0, (
             "the tier policy never skipped a write"
         )
-        assert speedup >= min_speedup or rate >= min_rate, (
-            f"warm start lost to cold memory: speedup {speedup:.2f}x "
-            f"< {min_speedup}x and rate {rate:.2f} < {min_rate}"
-        )
-        assert micro_size >= min_size_ratio, (
+        assert micro_size >= MIN_SIZE_RATIO, (
             f"binary only {micro_size:.2f}x smaller than json "
-            f"(< {min_size_ratio}x)"
+            f"(< {MIN_SIZE_RATIO}x)"
         )
-        assert cpu_ratio <= max_cpu_ratio, (
+        assert cpu_ratio <= MAX_CPU_RATIO, (
             f"binary round-trip CPU regressed to {cpu_ratio:.2f}x json "
-            f"(> {max_cpu_ratio}x): encode {bin_micro['encode']:.4f}s + "
+            f"(> {MAX_CPU_RATIO}x): encode {bin_micro['encode']:.4f}s + "
             f"decode {bin_micro['decode']:.4f}s vs json {json_total:.4f}s"
         )

@@ -14,9 +14,10 @@ Environment knobs honoured across benches:
 * ``REPRO_Q3_TRACE_CAP`` — task-length cap for interactive sessions
 * ``REPRO_Q4_TIMEOUT``   — per-run baseline budget (default 60 s)
 
-Every other bench reads only its own sizing and floor overrides
-(``REPRO_EXT_*``, ``REPRO_CACHE_*``, ...), listed in
-its module docstring.
+Every other bench reads only its own sizing overrides
+(``REPRO_EXT_*``, ``REPRO_CACHE_BENCH``, ...), listed in its module
+docstring.  Floors and ceilings are module constants of each bench,
+never environment knobs.
 
 ``--quick`` shrinks the perf benches (fewer sessions, shorter traces,
 slightly relaxed speedup floors) to a CI-smoke-tier footprint; see the

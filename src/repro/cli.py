@@ -11,10 +11,10 @@ Commands
     Load a recorded demonstration, synthesize at prefix ``K`` (default:
     all but the last action), print the best program and prediction.
     ``--stats`` also prints synthesis + execution-engine telemetry
-    (worklist activity, static pruning, cache hits/misses and
-    footprint, DOM index builds).  ``--backend`` names the execution
-    cache's persistence backend (``memory``, ``file`` or
-    ``remote://host:port``).
+    (worklist activity, cache hits/misses and footprint, DOM index
+    builds).  ``--backend`` names the execution cache's backend
+    (``memory``, the default, or ``remote://host:port``, a running
+    ``repro cache-serve``); any other name exits 2 before synthesis.
     ``--trace-out FILE`` records spans for the run and writes a Chrome
     trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 ``metrics [--url URL]``
@@ -48,14 +48,20 @@ differing only in the ``tool`` tag and the rules that can appear.
     Execute a program against a recorded demonstration under the trace
     semantics and print per-action provenance (which statement and
     loop iteration produced each action).
-``serve [--host H] [--port P] [--workers N] [--backend memory|file]``
+``serve [--host H] [--port P] [--workers N] [--backend memory|remote://H:P]``
     Run the multi-process session service: concurrent demonstration
     sessions over the typed ``/v1`` protocol routes (create /
     record-action / get-candidates / accept / reject / close / migrate
     / import), sharing the process-level execution cache — and, with
-    ``--backend file``, a persistent store that outlives processes and
-    is shared between workers.  ``--session-ttl`` evicts idle sessions.
-    See :mod:`repro.service.server`.
+    ``--backend remote://host:port``, a ``repro cache-serve`` tier that
+    every worker pointing at it shares and that outlives them.  An
+    unknown backend exits 2 before any port is bound.
+    ``--session-ttl`` evicts idle sessions.  See
+    :mod:`repro.service.server`.
+``cache-serve [--host H] [--port P] [--cache-dir DIR] [--max-bytes N]``
+    Run the fleet's cache tier over the store file
+    ``DIR/execution-cache.sqlite`` (default ``~/.cache/repro``).  See
+    :mod:`repro.fleet.cache_server`.
 ``protocol-schema``
     Print the interaction protocol's machine-readable wire schema
     (message types, field specs, ``PROTOCOL_VERSION``).  CI diffs this
@@ -113,10 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--timeout", type=float, default=1.0)
     synth.add_argument("--stats", action="store_true",
                        help="print synthesis + execution-engine telemetry")
-    synth.add_argument("--backend", default=None, metavar="BACKEND",
-                       help="execution-cache persistence backend: memory, "
-                            "file, or remote://host:port (default: "
-                            "$REPRO_CACHE_BACKEND or memory)")
+    synth.add_argument("--backend", default="memory", metavar="BACKEND",
+                       help="execution-cache backend: memory (default) or "
+                            "remote://host:port, a running cache-serve")
     synth.add_argument("--trace-out", default=None, metavar="FILE",
                        help="record spans and write a Chrome trace-event "
                             "JSON (open in Perfetto)")
@@ -137,20 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=None,
                        help="base port (default 8738; 0 = OS-assigned)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes on consecutive ports, all "
-                            "sharing one cache store")
-    serve.add_argument("--backend", default=None, metavar="BACKEND",
-                       help="execution-cache persistence backend: memory, "
-                            "file, or remote://host:port (default: "
-                            "$REPRO_CACHE_BACKEND or memory)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="directory of the file backend's store "
-                            "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
+                       help="worker processes on consecutive ports, each "
+                            "with its own execution cache (shared only "
+                            "through a remote:// backend)")
+    serve.add_argument("--backend", default="memory", metavar="BACKEND",
+                       help="execution-cache backend: memory (default) or "
+                            "remote://host:port, a cache-serve every "
+                            "worker shares")
     serve.add_argument("--timeout", type=float, default=1.0,
                        help="per-action synthesis budget in seconds")
     serve.add_argument("--session-ttl", type=float, default=None,
                        help="evict sessions idle longer than this many "
-                            "seconds (default: $REPRO_SESSION_TTL or never)")
+                            "seconds (default: never)")
     serve.add_argument("--verbose", action="store_true",
                        help="log every request to stderr")
 
@@ -162,12 +165,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_serve.add_argument("--port", type=int, default=None,
                              help="port (default 8799; 0 = OS-assigned)")
     cache_serve.add_argument("--cache-dir", default=None,
-                             help="directory of the backing store "
-                                  "(default: $REPRO_CACHE_DIR or "
+                             help="directory of the store file "
+                                  "execution-cache.sqlite (default: "
                                   "~/.cache/repro)")
     cache_serve.add_argument("--max-bytes", type=int, default=None,
                              help="store size budget before eviction "
-                                  "(default: $REPRO_CACHE_MAX_BYTES)")
+                                  "(default: 256 MiB)")
     cache_serve.add_argument("--verbose", action="store_true",
                              help="log every request to stderr")
 
@@ -269,15 +272,33 @@ def _cmd_record(bid: str, output: Optional[str], max_actions: int) -> int:
     return 0
 
 
+def _backend_resolves(command: str, backend: str) -> bool:
+    """Resolve the cache backend once, before any work: an unknown name
+    is one line on stderr, not a traceback or a server whose every
+    session fails."""
+    from repro.service.backends import resolve_backend
+
+    try:
+        resolve_backend(backend)
+    except ValueError as error:
+        print(f"repro {command}: {error}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
                     timeout: float, show_stats: bool = False,
-                    backend: Optional[str] = None,
+                    backend: str = "memory",
                     trace_out: Optional[str] = None) -> int:
+    from dataclasses import replace
+
     from repro import io as repro_io
     from repro.lang.pretty import format_program
     from repro.synth.config import DEFAULT_CONFIG
     from repro.synth.synthesizer import Synthesizer
 
+    if not _backend_resolves("synthesize", backend):
+        return 2
     if trace_out is not None:
         from repro.obs import tracing as obs_tracing
 
@@ -288,11 +309,7 @@ def _cmd_synthesize(path: str, cut: Optional[int], data_path: Optional[str],
     prefix = cut if cut is not None else recording.length - 1
     prefix = max(1, min(prefix, recording.length - 1))
     actions, snapshots = recording.prefix(prefix)
-    config = DEFAULT_CONFIG
-    if backend is not None:
-        from dataclasses import replace
-
-        config = replace(config, cache_backend=backend)
+    config = replace(DEFAULT_CONFIG, cache_backend=backend)
     from contextlib import nullcontext
 
     trace_scope = nullcontext()
@@ -363,15 +380,13 @@ def _cmd_metrics(url: Optional[str], fleet: Optional[str] = None) -> int:
 
 
 def _cmd_serve(arguments) -> int:
-    import os
     from dataclasses import replace
 
+    if not _backend_resolves("serve", arguments.backend):
+        return 2  # before the server stack loads or any port is bound
     from repro.service.server import DEFAULT_PORT, serve
     from repro.synth.config import DEFAULT_CONFIG
 
-    if arguments.cache_dir is not None:
-        # resolve_backend reads this when building the store path
-        os.environ["REPRO_CACHE_DIR"] = arguments.cache_dir
     config = replace(DEFAULT_CONFIG, cache_backend=arguments.backend)
     port = arguments.port if arguments.port is not None else DEFAULT_PORT
     return serve(
@@ -388,12 +403,13 @@ def _cmd_serve(arguments) -> int:
 def _cmd_cache_serve(arguments) -> int:
     from repro.fleet.cache_server import DEFAULT_CACHE_PORT, serve_cache
 
+    path = None
     if arguments.cache_dir is not None:
-        # default_store_path reads this when naming the store file
-        os.environ["REPRO_CACHE_DIR"] = arguments.cache_dir
+        path = os.path.join(arguments.cache_dir, "execution-cache.sqlite")
     return serve_cache(
         host=arguments.host,
         port=arguments.port if arguments.port is not None else DEFAULT_CACHE_PORT,
+        path=path,
         max_bytes=arguments.max_bytes,
         quiet=not arguments.verbose,
     )

@@ -29,7 +29,7 @@ statements by alpha-canonical form, environments by fingerprint, data
 sources and snapshots by structural content digest.  Entries therefore
 need no pinning — a key can never alias recycled object ids — and a key
 computed in one process addresses the same outcome in any other, which
-is what the persistent backends below and the multi-process service
+is what the backends below and the multi-process service
 (:mod:`repro.service`) are built on.  Because statement keys are
 alpha-canonical, one entry serves every statement that differs only in
 its loop variables; the engine stores each env with the statement's
@@ -61,9 +61,10 @@ the backend (a hit *warm-starts* the entry back into memory and counts
 as ``warm_hits``), and every recorded outcome is written through,
 addressed by the :func:`~repro.engine.keys.stable_digest` of its full
 value key.  Without one (``memory``, the default) the cache computes no
-digests at all; the file backend persists executions across process
-boundaries and restarts, and several worker processes pointing at one
-store share each other's work.
+digests at all; the ``remote://`` backend keeps executions in a
+``repro cache-serve`` tier, so worker processes pointing at one cache
+server share each other's work, and the server's store outlives worker
+and server restarts.
 
 Backends keep payload rows (:mod:`repro.engine.rows`), and this cache
 is the one place where entries become rows and rows become entries,
@@ -106,7 +107,6 @@ from repro.engine.rows import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.semantics.env import Env
-from repro.util.env import env_int
 
 #: The tier threshold (module docstring): just above the short interior
 #: prefixes the synthesis worklist re-probes constantly, below the long
@@ -1057,17 +1057,14 @@ _PROCESS_CACHES: dict = {}
 _PROCESS_LOCK = threading.Lock()
 
 
-def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
+def process_cache(backend_name: str = "memory") -> ExecutionCache:
     """The lazily created process-wide :class:`ExecutionCache` of a backend.
 
     ``backend_name`` is resolved by
-    :func:`repro.service.backends.resolve_backend` (``None`` means
-    ``REPRO_CACHE_BACKEND``; ``memory`` resolves to no backend), and
-    every caller resolving to the same backend shares one instance.
-    Sized by the :class:`ExecutionCache` defaults (65536 entries per
-    table, 512 interned snapshots) plus
-    ``REPRO_SHARED_CACHE_BYTES`` (optional byte threshold across all
-    tables; unset = count-bounded only).
+    :func:`repro.service.backends.resolve_backend` (``memory`` resolves
+    to no backend), and every caller resolving to the same backend
+    shares one instance.  Sized by the :class:`ExecutionCache` defaults
+    (65536 entries per table, 512 interned snapshots, no byte bound).
     """
     from repro.service.backends import resolve_backend
 
@@ -1075,10 +1072,7 @@ def process_cache(backend_name: Optional[str] = None) -> ExecutionCache:
     with _PROCESS_LOCK:
         cache = _PROCESS_CACHES.get(backend)
         if cache is None:
-            cache = _PROCESS_CACHES[backend] = ExecutionCache(
-                max_bytes=env_int("REPRO_SHARED_CACHE_BYTES", None),
-                backend=backend,
-            )
+            cache = _PROCESS_CACHES[backend] = ExecutionCache(backend=backend)
         return cache
 
 

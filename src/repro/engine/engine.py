@@ -125,22 +125,19 @@ class ExecutionEngine:
         """An engine honouring the config's cache knobs.
 
         A memoizing engine joins the process-level cache of the config's
-        resolved ``cache_backend`` (:func:`repro.engine.cache.
-        process_cache`).  The Table 1 "No incremental" ablation
-        (``incremental=False``) instead gets a fresh cache over the same
-        backend (none for ``memory``), so every from-scratch call also
-        starts cold.
+        ``cache_backend`` (:func:`repro.engine.cache.process_cache`).
+        The Table 1 "No incremental" ablation (``incremental=False``)
+        instead gets a fresh cache over the same backend (none for
+        ``memory``), so every from-scratch call also starts cold.
         """
         from repro.service.backends import resolve_backend
-        from repro.synth.config import resolved_cache_backend
 
         if not config.use_execution_cache:
             return cls(data, use_cache=False)
-        backend_name = resolved_cache_backend(config)
         if config.incremental:
-            cache = process_cache(backend_name)
+            cache = process_cache(config.cache_backend)
         else:
-            cache = ExecutionCache(backend=resolve_backend(backend_name))
+            cache = ExecutionCache(backend=resolve_backend(config.cache_backend))
         if data is not None:
             # keys address the source by content digest already;
             # interning shares the wrapper object (and its memoized

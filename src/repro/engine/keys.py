@@ -18,8 +18,8 @@ in any process from the content alone —
 * complete composite keys by :func:`stable_digest`, a canonical
   byte-encoding hashed with BLAKE2 — independent of ``PYTHONHASHSEED``,
   object ids, and interpreter version, which is what lets the
-  persistent backends of :mod:`repro.service.backends` address one
-  store from many processes and across restarts.
+  ``remote://`` backend of :mod:`repro.service.backends` address one
+  cache-server store from many processes and across restarts.
 
 ``stable_digest`` understands the exact value vocabulary cache keys are
 built from: ``None``, booleans, ints, floats, strings, bytes, tuples,

@@ -1,7 +1,8 @@
 """Fleet tier: many workers, one networked execution cache.
 
-``repro serve --workers N`` is one machine sharing one SQLite file;
-this package is what turns it into a fleet.  Value-addressed cache keys
+``repro serve --workers N`` is one machine, each worker with its own
+in-process execution cache; this package is what turns it into a fleet
+whose workers share one cache tier.  Value-addressed cache keys
 (:mod:`repro.engine.keys`) make every entry location-independent, so
 the pieces here are pure plumbing:
 
@@ -13,8 +14,8 @@ the pieces here are pure plumbing:
 
 :mod:`repro.fleet.cache_server`
     ``repro cache-serve`` — the execution cache as a standalone
-    ThreadingHTTPServer over the existing
-    :class:`~repro.service.backends.FileBackend`, speaking store-codec
+    ThreadingHTTPServer over its own SQLite store
+    (:class:`~repro.service.backends.FileBackend`), speaking store-codec
     (zlib-compressed JSON) payload batches on ``POST /v1/cache/get`` /
     ``POST /v1/cache/put``
     (its health, stats and error bodies are JSON).

@@ -1,10 +1,12 @@
 """``repro cache-serve``: the execution cache as a standalone server.
 
-One process, one :class:`~repro.service.backends.FileBackend`, a
-:class:`ThreadingHTTPServer` in front.  Workers point their sessions at
-it with ``--backend remote://host:port`` and share executions across
-machines the way ``--backend file`` shares them across processes on one
-machine.
+One process, one :class:`~repro.service.backends.FileBackend` (a SQLite
+store it alone opens), a :class:`ThreadingHTTPServer` in front.
+Workers point their sessions at it with ``--backend remote://host:port``
+and share executions across processes and machines.  The store is the
+only state that outlives a process: a cache server restarted over the
+same ``--cache-dir`` serves the rows its predecessor kept, including
+plain JSON rows that older writers stored.
 
 The data plane is two POST routes carrying *store-codec payloads* —
 the payload rows of :mod:`repro.engine.rows`, with digests
@@ -306,8 +308,9 @@ def make_cache_server(
 ) -> CacheServer:
     """Bind one cache server (tests drive this in a thread).
 
-    The store is owned, not resolved through the per-process backend
-    registry: the cache server is the process whose *job* is this file.
+    The server owns its store: no session backend names this file, and
+    the cache server is the only process that opens it.  ``path``
+    defaults to :func:`~repro.service.backends.default_store_path`.
     """
     store = FileBackend(path or default_store_path(), max_bytes=max_bytes)
     return CacheServer((host, port), store, quiet=quiet)

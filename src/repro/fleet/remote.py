@@ -233,9 +233,9 @@ class RemoteBackend(CacheBackend):
         #: Last store totals the cache server reported on a put.
         self._remote_entries = 0
         self._remote_bytes = 0
-        #: Telemetry (mirrors the FileBackend counter names so
-        #: ``/v1/stats`` and ``--stats`` need no special cases):
-        #: ``load_hits`` counts rows found, as the file store does.
+        #: Telemetry (the counter names of the cache server's
+        #: ``FileBackend``, so ``/v1/stats`` and ``--stats`` need no
+        #: special cases): ``load_hits`` counts rows found.
         self.loads = 0
         self.load_hits = 0
         self.stores = 0

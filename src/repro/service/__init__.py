@@ -3,11 +3,11 @@
 This package turns the synthesizer into a servable, multi-process
 system:
 
-* :mod:`repro.service.backends` — the pluggable execution-cache
-  backends (a file-backed persistent store, shared across worker
-  processes, and the ``remote://`` fleet tier) that keep the cache's
+* :mod:`repro.service.backends` — the execution-cache backend seam
+  (``memory``, or the ``remote://`` fleet tier that keeps the cache's
   payload rows under the value-addressed keys of
-  :mod:`repro.engine.keys`.
+  :mod:`repro.engine.keys`) and the SQLite store the fleet's cache
+  server keeps those rows in.
 * :mod:`repro.service.sessions` — the session manager driving one
   incremental :class:`~repro.synth.synthesizer.Synthesizer` per
   concurrent demonstration session (the session state itself is the
@@ -28,7 +28,5 @@ their users.
 
 from repro.service.backends import (  # noqa: F401
     CacheBackend,
-    FileBackend,
-    default_store_path,
     resolve_backend,
 )

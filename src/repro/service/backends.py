@@ -1,4 +1,4 @@
-"""Pluggable execution-cache backends: the persistence layer of the service.
+"""Execution-cache backends: the seam behind the in-memory cache.
 
 The in-memory execution cache (:mod:`repro.engine.cache`) keeps every
 key a *value* (content digests for snapshots and data, alpha-canonical
@@ -15,37 +15,32 @@ rows and rows back into entries; a backend only keeps rows.  Which
 rows reach a backend, and which a lookup asks for, is the cache's tier
 policy (:data:`repro.engine.cache.TIER_COST`); a backend stores what
 it is handed.
-``memory`` (the default) resolves to no backend at all, and the cache
-then never computes a store digest.  The backends:
 
-:class:`FileBackend`
-    A persistent store over one SQLite file (stdlib ``sqlite3``, WAL
-    mode): a cold process warm-starts from executions recorded by prior
-    sessions — or prior *processes*.  Rows are written in the store
-    codec (:mod:`repro.protocol.codec`: canonical JSON under zlib, ~10×
-    smaller than plain JSON); reads sniff the codec per row, so stores
-    that still hold plain JSON rows keep serving.  Eviction is
-    byte-accounted against ``max_bytes``, incremental (running totals,
-    no full-table scans) and tier-aware: every non-terminal row drops
-    before any terminal one.
+A session names its backend with ``SynthesisConfig.cache_backend``, and
+:func:`resolve_backend` accepts exactly two names:
 
-Shared use
-    Pointing several worker processes at one store *is* the shared
-    backend: SQLite serializes writers (WAL keeps readers concurrent),
-    :func:`resolve_backend` hands every session in one process the same
-    connection, and ``repro serve`` workers all resolve the same path.
-    I/O failures degrade to cache misses — the store is a cache, never
-    a source of truth.
+``memory`` (the default)
+    No backend at all: the cache keeps its in-process tables and never
+    computes a store digest.
 
-:class:`~repro.fleet.remote.RemoteBackend` (``remote://host:port``)
-    The fleet tier: the same seam over HTTP to a standalone
-    ``repro cache-serve`` process, registered lazily through
-    :func:`register_backend_factory` — see :mod:`repro.fleet`.
+``remote://host:port``
+    :class:`~repro.fleet.remote.RemoteBackend`, the fleet tier: the
+    same seam over HTTP to a standalone ``repro cache-serve`` process,
+    registered lazily through :func:`register_backend_factory` — see
+    :mod:`repro.fleet`.  Every worker pointing at one cache server
+    shares its executions, and a cache server restarted over the same
+    ``--cache-dir`` warm-starts the workers from the rows it kept.
 
-``REPRO_CACHE_BACKEND`` selects the backend (``memory`` | ``file`` |
-``remote://host:port``),
-``REPRO_CACHE_DIR`` the store directory, and ``REPRO_CACHE_MAX_BYTES``
-the store's eviction threshold.
+:class:`FileBackend` is the cache server's own store, not a session
+backend: a byte-accounted SQLite file that
+:mod:`repro.fleet.cache_server` opens and owns.  Rows are written in the
+store codec (:mod:`repro.protocol.codec`: canonical JSON under zlib,
+~10× smaller than plain JSON); reads sniff the codec per row, so stores
+that still hold plain JSON rows keep serving.  Eviction is
+byte-accounted against ``max_bytes``, incremental (running totals, no
+full-table scans) and tier-aware: every non-terminal row drops before
+any terminal one.  I/O failures degrade to cache misses — the store is
+a cache, never a source of truth.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from typing import Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC, ProtocolError, sniff_codec
-from repro.util.env import env_int
 from repro.util.rowkinds import TERMINAL
 
 #: Default store eviction threshold: 256 MiB of payload bytes.
@@ -116,8 +110,8 @@ class CacheBackend:
     :data:`TERMINAL`, ``digest`` the
     :func:`~repro.engine.keys.stable_digest` of the full value key, and
     the payload a codec-ready dict.  Turning entries into rows and back
-    is the cache's business, so the file store and the remote tier keep
-    the same rows the cache server relays.
+    is the cache's business, so the remote tier and the cache server's
+    store keep the same rows.
     """
 
     #: Short name surfaced in telemetry (``repro synthesize --stats``).
@@ -150,14 +144,13 @@ class CacheBackend:
 
 
 class FileBackend(CacheBackend):
-    """A byte-accounted persistent store over one SQLite file.
+    """A byte-accounted persistent store over one SQLite file: the
+    cache server's store (:mod:`repro.fleet.cache_server`).
 
-    One connection per process (see :func:`resolve_backend`), guarded by
-    a lock so concurrent sessions share it safely; WAL mode plus a busy timeout make one *file* safe to share
-    between worker processes.  Writes are buffered (deduplicated by key)
-    and flushed every ``flush_every`` distinct keys (and at interpreter
-    exit), so other processes see entries with bounded staleness at a
-    fraction of the commit cost.
+    One connection, guarded by a lock so the server's request threads
+    share it safely.  Writes are buffered (deduplicated by key) and
+    flushed every ``flush_every`` distinct keys, on :meth:`close` and at
+    interpreter exit, at a fraction of the per-row commit cost.
 
     Reads see the write buffer first, so a just-written entry is
     visible before the next flush.  Writes use the store codec; reads
@@ -185,9 +178,7 @@ class FileBackend(CacheBackend):
         flush_every: int = 64,
     ) -> None:
         self.path = str(path)
-        if max_bytes is None:
-            max_bytes = env_int("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
-        self.max_bytes = max_bytes
+        self.max_bytes = DEFAULT_MAX_BYTES if max_bytes is None else max_bytes
         self.flush_every = max(1, flush_every)
         self._lock = threading.Lock()
         #: Write buffer, deduplicated by key: a re-store of a pending
@@ -424,14 +415,13 @@ class FileBackend(CacheBackend):
 
 
 # ----------------------------------------------------------------------
-# Resolution (one backend object per store per process)
+# Resolution (one backend object per URL per process)
 # ----------------------------------------------------------------------
-_FILE_BACKENDS: dict[str, FileBackend] = {}
 #: URL-scheme backend factories: scheme -> factory(url) -> CacheBackend.
 #: ``remote`` registers itself on first resolution (lazy import keeps
 #: this module free of fleet dependencies).
 _FACTORIES: dict[str, object] = {}
-#: One backend instance per resolved URL (mirrors _FILE_BACKENDS).
+#: One backend instance per resolved URL.
 _URL_BACKENDS: dict[str, CacheBackend] = {}
 _RESOLVE_LOCK = threading.Lock()
 
@@ -443,42 +433,32 @@ def register_backend_factory(scheme: str, factory) -> None:
     name (e.g. ``remote://127.0.0.1:8799``) and must return a
     :class:`CacheBackend`; the instance is cached so every session in
     the process shares it, and :func:`flush_backends` /
-    :func:`reset_backends` cover it like any file store.
+    :func:`reset_backends` cover it.
     """
     _FACTORIES[scheme] = factory
 
 
 def default_store_path() -> str:
-    """The store file ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``) names."""
-    directory = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if not directory:
-        directory = os.path.join(os.path.expanduser("~"), ".cache", "repro")
-    return os.path.join(directory, "execution-cache.sqlite")
+    """The cache server's store file when no ``--cache-dir`` names one:
+    ``~/.cache/repro/execution-cache.sqlite``."""
+    return os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", "execution-cache.sqlite"
+    )
 
 
-def resolve_backend(
-    name: Optional[str] = None, path: Optional[str] = None
-) -> Optional[CacheBackend]:
-    """The backend a name (default: ``REPRO_CACHE_BACKEND``) selects;
-    ``None`` for ``memory``, which keeps only the in-memory tables.
+def resolve_backend(name: str) -> Optional[CacheBackend]:
+    """The backend a ``cache_backend`` name selects: ``None`` for
+    ``memory``, which keeps only the in-memory tables, and one shared
+    instance per URL for ``remote://host:port``.
 
-    ``file`` backends are cached per resolved path, so every session in
-    one process shares a single connection — and worker processes
-    resolving the same path share one store.
+    Any other name raises :class:`ValueError`, so a caller that
+    resolves before serving (``repro serve``, ``repro synthesize``)
+    turns a typo into a startup error instead of a failing session.
     """
-    if name is None:
-        name = os.environ.get("REPRO_CACHE_BACKEND", "").strip()
-    if name in ("", "memory"):
+    if name == "memory":
         return None
-    if name == "file":
-        resolved = os.path.abspath(path or default_store_path())
-        with _RESOLVE_LOCK:
-            backend = _FILE_BACKENDS.get(resolved)
-            if backend is None:
-                backend = _FILE_BACKENDS[resolved] = FileBackend(resolved)
-            return backend
-    if "://" in name:
-        scheme = name.split("://", 1)[0]
+    scheme, separator, _ = name.partition("://")
+    if separator:
         if scheme == "remote" and scheme not in _FACTORIES:
             import repro.fleet.remote  # noqa: F401  (registers the factory)
         factory = _FACTORIES.get(scheme)
@@ -490,20 +470,20 @@ def resolve_backend(
                 return backend
     raise ValueError(
         f"unknown cache backend {name!r} "
-        f"(expected 'memory', 'file', or 'remote://host:port')"
+        f"(expected 'memory' or 'remote://host:port')"
     )
 
 
 def flush_backends() -> None:
-    """Flush every resolved persistent backend's buffered writes.
+    """Flush every resolved backend's buffered writes.
 
     Worker processes call this before exiting: ``os._exit`` (the
-    multiprocessing child exit path) skips ``atexit`` hooks, and entries
-    still in the write buffer would otherwise never reach the store —
-    or, for ``remote://`` backends, the cache tier.
+    multiprocessing child exit path) skips ``atexit`` hooks, and rows
+    still in a ``remote://`` backend's write buffer would otherwise
+    never reach the cache tier.
     """
     with _RESOLVE_LOCK:
-        backends = list(_FILE_BACKENDS.values()) + list(_URL_BACKENDS.values())
+        backends = list(_URL_BACKENDS.values())
     for backend in backends:
         backend.flush()
 
@@ -511,8 +491,7 @@ def flush_backends() -> None:
 def reset_backends() -> None:
     """Close and forget every resolved backend (test isolation)."""
     with _RESOLVE_LOCK:
-        backends = list(_FILE_BACKENDS.values()) + list(_URL_BACKENDS.values())
-        _FILE_BACKENDS.clear()
+        backends = list(_URL_BACKENDS.values())
         _URL_BACKENDS.clear()
     for backend in backends:
         backend.close()

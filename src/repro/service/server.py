@@ -41,9 +41,11 @@ is echoed back on the response.  Per-route latency histograms and
 status counters publish to the process metrics registry, with session
 ids collapsed to ``:sid`` to keep label cardinality bounded.
 
-``--workers N`` forks N workers on consecutive ports over one store —
-the multi-process deployment shape; a load balancer (or the client)
-picks a port and may rebalance via migration.
+``--workers N`` forks N workers on consecutive ports — the
+multi-process deployment shape; a load balancer (or the client) picks
+a port and may rebalance via migration.  Each worker keeps its own
+execution cache; a ``remote://`` backend makes them share one cache
+tier.
 """
 
 from __future__ import annotations
@@ -415,10 +417,10 @@ def serve(
     """Run the service until SIGINT; returns the exit code.
 
     ``workers > 1`` forks ``workers - 1`` children on consecutive ports
-    (``port+1``, ``port+2``, ...), each with its own session manager —
-    all resolving the same cache store, so they share executions through
-    the persistent backend (and can trade sessions via the migrate
-    endpoint).  With ``port=0`` the OS picks each worker's port; every
+    (``port+1``, ``port+2``, ...), each with its own session manager
+    and execution cache — with a ``remote://`` backend they share
+    executions through the cache tier — and able to trade sessions via
+    the migrate endpoint.  With ``port=0`` the OS picks each worker's port; every
     worker announces its own URL on stdout.
 
     SIGINT stops the service even when the process inherited it

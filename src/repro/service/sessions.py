@@ -11,11 +11,10 @@ them:
   :class:`~repro.synth.synthesizer.Synthesizer` (store carried across
   calls, one engine per session) behind a per-session lock, so requests
   for *different* sessions synthesize concurrently;
-* all sessions share the process-level execution cache, and — with a
-  persistent backend — the cache of every *other* worker process over
-  the same store;
-* sessions idle longer than ``max_idle_s`` (env ``REPRO_SESSION_TTL``)
-  are evicted, their stats folded into the manager totals, so a
+* all sessions share the process-level execution cache, and — with
+  the ``remote://`` backend — the cache tier every *other* worker
+  pointing at the same ``repro cache-serve`` shares;
+* sessions idle longer than ``max_idle_s`` are evicted, their stats folded into the manager totals, so a
   long-lived server never leaks abandoned demonstrations;
 * :meth:`export_snapshot` / :meth:`import_snapshot` serialize a live
   session into a :class:`~repro.protocol.messages.SessionSnapshot` and
@@ -57,7 +56,6 @@ from repro.protocol.session import (
     UnknownSessionError,
 )
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
-from repro.util.env import env_float
 
 #: How many departed (closed/evicted/migrated) session ids the manager
 #: remembers so a late request gets a 409-shaped "closed", not a 404.
@@ -72,23 +70,21 @@ def _live_gauge():
 
 
 def resolved_session_ttl(max_idle_s: Optional[float]) -> Optional[float]:
-    """The effective idle TTL: the argument, else ``REPRO_SESSION_TTL``."""
-    if max_idle_s is not None:
-        return max_idle_s if max_idle_s > 0 else None
-    value = env_float("REPRO_SESSION_TTL", 0.0)
-    return value if value > 0 else None
+    """The effective idle TTL: a positive argument, else ``None`` (never)."""
+    if max_idle_s is not None and max_idle_s > 0:
+        return max_idle_s
+    return None
 
 
 class SessionManager:
     """All live sessions of one service worker process.
 
     ``config`` seeds every session's synthesizer; sessions join the
-    process-level execution cache (and through its backend, other
-    worker processes).  ``timeout`` is the per-call
+    process-level execution cache (and through a ``remote://`` backend,
+    other worker processes).  ``timeout`` is the per-call
     synthesis budget (the paper's interactive 1s default unless the
     creator overrides per session).  ``max_idle_s`` evicts sessions
-    idle longer than that many seconds (default: ``REPRO_SESSION_TTL``,
-    unset = never).
+    idle longer than that many seconds (default: never).
     """
 
     def __init__(
@@ -123,7 +119,7 @@ class SessionManager:
         self.evict_idle()
         session_timeout = timeout if timeout is not None else self.timeout
         # build outside the manager lock: synthesizer construction may
-        # resolve a backend (SQLite connect) and must not stall every
+        # resolve a backend and must not stall every
         # concurrent request on another session
         sid = self._mint_sid()
         session = Session(
@@ -389,9 +385,8 @@ class SessionManager:
         # backend identity comes from the config resolution, not from
         # live sessions — an idle worker must still report its store
         from repro.service.backends import resolve_backend
-        from repro.synth.config import resolved_cache_backend
 
-        backend = resolve_backend(resolved_cache_backend(self.config))
+        backend = resolve_backend(self.config.cache_backend)
         return {
             "sessions": len(live),
             "closed_sessions": closed,

@@ -2,14 +2,14 @@
 
 The defaults correspond to the full-fledged WebRobot configuration used in
 Q1; the ablation variants of Table 1 are obtained through
-:func:`no_selector_config` and :func:`no_incremental_config`.
+:func:`no_selector_config` and :func:`no_incremental_config`.  No field
+reads the environment: a configuration is exactly what its caller
+built.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,15 @@ class SynthesisConfig:
         interactivity requirement.  Behaviour-preserving; the
         engine-cache and incremental-pipeline benches measure it.
     cache_backend:
-        Name of the execution-cache persistence backend
-        (:mod:`repro.service.backends`): ``"memory"`` keeps today's
-        in-process-only tables; ``"file"`` adds a persistent SQLite
-        store so a cold process warm-starts from prior sessions and
-        worker processes share one store.  ``None`` (the default)
-        resolves from ``REPRO_CACHE_BACKEND``.  Every memoizing engine
-        joins the process-level cache of its resolved backend.
-        Behaviour-preserving: the cache keys are value-addressed end to
-        end, and hits replay recorded outcomes verbatim.
+        Name of the execution-cache backend
+        (:func:`repro.service.backends.resolve_backend`): ``"memory"``
+        (the default) keeps the in-process tables only;
+        ``"remote://host:port"`` adds the fleet's cache tier, a
+        ``repro cache-serve`` process whose rows every worker pointing
+        at it shares.  Every memoizing engine joins the process-level
+        cache of its backend.  Behaviour-preserving: the cache keys are
+        value-addressed end to end, and hits replay recorded outcomes
+        verbatim.
     """
 
     timeout: float = 1.0
@@ -81,7 +81,7 @@ class SynthesisConfig:
     use_numbered_pagination: bool = False
     incremental: bool = True
     use_execution_cache: bool = True
-    cache_backend: Optional[str] = None
+    cache_backend: str = "memory"
 
 
 #: The full-fledged configuration (Table 1 row 1).
@@ -111,21 +111,3 @@ def no_incremental_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisCo
 def no_execution_cache_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
     """Execution memoization off: every simulated run recomputed."""
     return replace(base, use_execution_cache=False)
-
-
-def resolved_cache_backend(config: SynthesisConfig) -> str:
-    """The effective backend name: the config knob, else the environment.
-
-    ``REPRO_CACHE_BACKEND=file`` flips every synthesizer in the process
-    to the persistent store (the CI parity gate runs tier-1 this way);
-    an explicit config value always wins.
-    """
-    if config.cache_backend is not None:
-        return config.cache_backend
-    return os.environ.get("REPRO_CACHE_BACKEND", "").strip() or "memory"
-
-
-def file_backend_config(base: SynthesisConfig = DEFAULT_CONFIG) -> SynthesisConfig:
-    """The persistent file backend switched on (service/warm-start runs)."""
-    return replace(base, cache_backend="file")
-

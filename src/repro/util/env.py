@@ -1,6 +1,6 @@
 """Numeric deployment knobs read from the environment.
 
-A malformed value (``REPRO_CACHE_MAX_BYTES=256MiB``) falls back to the
+A malformed value (``REPRO_REMOTE_TIMEOUT=1s``) falls back to the
 default instead of crashing the process with a traceback: every knob
 read through here is a tuning value, never a correctness switch.
 """

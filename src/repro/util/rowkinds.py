@@ -1,8 +1,8 @@
 """Execution-cache row kinds: the ``kind`` column of every store row.
 
 A leaf module with no imports, so the processes that only keep or relay
-rows — the file store (:mod:`repro.service.backends`) and the fleet
-cache server (:mod:`repro.fleet.cache_server`) — name the kinds without
+rows — the fleet cache server (:mod:`repro.fleet.cache_server`) and
+its SQLite store (:mod:`repro.service.backends`) — name the kinds without
 loading the engine that encodes rows (:mod:`repro.engine.rows`).
 
 Kinds are stored for store introspection and tier-aware eviction;

@@ -7,6 +7,7 @@ the snapshot it executed on, plus one trailing snapshot.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import socket
 import threading
@@ -186,6 +187,30 @@ def post_unbounded_body(host: str, port: int, path: str):
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     return int(status_line.split()[1]), headers, body, elapsed
+
+
+@contextlib.contextmanager
+def cache_tier(path):
+    """A cache server over the store file ``path``, serving in a thread.
+
+    Yields the ``remote://`` backend name that reaches it.  Leaving the
+    block stops the server and closes (flushes) its store, so a second
+    ``cache_tier`` over the same path is a restarted ``repro
+    cache-serve`` over the same ``--cache-dir``.
+    """
+    from repro.fleet.cache_server import make_cache_server
+
+    server = make_cache_server(port=0, path=str(path))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"remote://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.store.close()
+        thread.join(timeout=5)
 
 
 def _session_outputs(synthesizer, actions, snapshots):

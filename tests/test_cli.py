@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +67,51 @@ class TestSynthesize:
             "synthesize", str(recording_path), "--cut", "7", "--data", str(data_path)
         ]) == 0
         assert "ValuePaths" in capsys.readouterr().out
+
+    def test_unknown_backend_exits_2_before_synthesis(self, tmp_path, capsys):
+        recording_path = tmp_path / "rec.json"
+        assert main(["record", "b74", "-o", str(recording_path)]) == 0
+        capsys.readouterr()
+        for backend in ("redis", "file"):
+            assert main([
+                "synthesize", str(recording_path), "--cut", "4", "--backend", backend
+            ]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert repr(backend) in line
+            assert "'memory'" in line and "'remote://host:port'" in line
+
+
+class TestServe:
+    def test_unknown_backend_exits_2_before_serving(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        for backend in ("redis", "file"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--workers", "2", "--backend", backend],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env, cwd=root,
+                start_new_session=True,  # one group: cleanup reaches every worker
+            )
+            try:
+                # a server that starts anyway never exits: the timeout fails it
+                out, err = proc.communicate(timeout=60)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+            assert proc.returncode == 2
+            assert "listening" not in out
+            (line,) = err.splitlines()
+            assert line.startswith("repro serve: ") and repr(backend) in line
+            assert "'memory'" in line and "'remote://host:port'" in line
 
 
 class TestReplay:

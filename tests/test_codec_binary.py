@@ -5,8 +5,8 @@ over random payload values (binary and JSON must decode to the *same*
 value), byte stability (re-encoding a decoded value reproduces the
 bytes), and corruption (every truncation, trailing byte, bit flip or
 decompression bomb raises :class:`ProtocolError` or decodes cleanly —
-never any other exception, and through the file backend never anything
-but a miss).
+never any other exception, and through the cache server's store never
+anything but a miss).
 
 ``tests/data/codec_golden.json`` holds committed store rows.  The
 decode check reads the recorded bytes back to the recorded values, so
@@ -19,7 +19,8 @@ The back half covers the store-side machinery the codec feeds: the
 per-cache :class:`StepInterner` LRU, the execution cache's tier
 policy, and mixed-format stores (a store that still holds plain JSON
 rows from older writers keeps serving next to new rows, row by row,
-via the sniff; rows in the deleted 0xC3 format are misses).
+via the sniff, also to workers of a cache server restarted over it;
+rows in the deleted 0xC3 format are misses).
 """
 
 import json
@@ -63,7 +64,7 @@ from repro.service.backends import (
 from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.synthesizer import Synthesizer
 
-from helpers import cards_page, scrape_cards_trace, zlib_bomb
+from helpers import cache_tier, cards_page, scrape_cards_trace, zlib_bomb
 
 GOLDEN = Path(__file__).parent / "data" / "codec_golden.json"
 
@@ -482,12 +483,10 @@ class TestMixedCodecStores:
         # tiering off so every entry persists and all three row formats
         # meet the warm run's probes
         monkeypatch.setattr(cache_module, "TIER_COST", -1)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "execution-cache.sqlite"
         actions, snapshots = scrape_cards_trace(cards_page(5), 4)
 
-        def run(backend_name):
-            reset_process_cache()
-            reset_backends()
+        def synthesize_all(backend_name):
             synthesizer = Synthesizer(
                 EMPTY_DATA, replace(DEFAULT_CONFIG, cache_backend=backend_name)
             )
@@ -496,15 +495,26 @@ class TestMixedCodecStores:
                 result = synthesizer.synthesize(actions[:cut], snapshots[: cut + 1])
                 programs.append([canonical_program(p) for p in result.programs])
                 warm += result.stats.cache_warm_hits
-            flush_backends()
             return programs, warm
+
+        def run(backend_name=None):
+            """A fresh worker process; without a name, one over a cache
+            server (re)started on the store, stopped (and its store
+            flushed) before this returns."""
+            reset_process_cache()
+            reset_backends()
+            if backend_name is not None:
+                return synthesize_all(backend_name)
+            with cache_tier(path) as name:
+                outcome = synthesize_all(name)
+                flush_backends()
+            return outcome
 
         try:
             expected, _ = run("memory")
-            run("file")
+            run()
             # age the store: every third row back to plain JSON, every
             # third to the deleted 0xC3 format, the rest stay new
-            path = tmp_path / "execution-cache.sqlite"
             for index, (key, (kind, blob)) in enumerate(_rows(path).items()):
                 if index % 3 == 0:
                     _insert_row(path, key, JsonCodec().encode_payload(decode(blob)), kind)
@@ -513,7 +523,7 @@ class TestMixedCodecStores:
             legacy_before = sum(
                 blob == LEGACY_BINARY_ROW for _, blob in _rows(path).values()
             )
-            programs, warm = run("file")
+            programs, warm = run()
             legacy_after = sum(
                 blob == LEGACY_BINARY_ROW for _, blob in _rows(path).values()
             )

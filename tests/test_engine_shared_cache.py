@@ -29,7 +29,7 @@ from repro.service.backends import CacheBackend
 from repro.synth.config import DEFAULT_CONFIG, no_execution_cache_config
 from repro.synth.synthesizer import Synthesizer
 
-from helpers import cards_page, scrape_cards_trace
+from helpers import cache_tier, cards_page, scrape_cards_trace
 
 
 class _WeakRoot(DOMNode):
@@ -66,9 +66,8 @@ def shared_memory_config():
     """Process cache pinned to the in-process backend.
 
     The cross-session attribution assertions below are about *in-process*
-    sharing semantics; a persistent store left by earlier tests (e.g.
-    under the ``REPRO_CACHE_BACKEND=file`` CI parity run) would turn the
-    expected cross-session hits into warm-start hits.
+    sharing semantics; a cache tier holding rows of earlier sessions
+    would turn the expected cross-session hits into warm-start hits.
     """
     return replace(DEFAULT_CONFIG, cache_backend="memory")
 
@@ -319,19 +318,20 @@ class TestProcessCache:
         finally:
             reset_process_cache()
 
-    def test_one_instance_per_backend(self, tmp_path, monkeypatch):
+    def test_one_instance_per_backend(self):
         # a config naming another backend than the first caller's must
         # get a cache over *that* backend, never the first one's
         from repro.service.backends import reset_backends
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         reset_process_cache()
         try:
             memory = process_cache("memory")
-            stored = process_cache("file")
-            assert stored is not memory
-            assert (memory.backend_name, stored.backend_name) == ("memory", "file")
-            assert process_cache("file") is stored
+            # resolving connects to nothing: no cache server need listen
+            tier = process_cache("remote://127.0.0.1:9")
+            assert tier is not memory
+            assert (memory.backend_name, tier.backend_name) == ("memory", "remote")
+            assert process_cache("remote://127.0.0.1:9") is tier
+            assert process_cache("remote://127.0.0.1:10") is not tier
         finally:
             reset_backends()
 
@@ -414,9 +414,10 @@ class TestEnumMemoAccounting:
 class TestWarmStartSynthesis:
     def test_fresh_process_cache_warm_starts_from_the_store(self, tmp_path, monkeypatch):
         # process boundaries are simulated by dropping every in-process
-        # cache between runs: only the SQLite store survives, exactly
-        # what a restarted worker sees (the service bench does this with
-        # real forked processes; the cross-process key stability is
+        # cache between runs and restarting the cache server: only its
+        # SQLite store survives, exactly what a restarted worker sees
+        # after a cache-serve restart (the store-codec bench does this
+        # with real forked processes; the cross-process key stability is
         # pinned by test_engine_keys).  Tiering off: this test pins the
         # warm-start plumbing itself, so every entry must persist — the
         # tier policy's deliberate recompute-misses are covered by
@@ -437,8 +438,12 @@ class TestWarmStartSynthesis:
         monkeypatch.setattr(ExecutionCache, "get_consistency", counting_get)
 
         def run_once():
+            with cache_tier(tmp_path / "execution-cache.sqlite") as name:
+                return synthesize_once(name)
+
+        def synthesize_once(name):
             check_misses.clear()
-            config = replace(DEFAULT_CONFIG, cache_backend="file")
+            config = replace(DEFAULT_CONFIG, cache_backend=name)
             actions, snapshots = scrape_cards_trace(cards_page(5), 4)
             synthesizer = Synthesizer(EMPTY_DATA, config)
             warm = misses = 0
@@ -450,28 +455,26 @@ class TestWarmStartSynthesis:
                 programs.append(
                     [canonical_program(p) for p in result.programs]
                 )
-            assert result.stats.cache_backend == "file"
-            assert result.stats.persisted_bytes > 0
+            assert result.stats.cache_backend == "remote"
             from repro.service.backends import flush_backends
 
             flush_backends()
-            return warm, misses - sum(check_misses), programs
+            # the tier's bytes as of this session's last acknowledged put
+            persisted = synthesizer.engine.cache.backend.persisted_bytes
+            return warm, misses - sum(check_misses), programs, persisted
 
-        import os
-
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path)
         reset_process_cache()
         reset_backends()
         try:
-            cold_warm, cold_misses, cold_programs = run_once()
+            cold_warm, cold_misses, cold_programs, persisted = run_once()
             assert cold_warm == 0
             assert cold_misses > 0
+            assert persisted > 0
             assert any(check_misses)
             # "new process": all in-process state dropped, store kept
             reset_process_cache()
             reset_backends()
-            warm_warm, warm_misses, warm_programs = run_once()
+            warm_warm, warm_misses, warm_programs, _ = run_once()
             assert warm_warm > 0
             assert warm_misses == 0  # no execution missed
             assert any(check_misses)
@@ -479,10 +482,6 @@ class TestWarmStartSynthesis:
         finally:
             reset_process_cache()
             reset_backends()
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
 
 
 #: An exact-entry row with no actions and no environment.

@@ -49,7 +49,6 @@ from repro.semantics.trace import DOMTrace
 from repro.service.backends import (
     CacheBackend,
     FileBackend,
-    default_store_path,
     flush_backends,
     register_backend_factory,
     reset_backends,
@@ -58,7 +57,7 @@ from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.scheduler import SerialScheduler
 from repro.synth.synthesizer import Synthesizer
 
-from helpers import TIMEOUT, cards_page, scrape_cards_trace
+from helpers import TIMEOUT, cache_tier, cards_page, scrape_cards_trace
 
 KEY_A = b"\x0a" * 16
 KEY_B = b"\x0b" * 16
@@ -313,10 +312,7 @@ class _PerKey(CacheBackend):
 
 
 def _per_key_factory(name: str) -> CacheBackend:
-    inner = name.split("://", 1)[1]
-    if inner.startswith("remote://"):
-        return _PerKey(RemoteBackend(inner))
-    return _PerKey(FileBackend(default_store_path()))
+    return _PerKey(RemoteBackend(name.split("://", 1)[1]))
 
 
 register_backend_factory("per-key", _per_key_factory)
@@ -354,31 +350,20 @@ def _cold_then_warm(backend_name: str):
     return cold, warm
 
 
-@pytest.mark.parametrize("tier", ["file", "remote"])
-def test_counters_match_a_per_key_backend(tier, tmp_path, monkeypatch):
+def test_counters_match_a_per_key_backend(tmp_path):
     outcomes = {}
     for variant in ("batched", "per-key"):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / variant))
-        server = thread = None
-        name = "file"
-        if tier == "remote":
-            server, thread = _start_cache(tmp_path / f"{variant}.sqlite")
-            name = _url(server)
-        if variant == "per-key":
-            name = f"per-key://{name}"
-        try:
+        with cache_tier(tmp_path / f"{variant}.sqlite") as name:
+            if variant == "per-key":
+                name = f"per-key://{name}"
             outcomes[variant] = _cold_then_warm(name)
-        finally:
-            if server is not None:
-                _stop_cache(server, thread)
     cold, warm = outcomes["batched"]
     assert warm[1]["warm_hits"] > 0  # the warm session read the store
     assert warm[0] == cold[0]
     assert outcomes["batched"] == outcomes["per-key"]
 
 
-@pytest.mark.parametrize("tier", ["file", "remote"])
-def test_no_consistency_row_reaches_a_backend(tier, tmp_path, monkeypatch):
+def test_no_consistency_row_reaches_a_backend(tmp_path, monkeypatch):
     """Cold then warm, every row a worker or the cache server reads or
     writes is an execution row: consistency checks stay in process."""
     kinds = []
@@ -395,17 +380,8 @@ def test_no_consistency_row_reaches_a_backend(tier, tmp_path, monkeypatch):
 
         monkeypatch.setattr(cls, "load_payloads", spy_load)
         monkeypatch.setattr(cls, "store_payload", spy_store)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    server = thread = None
-    name = "file"
-    if tier == "remote":
-        server, thread = _start_cache(tmp_path / "tier.sqlite")
-        name = _url(server)
-    try:
+    with cache_tier(tmp_path / "tier.sqlite") as name:
         cold, warm = _cold_then_warm(name)
-    finally:
-        if server is not None:
-            _stop_cache(server, thread)
     assert warm[0] == cold[0]
     assert warm[1]["warm_hits"] > 0
     assert kinds
@@ -445,23 +421,16 @@ def _exact_bounds(monkeypatch) -> dict:
     return bounds
 
 
-@pytest.mark.parametrize("tier", ["file", "remote"])
 def test_a_store_holding_every_exact_row_serves_under_the_tier_policy(
-    tier, tmp_path, monkeypatch
+    tmp_path, monkeypatch
 ):
     """A store written with every exact row persisted, as untiered and
     adaptive-threshold stores of earlier builds are, serves a reader
     under the tier policy: the memory backend's candidates and
     predictions on every call, warm hits, and no request for an exact
     row whose bound is at most ``TIER_COST``."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     expected = _session("memory")[0]
-    server = thread = None
-    name = "file"
-    if tier == "remote":
-        server, thread = _start_cache(tmp_path / "tier.sqlite")
-        name = _url(server)
-    try:
+    with cache_tier(tmp_path / "tier.sqlite") as name:
         with monkeypatch.context() as writer:
             writer.setattr(cache_module, "TIER_COST", -1)
             _session(name)
@@ -476,9 +445,6 @@ def test_a_store_holding_every_exact_row_serves_under_the_tier_policy(
             monkeypatch.setattr(cls, "load_payloads", spy_load)
         bounds = _exact_bounds(monkeypatch)
         programs, counters = _session(name)
-    finally:
-        if server is not None:
-            _stop_cache(server, thread)
     assert programs == expected
     assert counters["warm_hits"] > 0
     assert requested  # the expensive exact rows are still read

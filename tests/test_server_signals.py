@@ -81,7 +81,9 @@ def _accepts(host: str, port: int) -> bool:
     ids=["cache-serve", "serve-2-workers"],
 )
 def test_sigint_stops_server_started_with_sigint_ignored(tmp_path, args, listeners):
-    proc = _spawn(*args, "--cache-dir", str(tmp_path))
+    if args[0] == "cache-serve":
+        args = (*args, "--cache-dir", str(tmp_path))  # never ~/.cache
+    proc = _spawn(*args)
     try:
         addresses = _banners(proc, listeners)
         assert all(_accepts(*address) for address in addresses)

@@ -1,14 +1,14 @@
-"""The persistent cache backends (repro.service.backends).
+"""The execution-cache backends (repro.service.backends).
 
 Covers the payload rows (exact structural round-trips for actions and
-environments), the SQLite file backend (cross-connection visibility,
-byte-accounted eviction, corruption tolerance), backend resolution, and
+environments), the cache server's SQLite store (cross-connection
+visibility, byte-accounted eviction, corruption tolerance), backend
+resolution (``memory`` and ``remote://host:port``, nothing else), and
 the cache-level warm-start path the backends feed — including rows
 written in the literal format earlier builds stored, and the consistency
 rows (kind 2) they wrote, which are never read and evict first.
 """
 
-import os
 import sqlite3
 from contextlib import closing
 from dataclasses import replace
@@ -33,9 +33,9 @@ from repro.engine.rows import (
 from repro.lang import EMPTY_DATA, X, click, enter_data, scrape_text, send_keys
 from repro.lang.ast import SEL_VAR, VAL_VAR, Var, ValuePath
 from repro.semantics.env import Env
+from repro.fleet.remote import RemoteBackend
 from repro.service.backends import (
     FileBackend,
-    default_store_path,
     flush_backends,
     resolve_backend,
     reset_backends,
@@ -48,6 +48,7 @@ from helpers import (
     LEGACY_CONSISTENCY_ROW,
     _session_outputs,
     assert_serves_literal_rows,
+    cache_tier,
     cards_page,
     literal_rows,
     scrape_cards_trace,
@@ -203,26 +204,28 @@ class TestFileBackend:
 
 
 class TestResolution:
-    def test_memory_is_the_default_and_a_no_op(self, monkeypatch):
+    def test_memory_is_the_default_and_a_no_op(self):
         # memory is no backend at all: the cache keeps its tables only
+        assert DEFAULT_CONFIG.cache_backend == "memory"
         assert resolve_backend("memory") is None
-        assert resolve_backend("") is None
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_backend(None) is None
 
-    def test_file_backends_are_shared_per_path(self, tmp_path):
+    def test_remote_backends_are_shared_per_url(self):
+        # resolving connects to nothing: no cache server need listen
         try:
-            first = resolve_backend("file", str(tmp_path / "s.sqlite"))
-            second = resolve_backend("file", str(tmp_path / "s.sqlite"))
-            other = resolve_backend("file", str(tmp_path / "t.sqlite"))
+            first = resolve_backend("remote://127.0.0.1:9")
+            second = resolve_backend("remote://127.0.0.1:9")
+            other = resolve_backend("remote://127.0.0.1:10")
+            assert isinstance(first, RemoteBackend)
             assert first is second
             assert first is not other
         finally:
             reset_backends()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("redis")
+        # the cache server's SQLite store is no session backend
+        for name in ("redis", "file", "", "sqlite://store"):
+            with pytest.raises(ValueError, match="'memory' or 'remote://host:port'"):
+                resolve_backend(name)
 
 
 class TestCacheWarmStart:
@@ -347,12 +350,10 @@ class TestLegacyConsistencyRows:
     before any terminal row."""
 
     def test_never_read_and_evicted_first(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+        path = str(tmp_path / "execution-cache.sqlite")
         # every card scraped: the session writes exact and terminal rows
         dom = cards_page(8)
         actions, snapshots = scrape_cards_trace(dom, 8)
-        config = replace(DEFAULT_CONFIG, cache_backend="file")
         checks = set()
         put_consistency = ExecutionCache.put_consistency
 
@@ -361,23 +362,28 @@ class TestLegacyConsistencyRows:
             put_consistency(cache, key, *args, **kwargs)
 
         requested = []
-        load_payloads = FileBackend.load_payloads
+        load_payloads = RemoteBackend.load_payloads
 
         def recording_load(backend, rows):
             requested.extend(rows)
             return load_payloads(backend, rows)
 
         monkeypatch.setattr(ExecutionCache, "put_consistency", recording_put)
-        monkeypatch.setattr(FileBackend, "load_payloads", recording_load)
+        monkeypatch.setattr(RemoteBackend, "load_payloads", recording_load)
 
         def session():
-            """One incremental session in a "new process"."""
+            """One incremental session in a "new worker process", over
+            a cache server (re)started on the store."""
             reset_backends()
             reset_process_cache()
             try:
-                return _session_outputs(Synthesizer(EMPTY_DATA, config), actions, snapshots)
+                with cache_tier(path) as name:
+                    config = replace(DEFAULT_CONFIG, cache_backend=name)
+                    synthesizer = Synthesizer(EMPTY_DATA, config)
+                    outputs = _session_outputs(synthesizer, actions, snapshots)
+                    flush_backends()
+                return outputs
             finally:
-                flush_backends()
                 reset_backends()
                 reset_process_cache()
 
@@ -385,7 +391,6 @@ class TestLegacyConsistencyRows:
         assert checks
         # the rows an earlier build wrote for these very checks, each
         # with a wrong value: reading any of them would change programs
-        path = default_store_path()
         legacy = {stable_digest(("consistency", key)) for key in checks}
         writer = FileBackend(path)
         for digest in legacy:

@@ -193,16 +193,14 @@ class TestEviction:
         finally:
             reset_process_cache()
 
-    def test_ttl_resolution_from_env(self, monkeypatch):
+    def test_ttl_resolution(self):
         from repro.service.sessions import resolved_session_ttl
 
-        monkeypatch.delenv("REPRO_SESSION_TTL", raising=False)
+        # only the argument decides: unset or non-positive is never
         assert resolved_session_ttl(None) is None
         assert resolved_session_ttl(12.5) == 12.5
-        monkeypatch.setenv("REPRO_SESSION_TTL", "30")
-        assert resolved_session_ttl(None) == 30.0
-        monkeypatch.setenv("REPRO_SESSION_TTL", "0")
-        assert resolved_session_ttl(None) is None
+        assert resolved_session_ttl(0) is None
+        assert resolved_session_ttl(-1.0) is None
 
     def test_busy_sessions_survive_the_sweep(self):
         reset_process_cache()

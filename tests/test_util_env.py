@@ -1,49 +1,46 @@
 """Numeric deployment knobs: a malformed value falls back to the default.
 
 Each knob is read where the program reads it in production, so a typo
-in a deployment (``256MiB`` for a byte count, ``5m`` for seconds) costs
-the tuning, never the process.
+in a deployment (``1s`` for seconds, ``5x`` for a count) costs the
+tuning, never the process.  Building a ``remote://`` backend connects
+to nothing, so no cache server need listen.
 """
 
 import pytest
 
-from repro.engine.cache import process_cache, reset_process_cache
-from repro.service.backends import DEFAULT_MAX_BYTES, FileBackend
-from repro.service.sessions import SessionManager
+from repro.fleet.remote import (
+    DEFAULT_BREAKER_RESET_S,
+    DEFAULT_BREAKER_THRESHOLD,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
+    RemoteBackend,
+)
 
 
-def _store_max_bytes(tmp_path):
-    backend = FileBackend(tmp_path / "store.sqlite")
-    try:
-        return backend.max_bytes
-    finally:
-        backend.close()
-
-
-def _session_ttl(tmp_path):
-    return SessionManager().max_idle_s
-
-
-def _shared_cache_bytes(tmp_path):
-    reset_process_cache()
-    try:
-        return process_cache("memory").max_bytes
-    finally:
-        reset_process_cache()
+def _backend() -> RemoteBackend:
+    return RemoteBackend("remote://127.0.0.1:9")
 
 
 @pytest.mark.parametrize(
     "name, malformed, read, default",
     [
-        ("REPRO_CACHE_MAX_BYTES", "256MiB", _store_max_bytes, DEFAULT_MAX_BYTES),
-        ("REPRO_SESSION_TTL", "5m", _session_ttl, None),
-        ("REPRO_SHARED_CACHE_BYTES", "1GB", _shared_cache_bytes, None),
+        ("REPRO_REMOTE_TIMEOUT", "1s", lambda: _backend().timeout, DEFAULT_TIMEOUT),
+        ("REPRO_REMOTE_RETRIES", "two", lambda: _backend().retries, DEFAULT_RETRIES),
+        (
+            "REPRO_REMOTE_BREAKER_THRESHOLD",
+            "5x",
+            lambda: _backend().breaker.threshold,
+            DEFAULT_BREAKER_THRESHOLD,
+        ),
+        (
+            "REPRO_REMOTE_BREAKER_RESET_S",
+            "1s",
+            lambda: _backend().breaker.reset_after,
+            DEFAULT_BREAKER_RESET_S,
+        ),
     ],
-    ids=["cache-max-bytes", "session-ttl", "shared-cache-bytes"],
+    ids=["remote-timeout", "remote-retries", "breaker-threshold", "breaker-reset"],
 )
-def test_malformed_knob_falls_back_to_the_default(
-    name, malformed, read, default, tmp_path, monkeypatch
-):
+def test_malformed_knob_falls_back_to_the_default(name, malformed, read, default, monkeypatch):
     monkeypatch.setenv(name, malformed)
-    assert read(tmp_path) == default
-
+    assert read() == default
