@@ -80,10 +80,9 @@ MAX_CPU_RATIO = 3.0
 #: The store file a cache server keeps in its ``--cache-dir``.
 STORE_FILE = "execution-cache.sqlite"
 
-#: Per-call deadline, generous on purpose: every tier read waits out
-#: the ~40 ms reply stall, so a b15 call over the tier can pass 10 s,
-#: and a call cut by its deadline could differ by timing alone.
-CALL_TIMEOUT = 600.0
+#: Per-call deadline.  A call cut by its deadline could differ by
+#: timing alone, so the bench asserts that none is.
+CALL_TIMEOUT = 10.0
 
 
 def _subjects(spec):

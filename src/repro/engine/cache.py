@@ -37,9 +37,8 @@ binders renamed to slot variables and renames them back to the
 caller's on every hit (:mod:`repro.engine.engine`).  A third table
 memoizes consistency checks (:meth:`ExecutionCache.get_consistency`)
 for this process alone.  The tables are
-bounded LRUs with byte-accounted footprints and optional byte-based
-eviction thresholds; hit/miss/eviction counters feed
-:class:`repro.synth.synthesizer.SynthesisStats`.
+count-bounded LRUs with byte-accounted footprints; hit/miss/eviction
+counters feed :class:`repro.synth.synthesizer.SynthesisStats`.
 
 Sharing
 -------
@@ -70,9 +69,11 @@ Backends keep payload rows (:mod:`repro.engine.rows`), and this cache
 is the one place where entries become rows and rows become entries,
 always with no lock held.  A row that does not decode is a miss; an
 entry that cannot become a row stays in memory only.  Only executions
-reach a backend: an execution miss reads its exact and terminal rows in
-one batch (:meth:`~repro.service.backends.CacheBackend.load_payloads`,
-one round trip on a networked tier).  Consistency memos are never read
+reach a backend: an execution miss makes at most one backend read, its
+exact and terminal rows in one batch
+(:meth:`~repro.service.backends.CacheBackend.load_payloads`, one round
+trip on a networked tier), and nothing outside this cache decides when
+a backend is read.  Consistency memos are never read
 from or written to a backend — recomputing a check costs microseconds,
 far less than one row read.
 
@@ -270,9 +271,8 @@ def _entry_bytes(key: tuple, entry: _Entry) -> int:
     """Deterministic size estimate of one execution entry (bytes).
 
     Window and examined components scale with the *window length*, so
-    long-window terminal entries weigh proportionally more — the
-    byte-based threshold therefore pressures exactly the entries the
-    old count-based policy undercounted.
+    long-window terminal entries weigh proportionally more in the
+    reported footprint than an entry count would suggest.
     """
     size = _ENTRY_OVERHEAD + _PER_ITEM * len(entry.actions)
     if entry.examined is not None:
@@ -366,11 +366,8 @@ class ExecutionCache:
     window's snapshots by content digest; ``budget`` the effective
     action budget (already clamped to the window length by the engine).
 
-    ``max_entries`` bounds each table by count; ``max_bytes`` (optional)
-    bounds the *summed* approximate footprint of all three tables —
-    when exceeded, oldest entries are evicted table by table until back
-    under, so many small entries and few huge ones meet the same
-    ceiling.
+    ``max_entries`` bounds each table by count; the tables' summed
+    approximate footprint is reported (:attr:`approx_bytes`), not bounded.
 
     Value-addressed keys (alpha-canonical statements, env fingerprints,
     snapshot content digests) make entries session-agnostic — the only
@@ -410,15 +407,11 @@ class ExecutionCache:
         self,
         max_entries: int = 65536,
         max_snapshots: int = 512,
-        max_bytes: Optional[int] = None,
         backend=None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("cache size must be positive")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("byte threshold must be positive")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._backend = backend
         self.backend_name = backend.name if backend is not None else "memory"
         # decodes the step rows of every payload this cache reads
@@ -471,15 +464,12 @@ class ExecutionCache:
         budget: int,
         counters: CacheCounters,
         session: int = 0,
-        fetched: Optional[dict] = None,
         cost: Optional[int] = None,
     ) -> Optional[tuple[tuple, Env]]:
         """The memoized ``(actions, final env)``, or ``None`` on a miss.
 
-        ``fetched`` is a :meth:`prefetch_entries` result: a memory miss
-        whose backend rows it holds settles from it instead of reading
-        the backend again.  ``cost`` bounds the lookup's recompute cost
-        for the tier policy (the module docstring).
+        ``cost`` bounds the lookup's recompute cost for the tier policy
+        (the module docstring).
         """
         with self._lock:
             result, probe = self._lookup_memory(
@@ -487,7 +477,7 @@ class ExecutionCache:
             )
         if result is not None or probe is None:
             return result
-        exact_payload, terminal_payload = self._probe_backend(probe, fetched)
+        exact_payload, terminal_payload = self._probe_backend(probe)
         with self._lock:
             return self._promote_backend(
                 probe, exact_payload, terminal_payload, counters, session
@@ -593,24 +583,21 @@ class ExecutionCache:
             terminal_digest,
         )
 
-    def _probe_backend(
-        self, probe: _BackendProbe, fetched: Optional[dict]
-    ) -> tuple:
+    def _probe_backend(self, probe: _BackendProbe) -> tuple:
         """Phase 2a (no lock): read the store for a phase-1 miss.
 
         Touches only the backend (which synchronizes itself), never the
         tables — safe to run while other threads hold the lock.  The
         exact and terminal rows go out in one backend batch (one round
-        trip on a networked tier) and are decoded here, or come decoded
-        from ``fetched`` (:meth:`prefetch_entries`) when it holds them
-        all; an exact hit wins, exactly as if the terminal row had never
-        been read.  Returns ``(exact_payload, terminal_payload)``.
+        trip on a networked tier) and are decoded here; an exact hit
+        wins, exactly as if the terminal row had never been read.
+        Returns ``(exact_payload, terminal_payload)``.
         """
         rows = probe.rows()
-        if fetched is not None and all(digest in fetched for _, digest in rows):
-            loaded = [fetched[digest] for _, digest in rows]
-        else:
-            loaded = self._read_entries(rows)
+        loaded = [
+            decode_entry(payload, self._interner)
+            for payload in self._backend.load_payloads(rows)
+        ]
         payloads = dict(zip((kind for kind, _ in rows), loaded))
         if payloads.get(EXACT) is not None:
             return payloads[EXACT], None
@@ -662,14 +649,6 @@ class ExecutionCache:
         counters.misses += 1
         return None
 
-    def _read_entries(self, rows: list) -> list:
-        """Decoded entries for backend rows (no lock held); a missing,
-        corrupt or foreign row is ``None``."""
-        return [
-            decode_entry(payload, self._interner)
-            for payload in self._backend.load_payloads(rows)
-        ]
-
     def _store_digest(self, tag: str, base: tuple, *rest) -> bytes:
         """The backend address of a key, with the base digest memoized."""
         base_digest = self._base_digests.get(base)
@@ -678,37 +657,6 @@ class ExecutionCache:
                 self._base_digests.clear()
             base_digest = self._base_digests[base] = stable_digest(base)
         return stable_digest((tag, base_digest) + rest)
-
-    def prefetch_entries(
-        self, lookups: Sequence[tuple[tuple, tuple[int, ...], int, Optional[int]]]
-    ) -> dict:
-        """Read the backend rows of upcoming :meth:`get` calls in one batch.
-
-        Each lookup is ``(base, window_keys, budget, cost)``, as
-        :meth:`get` takes them; one that memory answers now, or whose
-        rows the tier policy rules out, reads nothing.  Returns
-        ``{digest: decoded entry or None}`` for every row read (empty
-        without a backend or with nothing to read).  Counts nothing,
-        touches nothing: each :meth:`get` still settles its own hit or
-        miss, in the caller's order.
-        """
-        if self._backend is None:
-            return {}
-        rows: dict = {}
-        with self._lock:
-            for base, window_keys, budget, cost in lookups:
-                if (base, window_keys, budget) in self._exact:
-                    continue
-                entry = self._terminal.get((base, window_keys[0]))
-                if entry is not None and _terminal_applies(entry, window_keys, budget):
-                    continue
-                probe = self._probe(base, window_keys, budget, cost, entry)
-                if probe is not None:
-                    rows.update((digest, kind) for kind, digest in probe.rows())
-        if not rows:
-            return {}
-        loaded = self._read_entries([(kind, digest) for digest, kind in rows.items()])
-        return dict(zip(rows, loaded))
 
     def put(
         self,
@@ -874,7 +822,7 @@ class ExecutionCache:
     def _insert(
         self, name: str, key: tuple, value, counters: Optional[CacheCounters]
     ) -> None:
-        """Insert into one table, evicting by count and bytes.
+        """Insert into one table, evicting its oldest entry at capacity.
 
         ``counters`` is ``None`` for backend promotions: the entry was
         not this process's traffic, so its evictions count nowhere.
@@ -889,43 +837,6 @@ class ExecutionCache:
                 counters.evictions += 1
         table[key] = value
         self._table_bytes += _value_bytes(key, value)
-        if self.max_bytes is not None and self._table_bytes > self.max_bytes:
-            self._enforce_bytes(name, key, counters)
-
-    def _enforce_bytes(
-        self, fresh_name: str, fresh_key: tuple, counters: Optional[CacheCounters]
-    ) -> None:
-        """Evict until the byte threshold is respected.
-
-        Deliberately per-table priority order, oldest within each: the
-        exact table drains first (its entries are the most redundant —
-        terminal entries cover their extensions), then terminal, then
-        the cheap-to-recompute consistency memos.  Cross-table age is
-        not tracked, so this is not a global LRU; under a byte budget
-        dominated by one table, the earlier tables bear the eviction
-        pressure first by design.
-
-        The just-inserted entry is never the victim: an entry larger
-        than the whole budget parks the cache one entry over threshold
-        until the next insert ages it out, instead of turning the cache
-        into a sieve that drops everything it is handed.
-        """
-        while self._table_bytes > self.max_bytes:
-            victim = None
-            for name, table in self._tables.items():
-                for key in table:  # first = oldest inserted
-                    if name == fresh_name and key == fresh_key:
-                        continue  # spare the entry being inserted
-                    victim = (name, key)
-                    break
-                if victim is not None:
-                    break
-            if victim is None:
-                return  # only the fresh entry remains
-            name, key = victim
-            self._table_bytes -= _value_bytes(key, self._tables[name].pop(key))
-            if counters is not None:
-                counters.evictions += 1
 
     # ------------------------------------------------------------------
     # Gauges
@@ -1064,7 +975,7 @@ def process_cache(backend_name: str = "memory") -> ExecutionCache:
     :func:`repro.service.backends.resolve_backend` (``memory`` resolves
     to no backend), and every caller resolving to the same backend
     shares one instance.  Sized by the :class:`ExecutionCache` defaults
-    (65536 entries per table, 512 interned snapshots, no byte bound).
+    (65536 entries per table, 512 interned snapshots).
     """
     from repro.service.backends import resolve_backend
 

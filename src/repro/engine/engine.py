@@ -39,9 +39,8 @@ values, so a lost race recomputes but never corrupts.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.dom.node import DOMNode
 from repro.dom.xpath import ConcreteSelector, resolve as _resolve
@@ -114,9 +113,6 @@ class ExecutionEngine:
         # statements' canonical key (a value, so collisions are
         # impossible); None = unbounded/unknown
         self._cost_hints: dict[tuple, Optional[int]] = {}
-        # execution rows read ahead inside :meth:`prefetching`, by store
-        # digest; None outside the scope
-        self._prefetched: Optional[dict] = None
 
     @classmethod
     def for_config(
@@ -206,7 +202,7 @@ class ExecutionEngine:
         window_keys = doms.value_key()
         cache, counters, token = self._cache, self._counters, self._token
         cost = self._cost_bound(base[0], statements, budget)
-        hit = cache.get(base, window_keys, budget, counters, token, self._prefetched, cost)
+        hit = cache.get(base, window_keys, budget, counters, token, cost)
         if hit is not None:
             actions, stored_env = hit
             final_env = _from_slots(stored_env, binders, env)
@@ -354,48 +350,6 @@ class ExecutionEngine:
             value = _consistent_prefix_length(produced, reference, doms)
         self._cache.put_consistency(key, value, self._counters, self._token)
         return value
-
-    @contextmanager
-    def prefetching(self):
-        """Scope for :meth:`prefetch_executions`: rows read inside it
-        serve the lookups run inside it, then are dropped.  A nested
-        scope shares the enclosing scope's rows and leaves them in place
-        on exit."""
-        if self._prefetched is not None:
-            yield
-            return
-        self._prefetched = {}
-        try:
-            yield
-        finally:
-            self._prefetched = None
-
-    def prefetch_executions(
-        self, runs: Iterable[tuple[Sequence[Statement], DOMTrace, int]]
-    ) -> None:
-        """Read the backend rows of upcoming :meth:`execute` calls in one
-        batch.
-
-        Each ``(statements, doms, max_actions)`` run is the call
-        ``execute(statements, doms, max_actions=max_actions)``: no
-        entry env, the engine's own data source.  A later call settles
-        a memory miss from this batch instead of reading the backend
-        again.  Counts nothing; does nothing outside :meth:`prefetching`
-        or without a persistent backend.
-        """
-        if self._prefetched is None or self._cache is None or self._cache.backend is None:
-            return
-        lookups = []
-        for statements, doms, max_actions in runs:
-            statements = tuple(statements)
-            budget = min(max_actions, len(doms))
-            binders = _binders(statements)
-            if budget <= 0 or (binders and not _slots_apply(binders, None)):
-                continue  # execute runs these unmemoized
-            base = self._base_key(statements, None, self.data)
-            cost = self._cost_bound(base[0], statements, budget)
-            lookups.append((base, doms.value_key(), budget, cost))
-        self._prefetched.update(self._cache.prefetch_entries(lookups))
 
     def _consistency_key(self, produced, reference, doms: DOMTrace) -> tuple:
         return (

@@ -43,6 +43,8 @@ tier policy (:data:`repro.engine.cache.TIER_COST`).  The server adds only batchi
 latency histogram (``repro_cache_server_seconds{op}``).  A batch is
 validated whole before any row is read, stored or counted, so a
 rejected request leaves the store and the counters as it found them.
+Replies go out with ``TCP_NODELAY``, so a keep-alive round trip does
+not wait for the client's delayed ACK.
 
 The process never loads the synthesizer: it imports the store, the
 leaf codec and the row kinds (:mod:`repro.util.rowkinds`), not the
@@ -125,6 +127,10 @@ class CacheServer(ThreadingHTTPServer):
 class _CacheHandler(BaseHTTPRequestHandler):
     server_version = "repro-cache/1"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY``: the headers and the body leave in two writes, and
+    #: with Nagle on the body waits for the client's delayed ACK of the
+    #: headers (~40 ms per keep-alive round trip).
+    disable_nagle_algorithm = True
     #: ``(op, start)`` of the POST whose latency is not yet published.
     _timing: Optional[tuple[str, float]] = None
 

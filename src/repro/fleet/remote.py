@@ -34,10 +34,11 @@ raises into the engine.
 Writes buffer client-side (deduplicated by digest) and flush as one
 batched ``POST /v1/cache/put`` every ``flush_every`` distinct keys and
 on :meth:`RemoteBackend.flush` (the worker-exit and session-close
-paths), so the per-entry wire cost amortizes.  Reads are batched the
-same way: :meth:`RemoteBackend.load_payloads` serves the process's own
-pending writes directly and sends every other row in one
-``POST /v1/cache/get``.
+paths), so the per-entry wire cost amortizes.  A read is one
+execution miss's rows (:mod:`repro.engine.cache` decides when):
+:meth:`RemoteBackend.load_payloads` serves the process's own pending
+writes directly and sends every other row in one ``POST
+/v1/cache/get``.
 
 Telemetry: ``repro_remote_requests_total{op,outcome}``,
 ``repro_remote_request_seconds{op}`` (the round trip as the worker

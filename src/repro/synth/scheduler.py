@@ -16,9 +16,8 @@ sessions comes from the shared execution cache and from forked
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
-from repro.semantics.trace import DOMTrace
 from repro.synth.rewrite import RewriteTuple
 from repro.synth.speculate import SpeculationContext, SRewrite
 from repro.synth.validate import validate
@@ -45,31 +44,6 @@ def _rank_order(candidates: list[SRewrite], context: SpeculationContext) -> None
     )
 
 
-def _read_ahead(
-    current: RewriteTuple, candidates: list[SRewrite], context: SpeculationContext
-) -> Iterator[tuple]:
-    """The executions validating ``candidates`` is about to make, as
-    :meth:`ExecutionEngine.prefetch_executions` runs.
-
-    For the first :data:`MAX_REWRITES_PER_SPAN` candidates of each span
-    in rank order (a later one runs only if one of those fails): the
-    validation run over the rest of the trace, and the generalization
-    run one snapshot past it that ``_try_generalize`` makes when the
-    rewrite ends the tuple.
-    """
-    per_span: dict[tuple, int] = {}
-    for candidate in candidates:
-        span_key = (candidate.start, candidate.end)
-        seen = per_span.get(span_key, 0)
-        if seen >= MAX_REWRITES_PER_SPAN:
-            continue
-        per_span[span_key] = seen + 1
-        start_action = current.bounds[candidate.start]
-        for stop in (current.covered, len(context.actions) + 1):
-            window = DOMTrace(context.snapshots, start_action, stop)
-            yield [candidate.stmt], window, len(window)
-
-
 class SerialScheduler:
     """Algorithm 1's inline validation loop over one pop's candidates."""
 
@@ -87,27 +61,19 @@ class SerialScheduler:
         Mutates ``stats`` (``validated``, ``validations``,
         ``timed_out``).  The deadline is checked between candidates, so
         a call overruns its budget by at most one validation.
-
-        Over a persistent backend the executions the loop is about to
-        make are read ahead in one batch (:func:`_read_ahead`); each
-        still counts its own hit or miss where it runs.
         """
         _rank_order(candidates, context)
-        engine = context.engine
-        with engine.prefetching():
-            if not deadline.expired():
-                engine.prefetch_executions(_read_ahead(current, candidates, context))
-            per_span: dict[tuple, int] = {}
-            for candidate in candidates:
-                if deadline.expired():
-                    stats.timed_out = True
-                    break
-                span_key = (candidate.start, candidate.end)
-                if per_span.get(span_key, 0) >= MAX_REWRITES_PER_SPAN:
-                    continue
-                stats.validations += 1
-                rewritten = validate(candidate, current, context)
-                if rewritten is not None:
-                    per_span[span_key] = per_span.get(span_key, 0) + 1
-                    stats.validated += 1
-                    push(rewritten)
+        per_span: dict[tuple, int] = {}
+        for candidate in candidates:
+            if deadline.expired():
+                stats.timed_out = True
+                break
+            span_key = (candidate.start, candidate.end)
+            if per_span.get(span_key, 0) >= MAX_REWRITES_PER_SPAN:
+                continue
+            stats.validations += 1
+            rewritten = validate(candidate, current, context)
+            if rewritten is not None:
+                per_span[span_key] = per_span.get(span_key, 0) + 1
+                stats.validated += 1
+                push(rewritten)

@@ -435,84 +435,42 @@ class Synthesizer:
     # ------------------------------------------------------------------
     def _extend_store(self, old_length: int, new_length: int, push: PushFn) -> None:
         """Re-fit every stored tuple to the grown trace and push it, in
-        store order.
-
-        Runs in phases inside one :meth:`ExecutionEngine.prefetching`
-        scope, so that over a persistent backend the step makes one read
-        however many trailing loops the store holds: every trailing
-        loop's lookahead run, in one batch.  Each run is made once and
-        handed to :meth:`_extend`, so every lookup still counts exactly
-        one hit or miss.
-        """
-        stored_tuples = list(self._store.values())
-        with self._engine.prefetching():
-            if old_length == new_length:
-                for stored in stored_tuples:
-                    push(stored)
-                return
-            lookaheads = [
-                self._lookahead(stored, new_length) if stored.ends_with_loop() else None
-                for stored in stored_tuples
-            ]
-            self._engine.prefetch_executions(
-                ([stored.statements[-1]], lookahead, len(lookahead))
-                for stored, lookahead in zip(stored_tuples, lookaheads)
-                if lookahead is not None
-            )
-            aheads = [
-                None if lookahead is None else self._run_trailing_loop(stored, lookahead)
-                for stored, lookahead in zip(stored_tuples, lookaheads)
-            ]
-            for stored, ahead in zip(stored_tuples, aheads):
-                extended = self._extend(stored, old_length, new_length, ahead)
-                if extended is not None:
-                    push(extended)
-
-    def _lookahead(self, stored: RewriteTuple, new_length: int) -> DOMTrace:
-        """The window a trailing loop runs over: its slice plus one
-        snapshot past the grown trace."""
-        return DOMTrace(self._snapshots, stored.bounds[-2], new_length + 1)
-
-    def _run_trailing_loop(
-        self, stored: RewriteTuple, lookahead: DOMTrace
-    ) -> list[Action]:
-        """The trailing loop's actions over its lookahead window.
-
-        Running one snapshot past the trace and truncating costs nothing
-        extra: when the loop consumes the whole extension window its
-        behaviour there is a prefix of this run, and ``_try_generalize``
-        on the extended tuple then reuses this execution from the engine
-        cache.
-        """
-        return self._engine.execute(
-            [stored.statements[-1]],
-            lookahead,
-            max_actions=len(lookahead),
-            resumable=True,
-        ).actions
+        store order."""
+        for stored in self._store.values():
+            extended = self._extend(stored, old_length, new_length)
+            if extended is not None:
+                push(extended)
 
     def _extend(
-        self,
-        stored: RewriteTuple,
-        old_length: int,
-        new_length: int,
-        ahead: Optional[list[Action]],
+        self, stored: RewriteTuple, old_length: int, new_length: int
     ) -> Optional[RewriteTuple]:
         """Re-fit a stored tuple to the grown trace.
 
         A trailing loop absorbs exactly the actions its continued
-        execution reproduces — ``ahead`` is that run
-        (:meth:`_run_trailing_loop`), ``None`` for a tuple without one;
-        if it produces an action inconsistent with what the user actually
-        did, the tuple's program no longer satisfies the trace and the
-        tuple dies.  Remaining new actions are appended as singleton
-        statements.
+        execution reproduces; if it produces an action inconsistent with
+        what the user actually did, the tuple's program no longer
+        satisfies the trace and the tuple dies.  Remaining new actions
+        are appended as singleton statements.
         """
+        if old_length == new_length:
+            return stored
         absorbed_end = old_length
         base = stored
-        if ahead is not None:
+        if stored.ends_with_loop():
             slice_start = stored.bounds[-2]
             window = DOMTrace(self._snapshots, slice_start, new_length)
+            # Execute over the generalization window (one snapshot past
+            # the trace) and truncate: when the loop consumes the whole
+            # extension window its behaviour there is a prefix of the
+            # lookahead run, and ``_try_generalize`` on the extended
+            # tuple then reuses this execution from the engine cache.
+            lookahead = DOMTrace(self._snapshots, slice_start, new_length + 1)
+            ahead = self._engine.execute(
+                [stored.statements[-1]],
+                lookahead,
+                max_actions=len(lookahead),
+                resumable=True,
+            ).actions
             produced = ahead[: len(window)]
             reference = self._actions[slice_start : slice_start + len(produced)]
             consistent = self._engine.consistent_prefix_length(

@@ -424,7 +424,6 @@ class TestTierPolicy:
         # not apply, so only an exact row could answer — and a cheap
         # one is never written
         assert cache.get(("base", 0), (1, 2, 3), 1, counters, cost=0) is None
-        assert cache.prefetch_entries([(("base", 0), (1, 2, 3), 1, 0)]) == {}
         assert backend.reads == []
         assert counters.misses == 1
 

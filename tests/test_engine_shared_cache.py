@@ -337,36 +337,9 @@ class TestProcessCache:
 
 
 class TestByteThresholds:
-    def test_byte_threshold_evicts_oldest_until_under(self):
-        cache = ExecutionCache(max_entries=1024, max_bytes=2000)
-        caller = _Caller(cache)
-        for index in range(32):
-            caller.put((f"k{index}",), (index,), 1, ("a",) * 8, None)
-        assert caller.counters.evictions > 0
-        assert cache.approx_bytes <= 2000
-        # the most recent entry always survives
-        assert caller.get(("k31",), (31,), 1) is not None
-        assert caller.get(("k0",), (0,), 1) is None
-
-    def test_single_oversized_entry_does_not_wedge_the_cache(self):
-        cache = ExecutionCache(max_entries=8, max_bytes=250)
-        caller = _Caller(cache)
-        caller.put(("big",), tuple(range(64)), 64, ("a",) * 64, None)
-        # larger than the whole budget: kept as the last entry standing
-        assert len(cache) >= 1
-        assert caller.get(("big",), tuple(range(64)), 64) is not None
-
-    def test_rejects_non_positive_byte_threshold(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ExecutionCache(max_entries=8, max_bytes=0)
-
     def test_window_length_scales_the_terminal_entry_estimate(self):
-        # the ROADMAP eviction-policy note: terminal entries for long
-        # windows must weigh in proportion to their examined prefix, so
-        # byte thresholds pressure exactly the entries count thresholds
-        # undercounted (value keys already removed the snapshot pinning)
+        # terminal entries for long windows weigh in proportion to their
+        # examined prefix in the reported footprint
         small = ExecutionCache(max_entries=8)
         large = ExecutionCache(max_entries=8)
         _Caller(small).put(("b",), tuple(range(4)), 4, ("a",), None)

@@ -1,19 +1,16 @@
 """Batched cache-tier reads (``CacheBackend.load_payloads``).
 
-An execution-cache miss reads its exact and terminal rows in one
-backend batch; over ``remote://`` each batch is one
-``POST /v1/cache/get``.  Consistency checks never reach a backend.
-Inside ``ExecutionEngine.prefetching`` several upcoming lookups share
-one batch: the synthesizer's extension step reads every trailing loop's
-execution rows together, and a validation pop reads its candidates'
-validation and generalization runs together.  Pinned here against an
+An execution-cache miss makes at most one backend read: its exact and
+terminal rows in one batch, which over ``remote://`` is one
+``POST /v1/cache/get``.  Consistency checks never reach a backend, and
+no synthesis phase reads the tier on its own.  Pinned here against an
 in-thread cache server, counting requests on the worker side and rows
 through the server's own metrics:
 
-* each probe costs at most one request, and a prefetch one for all;
-* an extension step costs at most one request however many trailing
-  loops the store carries, and none when no row could have been
-  written; a validation pop costs one;
+* each probe costs at most one request, and an incremental session's
+  executions at most one each: an extension step at most one per
+  trailing loop, and a validation pop's validation runs ask for no row
+  twice;
 * no consistency row (kind 2) is read or written, cold or warm;
 * a batch serves the worker's own pending writes locally and sends
   only the other rows;
@@ -30,7 +27,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.dom import parse_selector
 from repro.engine import CacheCounters, ExecutionCache, ExecutionEngine
 from repro.engine import cache as cache_module
 from repro.engine.cache import TIER_COST, reset_process_cache
@@ -39,12 +35,10 @@ from repro.fleet.cache_server import make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import reset_pool
 from repro.fleet.remote import RemoteBackend
-from repro.lang import EMPTY_DATA, scrape_text
-from repro.lang.ast import SCRAPE_TEXT, ActionStmt, Selector
+from repro.lang import EMPTY_DATA
 from repro.lang.pretty import format_program
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import STORE_CODEC
-from repro.semantics.env import Env
 from repro.semantics.trace import DOMTrace
 from repro.service.backends import (
     CacheBackend,
@@ -169,70 +163,6 @@ class TestRemoteBatches:
         assert _get_requests() == 1
         assert reader.loads == 3
         assert reader.load_hits == 1
-
-
-class TestPrefetch:
-    def test_execution_rows_of_several_lookups_are_one_request(self, cache):
-        shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        lookups = [(("base", n), (1, 2, 3), 2, None) for n in range(3)]
-        fetched = shared.prefetch_entries(lookups)
-        assert _get_requests() == 1
-        assert _get_rows("miss") == 6  # an exact and a terminal row each
-        counters = CacheCounters()
-        for base, window, budget, cost in lookups:
-            assert shared.get(base, window, budget, counters, fetched=fetched, cost=cost) is None
-        assert _get_requests() == 1
-        assert counters.misses == 3
-
-    def test_prefetched_rows_settle_warm_hits(self, cache):
-        actions = (scrape_text(parse_selector("//h3[1]")),)
-        lookups = [(("base", n), (1, 2, 3), 2, 100) for n in range(2)]
-        writer = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        for base, window, budget, cost in lookups:
-            writer.put(base, window, budget, actions, Env(), CacheCounters(), cost=cost)
-        writer.backend.flush()
-        reader = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        fetched = reader.prefetch_entries(lookups)
-        assert _get_requests() == 1
-        counters = CacheCounters()
-        for base, window, budget, cost in lookups:
-            hit = reader.get(base, window, budget, counters, fetched=fetched, cost=cost)
-            assert hit[0] == actions
-        assert _get_requests() == 1
-        assert (counters.hits, counters.warm_hits, counters.misses) == (2, 2, 0)
-
-    def test_a_lookup_memory_answers_reads_nothing(self, cache):
-        shared = ExecutionCache(backend=RemoteBackend(_url(cache)))
-        shared.put(("base",), (1, 2, 3), 2, ("a", "b"), None, CacheCounters())
-        assert shared.prefetch_entries([(("base",), (1, 2, 3), 2, None)]) == {}
-        assert _get_requests() == 0
-
-    def test_a_nested_scope_keeps_the_outer_rows(self, cache):
-        engine = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
-        )
-        statements, window, budget = _scrape_run()
-        with engine.prefetching():
-            engine.prefetch_executions([(statements, window, budget)])
-            with engine.prefetching():
-                pass
-            assert len(engine.execute(statements, window, max_actions=budget).actions) == 1
-        assert _get_requests() == 1
-
-    def test_prefetch_outside_the_scope_reads_nothing(self, cache):
-        engine = ExecutionEngine(
-            EMPTY_DATA, cache=ExecutionCache(backend=RemoteBackend(_url(cache)))
-        )
-        engine.prefetch_executions([_scrape_run()])
-        assert _get_requests() == 0
-
-
-def _scrape_run():
-    """One ``(statements, window, budget)`` execution: scrape the first
-    card's title."""
-    _, snapshots = scrape_cards_trace(cards_page(4), 3)
-    scrape = ActionStmt(SCRAPE_TEXT, Selector(None, parse_selector("//h3[1]").steps))
-    return [scrape], DOMTrace(snapshots, 0, 2), 2
 
 
 class _FixedReply(BaseHTTPRequestHandler):
@@ -404,20 +334,13 @@ def _exact_bounds(monkeypatch) -> dict:
         digest = engine.cache._store_digest("exact", base, doms.value_key(), budget)
         bounds[digest] = budget if hint is None else hint
 
-    execute, prefetch = ExecutionEngine.execute, ExecutionEngine.prefetch_executions
+    execute = ExecutionEngine.execute
 
     def spy_execute(engine, program, doms, env=None, max_actions=None, data=None, **kwargs):
         note(engine, program, doms, env, max_actions, data)
         return execute(engine, program, doms, env, max_actions, data, **kwargs)
 
-    def spy_prefetch(engine, runs):
-        runs = list(runs)
-        for statements, doms, max_actions in runs:
-            note(engine, statements, doms, None, max_actions, None)
-        return prefetch(engine, runs)
-
     monkeypatch.setattr(ExecutionEngine, "execute", spy_execute)
-    monkeypatch.setattr(ExecutionEngine, "prefetch_executions", spy_prefetch)
     return bounds
 
 
@@ -455,24 +378,30 @@ def test_a_store_holding_every_exact_row_serves_under_the_tier_policy(
 class _Phases:
     """Tags every ``remote://`` batch a session sends with the synthesis
     phases it was sent from: a ``synthesize`` call, a validation pop
-    inside it, a ``_try_generalize`` inside that."""
+    inside it, a ``_try_generalize`` inside that, and the engine
+    execution that read it, if any."""
 
     def __init__(self, monkeypatch) -> None:
         self.stack: list = []
         self.serial = itertools.count()
-        self.reads: list = []  # phases on the stack at each read
+        self.reads: list = []  # (phases on the stack, rows) at each read
         self.generalized: list = []  # phases on the stack at each check
         self.store_loops: dict = {}  # call -> trailing loops in its store
         self.snapshots: dict = {}  # call -> snapshots it was given
         self.validations: dict = {}  # pop -> validations it ran
         load = RemoteBackend.load_payloads
+        execute = ExecutionEngine.execute
         synthesize = Synthesizer.synthesize
         process_pop = SerialScheduler.process_pop
         generalize = Synthesizer._try_generalize
 
         def logged_load(backend, rows):
-            self.reads.append(tuple(self.stack))
+            self.reads.append((tuple(self.stack), tuple(rows)))
             return load(backend, rows)
+
+        def logged_execute(engine, *args, **kwargs):
+            with self._phase("execute"):
+                return execute(engine, *args, **kwargs)
 
         def logged_synthesize(synthesizer, actions, snapshots, *args, **kwargs):
             with self._phase("call") as call:
@@ -494,6 +423,7 @@ class _Phases:
                 return generalize(synthesizer, *args)
 
         monkeypatch.setattr(RemoteBackend, "load_payloads", logged_load)
+        monkeypatch.setattr(ExecutionEngine, "execute", logged_execute)
         monkeypatch.setattr(Synthesizer, "synthesize", logged_synthesize)
         monkeypatch.setattr(SerialScheduler, "process_pop", logged_pop)
         monkeypatch.setattr(Synthesizer, "_try_generalize", logged_generalize)
@@ -507,21 +437,34 @@ class _Phases:
         finally:
             self.stack.pop()
 
-    def extension_reads(self, call) -> int:
-        """Batches ``call`` sent outside its pops: its extension step."""
-        return sum(
-            call in stack and not any(name == "pop" for name, _ in stack)
-            for stack in self.reads
-        )
+    def extension_reads(self, call) -> list:
+        """The reads ``call`` sent outside its pops: its extension step."""
+        return [
+            (stack, rows)
+            for stack, rows in self.reads
+            if call in stack and not any(name == "pop" for name, _ in stack)
+        ]
 
     def pop_reads(self, pop) -> list:
-        """Whether each batch ``pop`` sent came from inside
-        ``_try_generalize``."""
-        return [
-            any(name == "generalize" for name, _ in stack)
-            for stack in self.reads
-            if pop in stack
-        ]
+        """The reads ``pop`` sent."""
+        return [(stack, rows) for stack, rows in self.reads if pop in stack]
+
+
+def _execution(stack):
+    """The innermost execution on ``stack``, None outside any."""
+    executions = [entry for entry in stack if entry[0] == "execute"]
+    return executions[-1] if executions else None
+
+
+def _each_execution_reads_once(reads) -> bool:
+    """Every one of ``reads`` was sent by an execution, and no execution
+    sent two."""
+    executions = [_execution(stack) for stack, _ in reads]
+    return None not in executions and len(set(executions)) == len(executions)
+
+
+def _rows_read(reads) -> list:
+    return [row for _, batch in reads for row in batch]
 
 
 @pytest.fixture
@@ -533,55 +476,51 @@ class TestSessionReads:
     """Requests per synthesis phase in a cold incremental session."""
 
     def test_an_extension_step_reads_at_most_once(self, cache, phases):
+        """Each trailing loop's run in an extension step reads at most
+        once, and none while no run can emit more than ``TIER_COST``
+        actions."""
         _session(_url(cache))
         steps = [call for call, loops in phases.store_loops.items() if loops]
         assert max(phases.store_loops[call] for call in steps) >= 2
         reads = {call: phases.extension_reads(call) for call in steps}
         for call in steps:
-            # one execution batch for every loop's run, however many
-            # loops; none while no run can emit more than TIER_COST
-            # actions, since then no exact row could have been written
-            # and the loops' terminal rows are this process's own
-            assert reads[call] <= 1
+            assert _each_execution_reads_once(reads[call])
+            rows = _rows_read(reads[call])
+            assert len(set(rows)) == len(rows)
+            # one batch at most per loop's run, however many loops
+            assert len(reads[call]) <= phases.store_loops[call]
             if phases.snapshots[call] <= TIER_COST:
-                assert reads[call] == 0
-        assert set(reads.values()) == {0, 1}
+                # no exact row could have been written, and the loops'
+                # terminal rows are this process's own
+                assert reads[call] == []
+        assert {bool(step_reads) for step_reads in reads.values()} == {False, True}
 
     def test_a_validation_pop_reads_its_executions_once(self, cache, phases):
+        """Each execution a validation pop makes reads at most once, and
+        its validation runs request no row twice."""
         _session(_url(cache))
         pops = [pop for pop, count in phases.validations.items() if count >= 2]
         assert pops
         for pop in pops:
-            # the read-ahead is the pop's only read: no validation and
-            # no ``_try_generalize`` probes again
-            assert phases.pop_reads(pop) == [False]
+            reads = phases.pop_reads(pop)
+            assert reads
+            assert _each_execution_reads_once(reads)
+            validating = _rows_read(
+                (stack, rows)
+                for stack, rows in reads
+                if not any(name == "generalize" for name, _ in stack)
+            )
+            assert len(set(validating)) == len(validating) >= 2
         # rewrites that end the tuple reached the generalization check
         assert any(
             pop in stack for stack in phases.generalized for pop in pops
         )
 
 
-def test_prefetch_changes_requests_not_outcomes(tmp_path, monkeypatch, phases):
-    """Incremental sessions with the extension step's and the
-    validation pops' prefetches and without them: the same programs
-    and counters, fewer requests."""
-    outcomes, requests, validating = {}, {}, {}
-    for variant in ("prefetch", "per-lookup"):
-        if variant == "per-lookup":
-            monkeypatch.setattr(
-                ExecutionEngine, "prefetching", lambda self: contextlib.nullcontext()
-            )
-        obs_metrics.reset_registry()
-        server, thread = _start_cache(tmp_path / f"{variant}.sqlite")
-        try:
-            outcomes[variant] = _cold_then_warm(_url(server))
-        finally:
-            _stop_cache(server, thread)
-        requests[variant] = _get_requests()
-        validating[variant] = sum(count > 0 for count in phases.validations.values())
-        phases.validations.clear()
-    # a cold and a warm session per variant, each with >= 2 pops that
-    # validated candidates
-    assert min(validating.values()) >= 4
-    assert outcomes["prefetch"] == outcomes["per-lookup"]
-    assert requests["prefetch"] < requests["per-lookup"]
+def test_an_execution_reads_the_tier_at_most_once(cache, phases):
+    """A cold incremental session over ``remote://``: every execution
+    sends at most one batch, and no synthesis phase reads the tier
+    outside an execution."""
+    _session(_url(cache))
+    assert phases.reads
+    assert _each_execution_reads_once(phases.reads)

@@ -9,7 +9,9 @@ plane, the health/stats/metrics routes, and that malformed requests
 come back 400, never 500.
 """
 
+import statistics
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.fleet.cache_server import _CacheHandler, make_cache_server
 from repro.fleet.metrics import parse_samples, sample_value
 from repro.fleet.pool import ConnectionPool, pool, reset_pool
+from repro.fleet.remote import RemoteBackend
 from repro.obs import metrics as obs_metrics
 from repro.protocol.codec import DEFAULT_CODEC as JSON, STORE_CODEC as BINARY
 from repro.engine.rows import EXACT
@@ -306,6 +309,28 @@ class TestOperationalRoutes:
         assert sample_value(
             samples, "repro_cache_server_requests_total", {"op": "get", "outcome": "miss"}
         ) == 1
+
+
+class TestReplyLatency:
+    def test_keep_alive_reads_do_not_wait_for_a_delayed_ack(self, cache):
+        # a reply written as headers then body stalls on Nagle until the
+        # client's delayed ACK, ~40 ms per round trip; loopback without
+        # the stall answers in well under a millisecond
+        reset_pool()
+        backend = RemoteBackend(f"remote://127.0.0.1:{cache.server_address[1]}")
+        rows = [(EXACT, KEY)]
+        times = []
+        try:
+            backend.load_payloads(rows)  # opens the connection, untimed
+            for _ in range(20):
+                started = time.perf_counter()
+                assert backend.load_payloads(rows) == [None]
+                times.append(time.perf_counter() - started)
+            assert pool().stats()["created"] == 1  # one keep-alive connection
+        finally:
+            reset_pool()
+        median = statistics.median(times)
+        assert median < 0.010, f"median round trip {median * 1e3:.1f} ms"
 
 
 class TestConnectionPool:
